@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from fluctuator import polyharmonic as ph, walk
-from fluctuator.cli import _load_model
+from fluctuator.cli import load_model
 
 
 def main() -> None:
@@ -20,7 +20,7 @@ def main() -> None:
     ap.add_argument("--horizon", type=int, default=1 << 13)
     args = ap.parse_args()
 
-    law = _load_model(args.model)
+    law = load_model(args.model)
     guard = 2 * max(law.support) + 2
     lad = ph.v_ladder(law, x_max=args.x_max + guard, J=2, N=args.horizon)
     window = (1, args.x_max)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class QLadder:
 @dataclass
 class ConditionedWorkspace:
     """Per-law DP aggregates shared by all x: local probabilities p_n(x),
-    killed tables, theta polynomials, and renewal values.  Built once."""
+    theta polynomials, and the killed tables, each swept on first use."""
 
     law: LatticeLaw
     N: int
@@ -77,8 +78,16 @@ class ConditionedWorkspace:
     thetas: list
     theta0: float
     traces: dict[int, np.ndarray]  # p_n(x) for x = 0..x_max
-    table_weak: np.ndarray  # b[n, x]
-    table_strict: np.ndarray
+
+    @cached_property
+    def table_weak(self) -> np.ndarray:
+        """b[n, x] = P(S_n = x, tau_0 > n)."""
+        return oracle.conditioned_table(self.law, self.N, self.x_max, strict=False)
+
+    @cached_property
+    def table_strict(self) -> np.ndarray:
+        """b-bar[n, x] = P(S_n = x, tau-bar_0 > n)."""
+        return oracle.conditioned_table(self.law, self.N, self.x_max, strict=True)
 
 
 def make_workspace(
@@ -86,7 +95,7 @@ def make_workspace(
 ) -> ConditionedWorkspace:
     law.require_expansion_ready()
     thetas = edgeworth.theta_polys(law, r)
-    _, traces = oracle.delta_table(law, N, xs=tuple(range(x_max + 1)))
+    _, traces = oracle.delta_table(law, N, xs=range(x_max + 1))
     return ConditionedWorkspace(
         law=law,
         N=N,
@@ -94,8 +103,6 @@ def make_workspace(
         thetas=thetas,
         theta0=thetas[0].coefficients[0],
         traces=traces,
-        table_weak=oracle.conditioned_table(law, N, x_max, strict=False),
-        table_strict=oracle.conditioned_table(law, N, x_max, strict=True),
     )
 
 
@@ -255,7 +262,6 @@ def gf_fit_check(
     X = np.stack([np.ones_like(u), u**0.5, u, u**1.5, u**2], axis=1)
     A = X.T @ X + ridge * np.eye(X.shape[1])
     coef = np.linalg.solve(A, X.T @ gf)
+    # strict q_0(0) and b[0, 0] both carry the n = 0 atom
     lad = ladder.q[: min(4, ladder.q.shape[0]), x]
-    if x == 0 and ladder.strict:
-        pass  # q_0 includes the n = 0 atom on both sides
     return coef[: lad.size] - lad

@@ -1,16 +1,18 @@
 """Exact ground truth for the expansions: dynamic programming, identity
 checkers, renewal sums and Monte Carlo spot checks.
 
-Everything here is either exact (rational mode), plain float arithmetic on
-exact recursions (float mode), or an unbiased simulation with a confidence
-interval.  No asymptotics enter: this module is what the expansion modules
-are tested against.
+Every DP table and identity check is a reduction over the frames of one
+killed-walk propagator, `_sweep`.  Everything here is either exact
+(rational mode), plain float arithmetic on exact recursions (float mode),
+or an unbiased simulation with a confidence interval.  No asymptotics
+enter: this module is what the expansion modules are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "NotLeftContinuous",
     "PmfFrame",
     "SurvivalFrame",
-    "RenewalValue",
     "McEstimate",
     "pmf",
     "delta_table",
@@ -35,12 +36,13 @@ __all__ = [
     "spitzer_check",
     "leftcont_check",
     "duality_check",
-    "renewal_V",
     "mc_tau_tail",
     "series_tail_sum",
 ]
 
 DEFAULT_STATE_CAP = 200_000
+# float cells one table may hold (128 MiB of float64)
+TABLE_CELL_CAP = 1 << 24
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -81,14 +83,6 @@ class SurvivalFrame:
 
 
 @dataclass(frozen=True)
-class RenewalValue:
-    x: int
-    value: float
-    tail_estimate: float
-    decay_exponent: float
-
-
-@dataclass(frozen=True)
 class McEstimate:
     estimate: float
     half_width: float
@@ -99,24 +93,7 @@ class McEstimate:
 
 
 # ---------------------------------------------------------------------------
-# elementary DP steps
-
-
-def _convolve_dict(mass: dict[int, Fraction], law: LatticeLaw) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for v, p in mass.items():
-        for u, q in law.atoms.items():
-            key = v + u
-            out[key] = out.get(key, Fraction(0)) + p * q
-    return out
-
-
-def _kernel(law: LatticeLaw) -> tuple[np.ndarray, int]:
-    lo, hi = min(law.support), max(law.support)
-    k = np.zeros(hi - lo + 1)
-    for v, p in law.atoms.items():
-        k[v - lo] = float(p)
-    return k, lo
+# the killed-walk propagator
 
 
 def _guard(width: int, cap: int) -> None:
@@ -124,25 +101,84 @@ def _guard(width: int, cap: int) -> None:
         raise ResourceCapExceeded(f"state width {width} exceeds cap {cap}")
 
 
+def _guard_table(rows: int, cols: int) -> None:
+    """Refuse a float table before allocating it."""
+    if rows * cols > TABLE_CELL_CAP:
+        raise ResourceCapExceeded(
+            f"table of {rows} x {cols} cells exceeds cap {TABLE_CELL_CAP}"
+        )
+
+
+def _sweep(
+    law: LatticeLaw,
+    N: int,
+    start: int = 0,
+    floor: int | None = None,
+    exact: bool = False,
+    state_cap: int = DEFAULT_STATE_CAP,
+):
+    """The walk start + S_n killed on first entry below `floor`, n = 0..N.
+
+    Yields (n, lo, alive, dead, den): alive[i] / den is the mass at state
+    lo + i that has stayed >= floor through time n; dead holds the mass
+    killed at step n, on the states lo - dead.size .. lo - 1.  Frame 0 is the
+    unkilled start.  floor=None runs the free walk.  Float mode uses float64
+    arrays with den = 1; exact mode uses Python-int arrays scaled by
+    den = D**n, D the lcm of the atom denominators.  The arrays are views
+    of the propagator's state: read them, do not write them.
+    """
+    klo, khi = law.support[0], law.support[-1]
+    _guard(khi - klo + 1, state_cap)
+    if exact:
+        D = math.lcm(*(p.denominator for p in law.atoms.values()))
+        kern = np.zeros(khi - klo + 1, dtype=object)
+        alive = np.array([1], dtype=object)
+    else:
+        D = 1
+        kern = np.zeros(khi - klo + 1)
+        alive = np.array([1.0])
+    for v, p in law.atoms.items():
+        kern[v - klo] = int(p * D) if exact else float(p)
+    lo, den, dead = start, 1, alive[:0]
+    yield 0, lo, alive, dead, den
+    for n in range(1, N + 1):
+        if alive.size:
+            alive = np.convolve(alive, kern)
+        lo += klo
+        den *= D
+        cut = 0 if floor is None else min(max(floor - lo, 0), alive.size)
+        dead, alive = alive[:cut], alive[cut:]
+        lo += cut
+        _guard(alive.size, state_cap)
+        yield n, lo, alive, dead, den
+
+
+def _upto_zero(lo: int, vec: np.ndarray):
+    """Mass of a frame vector on the states <= 0."""
+    return vec[: max(1 - lo, 0)].sum()
+
+
+def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
+    return {x: Fraction(int(m), den) for x, m in enumerate(vec, lo) if m}
+
+
 # ---------------------------------------------------------------------------
 # unconditioned walk
 
 
 def pmf(law: LatticeLaw, n: int, state_cap: int = DEFAULT_STATE_CAP) -> PmfFrame:
-    """Exact distribution of S_n by iterated convolution."""
+    """Exact distribution of S_n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    mass = {0: Fraction(1)}
-    for _ in range(n):
-        mass = _convolve_dict(mass, law)
-        _guard(len(mass), state_cap)
-    return PmfFrame(n=n, mass=mass)
+    for _, lo, alive, _, den in _sweep(law, n, exact=True, state_cap=state_cap):
+        pass
+    return PmfFrame(n=n, mass=_mass(lo, alive, den))
 
 
 def delta_table(
     law: LatticeLaw,
     N: int,
-    xs: tuple[int, ...] = (),
+    xs: Sequence[int] = (),
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Float-mode sweep of the free walk up to horizon N.
@@ -151,36 +187,19 @@ def delta_table(
     n = 0..N (delta[0] = -1/2) and point_masses[x][n] = P(S_n = x) for each
     requested x.
     """
-    kern, klo = _kernel(law)
-    vec = np.array([1.0])
-    lo = 0
+    _guard_table(len(xs), N + 1)
     delta = np.empty(N + 1)
-    delta[0] = -0.5
-    traces = {x: np.zeros(N + 1) for x in xs}
-    for x in xs:
-        if x == 0:
-            traces[x][0] = 1.0
-    for n in range(1, N + 1):
-        vec = np.convolve(vec, kern)
-        lo += klo
-        _guard(vec.size, state_cap)
-        # P(S_n <= 0): states lo .. lo+len-1
-        upto = min(0 - lo + 1, vec.size)
-        delta[n] = 0.5 - (vec[:upto].sum() if upto > 0 else 0.0)
-        for x in xs:
-            idx = x - lo
-            if 0 <= idx < vec.size:
-                traces[x][n] = vec[idx]
+    traces = dict(zip(xs, np.zeros((len(xs), N + 1))))
+    for n, lo, vec, _, _ in _sweep(law, N, state_cap=state_cap):
+        delta[n] = 0.5 - _upto_zero(lo, vec)
+        for x, trace in traces.items():
+            if 0 <= x - lo < vec.size:
+                trace[n] = vec[x - lo]
     return delta, traces
 
 
 # ---------------------------------------------------------------------------
 # killed walk (weak and strict)
-
-
-def _min_alive(strict: bool) -> int:
-    # weak killing removes states <= 0; strict killing keeps 0 alive
-    return 0 if strict else 1
 
 
 def conditioned_pmf(
@@ -198,17 +217,15 @@ def conditioned_pmf(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    floor = _min_alive(strict)
-    mass = {start: Fraction(1)}
-    killed = Fraction(0)
     frames = []
-    for step in range(1, n + 1):
-        mass = _convolve_dict(mass, law)
-        dead = sum((p for v, p in mass.items() if v < floor), Fraction(0))
-        mass = {v: p for v, p in mass.items() if v >= floor}
-        _guard(len(mass), state_cap)
-        killed += dead
-        frames.append(SurvivalFrame(n=step, mass=mass, killed_to_date=killed))
+    killed = Fraction(0)
+    sweep = _sweep(law, n, start, 0 if strict else 1, exact=True, state_cap=state_cap)
+    for step, lo, alive, dead, den in sweep:
+        if step:
+            killed += Fraction(int(dead.sum()), den)
+            frames.append(
+                SurvivalFrame(n=step, mass=_mass(lo, alive, den), killed_to_date=killed)
+            )
     return frames
 
 
@@ -221,51 +238,12 @@ def conditioned_table(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> np.ndarray:
     """Float table b[n, x] = P(start + S_n = x, tau > n), n = 0..N, x = 0..x_max."""
-    floor = _min_alive(strict)
-    kern, klo = _kernel(law)
-    vec = np.array([1.0])
-    lo = start
+    _guard_table(N + 1, x_max + 1)
     out = np.zeros((N + 1, x_max + 1))
-    if 0 <= start <= x_max:
-        out[0, start] = 1.0
-    for n in range(1, N + 1):
-        vec = np.convolve(vec, kern)
-        lo += klo
-        if lo < floor:
-            cut = floor - lo
-            vec = vec[cut:]
-            lo = floor
-        _guard(vec.size, state_cap)
-        hi = min(x_max, lo + vec.size - 1)
-        if hi >= lo:
-            out[n, lo : hi + 1] = vec[: hi - lo + 1]
-    return out
-
-
-def survivor_tail(
-    law: LatticeLaw,
-    x: int,
-    N: int,
-    strict: bool = False,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> np.ndarray:
-    """Float P(tau_x > n) for n = 0..N, tau_x the first entry of x + S into
-    the killed region."""
-    floor = _min_alive(strict)
-    kern, klo = _kernel(law)
-    vec = np.array([1.0])
-    lo = x
-    out = np.empty(N + 1)
-    out[0] = 1.0
-    for n in range(1, N + 1):
-        vec = np.convolve(vec, kern)
-        lo += klo
-        if lo < floor:
-            cut = floor - lo
-            vec = vec[cut:]
-            lo = floor
-        _guard(vec.size, state_cap)
-        out[n] = vec.sum()
+    for n, lo, vec, _, _ in _sweep(law, N, start, 0 if strict else 1, state_cap=state_cap):
+        first, last = max(lo, 0), min(x_max, lo + vec.size - 1)
+        if last >= first:
+            out[n, first : last + 1] = vec[first - lo : last - lo + 1]
     return out
 
 
@@ -283,16 +261,11 @@ def tau_tail(
     """
     if x < 0:
         raise ValueError("start must be >= 0")
-    if mode == "float":
-        return survivor_tail(law, x, N, strict=False, state_cap=state_cap)
-    mass = {x: Fraction(1)}
-    out = [Fraction(1)]
-    for _ in range(1, N + 1):
-        mass = _convolve_dict(mass, law)
-        mass = {v: p for v, p in mass.items() if v >= 1}
-        _guard(len(mass), state_cap)
-        out.append(sum(mass.values(), Fraction(0)))
-    return out
+    exact = mode != "float"
+    sweep = _sweep(law, N, x, 1, exact=exact, state_cap=state_cap)
+    if exact:
+        return [Fraction(int(alive.sum()), den) for _, _, alive, _, den in sweep]
+    return np.array([alive.sum() for _, _, alive, _, _ in sweep])
 
 
 def recurrence_gap(
@@ -358,14 +331,11 @@ def spitzer_check(law: LatticeLaw, N: int, mode: str = "rational"):
     rational-mode discrepancy must be identically zero.
     """
     if mode == "rational":
-        deltas = [Fraction(0)]
-        mass = {0: Fraction(1)}
-        for n in range(1, N + 1):
-            mass = _convolve_dict(mass, law)
-            deltas.append(
-                Fraction(1, 2) - sum((p for v, p in mass.items() if v <= 0), Fraction(0))
-            )
-        coeffs = [Fraction(0)] + [deltas[n] / n for n in range(1, N + 1)]
+        coeffs = [Fraction(0)] + [
+            (Fraction(1, 2) - Fraction(int(_upto_zero(lo, vec)), den)) / n
+            for n, lo, vec, _, den in _sweep(law, N, exact=True)
+            if n
+        ]
         expo = _series_exp(coeffs, N)
         series = _series_mul(list(basis.a_seq(1, N).values), expo, N)
         truth = tau_tail(law, 0, N, mode="rational")
@@ -386,16 +356,14 @@ def leftcont_check(law: LatticeLaw, x_max: int, N: int):
     if not law.tag.left_continuous:
         raise NotLeftContinuous("law has downward jumps larger than 1")
     worst = Fraction(0)
-    pfs = []
-    mass = {0: Fraction(1)}
-    for n in range(1, N + 1):
-        mass = _convolve_dict(mass, law)
-        pfs.append(mass)
+    free = [(lo, vec, den) for _, lo, vec, _, den in _sweep(law, N, exact=True)]
     for x in range(1, x_max + 1):
         tails = tau_tail(law, x, N, mode="rational")
         for n in range(1, N + 1):
+            lo, vec, den = free[n]
+            p = Fraction(int(vec[-x - lo]), den) if 0 <= -x - lo < vec.size else 0
             lhs = tails[n - 1] - tails[n]
-            rhs = Fraction(x, n) * pfs[n - 1].get(-x, Fraction(0))
+            rhs = Fraction(x, n) * p
             worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -468,32 +436,6 @@ def series_tail_sum(
     return float(tail), err, float(slope)
 
 
-def renewal_V(
-    law: LatticeLaw,
-    x: int,
-    N: int = 8192,
-    fit_tail: bool = True,
-    strict: bool = False,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> RenewalValue:
-    """V(x) = 1 + sum_(n>=1) P(S_n < x, tau_0 > n), truncated at N.
-
-    The truncation tail is closed by fitting the summands on the a-basis
-    (leading decay n^(-3/2)) and summing the fitted tail exactly.  With
-    strict=True the sum is over the strict-killing walk and states <= x.
-    """
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    hi = x if strict else x - 1
-    table = conditioned_table(law, N, hi, strict=strict, state_cap=state_cap)
-    summand = table[1:].sum(axis=1)  # P(S_n < x, tau > n) for n = 1..N
-    total = 1.0 + float(summand.sum())
-    if not fit_tail:
-        return RenewalValue(x=x, value=total, tail_estimate=float("nan"), decay_exponent=float("nan"))
-    tail, err, slope = series_tail_sum(summand, first_n=1)
-    return RenewalValue(x=x, value=total + tail, tail_estimate=err, decay_exponent=slope)
-
-
 # ---------------------------------------------------------------------------
 # ladder-height structure
 
@@ -507,23 +449,13 @@ def ladder_height_dist(law: LatticeLaw, N: int = 1 << 12) -> np.ndarray:
     truncation is closed per k by an a-basis tail fit.
     """
     hi = max(law.support)
-    kern, klo = _kernel(law)
+    _guard_table(N + 1, hi + 1)
     inc = np.zeros((N + 1, hi + 1))
-    vec = np.array([1.0])
-    lo = 0
-    for n in range(1, N + 1):
-        vec = np.convolve(vec, kern)
-        lo += klo
-        cut = -1 - lo + 1  # states >= 0 are absorbed
-        if cut < vec.size:
-            landed = vec[max(cut, 0) :]
-            base = lo + max(cut, 0)
-            for i, m in enumerate(landed):
-                k = base + i
-                if 0 <= k <= hi:
-                    inc[n, k] = m
-            vec = vec[: max(cut, 0)]
-        if vec.size == 0:
+    # duality: the walk below 0 is the reversed walk above 0, and the
+    # reversed walk's mass killed at state -k is the landing mass at k
+    for n, lo, alive, dead, _ in _sweep(law.reverse(), N, floor=1):
+        inc[n, 1 - lo : 1 - lo + dead.size] = dead[::-1]
+        if alive.size == 0:
             break
     F = np.zeros(hi + 1)
     for k in range(hi + 1):

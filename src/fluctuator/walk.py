@@ -149,10 +149,16 @@ def law_from_json(path_or_obj) -> LatticeLaw:
     else:
         with open(path_or_obj) as fh:
             obj = json.load(fh)
-    if "atoms" not in obj:
+    if not isinstance(obj, dict) or "atoms" not in obj:
         raise LawError("model spec missing 'atoms'")
     raw = obj["atoms"]
+    if not isinstance(raw, dict):
+        raise LawError("'atoms' must map values to probabilities")
     tol = obj.get("tolerance")
+    if tol is not None and (
+        isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < 1
+    ):
+        raise LawError(f"'tolerance' must be a number in (0, 1), got {tol!r}")
     atoms: dict[int, Fraction] = {}
     for v, p in raw.items():
         if isinstance(p, float):

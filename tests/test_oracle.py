@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluctuator import basis, oracle, walk
 
@@ -113,3 +115,37 @@ def test_mc_reproducible_and_covers(lazy):
     assert est1.estimate == est2.estimate  # counter-based streams
     truth = float(oracle.tau_tail(lazy, 0, n, mode="rational")[n])
     assert est1.covers(truth, widths=4.0)
+
+
+@st.composite
+def _small_laws(draw):
+    """Rational laws on [-3, 3]; at least half are left-continuous."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=7, max_size=7))
+    if draw(st.booleans()):
+        weights[0] = weights[1] = 0
+        weights[2] = max(weights[2], 1)
+    if sum(weights) == 0:
+        weights[3] = 1
+    total = sum(weights)
+    return walk.LatticeLaw(
+        {v: Fraction(w, total) for v, w in zip(range(-3, 4), weights) if w}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=_small_laws(), N=st.integers(1, 48), x=st.integers(1, 3), strict=st.booleans())
+def test_propagator_reductions_random_laws(law, N, x, strict):
+    exact = oracle.tau_tail(law, x, N, mode="rational")
+    np.testing.assert_allclose(
+        oracle.tau_tail(law, x, N, mode="float"), [float(v) for v in exact],
+        rtol=1e-13, atol=0,
+    )
+    table = oracle.conditioned_table(law, N, x_max=4, strict=strict)
+    frames = oracle.conditioned_pmf(law, N, strict=strict)
+    want = [[float(f.prob(y)) for y in range(5)] for f in frames]
+    np.testing.assert_allclose(table[1:], want, rtol=1e-13, atol=0)
+    assert oracle.spitzer_check(law, N, mode="rational") == 0
+    assert oracle.duality_check(law, x, N) == 0
+    assert oracle.recurrence_gap(law, min(N, 8), x=x + 1, strict=strict) == 0
+    if law.tag.left_continuous:
+        assert oracle.leftcont_check(law, 3, N) == 0
