@@ -43,7 +43,7 @@ def load_model(spec: str) -> LatticeLaw:
     """A builtin law by name (lazy, skewed) or a JSON model file."""
     if spec in _BUILTIN_MODELS:
         return _BUILTIN_MODELS[spec]()
-    if not Path(spec).exists():
+    if not Path(spec).is_file():
         raise ConfigError(f"model file not found: {spec}")
     return law_from_json(spec)
 
@@ -180,7 +180,7 @@ def _cmd_expand_taux(args) -> int:
             for j in range(1, J + 1)
         },
     }
-    if max(law.support) == 1:
+    if law.tag.left_continuous:
         lc = polyharmonic.v_leftcont(law, args.x_max, J)
         doc["V_leftcont"] = {
             f"V_{j}": {str(x): _num(lc[j][x], "analytic") for x in range(args.x_max + 1)}
@@ -228,7 +228,7 @@ def _cmd_verify(args) -> int:
     for x in range(1, 4):
         d = oracle.duality_check(law, x, n_dual)
         check(f"duality(x={x})", d == 0, f"max gap {d} at N={n_dual}")
-    if max(law.support) == 1:
+    if law.tag.left_continuous:
         lc = oracle.leftcont_check(law, 3, n_dual)
         check("leftcont", lc == 0, f"max gap {lc} at N={n_dual}")
 
@@ -334,6 +334,9 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except TailNotDecayed as exc:
+        print(f"FAIL: {exc}")
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -109,6 +110,11 @@ def _guard_table(rows: int, cols: int) -> None:
         )
 
 
+def _unit(law: LatticeLaw, exact: bool) -> int:
+    """D, the lcm of the atom denominators, in exact mode; 1 in float mode."""
+    return math.lcm(*(p.denominator for p in law.atoms.values())) if exact else 1
+
+
 def _sweep(
     law: LatticeLaw,
     N: int,
@@ -129,12 +135,11 @@ def _sweep(
     """
     klo, khi = law.support[0], law.support[-1]
     _guard(khi - klo + 1, state_cap)
+    D = _unit(law, exact)
     if exact:
-        D = math.lcm(*(p.denominator for p in law.atoms.values()))
         kern = np.zeros(khi - klo + 1, dtype=object)
         alive = np.array([1], dtype=object)
     else:
-        D = 1
         kern = np.zeros(khi - klo + 1)
         alive = np.array([1.0])
     for v, p in law.atoms.items():
@@ -160,6 +165,34 @@ def _upto_zero(lo: int, vec: np.ndarray):
 
 def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
     return {x: Fraction(int(m), den) for x, m in enumerate(vec, lo) if m}
+
+
+def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = None,
+            exact: bool = True, state_cap: int = DEFAULT_STATE_CAP):
+    """(values, dens): read(lo, alive) and den = D**n of every frame n = 0..N
+    of a sweep, as object arrays of Python ints (exact) or float arrays."""
+    vals, dens = [], []
+    for _, lo, alive, _, den in _sweep(law, N, start, floor, exact, state_cap):
+        vals.append(read(lo, alive))
+        dens.append(den)
+    dtype = object if exact else float
+    return np.array(vals, dtype=dtype), np.array(dens, dtype=dtype)
+
+
+def _total(lo: int, vec: np.ndarray):
+    return vec.sum()
+
+
+def _points(xs, lo: int, vec: np.ndarray) -> list:
+    """Masses of a frame vector at the states xs."""
+    return [vec[x - lo] if 0 <= x - lo < vec.size else 0 for x in xs]
+
+
+def _worst(resid: np.ndarray, scale: np.ndarray):
+    """max |resid / scale|: a Fraction for Python-int arrays, else a float."""
+    if resid.dtype == object:
+        return max((Fraction(abs(r), s) for r, s in zip(resid, scale)), default=Fraction(0))
+    return float(np.max(np.abs(resid) / scale, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +295,8 @@ def tau_tail(
     if x < 0:
         raise ValueError("start must be >= 0")
     exact = mode != "float"
-    sweep = _sweep(law, N, x, 1, exact=exact, state_cap=state_cap)
-    if exact:
-        return [Fraction(int(alive.sum()), den) for _, _, alive, _, den in sweep]
-    return np.array([alive.sum() for _, _, alive, _, _ in sweep])
+    T, den = _reduce(law, N, _total, x, 1, exact, state_cap)
+    return [Fraction(t, d) for t, d in zip(T, den)] if exact else T
 
 
 def recurrence_gap(
@@ -278,74 +309,47 @@ def recurrence_gap(
 
     Weak:   n*b_n(x) - p_n(x) - sum_(k<n) sum_(0<y<x) p_k(y) b_(n-k)(x-y)
     Strict: same with the inner sum over 0 <= y <= x.
-    The recurrence is an identity; a nonzero gap flags a DP bug.
+    The recurrence is an identity; a nonzero gap flags a DP bug.  Every
+    term is an integer over the common denominator D**n.
     """
-    frames = conditioned_pmf(law, n, strict=strict)
-    b = {m: frames[m - 1] for m in range(1, n + 1)}
-    pf = {k: pmf(law, k) for k in range(1, n)}
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    read = partial(_points, range(x + 1))
+    p, den = _reduce(law, n, read)
+    b, _ = _reduce(law, n, read, 0, 0 if strict else 1)
     ys = range(0, x + 1) if strict else range(1, x)
-    rhs = pmf(law, n).prob(x)
-    for k in range(1, n):
-        for y in ys:
-            rhs += pf[k].prob(y) * b[n - k].prob(x - y)
-    return Fraction(n) * b[n].prob(x) - rhs
+    rhs = p[n, x] + sum(p[k, y] * b[n - k, x - y] for k in range(1, n) for y in ys)
+    return Fraction(int(n * b[n, x] - rhs), int(den[n]))
 
 
 # ---------------------------------------------------------------------------
 # exact generating-function identities
-
-
-def _series_exp(coeffs: list, N: int):
-    """exp of a power series with zero constant term, truncated at order N.
-
-    e_0 = 1, e_n = (1/n) sum_(k=1..n) k c_k e_(n-k); exact when the inputs
-    are Fractions.
-    """
-    zero = coeffs[0] * 0
-    e = [zero] * (N + 1)
-    e[0] = zero + 1
-    for n in range(1, N + 1):
-        acc = zero
-        for k in range(1, n + 1):
-            acc += k * coeffs[k] * e[n - k]
-        e[n] = acc / n
-    return e
-
-
-def _series_mul(a: list, b: list, N: int):
-    zero = a[0] * 0
-    out = [zero] * (N + 1)
-    for i in range(min(len(a), N + 1)):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for jj in range(min(len(b), N + 1 - i)):
-            out[i + jj] += ai * b[jj]
-    return out
+#
+# Each identity is a residual of integer sequences read off sweep frames:
+# frame n is scaled by D**n, so products of frames i and n - i share the
+# denominator D**n and a power-series product is one np.convolve.  Float
+# mode runs the same code with D = 1.
 
 
 def spitzer_check(law: LatticeLaw, N: int, mode: str = "rational"):
-    """Max |[s^n] (1-s)^(-1/2) exp(sum Delta_n s^n / n) - P(tau_0 > n)_DP|.
+    """Max defect of Spitzer's factorization, as an error in P(tau_0 > n + 1).
 
-    The factorization of the tau_0 generating function is exact, so the
-    rational-mode discrepancy must be identically zero.
+    T(s) = sum P(tau_0 > n) s^n = (1-s)^(-1/2) exp(sum Delta_n s^n / n) is
+    checked in its log-derivative form 2(1-s) T' = T (1 + 2(1-s) Q'), with
+    Q' = sum Delta_n s^(n-1); it needs neither a series exp nor a division
+    by n.  The factorization is exact, so the rational-mode defect is
+    identically zero.
     """
-    if mode == "rational":
-        coeffs = [Fraction(0)] + [
-            (Fraction(1, 2) - Fraction(int(_upto_zero(lo, vec)), den)) / n
-            for n, lo, vec, _, den in _sweep(law, N, exact=True)
-            if n
-        ]
-        expo = _series_exp(coeffs, N)
-        series = _series_mul(list(basis.a_seq(1, N).values), expo, N)
-        truth = tau_tail(law, 0, N, mode="rational")
-        return max(abs(series[n] - truth[n]) for n in range(N + 1))
-    deltas, _ = delta_table(law, N)
-    coeffs = [0.0] + [deltas[n] / n for n in range(1, N + 1)]
-    expo = _series_exp(coeffs, N)
-    series = _series_mul(list(basis.a_float(1, N)), expo, N)
-    truth = tau_tail(law, 0, N, mode="float")
-    return float(np.max(np.abs(np.asarray(series) - truth)))
+    exact = mode != "float"
+    below, den = _reduce(law, N, _upto_zero, exact=exact)
+    T, _ = _reduce(law, N, _total, floor=1, exact=exact)
+    D = _unit(law, exact)
+    E = den - 2 * below  # 2 D**n Delta_n
+    E[0] = 0
+    G = E[1:] - D * E[:-1]  # [s^m] 2(1-s)Q', scaled by D**(m+1)
+    n = np.arange(N)
+    R = 2 * (n + 1) * T[1:] - (2 * n + 1) * D * T[:-1] - np.convolve(T, G)[:N]
+    return _worst(R, 2 * (n + 1) * den[1:])
 
 
 def leftcont_check(law: LatticeLaw, x_max: int, N: int):
@@ -355,16 +359,15 @@ def leftcont_check(law: LatticeLaw, x_max: int, N: int):
     """
     if not law.tag.left_continuous:
         raise NotLeftContinuous("law has downward jumps larger than 1")
+    xs = range(1, x_max + 1)
+    p, den = _reduce(law, N, partial(_points, [-x for x in xs]))
+    D = _unit(law, True)
+    n = np.arange(1, N + 1)
     worst = Fraction(0)
-    free = [(lo, vec, den) for _, lo, vec, _, den in _sweep(law, N, exact=True)]
-    for x in range(1, x_max + 1):
-        tails = tau_tail(law, x, N, mode="rational")
-        for n in range(1, N + 1):
-            lo, vec, den = free[n]
-            p = Fraction(int(vec[-x - lo]), den) if 0 <= -x - lo < vec.size else 0
-            lhs = tails[n - 1] - tails[n]
-            rhs = Fraction(x, n) * p
-            worst = max(worst, abs(lhs - rhs))
+    for x in xs:
+        T, _ = _reduce(law, N, _total, x, 1)
+        R = n * (D * T[:-1] - T[1:]) - x * p[1:, x - 1]
+        worst = max(worst, _worst(R, n * den[1:]))
     return worst
 
 
@@ -376,24 +379,11 @@ def duality_check(law: LatticeLaw, x: int, N: int, mode: str = "rational"):
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    rev = law.reverse()
-    if mode == "rational":
-        frames = conditioned_pmf(rev, N, strict=True)
-        factor = [Fraction(1)] + [
-            sum((frames[n - 1].prob(y) for y in range(x)), Fraction(0))
-            for n in range(1, N + 1)
-        ]
-        t0 = tau_tail(law, 0, N, mode="rational")
-        tx = tau_tail(law, x, N, mode="rational")
-        prod = _series_mul(factor, t0, N)
-        return max(abs(prod[n] - tx[n]) for n in range(N + 1))
-    table = conditioned_table(rev, N, x - 1, strict=True)
-    factor = table.sum(axis=1)
-    factor[0] = 1.0
-    t0 = tau_tail(law, 0, N, mode="float")
-    tx = tau_tail(law, x, N, mode="float")
-    prod = np.convolve(factor, t0)[: N + 1]
-    return float(np.max(np.abs(prod - tx)))
+    exact = mode != "float"
+    F, _ = _reduce(law.reverse(), N, lambda lo, vec: vec[: max(x - lo, 0)].sum(), 0, 0, exact)
+    T0, _ = _reduce(law, N, _total, 0, 1, exact)
+    Tx, den = _reduce(law, N, _total, x, 1, exact)
+    return _worst(np.convolve(F, T0)[: N + 1] - Tx, den)
 
 
 # ---------------------------------------------------------------------------

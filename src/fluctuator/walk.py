@@ -161,14 +161,15 @@ def law_from_json(path_or_obj) -> LatticeLaw:
         raise LawError(f"'tolerance' must be a number in (0, 1), got {tol!r}")
     atoms: dict[int, Fraction] = {}
     for v, p in raw.items():
-        if isinstance(p, float):
-            if tol is None:
-                raise LawError(
-                    "float probabilities need an explicit 'tolerance' field"
-                )
-            atoms[int(v)] = Fraction(p).limit_denominator(int(1 / tol))
-        else:
-            atoms[int(v)] = Fraction(str(p))
+        if isinstance(p, float) and tol is None:
+            raise LawError("float probabilities need an explicit 'tolerance' field")
+        try:
+            if isinstance(p, float):
+                atoms[int(v)] = Fraction(p).limit_denominator(int(1 / tol))
+            else:
+                atoms[int(v)] = Fraction(str(p))
+        except (ZeroDivisionError, OverflowError):
+            raise LawError(f"atom {v}: {p!r} is not a finite probability") from None
     total = sum(atoms.values())
     if tol is not None:
         if abs(float(total) - 1.0) > float(tol):

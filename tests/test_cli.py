@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluctuator import cli
 
@@ -50,8 +52,9 @@ def test_oracle_rational_csv(tmp_path):
         '{"atoms": {"-1": 0.5, "1": 0.5}, "tolerance": 0}',
         '{"atoms": {"-1": 0.5, "1": 0.5}, "tolerance": "x"}',
         '{"atoms": [["-1", "1/2"], ["1", "1/2"]]}',
+        '{"atoms": {"-1": "1/0", "1": "1/2"}}',
     ],
-    ids=["mass-sum", "zero-tolerance", "string-tolerance", "atoms-list"],
+    ids=["mass-sum", "zero-tolerance", "string-tolerance", "atoms-list", "zero-denominator"],
 )
 def test_malformed_model_exits_2(tmp_path, spec):
     bad = tmp_path / "bad.json"
@@ -59,8 +62,77 @@ def test_malformed_model_exits_2(tmp_path, spec):
     assert _run(["verify", "--model", str(bad)]) == cli.EXIT_CONFIG
 
 
-def test_missing_model_exits_2(tmp_path):
-    assert _run(["verify", "--model", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
+@pytest.mark.parametrize("name", ["nope.json", "."], ids=["missing", "directory"])
+def test_missing_model_exits_2(tmp_path, name):
+    assert _run(["verify", "--model", str(tmp_path / name)]) == cli.EXIT_CONFIG
+
+
+def test_tail_not_decayed_exits_1(tmp_path, capsys):
+    model = tmp_path / "wide.json"
+    model.write_text('{"atoms": {"-2": "1/2", "1": "1/4", "3": "1/4"}}')
+    for target in ("local", "taux"):
+        rc = _run(["expand", target, "--model", str(model), "--horizon", "64",
+                   "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.startswith("FAIL: ")
+
+
+def test_leftcont_gate_follows_downward_jumps(tmp_path, capsys):
+    # -2 is a downward jump of two: not left-continuous, whatever the upward jumps
+    model = tmp_path / "down2.json"
+    model.write_text('{"atoms": {"-2": "1/4", "0": "1/4", "1": "1/2"}}')
+    assert _run(["verify", "--model", str(model), "--horizon", "256"]) == cli.EXIT_PASS
+    assert "leftcont" not in capsys.readouterr().out
+    # skewed jumps up by two and down by one: left-continuous
+    assert _run(["verify", "--model", "skewed", "--horizon", "256"]) == cli.EXIT_PASS
+    assert any(
+        line.split()[:2] == ["leftcont", "PASS"] for line in capsys.readouterr().out.splitlines()
+    )
+    rc = _run(["expand", "taux", "--model", "skewed", "--horizon", "256",
+               "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_PASS
+    assert "V_leftcont" in json.loads((tmp_path / "taux_coeffs.json").read_text())
+
+
+@st.composite
+def _model_specs(draw):
+    """Model JSON on [-3, 3]: mean zero and span 1 unless drawn otherwise,
+    sometimes with one malformed atom."""
+    kind = draw(st.sampled_from(["ok", "ok", "drift", "span2", "malformed"]))
+    points = (-2, 2) if kind == "span2" else (-3, -2, -1, 1, 2, 3)
+    w = {v: draw(st.integers(0, 4)) for v in points}
+    for side in (-1, 1):
+        if not any(w[v] for v in points if v * side > 0):
+            w[side * min(abs(v) for v in points)] = 1
+    left = sum(-v * c for v, c in w.items() if v < 0)
+    right = sum(v * c for v, c in w.items() if v > 0)
+    weights = {v: c * (right if v < 0 else left) for v, c in w.items() if c}
+    weights[0] = draw(st.integers(0, 4)) * (left + right)
+    if kind == "drift":
+        weights[max(weights)] += 1
+    total = sum(weights.values())
+    atoms = {str(v): f"{c}/{total}" for v, c in weights.items() if c}
+    if kind == "malformed":
+        atoms[draw(st.sampled_from(sorted(atoms)))] = draw(
+            st.sampled_from(["1/0", "x", -1, float("inf")])
+        )
+    return {"atoms": atoms}
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_model_specs())
+def test_exit_codes_random_models(tmp_path_factory, spec):
+    # every model file ends in an exit code, never in a traceback
+    out = tmp_path_factory.mktemp("fuzz")
+    model = out / "model.json"
+    model.write_text(json.dumps(spec))
+    common = ["--model", str(model), "--horizon", "64"]
+    for argv in (
+        ["verify"] + common,
+        ["expand", "tau0", "--out-dir", str(out)] + common,
+        ["expand", "taux", "--x-max", "4", "--out-dir", str(out)] + common,
+    ):
+        assert _run(argv) in {0, 1, 2, 3}
 
 
 def test_low_horizon_exits_2():

@@ -56,6 +56,24 @@ def test_identity_checkers(lazy, skewed):
             assert oracle.duality_check(law, x, 64) == 0
 
 
+def test_identity_checks_see_one_unit(monkeypatch, lazy, skewed):
+    # one scaled DP value off by one unit must show: a check that always
+    # returned 0 would pass every other identity test
+    reduce = oracle._reduce
+
+    def perturbed(*args, **kwargs):
+        vals, dens = reduce(*args, **kwargs)
+        vals[3] += 1
+        return vals, dens
+
+    monkeypatch.setattr(oracle, "_reduce", perturbed)
+    for law in (lazy, skewed):
+        assert oracle.spitzer_check(law, 16, mode="rational") > 0
+        assert oracle.duality_check(law, 2, 16) > 0
+        assert oracle.leftcont_check(law, 2, 16) > 0
+        assert oracle.recurrence_gap(law, 5, x=2) != 0
+
+
 def test_leftcont_rejects_big_down_jumps(skewed):
     rev = skewed.reverse()  # support {-2, 0, 1}
     with pytest.raises(oracle.NotLeftContinuous):
