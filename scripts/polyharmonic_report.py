@@ -44,7 +44,7 @@ def main() -> None:
         verdict = "PASS" if fit.passed else "FAIL"
         print(f"V_{j} degree-{deg} tail fit: {verdict}, coeffs {fit.coefficients}")
 
-    if max(law.support) == 1:
+    if law.tag.left_continuous:
         lc = ph.v_leftcont(law, args.x_max, 2)
         gap = np.abs(lc[1][1:] / lad[1][1 : args.x_max + 1] - 1).max()
         print(f"left-continuous closed form vs ladder V_1: max rel gap {gap:.3e}")

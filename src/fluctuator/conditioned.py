@@ -91,11 +91,19 @@ class ConditionedWorkspace:
 
 
 def make_workspace(
-    law: LatticeLaw, x_max: int, N: int = DEFAULT_N, r: int = 6
+    law: LatticeLaw,
+    x_max: int,
+    N: int = DEFAULT_N,
+    r: int = 6,
+    traces: dict[int, np.ndarray] | None = None,
 ) -> ConditionedWorkspace:
+    """Workspace of `law` on x = 0..x_max at horizon N.  `traces` (p_n(x)
+    for n = 0..N and x = 0..x_max) replaces the free sweep when the caller
+    already holds those columns."""
     law.require_expansion_ready()
     thetas = edgeworth.theta_polys(law, r)
-    _, traces = oracle.delta_table(law, N, xs=range(x_max + 1))
+    if traces is None:
+        _, traces = oracle.delta_table(law, N, xs=range(x_max + 1))
     return ConditionedWorkspace(
         law=law,
         N=N,

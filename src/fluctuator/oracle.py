@@ -188,6 +188,14 @@ def _points(xs, lo: int, vec: np.ndarray) -> list:
     return [vec[x - lo] if 0 <= x - lo < vec.size else 0 for x in xs]
 
 
+def _gather(row: np.ndarray, x0: int, lo: int, vec: np.ndarray) -> None:
+    """Copy the masses of a frame vector at the states x0 .. x0 + row.size - 1
+    into row, one slice copy."""
+    first, last = max(lo, x0), min(x0 + row.size, lo + vec.size)
+    if last > first:
+        row[first - x0 : last - x0] = vec[first - lo : last - lo]
+
+
 def _worst(resid: np.ndarray, scale: np.ndarray):
     """max |resid / scale|: a Fraction for Python-int arrays, else a float."""
     if resid.dtype == object:
@@ -218,17 +226,18 @@ def delta_table(
 
     Returns (delta, point_masses) where delta[n] = 1/2 - P(S_n <= 0) for
     n = 0..N (delta[0] = -1/2) and point_masses[x][n] = P(S_n = x) for each
-    requested x.
+    requested x.  The point masses are columns of one table spanning
+    min(xs)..max(xs).
     """
-    _guard_table(len(xs), N + 1)
+    x0 = min(xs, default=0)
+    span = max(xs, default=x0 - 1) - x0 + 1
+    _guard_table(N + 1, span)
     delta = np.empty(N + 1)
-    traces = dict(zip(xs, np.zeros((len(xs), N + 1))))
+    table = np.zeros((N + 1, span))
     for n, lo, vec, _, _ in _sweep(law, N, state_cap=state_cap):
         delta[n] = 0.5 - _upto_zero(lo, vec)
-        for x, trace in traces.items():
-            if 0 <= x - lo < vec.size:
-                trace[n] = vec[x - lo]
-    return delta, traces
+        _gather(table[n], x0, lo, vec)
+    return delta, {x: table[:, x - x0] for x in xs}
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +283,7 @@ def conditioned_table(
     _guard_table(N + 1, x_max + 1)
     out = np.zeros((N + 1, x_max + 1))
     for n, lo, vec, _, _ in _sweep(law, N, start, 0 if strict else 1, state_cap=state_cap):
-        first, last = max(lo, 0), min(x_max, lo + vec.size - 1)
-        if last >= first:
-            out[n, first : last + 1] = vec[first - lo : last - lo + 1]
+        _gather(out[n], 0, lo, vec)
     return out
 
 

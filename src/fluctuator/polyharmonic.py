@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis, conditioned, edgeworth, tau0
+from . import basis, conditioned, edgeworth, oracle, tau0
 from .oracle import NotLeftContinuous
 from .walk import LatticeLaw
 
@@ -85,12 +85,18 @@ def v_ladder(
     if J < 1:
         raise ValueError("J must be >= 1")
     law.require_expansion_ready()
-    co = tau0.tau0_coeffs(law, N=N, theta_mode="analytic")
+    # one free sweep serves both factors of the duality assembly: Delta_n
+    # for T_0 and, mirrored as P(S~_n = x) = P(S_n = -x), the reversed
+    # walk's point masses for B-tilde
+    delta, p = oracle.delta_table(law, N, xs=range(-x_max, 1))
+    co = tau0.tau0_coeffs(law, N=N, theta_mode="analytic", deltas=delta)
     mu = tau0.mu_coeffs(co.psi)
     e0 = math.exp(co.psi.psi0)
     mup = [e0 * m for m in mu]  # mu'_0..mu'_4
     L = 2 * J - 2  # highest strict ladder index needed: Q_(2J-3) uses Qt_(2J-2)
-    ws = conditioned.make_workspace(law.reverse(), x_max=x_max, N=N)
+    ws = conditioned.make_workspace(
+        law.reverse(), x_max=x_max, N=N, traces={x: p[-x] for x in range(x_max + 1)}
+    )
     lad = conditioned.q_ladder(ws, max(L, 1), strict=True)
     qt = lad.q.copy()
     qt[0, 0] -= 1.0  # drop the n = 0 atom: assembly uses n >= 1 ladders

@@ -181,16 +181,19 @@ def tau0_coeffs(
     law: LatticeLaw,
     N: int = DEFAULT_N,
     theta_mode: str = "analytic",
+    deltas: np.ndarray | None = None,
 ) -> Tau0Coefficients:
     """nu_1..nu_3 for P(tau_0 > n) ~ sum nu_l a_n^(l).
 
     theta_mode "analytic" (default) takes theta_1, theta_2 from the
     Edgeworth polynomials at zero; "fit" regresses Delta_n on the a-basis
     (noisier: theta_2 fit error contaminates the psi remainder tails).
+    `deltas` (deltas[n] for n = 0..N, from oracle.delta_table) saves the
+    free sweep when the caller has already run it.
     """
     law.require_expansion_ready()
     cdf = edgeworth.delta_coeffs(law, mode=theta_mode, N_fit=min(N, 1 << 12))
-    psi = psi_scalars(law, thetas=(cdf.theta1, cdf.theta2), N=N)
+    psi = psi_scalars(law, deltas=deltas, thetas=(cdf.theta1, cdf.theta2), N=N)
     mu = mu_coeffs(psi)
     e0 = math.exp(psi.psi0)
     return Tau0Coefficients(

@@ -167,3 +167,30 @@ def test_propagator_reductions_random_laws(law, N, x, strict):
     assert oracle.recurrence_gap(law, min(N, 8), x=x + 1, strict=strict) == 0
     if law.tag.left_continuous:
         assert oracle.leftcont_check(law, 3, N) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_small_laws(), N=st.integers(0, 32))
+def test_delta_table_point_masses_random_laws(law, N):
+    xs = (-3, 0, 2, 5)
+    _, traces = oracle.delta_table(law, N, xs=xs)
+    frames = [oracle.pmf(law, n) for n in range(N + 1)]
+    for x in xs:
+        want = [float(f.prob(x)) for f in frames]
+        np.testing.assert_allclose(traces[x], want, rtol=1e-13, atol=0)
+    # P(S~_n = x) = P(S_n = -x): the reversed walk's columns are the mirror
+    _, mirrored = oracle.delta_table(law, N, xs=[-x for x in xs])
+    _, reversed_ = oracle.delta_table(law.reverse(), N, xs=xs)
+    for x in xs:
+        np.testing.assert_allclose(reversed_[x], mirrored[-x], rtol=1e-13, atol=0)
+
+
+def test_delta_table_guards_the_span(monkeypatch, lazy):
+    # two points 2^30 apart need a 2^30-column table: refuse it before
+    # the sweep starts
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(oracle, "_sweep", no_sweep)
+    with pytest.raises(oracle.ResourceCapExceeded):
+        oracle.delta_table(lazy, 64, xs=(0, 1 << 30))

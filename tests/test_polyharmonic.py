@@ -96,3 +96,31 @@ def test_poly_tail_fit_rejects_nonpolynomial():
 def test_poly_tail_fit_grid_guard():
     with pytest.raises(ph.GridTooShort):
         ph.poly_tail_fit(np.arange(1, 8), np.arange(1, 8, dtype=float), degree=3)
+
+
+def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
+    # one free sweep of the law (Delta_n and, mirrored, the reversed walk's
+    # point masses) plus the ladder-height sweep
+    from fluctuator import conditioned, tau0
+
+    sweep, calls = oracle._sweep, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_sweep", counted)
+    lad = ph.v_ladder(skewed, x_max=10, J=2, N=512)
+    assert len(calls) == 2
+    assert lad.nu == tau0.tau0_coeffs(skewed, N=512).nu[:2]
+
+    make_workspace = conditioned.make_workspace
+
+    def unshared(law, x_max, N, r=6, traces=None):
+        return make_workspace(law, x_max, N, r)
+
+    monkeypatch.setattr(conditioned, "make_workspace", unshared)
+    calls.clear()
+    own = ph.v_ladder(skewed, x_max=10, J=2, N=512)
+    assert len(calls) == 3  # the reversed walk swept on its own
+    np.testing.assert_allclose(lad.V, own.V, rtol=1e-9, atol=0)
