@@ -11,8 +11,11 @@ probabilities) is expressed on this basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +29,6 @@ __all__ = [
     "a_value",
     "tail_sum",
     "weighted_tail_sum",
-    "power_to_basis",
     "power_to_shifted_basis",
 ]
 
@@ -51,19 +53,16 @@ class BinomSeq:
 
 @dataclass(frozen=True)
 class BasisConversion:
-    """Coefficients expressing n^-(j-1/2) on the a-basis (or the reverse).
+    """Coefficients expressing n^-(j-1/2) on the shifted a-basis a_{n-1}^(k).
 
-    coefficients[k] multiplies a_n^(k); the expansion is valid up to a
-    residual of order n^-(m+1/2) where m = max(coefficients).
+    coefficients[k] multiplies a_{n-1}^(k); the expansion is valid up to a
+    residual of order n^-(m+1/2) where m = max(coefficients).  The mapping
+    is read-only because conversions are shared across callers.
     """
 
     j: int
-    coefficients: dict[int, float]
+    coefficients: Mapping[int, float]
     residual_decay_exponent: float
-    shifted: bool = False  # True when the basis is a_{n-1}^(k)
-
-    def leading(self) -> float:
-        return self.coefficients[min(self.coefficients)]
 
 
 def a_seq(j: int, N: int) -> BinomSeq:
@@ -132,6 +131,7 @@ def tail_sum(j: int, n: int) -> Fraction:
     return -a_seq(j - 1, n - 1)[n - 1]
 
 
+@lru_cache(maxsize=None)
 def weighted_tail_sum(p: int, N: int, j: int) -> float:
     """sum_(k>N) k^p * a_k^(j), evaluated exactly by telescoping.
 
@@ -140,6 +140,8 @@ def weighted_tail_sum(p: int, N: int, j: int) -> float:
     by one and p to lower powers:
 
         T_p(N, j) = -(N+1)^p a_N^(j-1) - sum_(q<p) C(p, q) T_q(N, j-1).
+
+    Memoised: the recursion and repeated closures revisit the same keys.
     """
     if j < p + 2:
         raise ValueError(f"sum of k^{p} * a_k^({j}) beyond N diverges or is borderline")
@@ -160,10 +162,9 @@ def _fit_on_basis(
     j: int,
     m: int,
     N_fit: int,
-    shifted: bool,
     dps: int = 40,
 ) -> tuple[dict[int, float], float]:
-    """Weighted least squares of n^-(j-1/2) against a-basis columns.
+    """Weighted least squares of n^-(j-1/2) against shifted a-basis columns.
 
     Rows are weighted by n^(m+1/2) so each contributes at the scale of the
     expected residual; solved by QR in extended precision.
@@ -175,9 +176,8 @@ def _fit_on_basis(
         b = mp.matrix(len(grid), 1)
         for row, n in enumerate(grid):
             w = mp.mpf(n) ** (m + mp.mpf(1) / 2)
-            arg = n - 1 if shifted else n
             for col, k in enumerate(range(j, m + 1)):
-                A[row, col] = a_value_mp(k, arg) * w
+                A[row, col] = a_value_mp(k, n - 1) * w
             b[row] = mp.mpf(n) ** (-(j - mp.mpf(1) / 2)) * w
         sol, _ = mp.qr_solve(A, b)
         coeffs = {k: float(sol[i]) for i, k in enumerate(range(j, m + 1))}
@@ -186,9 +186,8 @@ def _fit_on_basis(
         diag = _geometric_grid(max(8, N_fit // 64), N_fit, 24)
         logs_n, logs_r = [], []
         for n in diag:
-            arg = n - 1 if shifted else n
             approx = mp.fsum(
-                mp.mpf(coeffs[k]) * a_value_mp(k, arg) for k in range(j, m + 1)
+                mp.mpf(coeffs[k]) * a_value_mp(k, n - 1) for k in range(j, m + 1)
             )
             resid = abs(mp.mpf(n) ** (-(j - mp.mpf(1) / 2)) - approx)
             if resid > 0:
@@ -201,37 +200,22 @@ def _fit_on_basis(
     return coeffs, float(slope)
 
 
-def power_to_basis(j: int, m: int, N_fit: int = 1 << 12) -> BasisConversion:
-    """Coefficients gamma_k^(j), k = j..m, with n^-(j-1/2) = sum gamma_k a_n^(k) + O(n^-(m+1/2)).
-
-    Anchored by the closed-form leading terms (gamma_j^(j) involves
-    Gamma(j - 3/2 - (j-2)) factors); higher coefficients come from the fit.
-    """
-    if not (m >= j >= 1):
-        raise ValueError(f"need m >= j >= 1, got j={j}, m={m}")
-    if N_fit < (1 << 12):
-        raise ValueError("fit horizon too short for a trustworthy conversion")
-    coeffs, slope = _fit_on_basis(j, m, N_fit, shifted=False)
-    if slope < m + 0.25:
-        raise FitDiagnosticError(
-            f"residual decay exponent {slope:.3f} below requirement {m + 0.25}"
-        )
-    return BasisConversion(j=j, coefficients=coeffs, residual_decay_exponent=slope)
-
-
+@lru_cache(maxsize=None)
 def power_to_shifted_basis(j: int, m: int, N_fit: int = 1 << 12) -> BasisConversion:
-    """Same as power_to_basis but on the shifted basis a_{n-1}^(k).
+    """Coefficients gamma_k, k = j..m, with
+    n^-(j-1/2) = sum gamma_k a_{n-1}^(k) + O(n^-(m+1/2)).
 
-    Local-probability expansions index the basis at n-1; the conversion
-    coefficients differ from the unshifted ones beyond the leading term.
+    Local-probability expansions index the basis at n-1.  The conversion
+    depends on the basis alone, not on the walk, so each (j, m, N_fit) is
+    fitted once per process and the same object is returned afterwards.
     """
     if not (m >= j >= 1):
         raise ValueError(f"need m >= j >= 1, got j={j}, m={m}")
-    coeffs, slope = _fit_on_basis(j, m, N_fit, shifted=True)
+    coeffs, slope = _fit_on_basis(j, m, N_fit)
     if slope < m + 0.25:
         raise FitDiagnosticError(
             f"residual decay exponent {slope:.3f} below requirement {m + 0.25}"
         )
     return BasisConversion(
-        j=j, coefficients=coeffs, residual_decay_exponent=slope, shifted=True
+        j=j, coefficients=MappingProxyType(coeffs), residual_decay_exponent=slope
     )

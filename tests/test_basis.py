@@ -81,3 +81,14 @@ def test_power_to_shifted_basis_reproduces_power(j):
             g * basis.a_value(k, n - 1) for k, g in conv.coefficients.items()
         )
         assert approx == pytest.approx(target, rel=rel)
+
+
+def test_power_to_shifted_basis_is_fitted_once():
+    """Repeated conversions share one read-only entry that equals a fresh fit."""
+    conv = basis.power_to_shifted_basis(2, 3, N_fit=1 << 12)
+    assert basis.power_to_shifted_basis(2, 3, N_fit=1 << 12) is conv
+    with pytest.raises(TypeError):
+        conv.coefficients[2] = 0.0
+    coeffs, slope = basis._fit_on_basis(2, 3, 1 << 12)
+    assert dict(conv.coefficients) == coeffs
+    assert conv.residual_decay_exponent == slope

@@ -170,3 +170,13 @@ def test_determinism(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+def test_verify_smallest_horizon_fits_the_decay_ladder(capsys):
+    """At --horizon 64 the tau0 decay exponents come from a 32-point window."""
+    rc = _run(["verify", "--model", "skewed", "--horizon", "64"])
+    lines = capsys.readouterr().out.splitlines()
+    ladder = [line for line in lines if line.startswith("tau0 ladder")]
+    assert rc == cli.EXIT_PASS
+    assert len(ladder) == 3
+    assert all("PASS" in line and "decay exponent" in line for line in ladder)

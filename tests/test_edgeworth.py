@@ -115,3 +115,24 @@ def test_delta_coeffs_lazy_symmetry(lazy):
     # symmetric walk: theta_1 = -2 sqrt(pi) A with A = P(S_n = 0)-type mass
     ana = edgeworth.delta_coeffs(lazy, mode="analytic")
     assert ana.theta1 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_theta_polys_reuse_conversions_across_laws(lazy, skewed, monkeypatch):
+    """The a-basis conversions do not depend on the law: a second law runs
+    no fit and gets the same polynomials as from a cold cache."""
+    fits = []
+    fit = basis._fit_on_basis
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(basis, "_fit_on_basis", counting_fit)
+    basis.power_to_shifted_basis.cache_clear()
+    edgeworth.theta_polys(lazy, r=4)
+    assert fits
+    fits.clear()
+    warm = edgeworth.theta_polys(skewed, r=4)
+    assert fits == []
+    basis.power_to_shifted_basis.cache_clear()
+    assert edgeworth.theta_polys(skewed, r=4) == warm
