@@ -25,7 +25,7 @@ import numpy as np
 
 from . import basis, conditioned, oracle, polyharmonic, tau0
 from .oracle import ResourceCapExceeded, TailNotDecayed
-from .walk import LatticeLaw, LawError, law_from_json, lazy_walk, skewed_walk
+from .walk import LatticeLaw, LawError, law_from_json, law_to_json, lazy_walk, skewed_walk
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -101,7 +101,7 @@ def _cmd_expand_tau0(args) -> int:
     cross = tau0.tau0_coeffs_halfpow(coeffs.psi)
     src = coeffs.theta_source
     doc = {
-        "model": args.model,
+        "model": law_to_json(law),
         "horizon": args.horizon,
         "nu": {
             f"nu_{ell}": _num(
@@ -141,7 +141,7 @@ def _cmd_expand_local(args) -> int:
     ws = conditioned.make_workspace(law, x_max=args.x_max, N=args.horizon)
     ladder = conditioned.q_ladder(ws, L=2 * args.terms - 1, strict=False)
     doc = {
-        "model": args.model,
+        "model": law_to_json(law),
         "horizon": args.horizon,
         "U": {
             f"U_{j}": {
@@ -172,7 +172,7 @@ def _cmd_expand_taux(args) -> int:
     guard = J * max(law.support) + 2  # operator headroom for the defect checks
     ladder = polyharmonic.v_ladder(law, x_max=args.x_max + guard, J=J, N=args.horizon)
     doc = {
-        "model": args.model,
+        "model": law_to_json(law),
         "horizon": args.horizon,
         "nu": {f"nu_{j}": _num(ladder.nu[j - 1], ladder.source) for j in range(1, J + 1)},
         "V": {

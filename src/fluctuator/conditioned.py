@@ -6,7 +6,8 @@ the walk conditioned to stay positive,
 with U_j(x) = q_(2j-1)(x) read off the generating function
 B(x, s) = sum_l q_l(x) (1-s)^(l/2).  The even-index scalars come from the
 psi_j(x) family (truncated weighted sums of local DP data with fitted
-a-basis tails), the ladder itself from the generating-function convolution recursion.
+a-basis tails), the ladder from the generating-function convolution
+recursion, and q_0, V from the closed-form ladder renewal (no horizon).
 
 Weak killing (tau_0: death at states <= 0) and strict killing (tau-bar_0:
 state 0 alive) are both provided; the strict family of the reversed walk is
@@ -157,22 +158,6 @@ def psi_x(ws: ConditionedWorkspace, x: int, j_max: int) -> PsiX:
     return PsiX(x=x, values=vals)
 
 
-def _renewal_from_table(table: np.ndarray, strict: bool, x_max: int) -> np.ndarray:
-    """V(x) for x = 0..x_max from a killed table: weak V(x) = 1 +
-    sum_n P(S_n < x, tau > n); strict V-bar(x) = sum_(n>=0) P(S_n <= x,
-    tau-bar > n).  Tails closed on the a-basis."""
-    N = table.shape[0] - 1
-    out = np.zeros(x_max + 1)
-    for x in range(x_max + 1):
-        hi = x + 1 if strict else x
-        if hi == 0:
-            out[x] = 1.0
-            continue
-        summand = table[1:, :hi].sum(axis=1)
-        out[x] = 1.0 + _tail_closed_sum(summand, first_n=1)
-    return out
-
-
 def q_ladder(
     ws: ConditionedWorkspace, L: int, strict: bool = False
 ) -> QLadder:
@@ -188,12 +173,12 @@ def q_ladder(
     x_max = ws.x_max
     psis = [psi_x(ws, x, max(L - 2, 0)) for x in range(x_max + 1)]
     q = np.zeros((L + 1, x_max + 1))
+    # u(y) = sum_(n>=0) P(S_n = y, tau-bar > n) is, by reading the path
+    # backwards (iid increments, same law), the renewal mass of the weak
+    # ascending ladder heights at y: exact, with no horizon truncation
+    u = oracle.ladder_renewal(ws.law, x_max)
     if strict:
-        # q-bar_0(x) = sum_(n>=0) P(S_n = x, tau-bar > n) is, by reading the
-        # path backwards (iid increments, same law), the renewal mass of the
-        # weak ascending ladder heights at x; the ladder route has no
-        # x-dependent truncation bias, unlike column sums of the DP table.
-        q[0] = oracle.ladder_renewal(ws.law, x_max, ws.N)
+        q[0] = u
         V = np.cumsum(q[0])
         if L >= 1:
             q[1] = -2.0 * ws.theta0 * V
@@ -206,13 +191,14 @@ def q_ladder(
                 q[ell, x] = -2.0 / ell * acc
         return QLadder(strict=True, x_max=x_max, q=q, V=V)
 
-    # weak V needed up to x_max + 1 for the q_0 difference; V(x) reads
-    # table columns < x, so the x_max-column table suffices
-    V = _renewal_from_table(ws.table_weak, False, x_max + 1)
-    for x in range(1, x_max + 1):
-        q[0, x] = V[x + 1] - V[x]
+    # the strict ladder is the weak one with its zero-height steps
+    # collapsed, so its renewal mass is u / u(0); weak V(x) = 1 + sum_n
+    # P(0 < S_n < x, tau > n) = sum_(y<x) u(y) / u(0) for x >= 1
+    u_strict = u / u[0]
+    V = np.concatenate(([1.0], np.cumsum(u_strict)[:-1]))
+    q[0, 1:] = u_strict[1:]  # V(x + 1) - V(x)
     if L >= 1:
-        q[1, 1:] = -2.0 * ws.theta0 * V[1 : x_max + 1]
+        q[1, 1:] = -2.0 * ws.theta0 * V[1:]
     for ell in range(2, L + 1):
         for x in range(1, x_max + 1):
             acc = psis[x][ell - 2]
@@ -220,7 +206,7 @@ def q_ladder(
                 for j in range(-1, ell - 1):
                     acc += psis[y][j] * q[ell - 2 - j, x - y]
             q[ell, x] = -2.0 / ell * acc
-    return QLadder(strict=False, x_max=x_max, q=q, V=V[: x_max + 1])
+    return QLadder(strict=False, x_max=x_max, q=q, V=V)
 
 
 def u_expansion_eval(

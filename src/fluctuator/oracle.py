@@ -66,9 +66,6 @@ class PmfFrame:
     def prob(self, x: int) -> Fraction:
         return self.mass.get(x, Fraction(0))
 
-    def cdf_at(self, x: int) -> Fraction:
-        return sum((p for v, p in self.mass.items() if v <= x), Fraction(0))
-
 
 @dataclass(frozen=True)
 class SurvivalFrame:
@@ -78,9 +75,6 @@ class SurvivalFrame:
 
     def prob(self, x: int) -> Fraction:
         return self.mass.get(x, Fraction(0))
-
-    def surviving(self) -> Fraction:
-        return sum(self.mass.values(), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -394,7 +388,7 @@ def duality_check(law: LatticeLaw, x: int, N: int, mode: str = "rational"):
 
 
 # ---------------------------------------------------------------------------
-# renewal function and tail extrapolation
+# tail extrapolation
 
 
 def series_tail_sum(
@@ -437,54 +431,62 @@ def series_tail_sum(
 # ladder-height structure
 
 
-def ladder_height_dist(law: LatticeLaw, N: int = 1 << 12) -> np.ndarray:
-    """Distribution of the first weak ascending ladder height.
+def ladder_heights(law: LatticeLaw) -> np.ndarray:
+    """Distribution of the first weak ascending ladder height, in closed form.
 
-    F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}; support is
-    0..max(support)-ish (bounded).  The sub-ladder walk lives on states
-    <= -1; landing increments decay like n^(-3/2), so the horizon
-    truncation is closed per k by an a-basis tail fit.
+    F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, k = 0..h, where
+    the law has jumps in [-d, h].  The Wiener-Hopf factorization at s = 1
+    (Feller, Vol. II, Ch. XII) gives
+
+        1 - F(z) = -p_h (z - 1) prod_(|r| > 1) (z - r)
+
+    over the h - 1 roots of z^d (1 - phi(z)) outside the unit circle.  The
+    double root at z = 1 of a mean-zero law is divided out in exact
+    arithmetic first: in floats it splits and its halves get misclassified.
+    Raises LawError when the float roots do not split that way.
     """
-    hi = max(law.support)
-    _guard_table(N + 1, hi + 1)
-    inc = np.zeros((N + 1, hi + 1))
-    # duality: the walk below 0 is the reversed walk above 0, and the
-    # reversed walk's mass killed at state -k is the landing mass at k
-    for n, lo, alive, dead, _ in _sweep(law.reverse(), N, floor=1):
-        inc[n, 1 - lo : 1 - lo + dead.size] = dead[::-1]
-        if alive.size == 0:
-            break
-    F = np.zeros(hi + 1)
-    for k in range(hi + 1):
-        col = inc[1:, k]
-        if not col.any():
-            continue
-        tail = 0.0
-        if col[-1] != 0.0:
-            tail, _, _ = series_tail_sum(col, first_n=1)
-        F[k] = col.sum() + tail
-    return F
+    law.require_expansion_ready()
+    h = law.support[-1]
+    # z^d (1 - phi(z)), highest power first: z^(v + d) sits at index h - v
+    c = [Fraction(0)] * (h - law.support[0] + 1)
+    c[h] += 1
+    for v, p in law.atoms.items():
+        c[h - v] -= p
+    for _ in range(2):  # synthetic division by z - 1; the remainder is 0
+        for i in range(1, len(c)):
+            c[i] += c[i - 1]
+        c.pop()
+    roots = np.roots([float(a) for a in c])
+    outside = roots[np.abs(roots) > 1.0]
+    if outside.size != h - 1:
+        raise LawError(
+            f"{outside.size} roots of z^d (1 - phi(z)) outside the unit circle, "
+            f"expected {h - 1}"
+        )
+    # expand F from its values at M > h roots of unity: np.poly's partial
+    # products grow like binomials and cancel (sum F ~ 1e87 at width 3125)
+    M = 1 << h.bit_length()
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    Fz = float(law.atoms[h]) * (z - 1.0)
+    for r in outside:
+        Fz *= z - r
+    return np.fft.fft(1.0 + Fz)[: h + 1].real / M
 
 
-def ladder_renewal(law: LatticeLaw, y_max: int, N: int = 1 << 12) -> np.ndarray:
+def ladder_renewal(law: LatticeLaw, y_max: int) -> np.ndarray:
     """Renewal mass u(y) = sum_j P(j-th weak ascending ladder point = y),
     y = 0..y_max, from the exact renewal recursion over the (bounded)
     ladder height distribution.
 
-    By time reversal, u equals the Green function of the reversed walk
-    killed strictly below zero: u(y) = sum_(n>=0) P(S~_n = y, tau-bar > n).
+    By time reversal, u equals the Green function of the walk killed
+    strictly below zero: u(y) = sum_(n>=0) P(S_n = y, tau-bar > n).
     """
-    F = ladder_height_dist(law, N)
-    p0 = F[0]
-    if p0 >= 1.0:
-        raise LawError("degenerate ladder structure")
+    F = ladder_heights(law)
     u = np.zeros(y_max + 1)
-    u[0] = 1.0 / (1.0 - p0)
+    u[0] = 1.0 / (1.0 - F[0])
     for y in range(1, y_max + 1):
-        acc = 0.0
-        for k in range(1, min(y, F.size - 1) + 1):
-            acc += F[k] * u[y - k]
-        u[y] = acc / (1.0 - p0)
+        k = np.arange(1, min(y, F.size - 1) + 1)
+        u[y] = F[k] @ u[y - k] / (1.0 - F[0])
     return u
 
 

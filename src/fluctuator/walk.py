@@ -178,6 +178,12 @@ def law_from_json(path_or_obj) -> LatticeLaw:
     return LatticeLaw(atoms)
 
 
+def law_to_json(law: LatticeLaw) -> dict:
+    """The model spec of a law, its canonical atoms as exact rational
+    strings: law_from_json(law_to_json(law)) == law."""
+    return {"atoms": {str(v): str(p) for v, p in law.atoms.items()}}
+
+
 # Reference laws used throughout the test-bench.
 def lazy_walk() -> LatticeLaw:
     """Symmetric lazy walk: {-1: 1/4, 0: 1/2, 1: 1/4}; sigma^2 = 1/2."""

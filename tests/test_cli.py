@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import cli
+from fluctuator import cli, walk
 
 
 def _run(argv):
@@ -170,6 +170,27 @@ def test_determinism(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("target", ["tau0", "local", "taux"])
+def test_artifacts_name_the_law_not_the_path(tmp_path, target):
+    # a builtin name and the same atoms read from two directories write
+    # the same bytes: artifacts record the law's canonical atoms
+    specs = ["lazy"]
+    for d in ("one", "two/deeper"):
+        model = tmp_path / d / "law.json"
+        model.parent.mkdir(parents=True)
+        model.write_text(json.dumps({"atoms": {"1": "1/4", "0": "0.5", "-1": "1/4"}}))
+        specs.append(str(model))
+    outs = []
+    for i, spec in enumerate(specs):
+        out = tmp_path / f"out{i}"
+        argv = ["expand", target, "--model", spec, "--horizon", "128", "--out-dir", str(out)]
+        assert _run(argv + (["--x-max", "4"] if target != "tau0" else [])) == cli.EXIT_PASS
+        outs.append(sorted(p.read_bytes() for p in out.glob("*.json")))
+    assert outs[0] == outs[1] == outs[2]
+    doc = json.loads(next((tmp_path / "out1").glob("*.json")).read_text())
+    assert walk.law_from_json(doc["model"]) == walk.lazy_walk()
 
 
 def test_verify_smallest_horizon_fits_the_decay_ladder(capsys):

@@ -112,11 +112,22 @@ def test_ladder_renewal_matches_strict_green(skewed):
         assert u[x] == pytest.approx(direct + tail, rel=1e-8)
 
 
-def test_ladder_height_dist_is_probability(lazy, skewed):
-    for law in (lazy, skewed, skewed.reverse()):
-        F = oracle.ladder_height_dist(law)
-        assert (F >= 0).all()
-        assert F.sum() == pytest.approx(1.0, abs=1e-12)
+def test_ladder_heights_exact_values(lazy, skewed):
+    # Wiener-Hopf: 1 - F(z) = -p_h (z - 1) prod_(|r|>1) (z - r); skewed has
+    # z (1 - phi(z)) = -(z - 1)^2 (z + 2) / 4, so F(z) = 1 + (z - 1)(z + 2) / 4
+    cases = ((lazy, [3 / 4, 1 / 4]), (skewed, [1 / 2, 1 / 4, 1 / 4]),
+             (skewed.reverse(), [1 / 2, 1 / 2]))
+    for law, want in cases:
+        F = oracle.ladder_heights(law)
+        assert F.dtype == np.float64
+        np.testing.assert_allclose(F, want, rtol=0, atol=1e-15)
+
+
+def test_ladder_heights_refuse_a_wrong_root_split(monkeypatch, skewed):
+    # skewed needs h - 1 = 1 root outside the unit circle; none found
+    monkeypatch.setattr(oracle.np, "roots", lambda c: np.array([0.5]))
+    with pytest.raises(walk.LawError, match="expected 1"):
+        oracle.ladder_heights(skewed)
 
 
 def test_mc_reproducible_and_covers(lazy):

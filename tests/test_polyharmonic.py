@@ -99,8 +99,8 @@ def test_poly_tail_fit_grid_guard():
 
 
 def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
-    # one free sweep of the law (Delta_n and, mirrored, the reversed walk's
-    # point masses) plus the ladder-height sweep
+    # one free sweep of the law: Delta_n and, mirrored, the reversed walk's
+    # point masses; the ladder heights are a closed form
     from fluctuator import conditioned, tau0
 
     sweep, calls = oracle._sweep, []
@@ -111,7 +111,7 @@ def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
 
     monkeypatch.setattr(oracle, "_sweep", counted)
     lad = ph.v_ladder(skewed, x_max=10, J=2, N=512)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert lad.nu == tau0.tau0_coeffs(skewed, N=512).nu[:2]
 
     make_workspace = conditioned.make_workspace
@@ -122,5 +122,5 @@ def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
     monkeypatch.setattr(conditioned, "make_workspace", unshared)
     calls.clear()
     own = ph.v_ladder(skewed, x_max=10, J=2, N=512)
-    assert len(calls) == 3  # the reversed walk swept on its own
+    assert len(calls) == 2  # the reversed walk swept on its own
     np.testing.assert_allclose(lad.V, own.V, rtol=1e-9, atol=0)
