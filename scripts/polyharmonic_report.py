@@ -21,22 +21,18 @@ def main() -> None:
     args = ap.parse_args()
 
     law = load_model(args.model)
-    guard = 2 * max(law.support) + 2
-    lad = ph.v_ladder(law, x_max=args.x_max + guard, J=2, N=args.horizon)
-    window = (1, args.x_max)
+    cert = ph.certify(law, args.x_max, 2, args.horizon)
+    lad = cert.ladder
 
     print(f"model {args.model}: nu_1 = {lad.nu[0]:.12g}, nu_2 = {lad.nu[1]:.12g}")
     print("x   V_1(x)              V_2(x)")
     for x in range(0, args.x_max + 1, max(args.x_max // 10, 1)):
         print(f"{x:<3d} {lad[1][x]:<19.12g} {lad[2][x]:.12g}")
 
-    d1 = ph.polyharm_defect(law, lad[1], 1, window)
-    sign, resid = ph.v2_identity_residual(law, lad, window)
-    d2 = ph.polyharm_defect(law, lad[2], 2, window)
-    scale = np.abs(lad[2][window[0] : window[1] + 1]).max()
-    print(f"(P-I)V_1 defect:          {d1:.3e}")
-    print(f"(P-I)V_2 = {sign:+d} V_1 residual: {resid:.3e}")
-    print(f"(P-I)^2 V_2 defect (rel): {d2 / scale:.3e}")
+    print(f"(P-I)V_2 = c V_1 with c = {cert.sign:+d}")
+    for c in cert.checks:
+        verdict = "PASS" if c.passed else "FAIL"
+        print(f"{c.name:<24} {verdict}  {c.measure} {c.value:.3e} (limit {c.limit:g})")
 
     xs = np.arange(1, args.x_max + 1)
     for j, deg in ((1, 1), (2, 3)):

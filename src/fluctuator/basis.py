@@ -96,20 +96,10 @@ def a_float(j: int, N: int) -> np.ndarray:
 
 
 def a_value(j: int, n: int) -> float:
-    """Single a_n^(j) for possibly huge n, via log-gamma.
-
-    a_n^(j) = Gamma(n - j + 3/2) / (Gamma(n+1) * Gamma(3/2 - j)).
-    """
-    if n == 0:
-        return 1.0
-    if n - j + 1.5 <= 0:
-        # Small n relative to j: keep the reflection inside mpmath, where
-        # gamma of a negative argument carries the right sign.
+    """Single a_n^(j) for possibly huge n, a_value_mp rounded from 30 digits
+    (a float log-gamma difference would cancel to ~1e-11 relative)."""
+    with mp.workdps(30):
         return float(a_value_mp(j, n))
-    lg = math.lgamma(n - j + 1.5) - math.lgamma(n + 1)
-    # Gamma(3/2 - j) alternates in sign for j >= 2.
-    g = mp.gamma(mp.mpf(3) / 2 - j)
-    return float(mp.exp(lg) / g)
 
 
 def a_value_mp(j: int, n) -> mp.mpf:
@@ -162,7 +152,6 @@ def _fit_on_basis(
     j: int,
     m: int,
     N_fit: int,
-    dps: int = 40,
 ) -> tuple[dict[int, float], float]:
     """Weighted least squares of n^-(j-1/2) against shifted a-basis columns.
 
@@ -171,7 +160,7 @@ def _fit_on_basis(
     """
     n_cols = m - j + 1
     grid = _geometric_grid(max(8, N_fit // 8), N_fit, max(12, 4 * n_cols + 8))
-    with mp.workdps(dps):
+    with mp.workdps(40):
         A = mp.matrix(len(grid), n_cols)
         b = mp.matrix(len(grid), 1)
         for row, n in enumerate(grid):

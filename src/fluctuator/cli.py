@@ -169,8 +169,12 @@ def _cmd_expand_taux(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     J = max(args.terms, 1)
-    guard = J * max(law.support) + 2  # operator headroom for the defect checks
-    ladder = polyharmonic.v_ladder(law, x_max=args.x_max + guard, J=J, N=args.horizon)
+    cert = None
+    if args.check_polyharmonic:
+        cert = polyharmonic.certify(law, args.x_max, J, args.horizon)
+        ladder = cert.ladder
+    else:
+        ladder = polyharmonic.v_ladder(law, x_max=args.x_max, J=J, N=args.horizon)
     doc = {
         "model": law_to_json(law),
         "horizon": args.horizon,
@@ -187,24 +191,14 @@ def _cmd_expand_taux(args) -> int:
             for j in range(1, J + 1)
         }
     failures = []
-    if args.check_polyharmonic:
-        window = (1, args.x_max)
-        d1 = polyharmonic.polyharm_defect(law, ladder[1], 1, window)
-        checks = {"harmonic_defect_V1": _num(d1, "dp")}
-        if d1 > 1e-6:
-            failures.append(f"(P-I)V_1 defect {d1:.3e} > 1e-6")
-        if J >= 2:
-            sign, resid = polyharmonic.v2_identity_residual(law, ladder, window)
-            d2 = polyharmonic.polyharm_defect(law, ladder[2], 2, window)
-            scale = float(np.max(np.abs(ladder[2][window[0] : window[1] + 1])))
-            checks["v2_identity_sign"] = sign
-            checks["v2_identity_residual"] = _num(resid, "dp")
-            checks["biharmonic_defect_V2_rel"] = _num(d2 / scale, "dp")
-            if resid > 1e-2:
-                failures.append(f"(P-I)V_2 = c V_1 residual {resid:.3e} > 1e-2")
-            if d2 / scale > 1e-2:
-                failures.append(f"(P-I)^2 V_2 relative defect {d2 / scale:.3e} > 1e-2")
+    if cert is not None:
+        checks = {c.key: _num(c.value, "dp") for c in cert.checks}
+        if cert.sign is not None:
+            checks["v2_identity_sign"] = cert.sign
         doc["polyharmonic_checks"] = checks
+        failures = [
+            f"{c.name}: {c.measure} {c.value:.3e} > {c.limit:g}" for c in cert.checks if not c.passed
+        ]
     _write_json(out_dir / "taux_coeffs.json", doc)
     print(f"wrote {out_dir / 'taux_coeffs.json'}")
     for msg in failures:
@@ -255,13 +249,8 @@ def _cmd_verify(args) -> int:
         check("tau0 ladder", False, str(exc))
 
     if args.check_polyharmonic:
-        x_max = args.x_max
-        guard = 2 * max(law.support) + 2
-        ladder = polyharmonic.v_ladder(law, x_max=x_max + guard, J=2, N=N)
-        d1 = polyharmonic.polyharm_defect(law, ladder[1], 1, (1, x_max))
-        check("polyharmonic V1", d1 <= 1e-6, f"defect {d1:.3e}")
-        _, resid = polyharmonic.v2_identity_residual(law, ladder, (1, x_max))
-        check("polyharmonic V2 identity", resid <= 1e-2, f"residual {resid:.3e}")
+        for c in polyharmonic.certify(law, args.x_max, 2, N).checks:
+            check(c.name, c.passed, f"{c.measure} {c.value:.3e}")
 
     width = max(len(name) for name, _, _ in results)
     ok_all = True

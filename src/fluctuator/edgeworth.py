@@ -240,7 +240,7 @@ def _mp_poly(p: Polynomial) -> Polynomial:
     return Polynomial.from_coeffs([mp.mpf(c) for c in p.coefficients])
 
 
-def theta_polys(law: LatticeLaw, r: int, N_fit: int = 1 << 12) -> list[Polynomial]:
+def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
     """Polynomials theta_0..theta_J, J = floor(r/2), such that
     p_n(x) ~ sum_j theta_j(x) a_(n-1)^(j+1); theta_j has degree exactly 2j.
 
@@ -286,7 +286,7 @@ def theta_polys(law: LatticeLaw, r: int, N_fit: int = 1 << 12) -> list[Polynomia
         # n^-(i+1/2) = sum_k gamma_k a_(n-1)^(k), k = i+1 .. J+1
         thetas = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
         for i in range(J + 1):
-            conv = basis.power_to_shifted_basis(i + 1, J + 1, N_fit=N_fit)
+            conv = basis.power_to_shifted_basis(i + 1, J + 1)
             for k, gamma in conv.coefficients.items():
                 j = k - 1
                 for p, c in enumerate(f[i]):
@@ -367,7 +367,6 @@ def delta_coeffs(
     law: LatticeLaw,
     mode: str = "fit",
     N_fit: int = 1 << 12,
-    cond_limit: float = 1e6,
 ) -> CdfExpansionAtZero:
     """First two correction coefficients of Delta_n / n in the shifted
     a-basis.
@@ -405,8 +404,8 @@ def delta_coeffs(
             [[float(Amat[r, c]) for c in range(2)] for r in range(len(grid))]
         )
         cond = float(np.linalg.cond(sub))
-        if cond > cond_limit:
-            raise FitUnstable(f"design condition number {cond:.3e} > {cond_limit:.1e}")
+        if cond > 1e6:
+            raise FitUnstable(f"design condition number {cond:.3e} > 1e6")
         sol, _ = mp.qr_solve(Amat, bvec)
         t1, t2 = float(sol[0]), float(sol[1])
 

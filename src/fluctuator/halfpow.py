@@ -33,8 +33,6 @@ __all__ = [
     "classify",
 ]
 
-DEFAULT_N = 1 << 13
-
 
 class TruncationMismatch(ValueError):
     """Operands carry different truncation horizons."""
@@ -102,7 +100,7 @@ def kappa(i: int, N: int) -> np.ndarray:
 
 def from_poly(
     poly: dict[int, float],
-    N: int = DEFAULT_N,
+    N: int,
     class_tag: tuple[int, int] | None = None,
 ) -> HalfPowSeries:
     if poly and min(poly) < -1:
@@ -230,15 +228,13 @@ def _fold_above(A: HalfPowSeries, order: int) -> HalfPowSeries:
     return HalfPowSeries(poly_part=keep, remainder=rem, class_tag=A.class_tag)
 
 
-def classify(A: HalfPowSeries, grid: np.ndarray | None = None) -> ClassEstimate:
+def classify(A: HalfPowSeries) -> ClassEstimate:
     """Estimate the decay class (m, r) of the remainder and report the
     orthogonality sums sum_n h_n n^k for k = 0..floor(m/2)."""
     h = A.remainder
     if h.size < 257:
         raise InsufficientLength("need remainder length >= 256 to classify")
-    if grid is None:
-        grid = np.arange(h.size // 4, h.size)
-    grid = np.asarray(grid)
+    grid = np.arange(h.size // 4, h.size)
     vals = np.abs(h[grid])
     mask = vals > 0
     if mask.sum() < 16:

@@ -41,13 +41,14 @@ __all__ = [
     "series_tail_sum",
 ]
 
-DEFAULT_STATE_CAP = 200_000
+# DP states one sweep frame may hold
+STATE_CAP = 200_000
 # float cells one table may hold (128 MiB of float64)
 TABLE_CELL_CAP = 1 << 24
 
 
 class ResourceCapExceeded(RuntimeError):
-    """DP state space grew past the configured cap."""
+    """DP state space grew past STATE_CAP."""
 
 
 class TailNotDecayed(RuntimeError):
@@ -91,9 +92,9 @@ class McEstimate:
 # the killed-walk propagator
 
 
-def _guard(width: int, cap: int) -> None:
-    if width > cap:
-        raise ResourceCapExceeded(f"state width {width} exceeds cap {cap}")
+def _guard(width: int) -> None:
+    if width > STATE_CAP:
+        raise ResourceCapExceeded(f"state width {width} exceeds cap {STATE_CAP}")
 
 
 def _guard_table(rows: int, cols: int) -> None:
@@ -115,7 +116,6 @@ def _sweep(
     start: int = 0,
     floor: int | None = None,
     exact: bool = False,
-    state_cap: int = DEFAULT_STATE_CAP,
 ):
     """The walk start + S_n killed on first entry below `floor`, n = 0..N.
 
@@ -128,7 +128,7 @@ def _sweep(
     of the propagator's state: read them, do not write them.
     """
     klo, khi = law.support[0], law.support[-1]
-    _guard(khi - klo + 1, state_cap)
+    _guard(khi - klo + 1)
     D = _unit(law, exact)
     if exact:
         kern = np.zeros(khi - klo + 1, dtype=object)
@@ -148,7 +148,7 @@ def _sweep(
         cut = 0 if floor is None else min(max(floor - lo, 0), alive.size)
         dead, alive = alive[:cut], alive[cut:]
         lo += cut
-        _guard(alive.size, state_cap)
+        _guard(alive.size)
         yield n, lo, alive, dead, den
 
 
@@ -162,11 +162,11 @@ def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
 
 
 def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = None,
-            exact: bool = True, state_cap: int = DEFAULT_STATE_CAP):
+            exact: bool = True):
     """(values, dens): read(lo, alive) and den = D**n of every frame n = 0..N
     of a sweep, as object arrays of Python ints (exact) or float arrays."""
     vals, dens = [], []
-    for _, lo, alive, _, den in _sweep(law, N, start, floor, exact, state_cap):
+    for _, lo, alive, _, den in _sweep(law, N, start, floor, exact):
         vals.append(read(lo, alive))
         dens.append(den)
     dtype = object if exact else float
@@ -201,11 +201,11 @@ def _worst(resid: np.ndarray, scale: np.ndarray):
 # unconditioned walk
 
 
-def pmf(law: LatticeLaw, n: int, state_cap: int = DEFAULT_STATE_CAP) -> PmfFrame:
+def pmf(law: LatticeLaw, n: int) -> PmfFrame:
     """Exact distribution of S_n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for _, lo, alive, _, den in _sweep(law, n, exact=True, state_cap=state_cap):
+    for _, lo, alive, _, den in _sweep(law, n, exact=True):
         pass
     return PmfFrame(n=n, mass=_mass(lo, alive, den))
 
@@ -214,7 +214,6 @@ def delta_table(
     law: LatticeLaw,
     N: int,
     xs: Sequence[int] = (),
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Float-mode sweep of the free walk up to horizon N.
 
@@ -223,12 +222,13 @@ def delta_table(
     requested x.  The point masses are columns of one table spanning
     min(xs)..max(xs).
     """
+    _guard_table(N + 1, len(xs))  # the span is at least len(xs): refuse before iterating xs
     x0 = min(xs, default=0)
     span = max(xs, default=x0 - 1) - x0 + 1
     _guard_table(N + 1, span)
     delta = np.empty(N + 1)
     table = np.zeros((N + 1, span))
-    for n, lo, vec, _, _ in _sweep(law, N, state_cap=state_cap):
+    for n, lo, vec, _, _ in _sweep(law, N):
         delta[n] = 0.5 - _upto_zero(lo, vec)
         _gather(table[n], x0, lo, vec)
     return delta, {x: table[:, x - x0] for x in xs}
@@ -242,12 +242,10 @@ def conditioned_pmf(
     law: LatticeLaw,
     n: int,
     strict: bool = False,
-    start: int = 0,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[SurvivalFrame]:
     """Exact survival frames for times 1..n.
 
-    strict=False: b_n(x) = P(start + S_n = x, tau > n) with tau the first
+    strict=False: b_n(x) = P(S_n = x, tau > n) with tau the first
     time the path enters (-inf, 0]; states x >= 1.
     strict=True: state 0 stays alive (killing only below 0); states x >= 0.
     """
@@ -255,7 +253,7 @@ def conditioned_pmf(
         raise ValueError("n must be >= 1")
     frames = []
     killed = Fraction(0)
-    sweep = _sweep(law, n, start, 0 if strict else 1, exact=True, state_cap=state_cap)
+    sweep = _sweep(law, n, 0, 0 if strict else 1, exact=True)
     for step, lo, alive, dead, den in sweep:
         if step:
             killed += Fraction(int(dead.sum()), den)
@@ -270,13 +268,11 @@ def conditioned_table(
     N: int,
     x_max: int,
     strict: bool = False,
-    start: int = 0,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> np.ndarray:
-    """Float table b[n, x] = P(start + S_n = x, tau > n), n = 0..N, x = 0..x_max."""
+    """Float table b[n, x] = P(S_n = x, tau > n), n = 0..N, x = 0..x_max."""
     _guard_table(N + 1, x_max + 1)
     out = np.zeros((N + 1, x_max + 1))
-    for n, lo, vec, _, _ in _sweep(law, N, start, 0 if strict else 1, state_cap=state_cap):
+    for n, lo, vec, _, _ in _sweep(law, N, 0, 0 if strict else 1):
         _gather(out[n], 0, lo, vec)
     return out
 
@@ -286,7 +282,6 @@ def tau_tail(
     x: int,
     N: int,
     mode: str = "rational",
-    state_cap: int = DEFAULT_STATE_CAP,
 ):
     """P(tau_x > n) for n = 0..N.
 
@@ -296,7 +291,7 @@ def tau_tail(
     if x < 0:
         raise ValueError("start must be >= 0")
     exact = mode != "float"
-    T, den = _reduce(law, N, _total, x, 1, exact, state_cap)
+    T, den = _reduce(law, N, _total, x, 1, exact)
     return [Fraction(t, d) for t, d in zip(T, den)] if exact else T
 
 
@@ -391,20 +386,15 @@ def duality_check(law: LatticeLaw, x: int, N: int, mode: str = "rational"):
 # tail extrapolation
 
 
-def series_tail_sum(
-    summands: np.ndarray,
-    first_n: int,
-    basis_j: tuple[int, ...] = (2, 3, 4),
-    min_exponent: float = 1.2,
-) -> tuple[float, float, float]:
+def series_tail_sum(summands: np.ndarray, first_n: int) -> tuple[float, float, float]:
     """Extrapolate sum_(n>N) s_n for a sequence decaying like the a-basis.
 
     summands[i] = s_(first_n + i).  Fits the last quarter of the data on
-    {a_n^(j)} columns and closes the sum with exact basis tails.  Returns
-    (tail_value, tail_error_estimate, fitted_decay_exponent).  Raises
-    TailNotDecayed when the raw log-log decay exponent is below
-    min_exponent.
+    {a_n^(2), a_n^(3), a_n^(4)} and closes the sum with exact basis tails.
+    Returns (tail_value, tail_error_estimate, fitted_decay_exponent).
+    Raises TailNotDecayed when the raw log-log decay exponent is below 1.2.
     """
+    basis_j, min_exponent = (2, 3, 4), 1.2
     N_last = first_n + summands.size - 1
     lo = first_n + (3 * summands.size) // 4
     ns = np.arange(lo, N_last + 1)
@@ -503,9 +493,8 @@ def mc_tau_tail(
     n: int,
     paths: int,
     seed: int,
-    z: float = 1.96,
 ) -> McEstimate:
-    """Unbiased MC estimate of P(tau_x > n) with a Wilson interval.
+    """Unbiased MC estimate of P(tau_x > n) with a 95% Wilson interval.
 
     sampler(rng, size) must return `size` iid increments.  Streams are
     Philox counter-based and split per fixed-size batch, so the result is
@@ -532,6 +521,7 @@ def mc_tau_tail(
         done += b
         batch_idx += 1
     phat = survived / paths
+    z = 1.96
     denom = 1.0 + z * z / paths
     center = (phat + z * z / (2 * paths)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / paths + z * z / (4 * paths * paths))

@@ -1,5 +1,5 @@
 """The coefficient functions V_j(x) of the tau_x tail
-expansion, the killed transition operator, polyharmonicity diagnostics, and
+expansion, the killed step (P - I), their polyharmonic certification, and
 polynomial-tail fits.
 
 Assembly (duality route): with T_x(s) = sum_n P(tau_x > n) s^n and the
@@ -30,15 +30,17 @@ from .walk import LatticeLaw
 
 __all__ = [
     "VLadder",
-    "KilledOperator",
     "DomainGap",
     "GridTooShort",
     "PolyTailFit",
+    "PolyCheck",
+    "Certificate",
     "v_ladder",
     "v_leftcont",
-    "apply_killed",
+    "killed_step",
     "polyharm_defect",
     "v2_identity_residual",
+    "certify",
     "poly_tail_fit",
 ]
 
@@ -63,13 +65,6 @@ class VLadder:
 
 
 @dataclass(frozen=True)
-class KilledOperator:
-    """Pf(x) = E[f(x + X); x + X > 0] for the walk killed at <= 0."""
-
-    law: LatticeLaw
-
-
-@dataclass(frozen=True)
 class PolyTailFit:
     degree: int
     coefficients: np.ndarray  # ascending
@@ -78,9 +73,7 @@ class PolyTailFit:
     passed: bool
 
 
-def v_ladder(
-    law: LatticeLaw, x_max: int, J: int, N: int = 1 << 13
-) -> VLadder:
+def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int) -> VLadder:
     """V_1..V_J on x = 0..x_max via the duality assembly."""
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -89,7 +82,7 @@ def v_ladder(
     # for T_0 and, mirrored as P(S~_n = x) = P(S_n = -x), the reversed
     # walk's point masses for B-tilde
     delta, p = oracle.delta_table(law, N, xs=range(-x_max, 1))
-    co = tau0.tau0_coeffs(law, N=N, theta_mode="analytic", deltas=delta)
+    co = tau0.tau0_coeffs(law, N=N, deltas=delta)
     mu = tau0.mu_coeffs(co.psi)
     e0 = math.exp(co.psi.psi0)
     mup = [e0 * m for m in mu]  # mu'_0..mu'_4
@@ -124,32 +117,22 @@ def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> VLadder:
         raise NotLeftContinuous("law has downward jumps larger than 1")
     thetas = edgeworth.theta_polys(law, 2 * J)
     xs = np.arange(x_max + 1, dtype=float)
-    V = np.zeros((J, x_max + 1))
-    for j in range(1, J + 1):
-        V[j - 1] = (2.0 / (2 * j - 1)) * xs * np.array(
-            [thetas[j - 1](-x) for x in xs]
-        )
+    V = np.array([(2.0 / (2 * j - 1)) * xs * thetas[j - 1](-xs) for j in range(1, J + 1)])
     return VLadder(x_max=x_max, V=V, source="leftcont")
 
 
-def apply_killed(op: KilledOperator, f, x: int) -> float:
-    """Exact finite sum sum_(v: x+v>0) f(x+v) P(X = v).
-
-    `f` is a callable on positive integers or an array indexed by x.
-    """
-    def get(y: int) -> float:
-        if callable(f):
-            return float(f(y))
-        if y >= len(f):
-            raise DomainGap(f"need f({y}) beyond the provided window")
-        return float(f[y])
-
-    acc = 0.0
-    for v, p in op.law.atoms.items():
-        y = x + v
-        if y > 0:
-            acc += float(p) * get(y)
-    return acc
+def killed_step(law: LatticeLaw, f: np.ndarray) -> np.ndarray:
+    """(P - I)f(x) = sum_(v: x+v>0) P(X = v) f(x + v) - f(x), the walk killed
+    at <= 0, on x = 1..len(f) - 1 - h with h the largest upward jump: one
+    slice-add per atom.  Entry 0 of the result is 0."""
+    f = np.asarray(f, dtype=float)
+    out = np.zeros(f.size - max(law.support))
+    for v, p in law.atoms.items():
+        lo = max(1, 1 - v)  # x + v > 0
+        if lo < out.size:  # else a long downward jump would wrap the slice of f
+            out[lo:] += float(p) * f[lo + v : out.size + v]
+    out[1:] -= f[1 : out.size]
+    return out
 
 
 def polyharm_defect(
@@ -170,15 +153,9 @@ def polyharm_defect(
         raise DomainGap(
             f"need f up to x = {need}, given {len(f_values) - 1}"
         )
-    op = KilledOperator(law)
-    g = np.asarray(f_values, dtype=float).copy()
-    top = len(g) - 1
-    for it in range(k):
-        nxt = np.zeros_like(g)
-        top -= max(law.support)
-        for x in range(1, top + 1):
-            nxt[x] = apply_killed(op, g, x) - g[x]
-        g = nxt
+    g = f_values
+    for _ in range(k):
+        g = killed_step(law, g)
     return float(np.max(np.abs(g[lo : hi + 1])))
 
 
@@ -188,18 +165,62 @@ def v2_identity_residual(
     """Auto-detect the sign c in (P - I)V_2 = c V_1 and return
     (c, sup-norm relative residual over the window)."""
     lo, hi = x_window
-    op = KilledOperator(law)
-    v1 = ladder[1]
-    v2 = ladder[2]
     if hi + max(law.support) > ladder.x_max:
         raise DomainGap("ladder window too small for the operator step")
-    xs = np.arange(lo, hi + 1)
-    lhs = np.array([apply_killed(op, v2, x) - v2[x] for x in xs])
-    rhs = v1[xs]
+    lhs = killed_step(law, ladder[2])[lo : hi + 1]
+    rhs = ladder[1][lo : hi + 1]
     c = 1 if float(np.dot(lhs, rhs)) >= 0 else -1
     scale = float(np.max(np.abs(rhs)))
     resid = float(np.max(np.abs(lhs - c * rhs))) / scale
     return c, resid
+
+
+@dataclass(frozen=True)
+class PolyCheck:
+    name: str  # verify's check name
+    key: str  # key under the taux artifact's polyharmonic_checks
+    measure: str  # what `value` is, for reports
+    value: float
+    limit: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.limit
+
+
+@dataclass(frozen=True)
+class Certificate:
+    ladder: VLadder  # V_1..V_J on x = 0..x_max plus the operator headroom
+    checks: tuple[PolyCheck, ...]
+    sign: int | None  # c in (P - I)V_2 = c V_1, for J >= 2
+
+
+def certify(law: LatticeLaw, x_max: int, J: int, N: int) -> Certificate:
+    """V_1..V_J and their polyharmonic checks on the window x = 1..x_max:
+
+      polyharmonic V1           sup |(P - I)V_1|                          <= 1e-6
+      polyharmonic V2 identity  relative residual of (P - I)V_2 = c V_1  <= 1e-2
+      polyharmonic V2 (P-I)^2   sup |(P - I)^2 V_2| / sup |V_2|          <= 1e-2
+
+    (the V_2 checks for J >= 2).  The ladder extends past x_max by
+    J * (largest upward jump), the states that J operator steps read, plus 2.
+    """
+    ladder = v_ladder(law, x_max=x_max + J * max(law.support) + 2, J=J, N=N)
+    window = (1, x_max)
+    d1 = polyharm_defect(law, ladder[1], 1, window)
+    checks = [PolyCheck("polyharmonic V1", "harmonic_defect_V1", "defect", d1, 1e-6)]
+    sign = None
+    if J >= 2:
+        sign, resid = v2_identity_residual(law, ladder, window)
+        d2 = polyharm_defect(law, ladder[2], 2, window)
+        rel = d2 / float(np.max(np.abs(ladder[2][1 : x_max + 1])))
+        checks += [
+            PolyCheck("polyharmonic V2 identity", "v2_identity_residual", "residual", resid, 1e-2),
+            PolyCheck(
+                "polyharmonic V2 (P-I)^2", "biharmonic_defect_V2_rel", "relative defect", rel, 1e-2
+            ),
+        ]
+    return Certificate(ladder=ladder, checks=tuple(checks), sign=sign)
 
 
 def poly_tail_fit(

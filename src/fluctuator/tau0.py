@@ -35,8 +35,6 @@ __all__ = [
     "tau0_coeffs_halfpow",
 ]
 
-DEFAULT_N = 1 << 13
-
 
 @dataclass(frozen=True)
 class PsiScalars:
@@ -57,13 +55,7 @@ class Tau0Coefficients:
     theta_source: str
 
 
-def psi_scalars(
-    law: LatticeLaw | None = None,
-    deltas: np.ndarray | None = None,
-    thetas: tuple[float, float] | None = None,
-    N: int = DEFAULT_N,
-    min_decay: float = 3.2,
-) -> PsiScalars:
+def psi_scalars(deltas: np.ndarray, thetas: tuple[float, float]) -> PsiScalars:
     """Regular-part scalars of the Spitzer exponent Q(s) = sum Delta_n s^n / n.
 
     Near s = 1,
@@ -75,24 +67,13 @@ def psi_scalars(
     closed beyond the horizon by fitting r_n on {a^(4), a^(5), a^(6)} and
     summing the fitted tails exactly.
 
-    Either `law` or a precomputed `deltas` array (deltas[n] for n = 0..N)
-    must be given; `thetas` overrides the shifted-basis (theta1, theta2)
-    otherwise taken from edgeworth.delta_coeffs in fit mode.
+    `deltas[n]` for n = 0..N come from oracle.delta_table; `thetas` are the
+    shifted-basis (theta1, theta2) of edgeworth.delta_coeffs.  Raises
+    TailNotDecayed when the remainder decays slower than n^(-3.2).
     """
-    if deltas is None:
-        if law is None:
-            raise ValueError("need a law or an explicit delta sequence")
-        deltas, _ = oracle.delta_table(law, N)
-    else:
-        deltas = np.asarray(deltas, dtype=float)
-        N = deltas.size - 1
-    if thetas is None:
-        if law is None:
-            raise ValueError("need a law or explicit thetas")
-        cdf = edgeworth.delta_coeffs(law, mode="fit", N_fit=min(N, 1 << 12))
-        t1, t2_shift = cdf.theta1, cdf.theta2
-    else:
-        t1, t2_shift = thetas
+    deltas = np.asarray(deltas, dtype=float)
+    N = deltas.size - 1
+    t1, t2_shift = thetas
     t2 = t2_shift - t1  # shifted -> unshifted basis
 
     n = np.arange(1, N + 1, dtype=float)
@@ -108,10 +89,8 @@ def psi_scalars(
         tails = {0: 0.0, 1: 0.0, 2: 0.0}
     else:
         slope = float(-np.polyfit(np.log(ns[nz]), np.log(np.abs(window[nz])), 1)[0])
-        if slope < min_decay:
-            raise TailNotDecayed(
-                f"remainder decay exponent {slope:.3f} < {min_decay}"
-            )
+        if slope < 3.2:
+            raise TailNotDecayed(f"remainder decay exponent {slope:.3f} < 3.2")
         js = (4, 5, 6)
         cols = np.stack([basis.a_float(j, N)[lo:] for j in js], axis=1)
         coef, *_ = np.linalg.lstsq(cols, window, rcond=None)
@@ -179,33 +158,33 @@ def mu_closed_form(
 
 def tau0_coeffs(
     law: LatticeLaw,
-    N: int = DEFAULT_N,
-    theta_mode: str = "analytic",
+    N: int,
     deltas: np.ndarray | None = None,
 ) -> Tau0Coefficients:
     """nu_1..nu_3 for P(tau_0 > n) ~ sum nu_l a_n^(l).
 
-    theta_mode "analytic" (default) takes theta_1, theta_2 from the
-    Edgeworth polynomials at zero; "fit" regresses Delta_n on the a-basis
-    (noisier: theta_2 fit error contaminates the psi remainder tails).
-    `deltas` (deltas[n] for n = 0..N, from oracle.delta_table) saves the
-    free sweep when the caller has already run it.
+    theta_1, theta_2 come from the Edgeworth polynomials at zero (analytic
+    mode of edgeworth.delta_coeffs).  `deltas` (deltas[n] for n = 0..N, from
+    oracle.delta_table) saves the free sweep when the caller has already
+    run it.
     """
     law.require_expansion_ready()
-    cdf = edgeworth.delta_coeffs(law, mode=theta_mode, N_fit=min(N, 1 << 12))
-    psi = psi_scalars(law, deltas=deltas, thetas=(cdf.theta1, cdf.theta2), N=N)
+    cdf = edgeworth.delta_coeffs(law, mode="analytic")
+    if deltas is None:
+        deltas, _ = oracle.delta_table(law, N)
+    psi = psi_scalars(deltas, (cdf.theta1, cdf.theta2))
     mu = mu_coeffs(psi)
     e0 = math.exp(psi.psi0)
     return Tau0Coefficients(
-        nu=(e0, e0 * mu[2], e0 * mu[4]), mu=mu, psi=psi, theta_source=theta_mode
+        nu=(e0, e0 * mu[2], e0 * mu[4]), mu=mu, psi=psi, theta_source="analytic"
     )
 
 
-def tau0_coeffs_halfpow(psi: PsiScalars, N: int = 1 << 10) -> tuple[float, float, float]:
-    """Cross-check route: exponentiate the singular part as a HalfPowSeries,
-    divide by sqrt(1-s), and read nu_l off half-index 2l - 3."""
+def tau0_coeffs_halfpow(psi: PsiScalars) -> tuple[float, float, float]:
+    """Cross-check route: exponentiate the singular part as a HalfPowSeries
+    (length 2^10), divide by sqrt(1-s), and read nu_l off half-index 2l - 3."""
     Q = halfpow.from_poly(
-        {0: psi.psi0, 1: psi.theta1, 2: psi.psi1, 3: psi.theta2, 4: psi.psi2}, N
+        {0: psi.psi0, 1: psi.theta1, 2: psi.psi1, 3: psi.theta2, 4: psi.psi2}, 1 << 10
     )
     T = halfpow.div_sqrt(halfpow.exp_poly(Q, order=4))
     return tuple(T.poly_part.get(2 * ell - 3, 0.0) for ell in (1, 2, 3))

@@ -52,6 +52,16 @@ def test_a_value_pointwise():
             assert basis.a_value(j, n) == pytest.approx(float(seq[n]), rel=1e-12)
 
 
+def test_a_value_matches_extended_precision():
+    # a float log-gamma difference cancels to ~1e-11 relative at these n
+    ns = [1, 2, 3, 7, 30, 100, 1000, 8191, 8192, 10_000, 16_384, 30_000, 1 << 15]
+    for j in range(1, 7):
+        for n in ns:
+            with basis.mp.workdps(40):
+                want = basis.a_value_mp(j, n)
+            assert basis.a_value(j, n) == pytest.approx(float(want), rel=1e-14, abs=0)
+
+
 def test_weighted_tail_sum_against_brute_force():
     N, j, p = 64, 5, 1
     big = 400_000

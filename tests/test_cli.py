@@ -193,6 +193,23 @@ def test_artifacts_name_the_law_not_the_path(tmp_path, target):
     assert walk.law_from_json(doc["model"]) == walk.lazy_walk()
 
 
+def test_taux_and_verify_certify_alike(tmp_path, capsys):
+    # one certification: the same V_1 defect and V_2 lines in both reports
+    common = ["--model", "skewed", "--horizon", "512", "--x-max", "12", "--check-polyharmonic"]
+    assert _run(["expand", "taux", "--out-dir", str(tmp_path)] + common) == cli.EXIT_PASS
+    checks = json.loads((tmp_path / "taux_coeffs.json").read_text())["polyharmonic_checks"]
+    capsys.readouterr()
+    assert _run(["verify"] + common) == cli.EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    for name, key, measure in (
+        ("polyharmonic V1", "harmonic_defect_V1", "defect"),
+        ("polyharmonic V2 identity", "v2_identity_residual", "residual"),
+        ("polyharmonic V2 (P-I)^2", "biharmonic_defect_V2_rel", "relative defect"),
+    ):
+        line = next(ln for ln in lines if ln.startswith(name + " "))
+        assert line.endswith(f"PASS  {measure} {checks[key]['value']:.3e}")
+
+
 def test_verify_smallest_horizon_fits_the_decay_ladder(capsys):
     """At --horizon 64 the tau0 decay exponents come from a 32-point window."""
     rc = _run(["verify", "--model", "skewed", "--horizon", "64"])

@@ -147,6 +147,36 @@ def test_gf_fit_cross_check(ws_lazy):
     assert abs(gaps[0]) < 5e-3 and abs(gaps[1]) < 0.1
 
 
+def test_one_term_ladder_reads_no_psi(monkeypatch):
+    # L < 2 reads no psi_j; their tail fits would refuse this law's
+    # slowly decaying short-horizon remainders
+    calls = []
+    psi_x = conditioned.psi_x
+    monkeypatch.setattr(
+        conditioned, "psi_x", lambda *a, **k: calls.append(1) or psi_x(*a, **k)
+    )
+    law = walk.LatticeLaw({-1: Fraction(1, 100), 0: Fraction(49, 50), 1: Fraction(1, 100)})
+    lad = conditioned.q_ladder(conditioned.make_workspace(law, 6, N=64), L=1)
+    assert lad.q.shape == (2, 7) and calls == []
+
+
+def test_weak_ladder_is_the_standalone_psi_recursion(ws_skewed):
+    # the weak recursion as usually written: a standalone psi_(l-2)(x) term
+    # and y = 1..x-1, against the shared recursion's y = x pairing with q_0(0) = 1
+    L = 4
+    lad = conditioned.q_ladder(ws_skewed, L=L)
+    psis = {y: conditioned.psi_x(ws_skewed, y, L - 2) for y in range(1, X_MAX + 1)}
+    q = lad.q.copy()
+    q[0, 0] = 0.0
+    for ell in range(2, L + 1):
+        for x in range(1, X_MAX + 1):
+            acc = psis[x][ell - 2] + sum(
+                psis[y][j] * q[ell - 2 - j, x - y] for y in range(1, x) for j in range(-1, ell - 1)
+            )
+            q[ell, x] = -2.0 / ell * acc
+    np.testing.assert_allclose(lad.q[2:, 1:], q[2:, 1:], rtol=1e-13, atol=0)
+
+
 def test_ladder_needs_enough_thetas(ws_lazy):
     with pytest.raises(oracle.TailNotDecayed):
         conditioned.psi_x(ws_lazy, 1, j_max=12)

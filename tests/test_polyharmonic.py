@@ -3,8 +3,12 @@ tail structure."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluctuator import oracle, polyharmonic as ph
+
+from test_conditioned import _mean_zero_laws
 
 X_MAX = 24
 WIN = (1, 15)
@@ -68,10 +72,24 @@ def test_leftcont_requires_leftcont(skewed):
 
 
 def test_apply_killed_absorbs_boundary(lazy):
-    op = ph.KilledOperator(lazy)
     f = np.arange(10, dtype=float)
     # P f(1) = f(2)/4 + f(1)/2 + 0 (state 0 killed)
-    assert ph.apply_killed(op, f, 1) == pytest.approx(2 / 4 + 1 / 2)
+    assert ph.killed_step(lazy, f)[1] + f[1] == pytest.approx(2 / 4 + 1 / 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=_mean_zero_laws(), data=st.data())
+def test_killed_step_matches_pointwise_sum(law, data):
+    h = max(law.support)
+    size = data.draw(st.integers(h + 1, 30))
+    f = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    want = [0.0] + [
+        sum(float(p) * f[x + v] for v, p in law.atoms.items() if x + v > 0) - f[x]
+        for x in range(1, size - h)
+    ]
+    got = ph.killed_step(law, f)
+    assert got.shape == (size - h,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
 def test_defect_needs_headroom(lazy):
@@ -116,8 +134,8 @@ def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
 
     make_workspace = conditioned.make_workspace
 
-    def unshared(law, x_max, N, r=6, traces=None):
-        return make_workspace(law, x_max, N, r)
+    def unshared(law, x_max, N, traces=None):
+        return make_workspace(law, x_max, N)
 
     monkeypatch.setattr(conditioned, "make_workspace", unshared)
     calls.clear()

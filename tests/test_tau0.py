@@ -82,7 +82,7 @@ def test_theta_source_recorded(skewed_coeffs):
 def test_psi_scalars_flags_slow_tails(skewed):
     # feeding wrong thetas leaves an n^(-3/2) remainder: must be rejected
     with pytest.raises(oracle.TailNotDecayed):
-        tau0.psi_scalars(skewed, thetas=(0.0, 0.0), N=N)
+        tau0.psi_scalars(oracle.delta_table(skewed, N)[0], thetas=(0.0, 0.0))
 
 
 def test_evaluate_tau0_term_bounds(lazy_coeffs):
