@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from fluctuator import polyharmonic as ph, walk
+from fluctuator import polyharmonic as ph
 from fluctuator.cli import load_model
 
 

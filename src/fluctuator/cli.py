@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import basis, conditioned, oracle, polyharmonic, tau0
+from . import conditioned, oracle, polyharmonic, tau0
 from .oracle import ResourceCapExceeded, TailNotDecayed
 from .walk import LatticeLaw, LawError, law_from_json, law_to_json, lazy_walk, skewed_walk
 

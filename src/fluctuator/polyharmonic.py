@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis, conditioned, edgeworth, oracle, tau0
+from . import conditioned, edgeworth, oracle, tau0
 from .oracle import NotLeftContinuous
 from .walk import LatticeLaw
 
