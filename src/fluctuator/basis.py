@@ -80,11 +80,13 @@ def a_seq(j: int, N: int) -> BinomSeq:
     return BinomSeq(j=j, values=tuple(vals))
 
 
+@lru_cache(maxsize=64)
 def a_float(j: int, N: int) -> np.ndarray:
     """a_n^(j), n = 0..N, in float64 via the same ratio recurrence.
 
     The ratios (n - j + 1/2)/n are close to 1, so the recurrence is
-    numerically stable for the moderate j used here.
+    numerically stable for the moderate j used here.  Memoised: the array
+    is shared between callers and read-only.
     """
     if j < 1:
         raise ValueError(f"family index must be >= 1, got {j}")
@@ -92,6 +94,7 @@ def a_float(j: int, N: int) -> np.ndarray:
     out[0] = 1.0
     n = np.arange(1, N + 1)
     np.cumprod((n - j + 0.5) / n, out=out[1:])
+    out.setflags(write=False)
     return out
 
 

@@ -318,6 +318,8 @@ def main(argv=None) -> int:
     try:
         if args.horizon < 64:
             raise ConfigError("horizon must be >= 64")
+        if getattr(args, "x_max", 0) < 0:
+            raise ConfigError(f"x-max must be >= 0, got {args.x_max}")
         return args.func(args)
     except (ConfigError, LawError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,10 +45,12 @@ __all__ = [
 STATE_CAP = 200_000
 # float cells one table may hold (128 MiB of float64)
 TABLE_CELL_CAP = 1 << 24
+# smallest normal double: float sweeps skip the states below it
+_TINY = np.finfo(float).tiny
 
 
 class ResourceCapExceeded(RuntimeError):
-    """DP state space grew past STATE_CAP."""
+    """A DP frame would grow past STATE_CAP, or a table past TABLE_CELL_CAP."""
 
 
 class TailNotDecayed(RuntimeError):
@@ -110,6 +112,62 @@ def _unit(law: LatticeLaw, exact: bool) -> int:
     return math.lcm(*(p.denominator for p in law.atoms.values())) if exact else 1
 
 
+def _widest(law: LatticeLaw, N: int, start: int, floor: int | None) -> int:
+    """The widest frame a sweep of N steps reaches.
+
+    Widths follow from the support alone: frame n spans the states from
+    max(start + n klo, floor + (n-1) max(klo, 0)) up to start + n khi, and
+    once the top state falls below the floor every later frame is empty.
+    The width is the smaller of a nondecreasing and a linear function of n,
+    so its maximum sits at the last live frame or where the two cross.
+    """
+    klo, khi = law.support[0], law.support[-1]
+    if floor is None:
+        return 1 + N * (khi - klo)
+    last = N if khi >= 0 else min(N, (start - floor) // -khi)
+    if last < 1 or start + khi < floor:
+        return 1
+
+    def width(n: int) -> int:
+        return start + n * khi + 1 - max(start + n * klo, floor + (n - 1) * max(klo, 0))
+
+    ns = {last}
+    if khi < 0:
+        cross = (start - floor) // -klo
+        ns |= {min(max(cross, 1), last), min(cross + 1, last)}
+    return max(width(n) for n in ns)
+
+
+def _convolve_live(alive: np.ndarray, kern: np.ndarray, a: int, b: int) -> np.ndarray:
+    """np.convolve(alive, kern), with the arithmetic spent on the live window
+    alive[a:b] and kern.size - 1 states either side of it.
+
+    The states outside the window hold exact zeros or subnormals.  With the
+    margin, every cell from a on is a full kern.size-term sum, added in the
+    order np.convolve adds the interior of the whole frame; the cells the
+    window and its margin do not reach are 0.
+    """
+    pad = kern.size - 1
+    s, e = max(a - pad, 0), min(b + pad, alive.size)
+    if s == 0 and e == alive.size:
+        return np.convolve(alive, kern) if alive.size else alive
+    out = np.zeros(alive.size + pad)
+    if b > a:
+        out[s : e + pad] = np.convolve(alive[s:e], kern)
+    return out
+
+
+def _trim(vec: np.ndarray, a: int, b: int) -> tuple[int, int]:
+    """The candidate window [a, b) clipped to vec, then shrunk until both ends
+    hold a normal double (empty when no state does)."""
+    a, b = max(a, 0), min(b, vec.size)
+    while a < b and vec[a] < _TINY:
+        a += 1
+    while b > a and vec[b - 1] < _TINY:
+        b -= 1
+    return a, b
+
+
 def _sweep(
     law: LatticeLaw,
     N: int,
@@ -126,9 +184,19 @@ def _sweep(
     arrays with den = 1; exact mode uses Python-int arrays scaled by
     den = D**n, D the lcm of the atom denominators.  The arrays are views
     of the propagator's state: read them, do not write them.
+
+    Float frames have the width and alignment of the full convolution, but
+    only the live window -- the span from the first to the last state
+    holding at least the smallest normal double -- is convolved, with a
+    margin of one kernel width (`_convolve_live`); the cells it does not
+    reach are 0.  The subnormal mass this drops moves frame cells by less
+    than one smallest normal per step, and only cells far below 1e-280, so
+    the sums and table cells that the reductions read are the floats of
+    the full-width convolution.  Refuses a sweep whose widest frame exceeds
+    STATE_CAP before the first step.
     """
     klo, khi = law.support[0], law.support[-1]
-    _guard(khi - klo + 1)
+    _guard(max(khi - klo + 1, _widest(law, N, start, floor)))
     D = _unit(law, exact)
     if exact:
         kern = np.zeros(khi - klo + 1, dtype=object)
@@ -139,16 +207,20 @@ def _sweep(
     for v, p in law.atoms.items():
         kern[v - klo] = int(p * D) if exact else float(p)
     lo, den, dead = start, 1, alive[:0]
+    a, b = 0, 1  # float live window: alive[a:b] holds every normal double
     yield 0, lo, alive, dead, den
     for n in range(1, N + 1):
-        if alive.size:
-            alive = np.convolve(alive, kern)
+        if exact:
+            alive = np.convolve(alive, kern) if alive.size else alive
+        else:
+            alive = _convolve_live(alive, kern, a, b)
         lo += klo
         den *= D
         cut = 0 if floor is None else min(max(floor - lo, 0), alive.size)
         dead, alive = alive[:cut], alive[cut:]
         lo += cut
-        _guard(alive.size)
+        if not exact:
+            a, b = _trim(alive, a - cut, b + kern.size - 1 - cut)
         yield n, lo, alive, dead, den
 
 

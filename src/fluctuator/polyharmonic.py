@@ -205,6 +205,8 @@ def certify(law: LatticeLaw, x_max: int, J: int, N: int) -> Certificate:
     (the V_2 checks for J >= 2).  The ladder extends past x_max by
     J * (largest upward jump), the states that J operator steps read, plus 2.
     """
+    if x_max < 1:
+        raise ValueError(f"x-max must be >= 1 for the polyharmonic checks, got {x_max}")
     ladder = v_ladder(law, x_max=x_max + J * max(law.support) + 2, J=J, N=N)
     window = (1, x_max)
     d1 = polyharm_defect(law, ladder[1], 1, window)

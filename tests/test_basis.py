@@ -102,3 +102,11 @@ def test_power_to_shifted_basis_is_fitted_once():
     coeffs, slope = basis._fit_on_basis(2, 3, 1 << 12)
     assert dict(conv.coefficients) == coeffs
     assert conv.residual_decay_exponent == slope
+
+
+def test_a_float_is_shared_and_read_only():
+    first = basis.a_float(3, 257)
+    assert basis.a_float(3, 257) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 2.0

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, artifact shapes, determinism."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,35 @@ def test_oversized_table_exits_3(tmp_path):
          "--horizon", "64", "--out-dir", str(tmp_path)]
     )
     assert rc == cli.EXIT_RESOURCE
+
+
+def test_oversized_sweep_exits_3_before_sweeping(tmp_path):
+    # frame widths follow from the support: a 300000-step sweep is refused
+    # before its first step, not once a frame has outgrown the cap
+    t0 = time.perf_counter()
+    rc = _run(
+        ["expand", "tau0", "--model", "lazy", "--horizon", "300000",
+         "--out-dir", str(tmp_path)]
+    )
+    assert rc == cli.EXIT_RESOURCE
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "local", "--x-max", "-1"],
+        ["expand", "taux", "--x-max", "-3"],
+        ["expand", "taux", "--x-max", "0", "--check-polyharmonic"],
+        ["verify", "--x-max", "0", "--check-polyharmonic"],
+    ],
+    ids=["local-negative", "taux-negative", "taux-certify-zero", "verify-certify-zero"],
+)
+def test_bad_x_max_exits_2(tmp_path, capsys, argv):
+    rc = _run(argv + ["--model", "lazy", "--horizon", "64", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert "Traceback" not in err and "x-max" in err
 
 
 def test_verify_reports_check_horizons(capsys):

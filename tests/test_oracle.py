@@ -205,3 +205,94 @@ def test_delta_table_guards_the_span(monkeypatch, lazy):
     monkeypatch.setattr(oracle, "_sweep", no_sweep)
     with pytest.raises(oracle.ResourceCapExceeded):
         oracle.delta_table(lazy, 64, xs=(0, 1 << 30))
+
+
+@st.composite
+def _mean_zero_laws(draw):
+    """Rational mean-zero laws on [-3, 3] with jumps both ways."""
+    w = {v: draw(st.integers(0, 4)) for v in (-3, -2, -1, 1, 2, 3)}
+    for side in (-1, 1):
+        if not any(w[v] for v in w if v * side > 0):
+            w[side] = 1
+    left = sum(-v * c for v, c in w.items() if v < 0)
+    right = sum(v * c for v, c in w.items() if v > 0)
+    weights = {v: c * (right if v < 0 else left) for v, c in w.items() if c}
+    weights[0] = draw(st.integers(0, 4)) * (left + right)
+    total = sum(weights.values())
+    return walk.LatticeLaw({v: Fraction(c, total) for v, c in weights.items() if c})
+
+
+def _full_width_frames(law, N, start, floor):
+    """The plain float propagator: np.convolve over every state of the frame."""
+    klo, khi = law.support[0], law.support[-1]
+    kern = np.zeros(khi - klo + 1)
+    for v, p in law.atoms.items():
+        kern[v - klo] = float(p)
+    lo, vec = start, np.array([1.0])
+    yield lo, vec
+    for _ in range(N):
+        vec = np.convolve(vec, kern) if vec.size else vec
+        lo += klo
+        cut = 0 if floor is None else min(max(floor - lo, 0), vec.size)
+        lo, vec = lo + cut, vec[cut:]
+        yield lo, vec
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    law=_mean_zero_laws(),
+    N=st.integers(1024, 1536),
+    start=st.integers(0, 4),
+    floor=st.sampled_from([None, 0, 1]),
+)
+def test_live_window_frames_match_full_width_propagator(law, N, start, floor):
+    # the tails underflow well before N: the live window skips them, and
+    # only the subnormal mass it drops may differ, by less than one tiny
+    # per step, in cells far below anything a reduction can see
+    tiny = np.finfo(float).tiny
+    live = oracle._sweep(law, N, start, floor)
+    for n, ((lo, ref), (_, lo_live, vec, _, _)) in enumerate(
+        zip(_full_width_frames(law, N, start, floor), live, strict=True)
+    ):
+        assert lo_live == lo and vec.size == ref.size
+        seen = ref >= 1e-280
+        assert np.array_equal(vec[seen], ref[seen])
+        assert np.abs(vec - ref).max(initial=0.0) <= (n + 1) * tiny
+        assert vec.sum() == ref.sum()
+        assert oracle._upto_zero(lo, vec) == oracle._upto_zero(lo, ref)
+
+
+def test_live_window_skips_the_underflowed_tails(monkeypatch, skewed):
+    # a full-width sweep convolves every state of every frame: 1 + 3n cells
+    # at step n
+    cells = []
+    convolve = np.convolve
+
+    def counting(a, v, *args, **kwargs):
+        cells.append(len(a))
+        return convolve(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting)
+    N = 4096
+    oracle.delta_table(skewed, N)
+    full = sum(1 + 3 * n for n in range(N))
+    assert sum(cells) <= 0.7 * full
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    law=_small_laws(),
+    N=st.integers(0, 40),
+    start=st.integers(-5, 8),
+    floor=st.one_of(st.none(), st.integers(-4, 9)),
+    exact=st.booleans(),
+)
+def test_widest_frame_is_known_before_the_sweep(law, N, start, floor, exact):
+    widths = [alive.size for _, _, alive, _, _ in oracle._sweep(law, N, start, floor, exact)]
+    assert oracle._widest(law, N, start, floor) == max(widths)
+
+
+def test_oversized_sweep_refused_before_its_first_frame(lazy):
+    sweep = oracle._sweep(lazy, 300_000, 0, 1)
+    with pytest.raises(oracle.ResourceCapExceeded):
+        next(sweep)
