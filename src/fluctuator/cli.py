@@ -214,22 +214,19 @@ def _cmd_verify(args) -> int:
     def check(name: str, ok: bool, detail: str = "") -> None:
         results.append((name, bool(ok), detail))
 
-    n_sp, n_dual = min(N, 512), min(N, 256)
-    sp = oracle.spitzer_check(law, n_sp, mode="rational")
-    check("spitzer(rational)", sp == 0, f"max gap {sp} at N={n_sp}")
-    spf = oracle.spitzer_check(law, N, mode="float")
+    ids = oracle.identity_suite(law, N)
+    check("spitzer(rational)", ids.spitzer == 0, f"max gap {ids.spitzer} at N={ids.n_sp}")
+    spf = ids.spitzer_float
     check("spitzer(float)", spf < 1e-12, f"max gap {spf:.3e} at N={N}")
-    for x in range(1, 4):
-        d = oracle.duality_check(law, x, n_dual)
-        check(f"duality(x={x})", d == 0, f"max gap {d} at N={n_dual}")
-    if law.tag.left_continuous:
-        lc = oracle.leftcont_check(law, 3, n_dual)
-        check("leftcont", lc == 0, f"max gap {lc} at N={n_dual}")
+    for x, d in enumerate(ids.duality, 1):
+        check(f"duality(x={x})", d == 0, f"max gap {d} at N={ids.n_dual}")
+    if ids.leftcont is not None:
+        check("leftcont", ids.leftcont == 0, f"max gap {ids.leftcont} at N={ids.n_dual}")
 
     # tau0 decay ladder
     try:
-        coeffs = tau0.tau0_coeffs(law, N=N)
-        truth = oracle.tau_tail(law, 0, N, mode="float")
+        coeffs = tau0.tau0_coeffs(law, N=N, deltas=ids.delta)
+        truth = ids.tau0_tail
         ns = np.arange(max(N // 16, 64), N + 1)
         fit_ns = np.arange(min(ns[0], N - 31), N + 1)  # >= 32 points at any horizon
         for t in (1, 2, 3):

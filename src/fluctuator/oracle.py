@@ -28,6 +28,7 @@ __all__ = [
     "PmfFrame",
     "SurvivalFrame",
     "McEstimate",
+    "IdentitySuite",
     "pmf",
     "delta_table",
     "conditioned_pmf",
@@ -37,6 +38,7 @@ __all__ = [
     "spitzer_check",
     "leftcont_check",
     "duality_check",
+    "identity_suite",
     "mc_tau_tail",
     "series_tail_sum",
 ]
@@ -45,12 +47,18 @@ __all__ = [
 STATE_CAP = 200_000
 # float cells one table may hold (128 MiB of float64)
 TABLE_CELL_CAP = 1 << 24
+# polynomial degree ladder_heights may hand to np.roots (cubic in the degree)
+ROOT_DEGREE_CAP = 1024
+# horizons of identity_suite's exact checks: the bigint residuals grow with n
+SPITZER_CAP = 512
+DUALITY_CAP = 256
 # smallest normal double: float sweeps skip the states below it
 _TINY = np.finfo(float).tiny
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A DP frame would grow past STATE_CAP, or a table past TABLE_CELL_CAP."""
+    """A DP frame would grow past STATE_CAP, a table past TABLE_CELL_CAP, or a
+    root finding past ROOT_DEGREE_CAP."""
 
 
 class TailNotDecayed(RuntimeError):
@@ -78,6 +86,20 @@ class SurvivalFrame:
 
     def prob(self, x: int) -> Fraction:
         return self.mass.get(x, Fraction(0))
+
+
+@dataclass(frozen=True)
+class IdentitySuite:
+    """The identity residuals of one law, each walk swept once."""
+
+    n_sp: int  # horizon of the rational Spitzer check
+    n_dual: int  # horizon of the duality and left-continuity checks
+    spitzer: Fraction
+    spitzer_float: float  # at the full horizon N
+    duality: tuple[Fraction, ...]  # x = 1, 2, 3
+    leftcont: Fraction | None  # None unless the law is left-continuous
+    delta: np.ndarray  # float Delta_n = 1/2 - P(S_n <= 0), n = 0..N
+    tau0_tail: np.ndarray  # float P(tau_0 > n), n = 0..N
 
 
 @dataclass(frozen=True)
@@ -254,6 +276,11 @@ def _points(xs, lo: int, vec: np.ndarray) -> list:
     return [vec[x - lo] if 0 <= x - lo < vec.size else 0 for x in xs]
 
 
+def _below(xs, lo: int, vec: np.ndarray) -> list:
+    """Masses of a frame vector on the states < x, for each x in xs."""
+    return [vec[: max(x - lo, 0)].sum() for x in xs]
+
+
 def _gather(row: np.ndarray, x0: int, lo: int, vec: np.ndarray) -> None:
     """Copy the masses of a frame vector at the states x0 .. x0 + row.size - 1
     into row, one slice copy."""
@@ -263,9 +290,12 @@ def _gather(row: np.ndarray, x0: int, lo: int, vec: np.ndarray) -> None:
 
 
 def _worst(resid: np.ndarray, scale: np.ndarray):
-    """max |resid / scale|: a Fraction for Python-int arrays, else a float."""
+    """max |resid / scale|: a Fraction for Python-int arrays, else a float.
+    Only the nonzero entries of an integer residual become Fractions."""
     if resid.dtype == object:
-        return max((Fraction(abs(r), s) for r, s in zip(resid, scale)), default=Fraction(0))
+        return max(
+            (Fraction(abs(r), s) for r, s in zip(resid, scale) if r), default=Fraction(0)
+        )
     return float(np.max(np.abs(resid) / scale, initial=0.0))
 
 
@@ -399,25 +429,48 @@ def recurrence_gap(
 # mode runs the same code with D = 1.
 
 
-def spitzer_check(law: LatticeLaw, N: int, mode: str = "rational"):
-    """Max defect of Spitzer's factorization, as an error in P(tau_0 > n + 1).
+def _spitzer_gap(below: np.ndarray, T: np.ndarray, den: np.ndarray, D: int):
+    """Max defect of Spitzer's factorization, as an error in P(tau_0 > n + 1),
+    from below[n] / den[n] = P(S_n <= 0) and T[n] / den[n] = P(tau_0 > n).
 
     T(s) = sum P(tau_0 > n) s^n = (1-s)^(-1/2) exp(sum Delta_n s^n / n) is
     checked in its log-derivative form 2(1-s) T' = T (1 + 2(1-s) Q'), with
     Q' = sum Delta_n s^(n-1); it needs neither a series exp nor a division
-    by n.  The factorization is exact, so the rational-mode defect is
-    identically zero.
+    by n.
     """
-    exact = mode != "float"
-    below, den = _reduce(law, N, _upto_zero, exact=exact)
-    T, _ = _reduce(law, N, _total, floor=1, exact=exact)
-    D = _unit(law, exact)
+    N = T.size - 1
     E = den - 2 * below  # 2 D**n Delta_n
     E[0] = 0
     G = E[1:] - D * E[:-1]  # [s^m] 2(1-s)Q', scaled by D**(m+1)
     n = np.arange(N)
     R = 2 * (n + 1) * T[1:] - (2 * n + 1) * D * T[:-1] - np.convolve(T, G)[:N]
     return _worst(R, 2 * (n + 1) * den[1:])
+
+
+def _duality_gap(F: np.ndarray, T0: np.ndarray, Tx: np.ndarray, den: np.ndarray):
+    """Coefficient-wise defect of sum_n P(tau_x > n) s^n = (1 + sum_(y<x)
+    Btilde(s, y)) sum_n P(tau_0 > n) s^n, n = 0..N.  F[n] / den[n] is the
+    reversed walk's mass on the states < x under strict killing (F[0] = 1
+    is the leading 1); T0 (at least N + 1 terms) and Tx are over den too."""
+    N = Tx.size - 1
+    return _worst(np.convolve(F, T0[: N + 1])[: N + 1] - Tx, den)
+
+
+def _leftcont_gap(x: int, p: np.ndarray, Tx: np.ndarray, den: np.ndarray, D: int):
+    """Max |P(tau_x = n) - (x/n) P(S_n = -x)| over 1 <= n <= N, from
+    p[n] / den[n] = P(S_n = -x) and Tx[n] / den[n] = P(tau_x > n)."""
+    n = np.arange(1, Tx.size)
+    R = n * (D * Tx[:-1] - Tx[1:]) - x * p[1:]
+    return _worst(R, n * den[1:])
+
+
+def spitzer_check(law: LatticeLaw, N: int, mode: str = "rational"):
+    """Max defect of Spitzer's factorization up to N (`_spitzer_gap`).  The
+    factorization is exact, so the rational-mode defect is identically zero."""
+    exact = mode != "float"
+    below, den = _reduce(law, N, _upto_zero, exact=exact)
+    T, _ = _reduce(law, N, _total, floor=1, exact=exact)
+    return _spitzer_gap(below, T, den, _unit(law, exact))
 
 
 def leftcont_check(law: LatticeLaw, x_max: int, N: int):
@@ -430,28 +483,60 @@ def leftcont_check(law: LatticeLaw, x_max: int, N: int):
     xs = range(1, x_max + 1)
     p, den = _reduce(law, N, partial(_points, [-x for x in xs]))
     D = _unit(law, True)
-    n = np.arange(1, N + 1)
     worst = Fraction(0)
     for x in xs:
         T, _ = _reduce(law, N, _total, x, 1)
-        R = n * (D * T[:-1] - T[1:]) - x * p[1:, x - 1]
-        worst = max(worst, _worst(R, n * den[1:]))
+        worst = max(worst, _leftcont_gap(x, p[:, x - 1], T, den, D))
     return worst
 
 
 def duality_check(law: LatticeLaw, x: int, N: int, mode: str = "rational"):
-    """Coefficient-wise defect of the first-passage duality factorization.
-
-    sum_n P(tau_x > n) s^n = (1 + sum_(y=0..x-1) Btilde(s, y)) * sum_n P(tau_0 > n) s^n,
-    with Btilde built from the reversed walk under strict killing.
-    """
+    """Coefficient-wise defect of the first-passage duality factorization
+    (`_duality_gap`), with Btilde built from the reversed walk under strict
+    killing."""
     if x < 1:
         raise ValueError("x must be >= 1")
     exact = mode != "float"
-    F, _ = _reduce(law.reverse(), N, lambda lo, vec: vec[: max(x - lo, 0)].sum(), 0, 0, exact)
+    F, _ = _reduce(law.reverse(), N, partial(_below, [x]), 0, 0, exact)
     T0, _ = _reduce(law, N, _total, 0, 1, exact)
     Tx, den = _reduce(law, N, _total, x, 1, exact)
-    return _worst(np.convolve(F, T0)[: N + 1] - Tx, den)
+    return _duality_gap(F[:, 0], T0, Tx, den)
+
+
+def identity_suite(law: LatticeLaw, N: int) -> IdentitySuite:
+    """Spitzer (rational up to SPITZER_CAP, float up to N), duality for
+    x = 1..3 and, for left-continuous laws, left-continuity (up to
+    DUALITY_CAP), each distinct walk swept once and read for every check
+    that needs it: exact sweeps of the free walk, of T_0, of T_1..T_3 and of
+    the reversed walk under strict killing; float sweeps of the free walk and
+    of T_0, which also give the float Delta_n and P(tau_0 > n) up to N.
+    """
+    n_sp, n_dual = min(N, SPITZER_CAP), min(N, DUALITY_CAP)
+    xs = range(1, 4)
+    D = _unit(law, True)
+    # free walk: P(S_n <= 0) in column 0, P(S_n = -x) in column x
+    free, den = _reduce(
+        law, n_sp, lambda lo, vec: [_upto_zero(lo, vec), *_points([-x for x in xs], lo, vec)]
+    )
+    T0, _ = _reduce(law, n_sp, _total, 0, 1)
+    Tx = {x: _reduce(law, n_dual, _total, x, 1)[0] for x in xs}
+    F, _ = _reduce(law.reverse(), n_dual, partial(_below, xs), 0, 0)
+    dd = den[: n_dual + 1]
+    leftcont = None
+    if law.tag.left_continuous:
+        leftcont = max(_leftcont_gap(x, free[: n_dual + 1, x], Tx[x], dd, D) for x in xs)
+    below_f, den_f = _reduce(law, N, _upto_zero, exact=False)
+    T0_f, _ = _reduce(law, N, _total, 0, 1, False)
+    return IdentitySuite(
+        n_sp=n_sp,
+        n_dual=n_dual,
+        spitzer=_spitzer_gap(free[:, 0], T0, den, D),
+        spitzer_float=_spitzer_gap(below_f, T0_f, den_f, 1),
+        duality=tuple(_duality_gap(F[:, x - 1], T0, Tx[x], dd) for x in xs),
+        leftcont=leftcont,
+        delta=0.5 - below_f,
+        tau0_tail=T0_f,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +590,16 @@ def ladder_heights(law: LatticeLaw) -> np.ndarray:
     over the h - 1 roots of z^d (1 - phi(z)) outside the unit circle.  The
     double root at z = 1 of a mean-zero law is divided out in exact
     arithmetic first: in floats it splits and its halves get misclassified.
-    Raises LawError when the float roots do not split that way.
+    Raises LawError when the float roots do not split that way, and refuses
+    a quotient of degree d + h - 2 above ROOT_DEGREE_CAP before finding roots.
     """
     law.require_expansion_ready()
     h = law.support[-1]
+    degree = h - law.support[0] - 2  # of z^d (1 - phi(z)) / (z - 1)^2
+    if degree > ROOT_DEGREE_CAP:
+        raise ResourceCapExceeded(
+            f"ladder root-finding degree {degree} exceeds cap {ROOT_DEGREE_CAP}"
+        )
     # z^d (1 - phi(z)), highest power first: z^(v + d) sits at index h - v
     c = [Fraction(0)] * (h - law.support[0] + 1)
     c[h] += 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import cli, walk
+from fluctuator import cli, oracle, walk
 
 
 def _run(argv):
@@ -159,6 +159,43 @@ def test_oversized_sweep_exits_3_before_sweeping(tmp_path):
     )
     assert rc == cli.EXIT_RESOURCE
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_wide_law_exits_3_before_root_finding(tmp_path, capsys):
+    # uniform on [-514, 514]: the ladder quotient has degree 1026, past the
+    # root-finding cap; the 64-step sweep runs, np.roots does not
+    k = 514
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps({"atoms": {str(v): f"1/{2 * k + 1}" for v in range(-k, k + 1)}}))
+    t0 = time.perf_counter()
+    rc = _run(["expand", "local", "--model", str(model), "--horizon", "64", "--x-max", "1",
+               "--terms", "1", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_RESOURCE
+    assert "degree 1026 exceeds cap" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["lazy", "skewed", {"atoms": {"-2": "1/4", "0": "1/4", "1": "1/2"}}],
+    ids=["lazy", "skewed", "down2"],
+)
+def test_verify_sweeps_each_walk_once(tmp_path, monkeypatch, spec):
+    # free walk, T_0, T_1..T_3 and the reversed walk exact; free walk and
+    # T_0 in floats: 8 sweeps, left-continuous or not
+    if isinstance(spec, dict):
+        model = tmp_path / "law.json"
+        model.write_text(json.dumps(spec))
+        spec = str(model)
+    sweep, calls = oracle._sweep, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_sweep", counted)
+    assert _run(["verify", "--model", spec, "--horizon", "64"]) == cli.EXIT_PASS
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize(

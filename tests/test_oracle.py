@@ -74,6 +74,66 @@ def test_identity_checks_see_one_unit(monkeypatch, lazy, skewed):
         assert oracle.recurrence_gap(law, 5, x=2) != 0
 
 
+def test_identity_suite_sees_one_unit(monkeypatch, lazy, skewed):
+    # the shared suite twin of the test above: every sweep it reads is off
+    # by one unit at n = 3, and every exact gap must show it
+    reduce = oracle._reduce
+
+    def perturbed(*args, **kwargs):
+        vals, dens = reduce(*args, **kwargs)
+        vals[3] += 1
+        return vals, dens
+
+    monkeypatch.setattr(oracle, "_reduce", perturbed)
+    for law in (lazy, skewed):
+        ids = oracle.identity_suite(law, 16)
+        assert ids.spitzer > 0
+        assert all(d > 0 for d in ids.duality)
+        assert ids.leftcont > 0
+
+
+def test_worst_reads_the_nonzero_entries():
+    resid = np.array([0, -3, 0, 0], dtype=object)
+    scale = np.array([1, 4, 2, 8], dtype=object)
+    assert oracle._worst(resid, scale) == Fraction(3, 4)
+    zero = oracle._worst(np.array([0, 0, 0, 0], dtype=object), scale)
+    assert zero == 0 and isinstance(zero, Fraction)
+
+
+@st.composite
+def _mean_zero_laws(draw):
+    """Mean-zero rational laws on [-3, 3]."""
+    w = {v: draw(st.integers(0, 4)) for v in (-3, -2, -1, 1, 2, 3)}
+    for side in (-1, 1):
+        if not any(c for v, c in w.items() if v * side > 0):
+            w[side] = 1
+    left = sum(-v * c for v, c in w.items() if v < 0)
+    right = sum(v * c for v, c in w.items() if v > 0)
+    weights = {v: c * (right if v < 0 else left) for v, c in w.items() if c}
+    weights[0] = draw(st.integers(0, 4)) * (left + right)
+    total = sum(weights.values())
+    return walk.LatticeLaw({v: Fraction(c, total) for v, c in weights.items() if c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_mean_zero_laws(), N=st.integers(1, 40))
+def test_identity_suite_matches_the_single_checks(law, N):
+    ids = oracle.identity_suite(law, N)
+    assert ids.n_sp == ids.n_dual == N
+    assert ids.spitzer == oracle.spitzer_check(law, N, mode="rational") == 0
+    for x, d in enumerate(ids.duality, 1):
+        assert d == oracle.duality_check(law, x, N) == 0
+    if law.tag.left_continuous:
+        assert ids.leftcont == oracle.leftcont_check(law, 3, N) == 0
+    else:
+        assert ids.leftcont is None
+    # bit-equal floats: the same sweeps read the same way
+    assert ids.spitzer_float == oracle.spitzer_check(law, N, mode="float")
+    delta, _ = oracle.delta_table(law, N)
+    assert np.array_equal(ids.delta, delta)
+    assert np.array_equal(ids.tau0_tail, oracle.tau_tail(law, 0, N, mode="float"))
+
+
 def test_leftcont_rejects_big_down_jumps(skewed):
     rev = skewed.reverse()  # support {-2, 0, 1}
     with pytest.raises(oracle.NotLeftContinuous):
@@ -127,6 +187,17 @@ def test_ladder_heights_refuse_a_wrong_root_split(monkeypatch, skewed):
     # skewed needs h - 1 = 1 root outside the unit circle; none found
     monkeypatch.setattr(oracle.np, "roots", lambda c: np.array([0.5]))
     with pytest.raises(walk.LawError, match="expected 1"):
+        oracle.ladder_heights(skewed)
+
+
+def test_ladder_heights_refuse_a_wide_law_before_root_finding(monkeypatch, skewed):
+    # skewed's quotient z (1 - phi(z)) / (z - 1)^2 has degree 1
+    def roots(c):
+        raise AssertionError("np.roots ran")
+
+    monkeypatch.setattr(oracle.np, "roots", roots)
+    monkeypatch.setattr(oracle, "ROOT_DEGREE_CAP", 0)
+    with pytest.raises(oracle.ResourceCapExceeded, match="degree 1 exceeds cap 0"):
         oracle.ladder_heights(skewed)
 
 
