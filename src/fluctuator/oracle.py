@@ -3,14 +3,17 @@ checkers, renewal sums and Monte Carlo spot checks.
 
 Every DP table and identity check is a reduction over the frames of one
 killed-walk propagator, `_sweep`.  Everything here is either exact
-(rational mode), plain float arithmetic on exact recursions (float mode),
-or an unbiased simulation with a confidence interval.  No asymptotics
-enter: this module is what the expansion modules are tested against.
+(rational mode, or int64 residues modulo primes), plain float arithmetic
+on exact recursions (float mode), or an unbiased simulation with a
+confidence interval.  No asymptotics enter: this module is what the
+expansion modules are tested against.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import basis
-from .walk import LatticeLaw, LawError
+from .walk import LatticeLaw, LawError, law_to_json
 
 __all__ = [
     "ResourceCapExceeded",
@@ -49,11 +52,13 @@ STATE_CAP = 200_000
 TABLE_CELL_CAP = 1 << 24
 # polynomial degree ladder_heights may hand to np.roots (cubic in the degree)
 ROOT_DEGREE_CAP = 1024
-# horizons of identity_suite's exact checks: the bigint residuals grow with n
-SPITZER_CAP = 512
-DUALITY_CAP = 256
+# identity_suite's exact checks run modulo this many primes from (2^23, 2^24)
+RESIDUE_PRIMES = 3
 # smallest normal double: float sweeps skip the states below it
 _TINY = np.finfo(float).tiny
+_I64 = (1 << 63) - 1
+_Q_LO = 1 << 23  # residue primes lie above this
+_ODDS = np.arange(3, 4096, 2)  # trial divisors of a residue prime < 2^24
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -90,16 +95,31 @@ class SurvivalFrame:
 
 @dataclass(frozen=True)
 class IdentitySuite:
-    """The identity residuals of one law, each walk swept once."""
+    """The identity residuals of one law up to N, each walk swept once.
 
-    n_sp: int  # horizon of the rational Spitzer check
-    n_dual: int  # horizon of the duality and left-continuity checks
-    spitzer: Fraction
-    spitzer_float: float  # at the full horizon N
-    duality: tuple[Fraction, ...]  # x = 1, 2, 3
-    leftcont: Fraction | None  # None unless the law is left-continuous
+    An exact check is True when its residual is nonzero modulo one of
+    `primes`, which proves the identity fails, and False when the residual
+    vanishes modulo all of them.
+    """
+
+    primes: tuple[int, ...]
+    pool: int  # P: at least this many primes could have been drawn
+    bits: int  # B: every exact residual entry is below 2^B in absolute value
+    spitzer: bool
+    spitzer_float: float
+    duality: tuple[bool, ...]  # x = 1, 2, 3
+    leftcont: bool | None  # None unless the law is left-continuous
     delta: np.ndarray  # float Delta_n = 1/2 - P(S_n <= 0), n = 0..N
     tau0_tail: np.ndarray  # float P(tau_0 > n), n = 0..N
+    points: dict[int, np.ndarray]  # float P(S_n = x), n = 0..N, at the requested x
+
+    @property
+    def false_pass(self) -> float:
+        """(floor(B/23) / P)^k.  A nonzero integer below 2^B has at most
+        floor(B/23) prime factors above 2^23, so k distinct primes drawn
+        uniformly from P candidates all divide it with at most this
+        probability: the chance that a failing exact check passes."""
+        return (self.bits // 23 / self.pool) ** len(self.primes)
 
 
 @dataclass(frozen=True)
@@ -190,12 +210,97 @@ def _trim(vec: np.ndarray, a: int, b: int) -> tuple[int, int]:
     return a, b
 
 
+class _Residues:
+    """Exact integer arithmetic in int64 residues modulo k primes.
+
+    Frames and reads carry one entry per prime on their last axis; the
+    sequences of a residual carry the primes on their second-to-last axis,
+    (..., k, N + 1), which `mod` reduces into [0, q).  A series product
+    (`conv`) of two reduced sequences of N + 1 terms sums at most N + 1
+    products below q^2, which `_prime_pool` keeps below 2^63.  A residual
+    reduces to "nonzero modulo some prime".
+    """
+
+    def __init__(self, primes: Sequence[int]):
+        self.primes = tuple(primes)
+        self.q = np.array(self.primes, dtype=np.int64)
+
+    def mod(self, a: np.ndarray) -> np.ndarray:
+        return a % self.q[:, None]
+
+    def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.mod(np.array([np.convolve(x, y) for x, y in zip(a, b)]))
+
+    def reduce(self, resid: np.ndarray, scale: np.ndarray) -> bool:
+        return bool(self.mod(resid).any())
+
+
+def _sweep_residues(law: LatticeLaw, N: int, start, floor: int | None, res: _Residues):
+    """`_sweep`'s exact frames as int64 residues modulo res's primes.
+
+    Frames are (states, k), or (states, len(start), k) when start is a
+    sequence of starting states: those walks share one state grid and one
+    killing floor.  den holds the k residues of D**n.  A step is one
+    slice-add per atom of the kernel D p mod q, exact in integers.
+    """
+    klo, khi = law.support[0], law.support[-1]
+    starts = [start] if isinstance(start, int) else list(start)
+    lo, top = min(starts), max(starts)
+    widest = max(khi - klo + 1, _widest(law, N, top, floor) + top - lo)
+    _guard(widest)
+    D = _unit(law, True)
+    k, q = len(res.primes), res.q
+    kern = np.array([[int(p * D) % qi for qi in res.primes] for p in law.atoms.values()])
+    gain = int(kern.sum(0).max())
+    atoms = []  # (offset, factor): None for 1, an int shared by every prime (always when D < q)
+    for v, col in zip(law.atoms, kern):
+        if (col != col[0]).any():
+            atoms.append((v - klo, col))
+        else:
+            atoms.append((v - klo, None if col[0] == 1 else int(col[0])))
+    reduced = int(q.max()) - 1
+    # int64 headroom: frame entries are nonnegative and at most `bound`.  A
+    # step multiplies the bound by at most `gain`, the largest kernel row sum
+    # (D when D < q), and a read sums at most `widest` entries, so a frame is
+    # reduced mod q only when one of the two could pass 2^63 - 1.
+    if gain * reduced > _I64:
+        raise ResourceCapExceeded(f"kernel row sum {gain} overflows int64 residues")
+    unit = np.array([D % qi for qi in res.primes])
+    den = np.ones((N + 1, k), dtype=np.int64)  # D**n mod q, by doubling: den[m:2m] = den[:m] D**m
+    m = 1
+    while m <= N:
+        den[m : 2 * m] = den[: min(m, N + 1 - m)] * (den[m - 1] * unit % q) % q
+        m *= 2
+    alive = np.zeros((top - lo + 1, len(starts), k), dtype=np.int64)
+    alive[np.array(starts) - lo, np.arange(len(starts))] = 1
+    if isinstance(start, int):
+        alive = alive[:, 0]
+    bound = 1
+    yield 0, lo, alive, alive[:0], den[0]
+    for n in range(1, N + 1):
+        if len(alive):
+            if bound * gain > _I64:
+                alive, bound = alive % q, reduced
+            width = len(alive)
+            out = np.zeros((width + khi - klo,) + alive.shape[1:], dtype=np.int64)
+            for i, kv in atoms:
+                out[i : i + width] += alive if kv is None else kv * alive
+            alive, bound = out, bound * gain
+        lo += klo
+        cut = 0 if floor is None else min(max(floor - lo, 0), len(alive))
+        dead, alive = alive[:cut], alive[cut:]
+        lo += cut
+        if bound * widest > _I64:
+            alive, bound = alive % q, reduced
+        yield n, lo, alive, dead, den[n]
+
+
 def _sweep(
     law: LatticeLaw,
     N: int,
     start: int = 0,
     floor: int | None = None,
-    exact: bool = False,
+    exact: bool | _Residues = False,
 ):
     """The walk start + S_n killed on first entry below `floor`, n = 0..N.
 
@@ -204,8 +309,10 @@ def _sweep(
     killed at step n, on the states lo - dead.size .. lo - 1.  Frame 0 is the
     unkilled start.  floor=None runs the free walk.  Float mode uses float64
     arrays with den = 1; exact mode uses Python-int arrays scaled by
-    den = D**n, D the lcm of the atom denominators.  The arrays are views
-    of the propagator's state: read them, do not write them.
+    den = D**n, D the lcm of the atom denominators, or, when `exact` is a
+    `_Residues`, int64 residues of them (`_sweep_residues`, which also takes
+    a sequence of starts).  The arrays are views of the propagator's state:
+    read them, do not write them.
 
     Float frames have the width and alignment of the full convolution, but
     only the live window -- the span from the first to the last state
@@ -217,6 +324,9 @@ def _sweep(
     the full-width convolution.  Refuses a sweep whose widest frame exceeds
     STATE_CAP before the first step.
     """
+    if isinstance(exact, _Residues):
+        yield from _sweep_residues(law, N, start, floor, exact)
+        return
     klo, khi = law.support[0], law.support[-1]
     _guard(max(khi - klo + 1, _widest(law, N, start, floor)))
     D = _unit(law, exact)
@@ -246,9 +356,13 @@ def _sweep(
         yield n, lo, alive, dead, den
 
 
+# Reads of a frame vector sum or copy along its first axis, the states: a
+# residue frame's other axes (starts, primes) pass through.
+
+
 def _upto_zero(lo: int, vec: np.ndarray):
     """Mass of a frame vector on the states <= 0."""
-    return vec[: max(1 - lo, 0)].sum()
+    return vec[: max(1 - lo, 0)].sum(0)
 
 
 def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
@@ -256,19 +370,22 @@ def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
 
 
 def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = None,
-            exact: bool = True):
+            exact: bool | _Residues = True):
     """(values, dens): read(lo, alive) and den = D**n of every frame n = 0..N
-    of a sweep, as object arrays of Python ints (exact) or float arrays."""
+    of a sweep, as object arrays of Python ints (exact), float arrays, or
+    int64 residues reduced into [0, q) (a `_Residues`; the prime axis last)."""
     vals, dens = [], []
     for _, lo, alive, _, den in _sweep(law, N, start, floor, exact):
         vals.append(read(lo, alive))
         dens.append(den)
+    if isinstance(exact, _Residues):
+        return np.array(vals) % exact.q, np.array(dens)
     dtype = object if exact else float
     return np.array(vals, dtype=dtype), np.array(dens, dtype=dtype)
 
 
 def _total(lo: int, vec: np.ndarray):
-    return vec.sum()
+    return vec.sum(0)
 
 
 def _points(xs, lo: int, vec: np.ndarray) -> list:
@@ -278,13 +395,13 @@ def _points(xs, lo: int, vec: np.ndarray) -> list:
 
 def _below(xs, lo: int, vec: np.ndarray) -> list:
     """Masses of a frame vector on the states < x, for each x in xs."""
-    return [vec[: max(x - lo, 0)].sum() for x in xs]
+    return [vec[: max(x - lo, 0)].sum(0) for x in xs]
 
 
 def _gather(row: np.ndarray, x0: int, lo: int, vec: np.ndarray) -> None:
-    """Copy the masses of a frame vector at the states x0 .. x0 + row.size - 1
+    """Copy the masses of a frame vector at the states x0 .. x0 + len(row) - 1
     into row, one slice copy."""
-    first, last = max(lo, x0), min(x0 + row.size, lo + vec.size)
+    first, last = max(lo, x0), min(x0 + len(row), lo + len(vec))
     if last > first:
         row[first - x0 : last - x0] = vec[first - lo : last - lo]
 
@@ -297,6 +414,21 @@ def _worst(resid: np.ndarray, scale: np.ndarray):
             (Fraction(abs(r), s) for r, s in zip(resid, scale) if r), default=Fraction(0)
         )
     return float(np.max(np.abs(resid) / scale, initial=0.0))
+
+
+class _Plain:
+    """Rational (Python-int) and float arithmetic: nothing to reduce, and a
+    residual reduces to its largest entry (`_worst`)."""
+
+    @staticmethod
+    def mod(a):
+        return a
+
+    conv = staticmethod(np.convolve)
+    reduce = staticmethod(_worst)
+
+
+_PLAIN = _Plain()
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +456,23 @@ def delta_table(
     requested x.  The point masses are columns of one table spanning
     min(xs)..max(xs).
     """
+    below, points = _free_float(law, N, xs)
+    return 0.5 - below, points
+
+
+def _free_float(law: LatticeLaw, N: int, xs: Sequence[int]):
+    """(below, point_masses) of one float sweep of the free walk:
+    below[n] = P(S_n <= 0) and point_masses as in `delta_table`."""
     _guard_table(N + 1, len(xs))  # the span is at least len(xs): refuse before iterating xs
     x0 = min(xs, default=0)
     span = max(xs, default=x0 - 1) - x0 + 1
     _guard_table(N + 1, span)
-    delta = np.empty(N + 1)
+    below = np.empty(N + 1)
     table = np.zeros((N + 1, span))
     for n, lo, vec, _, _ in _sweep(law, N):
-        delta[n] = 0.5 - _upto_zero(lo, vec)
+        below[n] = _upto_zero(lo, vec)
         _gather(table[n], x0, lo, vec)
-    return delta, {x: table[:, x - x0] for x in xs}
+    return below, {x: table[:, x - x0] for x in xs}
 
 
 # ---------------------------------------------------------------------------
@@ -425,43 +564,49 @@ def recurrence_gap(
 #
 # Each identity is a residual of integer sequences read off sweep frames:
 # frame n is scaled by D**n, so products of frames i and n - i share the
-# denominator D**n and a power-series product is one np.convolve.  Float
-# mode runs the same code with D = 1.
+# denominator D**n and a power-series product is one convolution.  The
+# residuals are written once over a `ring`: `_PLAIN` runs them on Python
+# ints (rational mode) or, with D = 1, on floats; a `_Residues` runs them
+# modulo primes, with `ring.mod` wherever a product could leave [0, q).
+# Sequences keep n on their last axis.
 
 
-def _spitzer_gap(below: np.ndarray, T: np.ndarray, den: np.ndarray, D: int):
+def _spitzer_gap(below: np.ndarray, T: np.ndarray, den: np.ndarray, D, ring):
     """Max defect of Spitzer's factorization, as an error in P(tau_0 > n + 1),
     from below[n] / den[n] = P(S_n <= 0) and T[n] / den[n] = P(tau_0 > n).
 
     T(s) = sum P(tau_0 > n) s^n = (1-s)^(-1/2) exp(sum Delta_n s^n / n) is
     checked in its log-derivative form 2(1-s) T' = T (1 + 2(1-s) Q'), with
     Q' = sum Delta_n s^(n-1); it needs neither a series exp nor a division
-    by n.
+    by n.  The integer residual of entry n < N is below (6n + 5) D**(n+1).
     """
-    N = T.size - 1
+    N = T.shape[-1] - 1
     E = den - 2 * below  # 2 D**n Delta_n
-    E[0] = 0
-    G = E[1:] - D * E[:-1]  # [s^m] 2(1-s)Q', scaled by D**(m+1)
+    E[..., 0] = 0
+    G = ring.mod(E[..., 1:] - ring.mod(D * E[..., :-1]))  # [s^m] 2(1-s)Q', scaled by D**(m+1)
     n = np.arange(N)
-    R = 2 * (n + 1) * T[1:] - (2 * n + 1) * D * T[:-1] - np.convolve(T, G)[:N]
-    return _worst(R, 2 * (n + 1) * den[1:])
+    R = (2 * (n + 1) * T[..., 1:] - (2 * n + 1) * ring.mod(D * T[..., :-1])
+         - ring.conv(T, G)[..., :N])
+    return ring.reduce(R, 2 * (n + 1) * den[..., 1:])
 
 
-def _duality_gap(F: np.ndarray, T0: np.ndarray, Tx: np.ndarray, den: np.ndarray):
+def _duality_gap(F: np.ndarray, T0: np.ndarray, Tx: np.ndarray, den: np.ndarray, ring):
     """Coefficient-wise defect of sum_n P(tau_x > n) s^n = (1 + sum_(y<x)
     Btilde(s, y)) sum_n P(tau_0 > n) s^n, n = 0..N.  F[n] / den[n] is the
     reversed walk's mass on the states < x under strict killing (F[0] = 1
-    is the leading 1); T0 (at least N + 1 terms) and Tx are over den too."""
-    N = Tx.size - 1
-    return _worst(np.convolve(F, T0[: N + 1])[: N + 1] - Tx, den)
+    is the leading 1); T0 (at least N + 1 terms) and Tx are over den too.
+    The integer residual of entry n is below (n + 2) D**n."""
+    N = Tx.shape[-1] - 1
+    return ring.reduce(ring.conv(F, T0[..., : N + 1])[..., : N + 1] - Tx, den)
 
 
-def _leftcont_gap(x: int, p: np.ndarray, Tx: np.ndarray, den: np.ndarray, D: int):
+def _leftcont_gap(x: int, p: np.ndarray, Tx: np.ndarray, den: np.ndarray, D, ring):
     """Max |P(tau_x = n) - (x/n) P(S_n = -x)| over 1 <= n <= N, from
-    p[n] / den[n] = P(S_n = -x) and Tx[n] / den[n] = P(tau_x > n)."""
-    n = np.arange(1, Tx.size)
-    R = n * (D * Tx[:-1] - Tx[1:]) - x * p[1:]
-    return _worst(R, n * den[1:])
+    p[n] / den[n] = P(S_n = -x) and Tx[n] / den[n] = P(tau_x > n).  The
+    integer residual of entry n is below (n + x) D**n."""
+    n = np.arange(1, Tx.shape[-1])
+    R = n * (ring.mod(D * Tx[..., :-1]) - Tx[..., 1:]) - x * p[..., 1:]
+    return ring.reduce(R, n * den[..., 1:])
 
 
 def spitzer_check(law: LatticeLaw, N: int, mode: str = "rational"):
@@ -470,7 +615,7 @@ def spitzer_check(law: LatticeLaw, N: int, mode: str = "rational"):
     exact = mode != "float"
     below, den = _reduce(law, N, _upto_zero, exact=exact)
     T, _ = _reduce(law, N, _total, floor=1, exact=exact)
-    return _spitzer_gap(below, T, den, _unit(law, exact))
+    return _spitzer_gap(below, T, den, _unit(law, exact), _PLAIN)
 
 
 def leftcont_check(law: LatticeLaw, x_max: int, N: int):
@@ -486,7 +631,7 @@ def leftcont_check(law: LatticeLaw, x_max: int, N: int):
     worst = Fraction(0)
     for x in xs:
         T, _ = _reduce(law, N, _total, x, 1)
-        worst = max(worst, _leftcont_gap(x, p[:, x - 1], T, den, D))
+        worst = max(worst, _leftcont_gap(x, p[:, x - 1], T, den, D, _PLAIN))
     return worst
 
 
@@ -500,42 +645,93 @@ def duality_check(law: LatticeLaw, x: int, N: int, mode: str = "rational"):
     F, _ = _reduce(law.reverse(), N, partial(_below, [x]), 0, 0, exact)
     T0, _ = _reduce(law, N, _total, 0, 1, exact)
     Tx, den = _reduce(law, N, _total, x, 1, exact)
-    return _duality_gap(F[:, 0], T0, Tx, den)
+    return _duality_gap(F[:, 0], T0, Tx, den, _PLAIN)
 
 
-def identity_suite(law: LatticeLaw, N: int) -> IdentitySuite:
-    """Spitzer (rational up to SPITZER_CAP, float up to N), duality for
-    x = 1..3 and, for left-continuous laws, left-continuity (up to
-    DUALITY_CAP), each distinct walk swept once and read for every check
-    that needs it: exact sweeps of the free walk, of T_0, of T_1..T_3 and of
-    the reversed walk under strict killing; float sweeps of the free walk and
-    of T_0, which also give the float Delta_n and P(tau_0 > n) up to N.
+def _prime_pool(N: int, D: int) -> tuple[int, int]:
+    """(hi, P): the residue primes lie in (2^23, hi), hi = min(2^24,
+    isqrt((2^63 - 1) // (N + 1))), so that a series product of N + 1
+    residues stays below 2^63.  P is a lower bound on the primes there that
+    do not divide D: Dusart's bounds (2010) x/ln x (1 + 1/ln x) <= pi(x)
+    (x >= 599) and pi(x) <= x/ln x (1 + 1/ln x + 2.51/ln^2 x) (x >= 355991),
+    less the at most bitlen(D)/23 prime factors of D above 2^23."""
+    hi = min(1 << 24, math.isqrt(_I64 // (N + 1)))
+
+    def pi_lower(x: float) -> float:
+        return x / math.log(x) * (1 + 1 / math.log(x))
+
+    def pi_upper(x: float) -> float:
+        return x / math.log(x) * (1 + 1 / math.log(x) + 2.51 / math.log(x) ** 2)
+
+    pool = math.floor(pi_lower(hi - 1)) - math.ceil(pi_upper(_Q_LO)) if hi > _Q_LO + 1 else 0
+    return hi, pool - D.bit_length() // 23
+
+
+def _draw_primes(law: LatticeLaw, N: int, D: int) -> tuple[tuple[int, ...], int]:
+    """(primes, P): RESIDUE_PRIMES distinct primes from `_prime_pool(N, D)`
+    that do not divide D (modulo such a prime D**n = 0 and every check would
+    pass), drawn uniformly by rejection from a random.Random seeded with the
+    law's canonical atoms, so that a law always gets the same primes."""
+    hi, pool = _prime_pool(N, D)
+    if pool < RESIDUE_PRIMES:
+        raise ResourceCapExceeded(f"horizon {N} leaves too few primes for int64 residues")
+    rng = random.Random(json.dumps(law_to_json(law)))
+    primes: list[int] = []
+    while len(primes) < RESIDUE_PRIMES:
+        q = rng.randrange(_Q_LO + 1, hi, 2)  # odd q < 2^24 is prime when no odd d < 4096 divides it
+        # (the gcd with 3 5 7 11 13 turns most composites away before the full trial division)
+        if math.gcd(q, 15015) == 1 and (q % _ODDS).all() and D % q and q not in primes:
+            primes.append(q)
+    return tuple(primes), pool
+
+
+def identity_suite(law: LatticeLaw, N: int, xs: Sequence[int] = ()) -> IdentitySuite:
+    """Spitzer, duality for x = 1..3 and, for left-continuous laws,
+    left-continuity, all up to N, each distinct walk swept once and read for
+    every check that needs it.
+
+    The exact checks run on int64 residues modulo the primes of
+    `_draw_primes`, from three sweeps: the free walk, T_0..T_3 as one stack
+    on a common state grid, and the reversed walk under strict killing.
+    Every residual entry is below B = bitlen(6 (N + 1) D**N) bits, which
+    bounds the chance of a false pass (`IdentitySuite.false_pass`).  Float
+    sweeps of the free walk (also read at the states xs) and of T_0 give the
+    float Spitzer gap, Delta_n and P(tau_0 > n) up to N.
     """
-    n_sp, n_dual = min(N, SPITZER_CAP), min(N, DUALITY_CAP)
-    xs = range(1, 4)
     D = _unit(law, True)
-    # free walk: P(S_n <= 0) in column 0, P(S_n = -x) in column x
-    free, den = _reduce(
-        law, n_sp, lambda lo, vec: [_upto_zero(lo, vec), *_points([-x for x in xs], lo, vec)]
-    )
-    T0, _ = _reduce(law, n_sp, _total, 0, 1)
-    Tx = {x: _reduce(law, n_dual, _total, x, 1)[0] for x in xs}
-    F, _ = _reduce(law.reverse(), n_dual, partial(_below, xs), 0, 0)
-    dd = den[: n_dual + 1]
+    below_f, points = _free_float(law, N, xs)
+    T0_f, _ = _reduce(law, N, _total, 0, 1, False)
+    primes, pool = _draw_primes(law, N, D)
+    ring = _Residues(primes)
+    Dq = np.array([D % q for q in ring.primes])[:, None]
+    dx = range(1, 4)
+
+    def free_read(lo: int, vec: np.ndarray) -> list:
+        pts = np.zeros((3,) + vec.shape[1:], dtype=vec.dtype)
+        _gather(pts, -3, lo, vec)  # the states -3, -2, -1
+        return [_upto_zero(lo, vec), pts[2], pts[1], pts[0]]
+
+    def seq(vals: np.ndarray) -> np.ndarray:
+        return np.moveaxis(vals, 0, -1)  # n last: (..., k, N + 1)
+
+    # free walk: P(S_n <= 0) in row 0, P(S_n = -x) in row x
+    free, den = map(seq, _reduce(law, N, free_read, exact=ring))
+    T = seq(_reduce(law, N, _total, range(4), 1, ring)[0])  # T[x]: P(tau_x > n)
+    F = seq(_reduce(law.reverse(), N, partial(_below, dx), 0, 0, ring)[0])
     leftcont = None
     if law.tag.left_continuous:
-        leftcont = max(_leftcont_gap(x, free[: n_dual + 1, x], Tx[x], dd, D) for x in xs)
-    below_f, den_f = _reduce(law, N, _upto_zero, exact=False)
-    T0_f, _ = _reduce(law, N, _total, 0, 1, False)
+        leftcont = any(_leftcont_gap(x, free[x], T[x], den, Dq, ring) for x in dx)
     return IdentitySuite(
-        n_sp=n_sp,
-        n_dual=n_dual,
-        spitzer=_spitzer_gap(free[:, 0], T0, den, D),
-        spitzer_float=_spitzer_gap(below_f, T0_f, den_f, 1),
-        duality=tuple(_duality_gap(F[:, x - 1], T0, Tx[x], dd) for x in xs),
+        primes=primes,
+        pool=pool,
+        bits=(6 * (N + 1) * D**N).bit_length(),
+        spitzer=_spitzer_gap(free[0], T[0], den, Dq, ring),
+        spitzer_float=_spitzer_gap(below_f, T0_f, np.ones(N + 1), 1, _PLAIN),
+        duality=tuple(_duality_gap(F[x - 1], T[0], T[x], den, ring) for x in dx),
         leftcont=leftcont,
         delta=0.5 - below_f,
         tau0_tail=T0_f,
+        points=points,
     )
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "killed_step",
     "polyharm_defect",
     "v2_identity_residual",
+    "ladder_reach",
     "certify",
     "poly_tail_fit",
 ]
@@ -73,15 +74,17 @@ class PolyTailFit:
     passed: bool
 
 
-def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int) -> VLadder:
-    """V_1..V_J on x = 0..x_max via the duality assembly."""
+def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> VLadder:
+    """V_1..V_J on x = 0..x_max via the duality assembly.  free, when given,
+    is `oracle.delta_table(law, N, xs)` for xs covering -x_max..0, already
+    swept elsewhere."""
     if J < 1:
         raise ValueError("J must be >= 1")
     law.require_expansion_ready()
     # one free sweep serves both factors of the duality assembly: Delta_n
     # for T_0 and, mirrored as P(S~_n = x) = P(S_n = -x), the reversed
     # walk's point masses for B-tilde
-    delta, p = oracle.delta_table(law, N, xs=range(-x_max, 1))
+    delta, p = free if free is not None else oracle.delta_table(law, N, xs=range(-x_max, 1))
     co = tau0.tau0_coeffs(law, N=N, deltas=delta)
     mu = tau0.mu_coeffs(co.psi)
     e0 = math.exp(co.psi.psi0)
@@ -195,19 +198,25 @@ class Certificate:
     sign: int | None  # c in (P - I)V_2 = c V_1, for J >= 2
 
 
-def certify(law: LatticeLaw, x_max: int, J: int, N: int) -> Certificate:
+def ladder_reach(law: LatticeLaw, x_max: int, J: int) -> int:
+    """The top state of `certify`'s ladder: x_max plus J * (largest upward
+    jump), the states that J operator steps read, plus 2."""
+    if x_max < 1:
+        raise ValueError(f"x-max must be >= 1 for the polyharmonic checks, got {x_max}")
+    return x_max + J * max(law.support) + 2
+
+
+def certify(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> Certificate:
     """V_1..V_J and their polyharmonic checks on the window x = 1..x_max:
 
       polyharmonic V1           sup |(P - I)V_1|                          <= 1e-6
       polyharmonic V2 identity  relative residual of (P - I)V_2 = c V_1  <= 1e-2
       polyharmonic V2 (P-I)^2   sup |(P - I)^2 V_2| / sup |V_2|          <= 1e-2
 
-    (the V_2 checks for J >= 2).  The ladder extends past x_max by
-    J * (largest upward jump), the states that J operator steps read, plus 2.
+    (the V_2 checks for J >= 2) on the ladder up to `ladder_reach`.  free is
+    as in `v_ladder`, covering -ladder_reach(law, x_max, J)..0.
     """
-    if x_max < 1:
-        raise ValueError(f"x-max must be >= 1 for the polyharmonic checks, got {x_max}")
-    ladder = v_ladder(law, x_max=x_max + J * max(law.support) + 2, J=J, N=N)
+    ladder = v_ladder(law, x_max=ladder_reach(law, x_max, J), J=J, N=N, free=free)
     window = (1, x_max)
     d1 = polyharm_defect(law, ladder[1], 1, window)
     checks = [PolyCheck("polyharmonic V1", "harmonic_defect_V1", "defect", d1, 1e-6)]

@@ -1,5 +1,7 @@
 """CLI surface: exit codes, artifact shapes, determinism."""
 
+import csv
+import io
 import json
 import time
 
@@ -181,12 +183,19 @@ def test_wide_law_exits_3_before_root_finding(tmp_path, capsys):
     ids=["lazy", "skewed", "down2"],
 )
 def test_verify_sweeps_each_walk_once(tmp_path, monkeypatch, spec):
-    # free walk, T_0, T_1..T_3 and the reversed walk exact; free walk and
-    # T_0 in floats: 8 sweeps, left-continuous or not
+    # exact residue sweeps of the free walk, of T_0..T_3 as one stack and of
+    # the reversed walk; float sweeps of the free walk and of T_0: 5 sweeps,
+    # left-continuous or not
     if isinstance(spec, dict):
         model = tmp_path / "law.json"
         model.write_text(json.dumps(spec))
         spec = str(model)
+    calls = _count_sweeps(monkeypatch)
+    assert _run(["verify", "--model", spec, "--horizon", "64"]) == cli.EXIT_PASS
+    assert len(calls) == 5
+
+
+def _count_sweeps(monkeypatch) -> list:
     sweep, calls = oracle._sweep, []
 
     def counted(*args, **kwargs):
@@ -194,8 +203,17 @@ def test_verify_sweeps_each_walk_once(tmp_path, monkeypatch, spec):
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_sweep", counted)
-    assert _run(["verify", "--model", spec, "--horizon", "64"]) == cli.EXIT_PASS
-    assert len(calls) == 8
+    return calls
+
+
+@pytest.mark.parametrize("model", ["lazy", "skewed"])
+def test_verify_certifies_from_the_suites_free_sweep(monkeypatch, model):
+    # the polyharmonic certification reads the suite's float free sweep:
+    # no sweep beyond the suite's 5
+    calls = _count_sweeps(monkeypatch)
+    argv = ["verify", "--model", model, "--horizon", "256", "--check-polyharmonic"]
+    assert _run(argv) == cli.EXIT_PASS
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize(
@@ -219,12 +237,48 @@ def test_verify_reports_check_horizons(capsys):
     rc = _run(["verify", "--model", "lazy", "--horizon", "300"])
     lines = capsys.readouterr().out.splitlines()
     assert rc == cli.EXIT_PASS
+    # every exact check at the full horizon, with its primes and false-pass bound
+    bound = "at N=300, 3 primes, false pass <= (floor(611/23)/504756)^3 = 1.4e-13"
     for line in lines:
-        if line.startswith(("duality(", "leftcont")):
-            assert line.endswith("at N=256")
-        if line.startswith(("spitzer(rational)", "spitzer(float)")):
+        if line.startswith(("spitzer(rational)", "duality(", "leftcont")):
+            assert line.endswith("PASS  residual 0 " + bound)
+        if line.startswith("spitzer(float)"):
             assert line.endswith("at N=300")
-    assert sum("at N=" in line for line in lines) == 6
+        if line.startswith("tau0 ladder"):
+            assert line.endswith(" on n=64..300")
+    assert sum("at N=300" in line for line in lines) == 6
+
+
+def test_verify_runs_every_exact_check_at_2048(capsys):
+    t0 = time.perf_counter()
+    rc = _run(["verify", "--model", "skewed", "--horizon", "2048"])
+    elapsed = time.perf_counter() - t0
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == cli.EXIT_PASS
+    exact = [ln for ln in lines if ln.startswith(("spitzer(rational)", "duality(", "leftcont"))]
+    assert len(exact) == 5 and all("residual 0 at N=2048, 3 primes" in ln for ln in exact)
+    assert elapsed < 2.0
+
+
+def test_errors_csv_is_the_csv_writer_file(tmp_path):
+    # errors.csv is written with one format per row; its bytes are those of
+    # csv.writer on the _fmt'd fields
+    from fluctuator import tau0
+
+    N = 256
+    assert _run(["expand", "tau0", "--model", "skewed", "--horizon", str(N),
+                 "--out-dir", str(tmp_path)]) == cli.EXIT_PASS
+    law = walk.skewed_walk()
+    coeffs = tau0.tau0_coeffs(law, N=N)
+    truth = oracle.tau_tail(law, 0, N, mode="float")
+    approx = [tau0.evaluate_tau0(coeffs, N, t) for t in (1, 2, 3)]
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["n", "dp", "approx_1", "approx_2", "approx_3", "err_1", "err_2", "err_3"])
+    for n in range(1, N + 1):
+        w.writerow([n, cli._fmt(truth[n])] + [cli._fmt(a[n]) for a in approx]
+                   + [cli._fmt(abs(truth[n] - a[n])) for a in approx])
+    assert (tmp_path / "errors.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_determinism(tmp_path):

@@ -119,12 +119,12 @@ def _mean_zero_laws(draw):
 @given(law=_mean_zero_laws(), N=st.integers(1, 40))
 def test_identity_suite_matches_the_single_checks(law, N):
     ids = oracle.identity_suite(law, N)
-    assert ids.n_sp == ids.n_dual == N
-    assert ids.spitzer == oracle.spitzer_check(law, N, mode="rational") == 0
+    # the residue checks pass where the rational checks find no defect
+    assert ids.spitzer is False and oracle.spitzer_check(law, N, mode="rational") == 0
     for x, d in enumerate(ids.duality, 1):
-        assert d == oracle.duality_check(law, x, N) == 0
+        assert d is False and oracle.duality_check(law, x, N) == 0
     if law.tag.left_continuous:
-        assert ids.leftcont == oracle.leftcont_check(law, 3, N) == 0
+        assert ids.leftcont is False and oracle.leftcont_check(law, 3, N) == 0
     else:
         assert ids.leftcont is None
     # bit-equal floats: the same sweeps read the same way
@@ -132,6 +132,89 @@ def test_identity_suite_matches_the_single_checks(law, N):
     delta, _ = oracle.delta_table(law, N)
     assert np.array_equal(ids.delta, delta)
     assert np.array_equal(ids.tau0_tail, oracle.tau_tail(law, 0, N, mode="float"))
+
+
+def _plant(n0: int, unit: int = 1):
+    """Patch oracle._reduce so that every sweep it reads is off by `unit` at
+    n = n0, in rational, float and residue mode alike."""
+    reduce = oracle._reduce
+
+    def perturbed(*args, **kwargs):
+        vals, dens = reduce(*args, **kwargs)
+        vals[n0] += unit
+        return vals, dens
+
+    return perturbed
+
+
+@pytest.mark.parametrize("N, n0", [(600, 3), (600, 590)])
+def test_residue_suite_sees_one_unit_past_the_old_caps(monkeypatch, lazy, skewed, N, n0):
+    # mod-p twin of test_identity_suite_sees_one_unit at horizons the
+    # rational checks were capped below (512 for Spitzer, 256 for the rest)
+    monkeypatch.setattr(oracle, "_reduce", _plant(n0))
+    for law in (lazy, skewed):
+        ids = oracle.identity_suite(law, N)
+        assert len(ids.primes) == oracle.RESIDUE_PRIMES
+        assert ids.spitzer is True
+        assert ids.duality == (True, True, True)
+        assert ids.leftcont is True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    law=_mean_zero_laws(),
+    N=st.integers(1, 40),
+    plant=st.none() | st.tuples(st.integers(0, 40), st.sampled_from([-2, -1, 1, 3])),
+)
+def test_residue_suite_fails_exactly_when_the_rational_checks_do(law, N, plant):
+    # with or without a planted defect, a residue check fails exactly when
+    # its rational single check finds a nonzero defect
+    with pytest.MonkeyPatch.context() as mp:
+        if plant is not None:
+            mp.setattr(oracle, "_reduce", _plant(min(plant[0], N), plant[1]))
+        ids = oracle.identity_suite(law, N)
+        assert ids.spitzer == (oracle.spitzer_check(law, N, mode="rational") != 0)
+        for x, d in enumerate(ids.duality, 1):
+            assert d == (oracle.duality_check(law, x, N) != 0)
+        if law.tag.left_continuous:
+            assert ids.leftcont == (oracle.leftcont_check(law, 3, N) != 0)
+
+
+def test_residue_primes_skip_the_law_denominator(monkeypatch):
+    # D is the first prime above 2^23, and the draw range is cut to the
+    # four primes 8388617 (D), 8388619, 8388623, 8388637: the draw takes the
+    # three that are not D (modulo D every check would pass), and the planted
+    # unit is still caught
+    D = 8388617
+    law = walk.LatticeLaw({-1: Fraction(3, D), 0: Fraction(D - 6, D), 1: Fraction(3, D)})
+    assert oracle._unit(law, True) == D
+    monkeypatch.setattr(oracle, "_prime_pool", lambda N, D: (8388638, 3))
+    ids = oracle.identity_suite(law, 40)
+    assert sorted(ids.primes) == [8388619, 8388623, 8388637]
+    assert not (ids.spitzer or any(ids.duality) or ids.leftcont)
+    monkeypatch.setattr(oracle, "_reduce", _plant(7))
+    ids = oracle.identity_suite(law, 40)
+    assert ids.spitzer and all(ids.duality) and ids.leftcont
+
+
+def test_residue_suite_takes_a_denominator_past_int64(monkeypatch):
+    # D > 2^63: the kernel D p mod q differs from prime to prime
+    D = (1 << 70) + 25
+    law = walk.LatticeLaw({-1: Fraction(3, D), 0: Fraction(D - 6, D), 1: Fraction(3, D)})
+    ids = oracle.identity_suite(law, 40)
+    assert not (ids.spitzer or any(ids.duality) or ids.leftcont)
+    monkeypatch.setattr(oracle, "_reduce", _plant(7))
+    ids = oracle.identity_suite(law, 40)
+    assert ids.spitzer and all(ids.duality) and ids.leftcont
+
+
+def test_residue_primes_are_deterministic_and_refused_past_int64(lazy, skewed):
+    # seeded from the law's atoms: the same primes on every run, whatever N
+    assert oracle.identity_suite(lazy, 20).primes == oracle.identity_suite(lazy, 64).primes
+    assert oracle.identity_suite(lazy, 20).primes != oracle.identity_suite(skewed, 20).primes
+    # past N + 1 = 2^17 no prime above 2^23 keeps a series product in int64
+    with pytest.raises(oracle.ResourceCapExceeded):
+        oracle._draw_primes(lazy, 1 << 17, 4)
 
 
 def test_leftcont_rejects_big_down_jumps(skewed):
