@@ -1,5 +1,5 @@
 """Report the V_j ladder and its polyharmonicity defects for a model:
-V_1, V_2 values, (P - I)^k defects, the (P - I)V_2 = c V_1 identity, and the
+V_1, V_2 values, (P - I)^k defects, the (P - I)V_2 = V_1 identity, and the
 asymptotic polynomial tail fit.
 
 Usage: python scripts/polyharmonic_report.py [--model lazy] [--x-max 40]
@@ -29,7 +29,6 @@ def main() -> None:
     for x in range(0, args.x_max + 1, max(args.x_max // 10, 1)):
         print(f"{x:<3d} {lad[1][x]:<19.12g} {lad[2][x]:.12g}")
 
-    print(f"(P-I)V_2 = c V_1 with c = {cert.sign:+d}")
     for c in cert.checks:
         verdict = "PASS" if c.passed else "FAIL"
         print(f"{c.name:<24} {verdict}  {c.measure} {c.value:.3e} (limit {c.limit:g})")

@@ -21,12 +21,12 @@ import mpmath as mp
 import numpy as np
 
 __all__ = [
-    "BinomSeq",
     "BasisConversion",
     "FitDiagnosticError",
     "a_seq",
     "a_float",
     "a_value",
+    "a_value_mp",
     "tail_sum",
     "weighted_tail_sum",
     "power_to_shifted_basis",
@@ -35,20 +35,6 @@ __all__ = [
 
 class FitDiagnosticError(RuntimeError):
     """Raised when a basis-conversion fit fails its residual-decay check."""
-
-
-@dataclass(frozen=True)
-class BinomSeq:
-    """Exact rational prefix of the sequence a_n^(j), n = 0..N."""
-
-    j: int
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -65,7 +51,7 @@ class BasisConversion:
     residual_decay_exponent: float
 
 
-def a_seq(j: int, N: int) -> BinomSeq:
+def a_seq(j: int, N: int) -> tuple[Fraction, ...]:
     """Exact rationals a_n^(j) for n = 0..N via the stable ratio recurrence.
 
     a_n = a_{n-1} * (n - j + 1/2) / n, a_0 = 1.
@@ -77,7 +63,7 @@ def a_seq(j: int, N: int) -> BinomSeq:
     vals = [Fraction(1)]
     for n in range(1, N + 1):
         vals.append(vals[-1] * Fraction(2 * (n - j) + 1, 2 * n))
-    return BinomSeq(j=j, values=tuple(vals))
+    return tuple(vals)
 
 
 @lru_cache(maxsize=64)

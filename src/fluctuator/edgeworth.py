@@ -42,6 +42,8 @@ __all__ = [
 # is discontinuous; we take the right limit, which is the convention that
 # reproduces the exact symmetric-walk identity Delta_n = -p_n(0)/2.
 S1_AT_ZERO = Fraction(1, 2)
+# horizon of the DP that delta_coeffs' fit mode regresses on
+DELTA_FIT_N = 1 << 12
 
 
 class MissingCumulant(ValueError):
@@ -363,20 +365,16 @@ def _theta_to_ab(t1: float, t2: float) -> tuple[float, float]:
     return A, B
 
 
-def delta_coeffs(
-    law: LatticeLaw,
-    mode: str = "fit",
-    N_fit: int = 1 << 12,
-) -> CdfExpansionAtZero:
+def delta_coeffs(law: LatticeLaw, mode: str = "fit") -> CdfExpansionAtZero:
     """First two correction coefficients of Delta_n / n in the shifted
     a-basis.
 
     fit mode (default) regresses exact DP values of Delta_n / n on
     {a_(n-1)^(2), a_(n-1)^(3)} with a nuisance a_(n-1)^(4) column over a
-    geometric grid in [N_fit/8, N_fit]; analytic mode assembles the same
-    numbers from Edgeworth terms at zero plus lattice corrections.  The fit
-    is convention-free ground truth; the analytic value depends on the
-    S_1(0) jump convention.
+    geometric grid in [DELTA_FIT_N/8, DELTA_FIT_N]; analytic mode assembles
+    the same numbers from Edgeworth terms at zero plus lattice corrections.
+    The fit is convention-free ground truth; the analytic value depends on
+    the S_1(0) jump convention.
     """
     law.require_expansion_ready()
     if mode == "analytic":
@@ -388,8 +386,8 @@ def delta_coeffs(
         )
     if mode != "fit":
         raise ValueError("mode must be 'fit' or 'analytic'")
-    deltas, _ = oracle.delta_table(law, N_fit)
-    grid = basis._geometric_grid(max(8, N_fit // 8), N_fit, 28)
+    deltas, _ = oracle.delta_table(law, DELTA_FIT_N)
+    grid = basis._geometric_grid(max(8, DELTA_FIT_N // 8), DELTA_FIT_N, 28)
     cols = [2, 3, 4]
     with mp.workdps(40):
         Amat = mp.matrix(len(grid), len(cols))
@@ -410,7 +408,7 @@ def delta_coeffs(
         t1, t2 = float(sol[0]), float(sol[1])
 
         # decay of what is left after removing the two fitted terms
-        diag = basis._geometric_grid(max(8, N_fit // 64), N_fit, 24)
+        diag = basis._geometric_grid(max(8, DELTA_FIT_N // 64), DELTA_FIT_N, 24)
         ln, lr = [], []
         for n in diag:
             resid = abs(

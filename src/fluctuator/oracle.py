@@ -44,6 +44,8 @@ __all__ = [
     "identity_suite",
     "mc_tau_tail",
     "series_tail_sum",
+    "ladder_heights",
+    "ladder_renewal",
 ]
 
 # DP states one sweep frame may hold
@@ -84,13 +86,8 @@ class PmfFrame:
 
 
 @dataclass(frozen=True)
-class SurvivalFrame:
-    n: int
-    mass: dict[int, Fraction]
+class SurvivalFrame(PmfFrame):
     killed_to_date: Fraction
-
-    def prob(self, x: int) -> Fraction:
-        return self.mass.get(x, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -609,13 +606,12 @@ def _leftcont_gap(x: int, p: np.ndarray, Tx: np.ndarray, den: np.ndarray, D, rin
     return ring.reduce(R, n * den[..., 1:])
 
 
-def spitzer_check(law: LatticeLaw, N: int, mode: str = "rational"):
-    """Max defect of Spitzer's factorization up to N (`_spitzer_gap`).  The
-    factorization is exact, so the rational-mode defect is identically zero."""
-    exact = mode != "float"
-    below, den = _reduce(law, N, _upto_zero, exact=exact)
-    T, _ = _reduce(law, N, _total, floor=1, exact=exact)
-    return _spitzer_gap(below, T, den, _unit(law, exact), _PLAIN)
+def spitzer_check(law: LatticeLaw, N: int) -> Fraction:
+    """Exact max defect of Spitzer's factorization up to N (`_spitzer_gap`).
+    The factorization is exact, so the defect is identically zero."""
+    below, den = _reduce(law, N, _upto_zero)
+    T, _ = _reduce(law, N, _total, floor=1)
+    return _spitzer_gap(below, T, den, _unit(law, True), _PLAIN)
 
 
 def leftcont_check(law: LatticeLaw, x_max: int, N: int):
@@ -635,16 +631,15 @@ def leftcont_check(law: LatticeLaw, x_max: int, N: int):
     return worst
 
 
-def duality_check(law: LatticeLaw, x: int, N: int, mode: str = "rational"):
-    """Coefficient-wise defect of the first-passage duality factorization
-    (`_duality_gap`), with Btilde built from the reversed walk under strict
-    killing."""
+def duality_check(law: LatticeLaw, x: int, N: int) -> Fraction:
+    """Exact coefficient-wise defect of the first-passage duality
+    factorization (`_duality_gap`), with Btilde built from the reversed walk
+    under strict killing."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    exact = mode != "float"
-    F, _ = _reduce(law.reverse(), N, partial(_below, [x]), 0, 0, exact)
-    T0, _ = _reduce(law, N, _total, 0, 1, exact)
-    Tx, den = _reduce(law, N, _total, x, 1, exact)
+    F, _ = _reduce(law.reverse(), N, partial(_below, [x]), 0, 0)
+    T0, _ = _reduce(law, N, _total, 0, 1)
+    Tx, den = _reduce(law, N, _total, x, 1)
     return _duality_gap(F[:, 0], T0, Tx, den, _PLAIN)
 
 

@@ -45,6 +45,10 @@ __all__ = [
     "poly_tail_fit",
 ]
 
+# poly_tail_fit passes when its last-quartile residuals stay below this
+# fraction of the function scale
+POLY_TAIL_REL_TOL = 1e-3
+
 
 class DomainGap(ValueError):
     """Operator application needs function values outside the given window."""
@@ -163,19 +167,15 @@ def polyharm_defect(
 
 
 def v2_identity_residual(
-    law: LatticeLaw, ladder: VLadder, x_window: tuple[int, int]
-) -> tuple[int, float]:
-    """Auto-detect the sign c in (P - I)V_2 = c V_1 and return
-    (c, sup-norm relative residual over the window)."""
+    step_v2: np.ndarray, v1: np.ndarray, x_window: tuple[int, int]
+) -> float:
+    """Sup-norm relative residual of (P - I)V_2 = V_1 over the window, from
+    step_v2 = killed_step(law, V_2) and V_1."""
     lo, hi = x_window
-    if hi + max(law.support) > ladder.x_max:
+    if hi >= step_v2.size:
         raise DomainGap("ladder window too small for the operator step")
-    lhs = killed_step(law, ladder[2])[lo : hi + 1]
-    rhs = ladder[1][lo : hi + 1]
-    c = 1 if float(np.dot(lhs, rhs)) >= 0 else -1
-    scale = float(np.max(np.abs(rhs)))
-    resid = float(np.max(np.abs(lhs - c * rhs))) / scale
-    return c, resid
+    rhs = v1[lo : hi + 1]
+    return float(np.max(np.abs(step_v2[lo : hi + 1] - rhs))) / float(np.max(np.abs(rhs)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,6 @@ class PolyCheck:
 class Certificate:
     ladder: VLadder  # V_1..V_J on x = 0..x_max plus the operator headroom
     checks: tuple[PolyCheck, ...]
-    sign: int | None  # c in (P - I)V_2 = c V_1, for J >= 2
 
 
 def ladder_reach(law: LatticeLaw, x_max: int, J: int) -> int:
@@ -210,7 +209,7 @@ def certify(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> Certifica
     """V_1..V_J and their polyharmonic checks on the window x = 1..x_max:
 
       polyharmonic V1           sup |(P - I)V_1|                          <= 1e-6
-      polyharmonic V2 identity  relative residual of (P - I)V_2 = c V_1  <= 1e-2
+      polyharmonic V2 identity  relative residual of (P - I)V_2 = V_1    <= 1e-2
       polyharmonic V2 (P-I)^2   sup |(P - I)^2 V_2| / sup |V_2|          <= 1e-2
 
     (the V_2 checks for J >= 2) on the ladder up to `ladder_reach`.  free is
@@ -220,10 +219,10 @@ def certify(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> Certifica
     window = (1, x_max)
     d1 = polyharm_defect(law, ladder[1], 1, window)
     checks = [PolyCheck("polyharmonic V1", "harmonic_defect_V1", "defect", d1, 1e-6)]
-    sign = None
     if J >= 2:
-        sign, resid = v2_identity_residual(law, ladder, window)
-        d2 = polyharm_defect(law, ladder[2], 2, window)
+        step_v2 = killed_step(law, ladder[2])  # (P - I)V_2, read by both V_2 checks
+        resid = v2_identity_residual(step_v2, ladder[1], window)
+        d2 = polyharm_defect(law, step_v2, 1, window)
         rel = d2 / float(np.max(np.abs(ladder[2][1 : x_max + 1])))
         checks += [
             PolyCheck("polyharmonic V2 identity", "v2_identity_residual", "residual", resid, 1e-2),
@@ -231,18 +230,14 @@ def certify(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> Certifica
                 "polyharmonic V2 (P-I)^2", "biharmonic_defect_V2_rel", "relative defect", rel, 1e-2
             ),
         ]
-    return Certificate(ladder=ladder, checks=tuple(checks), sign=sign)
+    return Certificate(ladder=ladder, checks=tuple(checks))
 
 
-def poly_tail_fit(
-    xs: np.ndarray,
-    values: np.ndarray,
-    degree: int,
-    rel_tol: float = 1e-3,
-) -> PolyTailFit:
+def poly_tail_fit(xs: np.ndarray, values: np.ndarray, degree: int) -> PolyTailFit:
     """Least-squares polynomial of the given degree on the upper half of the
-    grid; PASS when last-quartile residuals stay below rel_tol times the
-    function scale (V_k = polynomial + exponentially small correction)."""
+    grid; PASS when last-quartile residuals stay below POLY_TAIL_REL_TOL
+    times the function scale (V_k = polynomial + exponentially small
+    correction)."""
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.size < 4 * (degree + 2):
@@ -257,7 +252,7 @@ def poly_tail_fit(
     resid = fit_v - cols @ coef_scaled
     scale = float(np.max(np.abs(fit_v)))
     last_q = resid[-(resid.size // 4) :]
-    passed = bool(np.max(np.abs(last_q)) <= rel_tol * scale)
+    passed = bool(np.max(np.abs(last_q)) <= POLY_TAIL_REL_TOL * scale)
     return PolyTailFit(
         degree=degree, coefficients=coef, residuals=resid, xs=fit_x, passed=passed
     )

@@ -13,7 +13,7 @@ Criterion map (one test per numbered criterion):
      continuous law P(tau_0 > n) = a_n^(1)
   5  conditioned-walk one-term ladder error exponent
   6  fit-mode vs analytic-mode theta_1 cross-validation
-  7  polyharmonicity of V_1 and the (P - I)V_2 = c V_1 identity (lazy)
+  7  polyharmonicity of V_1 and the (P - I)V_2 = V_1 identity (lazy)
   8  left-continuous closed form vs duality assembly vs DP ratio (skewed)
   9  polynomial tail structure of V_1, V_2 plus synthetic recovery
   10 half-power series invariants on randomized tagged inputs
@@ -75,16 +75,16 @@ def lad_skewed(skewed):
 
 def test_criterion_1a_difference_law():
     for j in range(1, 7):
-        a_j = basis.a_seq(j, 200).values
-        a_j1 = basis.a_seq(j + 1, 200).values
+        a_j = basis.a_seq(j, 200)
+        a_j1 = basis.a_seq(j + 1, 200)
         for n in range(1, 201):
             assert a_j[n] - a_j[n - 1] == a_j1[n]
 
 
 def test_criterion_1b_spitzer(lazy, skewed):
     for law in (lazy, skewed):
-        assert oracle.spitzer_check(law, 100, mode="rational") == 0
-        assert oracle.spitzer_check(law, 100, mode="float") <= 1e-12
+        assert oracle.spitzer_check(law, 100) == 0
+        assert oracle.identity_suite(law, 100).spitzer_float <= 1e-12
 
 
 def test_criterion_1c_leftcont(skewed):
@@ -194,7 +194,7 @@ def test_criterion_6_theta_modes(lazy, skewed):
 def test_criterion_7_polyharmonic(lazy, lad_lazy):
     window = (1, 30)
     assert ph.polyharm_defect(lazy, lad_lazy[1], 1, window) <= 1e-6
-    sign, resid = ph.v2_identity_residual(lazy, lad_lazy, window)
+    resid = ph.v2_identity_residual(ph.killed_step(lazy, lad_lazy[2]), lad_lazy[1], window)
     assert resid <= 1e-2
     d2 = ph.polyharm_defect(lazy, lad_lazy[2], 2, window)
     scale = float(np.abs(lad_lazy[2][window[0] : window[1] + 1]).max())
@@ -224,7 +224,7 @@ def test_criterion_8_leftcont_vs_ladder(skewed, lad_skewed):
 def test_criterion_9_polynomial_tails(lad_skewed):
     xs = np.arange(1, 41)
     for j, degree in ((1, 1), (2, 3)):
-        fit = ph.poly_tail_fit(xs, lad_skewed[j][1:41], degree, rel_tol=1e-3)
+        fit = ph.poly_tail_fit(xs, lad_skewed[j][1:41], degree)
         assert fit.passed, f"V_{j} residuals exceed 1e-3 of scale"
 
 

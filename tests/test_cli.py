@@ -5,6 +5,7 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,25 +261,58 @@ def test_verify_runs_every_exact_check_at_2048(capsys):
     assert elapsed < 2.0
 
 
-def test_errors_csv_is_the_csv_writer_file(tmp_path):
-    # errors.csv is written with one format per row; its bytes are those of
-    # csv.writer on the _fmt'd fields
-    from fluctuator import tau0
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The reference bytes of a CSV artifact: csv.writer on the fields, each
+    float as f"{x:.17g}"."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode()
 
-    N = 256
+
+def test_errors_csv_is_the_csv_writer_file(tmp_path):
+    # every CSV artifact is written with one printf format per row; its
+    # bytes are those of csv.writer on the 17-digit fields
+    from fluctuator import conditioned, tau0
+
+    N, x_max = 256, 3
+    law = walk.skewed_walk()
     assert _run(["expand", "tau0", "--model", "skewed", "--horizon", str(N),
                  "--out-dir", str(tmp_path)]) == cli.EXIT_PASS
-    law = walk.skewed_walk()
     coeffs = tau0.tau0_coeffs(law, N=N)
     truth = oracle.tau_tail(law, 0, N, mode="float")
     approx = [tau0.evaluate_tau0(coeffs, N, t) for t in (1, 2, 3)]
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(["n", "dp", "approx_1", "approx_2", "approx_3", "err_1", "err_2", "err_3"])
-    for n in range(1, N + 1):
-        w.writerow([n, cli._fmt(truth[n])] + [cli._fmt(a[n]) for a in approx]
-                   + [cli._fmt(abs(truth[n] - a[n])) for a in approx])
-    assert (tmp_path / "errors.csv").read_bytes() == buf.getvalue().encode()
+    rows = [[n, truth[n], *(a[n] for a in approx), *(abs(truth[n] - a[n]) for a in approx)]
+            for n in range(1, N + 1)]
+    header = ["n", "dp", "approx_1", "approx_2", "approx_3", "err_1", "err_2", "err_3"]
+    assert (tmp_path / "errors.csv").read_bytes() == _csv_writer_bytes(header, rows)
+
+    for mode in ("rational", "float"):
+        out = tmp_path / mode
+        assert _run(["oracle", "--model", "skewed", "--x", "2", "--horizon", str(N),
+                     "--mode", mode, "--out-dir", str(out)]) == cli.EXIT_PASS
+        tail = oracle.tau_tail(law, 2, N, mode=mode)
+        if mode == "rational":
+            want = _csv_writer_bytes(["n", "value", "rational"],
+                                     [[n, float(v), str(v)] for n, v in enumerate(tail)])
+        else:
+            want = _csv_writer_bytes(["n", "value"], enumerate(tail))
+        assert (out / "oracle_tau2.csv").read_bytes() == want
+
+    out = tmp_path / "local"
+    assert _run(["expand", "local", "--model", "skewed", "--horizon", str(N), "--x-max",
+                 str(x_max), "--out-dir", str(out)]) == cli.EXIT_PASS
+    ws = conditioned.make_workspace(law, x_max=x_max, N=N)
+    ladder = conditioned.q_ladder(ws, L=3, strict=False)
+    n_grid = np.unique(np.geomspace(32, N, 60).astype(int))
+    rows = []
+    for x in range(1, x_max + 1):
+        res = conditioned.u_expansion_eval(ws, ladder, x, n_grid, J=2)
+        rows += zip(n_grid, [x] * n_grid.size, res["truth"], res["approx"], res["error"])
+    want = _csv_writer_bytes(["n", "x", "dp", "approx", "err"], rows)
+    assert (out / "local_errors.csv").read_bytes() == want
 
 
 def test_determinism(tmp_path):
@@ -329,6 +363,27 @@ def test_taux_and_verify_certify_alike(tmp_path, capsys):
     ):
         line = next(ln for ln in lines if ln.startswith(name + " "))
         assert line.endswith(f"PASS  {measure} {checks[key]['value']:.3e}")
+
+
+def test_verify_reports_the_exact_checks_when_certification_fails(tmp_path, capsys):
+    # P(X = 1) = P(X = -1) = 2^-70: at N = 64 the psi tail closure cannot
+    # extrapolate, so the tau0 ladder and the certification fail, and the
+    # polyharmonic report still carries every line of plain verify
+    model = tmp_path / "tiny.json"
+    model.write_text(json.dumps({"atoms": {
+        "-1": "1/1180591620717411303424",
+        "0": "590295810358705651711/590295810358705651712",
+        "1": "1/1180591620717411303424",
+    }}))
+    argv = ["verify", "--model", str(model), "--horizon", "64", "--x-max", "2"]
+    assert _run(argv) == cli.EXIT_CHECK_FAILED
+    plain = capsys.readouterr().out.splitlines()
+    assert _run(argv + ["--check-polyharmonic"]) == cli.EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert len(plain) == 7 and lines[:-1] == plain
+    assert sum("PASS" in line for line in plain) == 6
+    assert lines[-1].split()[:2] == ["polyharmonic", "FAIL"]
+    assert "remainder decay exponent" in lines[-1]
 
 
 def test_verify_smallest_horizon_fits_the_decay_ladder(capsys):

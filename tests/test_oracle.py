@@ -47,9 +47,9 @@ def test_tau_tail_monotone_and_exact_mode(lazy):
 
 
 def test_identity_checkers(lazy, skewed):
-    assert oracle.spitzer_check(lazy, 64, mode="rational") == 0
-    assert oracle.spitzer_check(skewed, 64, mode="rational") == 0
-    assert oracle.spitzer_check(lazy, 256, mode="float") < 1e-13
+    assert oracle.spitzer_check(lazy, 64) == 0
+    assert oracle.spitzer_check(skewed, 64) == 0
+    assert oracle.identity_suite(lazy, 256).spitzer_float < 1e-13
     assert oracle.leftcont_check(lazy, 4, 64) == 0
     for law in (lazy, skewed):
         for x in (1, 3):
@@ -68,7 +68,7 @@ def test_identity_checks_see_one_unit(monkeypatch, lazy, skewed):
 
     monkeypatch.setattr(oracle, "_reduce", perturbed)
     for law in (lazy, skewed):
-        assert oracle.spitzer_check(law, 16, mode="rational") > 0
+        assert oracle.spitzer_check(law, 16) > 0
         assert oracle.duality_check(law, 2, 16) > 0
         assert oracle.leftcont_check(law, 2, 16) > 0
         assert oracle.recurrence_gap(law, 5, x=2) != 0
@@ -88,6 +88,7 @@ def test_identity_suite_sees_one_unit(monkeypatch, lazy, skewed):
     for law in (lazy, skewed):
         ids = oracle.identity_suite(law, 16)
         assert ids.spitzer > 0
+        assert ids.spitzer_float > 0.1  # P(tau_0 > 3) is off by 1
         assert all(d > 0 for d in ids.duality)
         assert ids.leftcont > 0
 
@@ -102,7 +103,7 @@ def test_worst_reads_the_nonzero_entries():
 
 @st.composite
 def _mean_zero_laws(draw):
-    """Mean-zero rational laws on [-3, 3]."""
+    """Rational mean-zero laws on [-3, 3] with jumps both ways."""
     w = {v: draw(st.integers(0, 4)) for v in (-3, -2, -1, 1, 2, 3)}
     for side in (-1, 1):
         if not any(c for v, c in w.items() if v * side > 0):
@@ -120,15 +121,16 @@ def _mean_zero_laws(draw):
 def test_identity_suite_matches_the_single_checks(law, N):
     ids = oracle.identity_suite(law, N)
     # the residue checks pass where the rational checks find no defect
-    assert ids.spitzer is False and oracle.spitzer_check(law, N, mode="rational") == 0
+    assert ids.spitzer is False and oracle.spitzer_check(law, N) == 0
     for x, d in enumerate(ids.duality, 1):
         assert d is False and oracle.duality_check(law, x, N) == 0
     if law.tag.left_continuous:
         assert ids.leftcont is False and oracle.leftcont_check(law, 3, N) == 0
     else:
         assert ids.leftcont is None
-    # bit-equal floats: the same sweeps read the same way
-    assert ids.spitzer_float == oracle.spitzer_check(law, N, mode="float")
+    # the float Spitzer gap sits at rounding level, on the float sweeps that
+    # are bit-equal to the public tables
+    assert 0 <= ids.spitzer_float < 1e-12
     delta, _ = oracle.delta_table(law, N)
     assert np.array_equal(ids.delta, delta)
     assert np.array_equal(ids.tau0_tail, oracle.tau_tail(law, 0, N, mode="float"))
@@ -173,7 +175,7 @@ def test_residue_suite_fails_exactly_when_the_rational_checks_do(law, N, plant):
         if plant is not None:
             mp.setattr(oracle, "_reduce", _plant(min(plant[0], N), plant[1]))
         ids = oracle.identity_suite(law, N)
-        assert ids.spitzer == (oracle.spitzer_check(law, N, mode="rational") != 0)
+        assert ids.spitzer == (oracle.spitzer_check(law, N) != 0)
         for x, d in enumerate(ids.duality, 1):
             assert d == (oracle.duality_check(law, x, N) != 0)
         if law.tag.left_continuous:
@@ -327,7 +329,7 @@ def test_propagator_reductions_random_laws(law, N, x, strict):
     frames = oracle.conditioned_pmf(law, N, strict=strict)
     want = [[float(f.prob(y)) for y in range(5)] for f in frames]
     np.testing.assert_allclose(table[1:], want, rtol=1e-13, atol=0)
-    assert oracle.spitzer_check(law, N, mode="rational") == 0
+    assert oracle.spitzer_check(law, N) == 0
     assert oracle.duality_check(law, x, N) == 0
     assert oracle.recurrence_gap(law, min(N, 8), x=x + 1, strict=strict) == 0
     if law.tag.left_continuous:
@@ -359,21 +361,6 @@ def test_delta_table_guards_the_span(monkeypatch, lazy):
     monkeypatch.setattr(oracle, "_sweep", no_sweep)
     with pytest.raises(oracle.ResourceCapExceeded):
         oracle.delta_table(lazy, 64, xs=(0, 1 << 30))
-
-
-@st.composite
-def _mean_zero_laws(draw):
-    """Rational mean-zero laws on [-3, 3] with jumps both ways."""
-    w = {v: draw(st.integers(0, 4)) for v in (-3, -2, -1, 1, 2, 3)}
-    for side in (-1, 1):
-        if not any(w[v] for v in w if v * side > 0):
-            w[side] = 1
-    left = sum(-v * c for v, c in w.items() if v < 0)
-    right = sum(v * c for v, c in w.items() if v > 0)
-    weights = {v: c * (right if v < 0 else left) for v, c in w.items() if c}
-    weights[0] = draw(st.integers(0, 4)) * (left + right)
-    total = sum(weights.values())
-    return walk.LatticeLaw({v: Fraction(c, total) for v, c in weights.items() if c})
 
 
 def _full_width_frames(law, N, start, floor):
@@ -439,11 +426,25 @@ def test_live_window_skips_the_underflowed_tails(monkeypatch, skewed):
     N=st.integers(0, 40),
     start=st.integers(-5, 8),
     floor=st.one_of(st.none(), st.integers(-4, 9)),
-    exact=st.booleans(),
+    mode=st.sampled_from(["float", "exact", "residues"]),
+    stack=st.integers(0, 3),
 )
-def test_widest_frame_is_known_before_the_sweep(law, N, start, floor, exact):
-    widths = [alive.size for _, _, alive, _, _ in oracle._sweep(law, N, start, floor, exact)]
-    assert oracle._widest(law, N, start, floor) == max(widths)
+def test_widest_frame_is_known_before_the_sweep(law, N, start, floor, mode, stack):
+    # stack > 0: a residue sweep of the starts start..start + stack on one
+    # state grid, whose frames span every walk of the stack
+    exact = {"float": False, "exact": True, "residues": oracle._Residues((8388617, 8388619))}
+    starts = range(start, start + stack + 1) if stack and mode == "residues" else start
+    guarded = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_guard", guarded.append)
+        frames = list(oracle._sweep(law, N, starts, floor, exact[mode]))
+    widths = [len(alive) for _, _, alive, _, _ in frames]
+    klo, khi = law.support[0], law.support[-1]
+    if isinstance(starts, int):
+        assert oracle._widest(law, N, start, floor) == max(widths)
+        assert guarded == [max(khi - klo + 1, max(widths))]
+    else:
+        assert len(guarded) == 1 and guarded[0] >= max(widths)
 
 
 def test_oversized_sweep_refused_before_its_first_frame(lazy):

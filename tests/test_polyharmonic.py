@@ -1,6 +1,8 @@
 """V_j ladder, killed operator, polyharmonicity defects, and polynomial
 tail structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,11 +45,32 @@ def test_v1_harmonic(lazy, skewed, lad_lazy, lad_skewed):
 
 
 def test_v2_biharmonic_and_identity(lazy, lad_lazy):
-    sign, resid = ph.v2_identity_residual(lazy, lad_lazy, WIN)
+    resid = ph.v2_identity_residual(ph.killed_step(lazy, lad_lazy[2]), lad_lazy[1], WIN)
     assert resid < 1e-2
     d2 = ph.polyharm_defect(lazy, lad_lazy[2], 2, WIN)
     scale = np.abs(lad_lazy[2][WIN[0] : WIN[1] + 1]).max()
     assert d2 / scale < 1e-4
+
+
+def test_certify_fails_a_negated_v2(monkeypatch, lazy):
+    # (P - I)V_2 = V_1 holds with the sign fixed at +1: a ladder with V_2
+    # negated fails the identity, while the sign-blind biharmonic check and
+    # the V_1 check still pass
+    v_ladder = ph.v_ladder
+
+    def negated(*args, **kwargs):
+        lad = v_ladder(*args, **kwargs)
+        V = lad.V.copy()
+        V[1] *= -1
+        return dataclasses.replace(lad, V=V)
+
+    monkeypatch.setattr(ph, "v_ladder", negated)
+    cert = ph.certify(lazy, WIN[1], 2, 1 << 10)
+    assert {c.name: c.passed for c in cert.checks} == {
+        "polyharmonic V1": True,
+        "polyharmonic V2 identity": False,
+        "polyharmonic V2 (P-I)^2": True,
+    }
 
 
 def test_v1_matches_dp_ratio(skewed, lad_skewed):
