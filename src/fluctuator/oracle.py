@@ -56,8 +56,8 @@ TABLE_CELL_CAP = 1 << 24
 ROOT_DEGREE_CAP = 1024
 # identity_suite's exact checks run modulo this many primes from (2^23, 2^24)
 RESIDUE_PRIMES = 3
-# smallest normal double: float sweeps skip the states below it
-_TINY = np.finfo(float).tiny
+# live-window floor of the float sweeps: they skip the states below it
+_TINY = 2.0**-120
 _I64 = (1 << 63) - 1
 _Q_LO = 1 << 23  # residue primes lie above this
 _ODDS = np.arange(3, 4096, 2)  # trial divisors of a residue prime < 2^24
@@ -146,9 +146,20 @@ def _guard_table(rows: int, cols: int) -> None:
         )
 
 
-def _unit(law: LatticeLaw, exact: bool) -> int:
-    """D, the lcm of the atom denominators, in exact mode; 1 in float mode."""
-    return math.lcm(*(p.denominator for p in law.atoms.values())) if exact else 1
+def _unit(law: LatticeLaw) -> int:
+    """D, the lcm of the atom denominators."""
+    return math.lcm(*(p.denominator for p in law.atoms.values()))
+
+
+def _last(law: LatticeLaw, N: int, start: int, floor: int | None) -> int:
+    """The last nonempty frame of a sweep of N steps: frame n >= 1 holds a
+    state when its top, start + n khi, is at or above the floor."""
+    khi = law.support[-1]
+    if floor is None:
+        return N
+    if start + khi < floor:
+        return 0
+    return N if khi >= 0 else min(N, (start - floor) // -khi)
 
 
 def _widest(law: LatticeLaw, N: int, start: int, floor: int | None) -> int:
@@ -156,15 +167,15 @@ def _widest(law: LatticeLaw, N: int, start: int, floor: int | None) -> int:
 
     Widths follow from the support alone: frame n spans the states from
     max(start + n klo, floor + (n-1) max(klo, 0)) up to start + n khi, and
-    once the top state falls below the floor every later frame is empty.
-    The width is the smaller of a nondecreasing and a linear function of n,
-    so its maximum sits at the last live frame or where the two cross.
+    past the `_last` frame every frame is empty.  The width is the smaller
+    of a nondecreasing and a linear function of n, so its maximum sits at
+    the last live frame or where the two cross.
     """
     klo, khi = law.support[0], law.support[-1]
     if floor is None:
         return 1 + N * (khi - klo)
-    last = N if khi >= 0 else min(N, (start - floor) // -khi)
-    if last < 1 or start + khi < floor:
+    last = _last(law, N, start, floor)
+    if last < 1:
         return 1
 
     def width(n: int) -> int:
@@ -177,29 +188,9 @@ def _widest(law: LatticeLaw, N: int, start: int, floor: int | None) -> int:
     return max(width(n) for n in ns)
 
 
-def _convolve_live(alive: np.ndarray, kern: np.ndarray, a: int, b: int) -> np.ndarray:
-    """np.convolve(alive, kern), with the arithmetic spent on the live window
-    alive[a:b] and kern.size - 1 states either side of it.
-
-    The states outside the window hold exact zeros or subnormals.  With the
-    margin, every cell from a on is a full kern.size-term sum, added in the
-    order np.convolve adds the interior of the whole frame; the cells the
-    window and its margin do not reach are 0.
-    """
-    pad = kern.size - 1
-    s, e = max(a - pad, 0), min(b + pad, alive.size)
-    if s == 0 and e == alive.size:
-        return np.convolve(alive, kern) if alive.size else alive
-    out = np.zeros(alive.size + pad)
-    if b > a:
-        out[s : e + pad] = np.convolve(alive[s:e], kern)
-    return out
-
-
 def _trim(vec: np.ndarray, a: int, b: int) -> tuple[int, int]:
-    """The candidate window [a, b) clipped to vec, then shrunk until both ends
-    hold a normal double (empty when no state does)."""
-    a, b = max(a, 0), min(b, vec.size)
+    """The window [a, b) shrunk until both ends hold at least _TINY (empty
+    when no state does)."""
     while a < b and vec[a] < _TINY:
         a += 1
     while b > a and vec[b - 1] < _TINY:
@@ -245,7 +236,7 @@ def _sweep_residues(law: LatticeLaw, N: int, start, floor: int | None, res: _Res
     lo, top = min(starts), max(starts)
     widest = max(khi - klo + 1, _widest(law, N, top, floor) + top - lo)
     _guard(widest)
-    D = _unit(law, True)
+    D = _unit(law)
     k, q = len(res.primes), res.q
     kern = np.array([[int(p * D) % qi for qi in res.primes] for p in law.atoms.values()])
     gain = int(kern.sum(0).max())
@@ -305,52 +296,104 @@ def _sweep(
     lo + i that has stayed >= floor through time n; dead holds the mass
     killed at step n, on the states lo - dead.size .. lo - 1.  Frame 0 is the
     unkilled start.  floor=None runs the free walk.  Float mode uses float64
-    arrays with den = 1; exact mode uses Python-int arrays scaled by
-    den = D**n, D the lcm of the atom denominators, or, when `exact` is a
-    `_Residues`, int64 residues of them (`_sweep_residues`, which also takes
-    a sequence of starts).  The arrays are views of the propagator's state:
-    read them, do not write them.
-
-    Float frames have the width and alignment of the full convolution, but
-    only the live window -- the span from the first to the last state
-    holding at least the smallest normal double -- is convolved, with a
-    margin of one kernel width (`_convolve_live`); the cells it does not
-    reach are 0.  The subnormal mass this drops moves frame cells by less
-    than one smallest normal per step, and only cells far below 1e-280, so
-    the sums and table cells that the reductions read are the floats of
-    the full-width convolution.  Refuses a sweep whose widest frame exceeds
-    STATE_CAP before the first step.
+    arrays with den = 1 (`_sweep_float`); exact mode uses Python-int arrays
+    scaled by den = D**n, D the lcm of the atom denominators, or, when
+    `exact` is a `_Residues`, int64 residues of them (`_sweep_residues`,
+    which also takes a sequence of starts).  The arrays are views of the
+    propagator's state, valid until the next step: read them, do not write
+    them.  Refuses a sweep whose widest frame exceeds STATE_CAP before the
+    first step.
     """
     if isinstance(exact, _Residues):
         yield from _sweep_residues(law, N, start, floor, exact)
         return
+    if not exact:
+        yield from _sweep_float(law, N, start, floor)
+        return
     klo, khi = law.support[0], law.support[-1]
     _guard(max(khi - klo + 1, _widest(law, N, start, floor)))
-    D = _unit(law, exact)
-    if exact:
-        kern = np.zeros(khi - klo + 1, dtype=object)
-        alive = np.array([1], dtype=object)
-    else:
-        kern = np.zeros(khi - klo + 1)
-        alive = np.array([1.0])
+    D = _unit(law)
+    kern = np.zeros(khi - klo + 1, dtype=object)
     for v, p in law.atoms.items():
-        kern[v - klo] = int(p * D) if exact else float(p)
+        kern[v - klo] = int(p * D)
+    alive = np.array([1], dtype=object)
     lo, den, dead = start, 1, alive[:0]
-    a, b = 0, 1  # float live window: alive[a:b] holds every normal double
     yield 0, lo, alive, dead, den
     for n in range(1, N + 1):
-        if exact:
-            alive = np.convolve(alive, kern) if alive.size else alive
-        else:
-            alive = _convolve_live(alive, kern, a, b)
+        alive = np.convolve(alive, kern) if alive.size else alive
         lo += klo
         den *= D
         cut = 0 if floor is None else min(max(floor - lo, 0), alive.size)
         dead, alive = alive[:cut], alive[cut:]
         lo += cut
-        if not exact:
-            a, b = _trim(alive, a - cut, b + kern.size - 1 - cut)
         yield n, lo, alive, dead, den
+
+
+def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
+    """`_sweep`'s float frames, as views of one buffer indexed by state.
+
+    The frames have the width and alignment of the full convolution, but
+    only the live window -- the span from the first to the last state
+    holding at least _TINY = 2^-120 -- is convolved, with a margin of one
+    kernel width either side; every other cell is 0.  The states skipped
+    each hold less than _TINY, at most khi - klo + 1 of them feed a cell,
+    and the kernel sums to 1, so a cell of frame n moves by at most
+    (n + 1) (khi - klo) _TINY, far below the last bit of the sums and
+    table cells the reductions read: those come out as the floats of the
+    full-width convolution.
+
+    The buffer is allocated once, after the `_guard`.  The state x of
+    frame n sits at index x - n c - base, with the drift c the one of 0,
+    klo, khi nearest 0: the buffer is at most two kernel widths wider than
+    the widest frame for a law with jumps both ways, and at most twice that
+    plus two kernel widths for a law whose jumps all have one sign.  A step
+    writes np.convolve(window + margin, kern) into it and zeroes only the
+    cells written on the step before that this write misses.
+    """
+    klo, khi = law.support[0], law.support[-1]
+    pad = khi - klo
+    _guard(max(pad + 1, _widest(law, N, start, floor)))
+    kern = np.zeros(pad + 1)
+    for v, p in law.atoms.items():
+        kern[v - klo] = float(p)
+    c = min(max(klo, 0), khi)
+    dl, dh = klo - c, khi - c  # a step moves a frame's ends by these indices
+    steps = min(N, _last(law, N, start, floor) + 1)  # the steps that write
+    base = start + steps * dl  # the lowest index any write reaches
+    if floor is not None:
+        base = max(base, min(start, floor) + dl)
+    base = min(start, base)
+    buf = np.zeros(start + steps * dh - base + 1)
+    f0 = a = w0 = start - base  # frame [f0, f1), live window [a, b), last write [w0, w1)
+    f1 = b = w1 = f0 + 1
+    buf[f0] = 1.0
+    lo, empty = start, buf[:0]
+    yield 0, lo, buf[f0:f1], empty, 1
+    # the clamps below are written out: on a small frame, max and min calls
+    # would cost about a fifth of a step
+    for n in range(1, N + 1):
+        ws = we = w0
+        if b > a:
+            s = a - pad if a - pad > f0 else f0
+            e = b + pad if b + pad < f1 else f1
+            ws, we = s + dl, e + dh
+            buf[ws:we] = np.convolve(buf[s:e], kern)
+        if ws > w0:
+            buf[w0 : min(ws, w1)] = 0.0
+        if w1 > we:
+            buf[max(we, w0) : w1] = 0.0
+        w0, w1 = ws, we
+        lo += klo
+        dead = empty
+        if f1 > f0:
+            f0, f1 = f0 + dl, f1 + dh
+            if floor is not None and floor > lo:
+                cut = min(floor - lo, f1 - f0)
+                dead = buf[f0 : f0 + cut]
+                f0 += cut
+                lo += cut
+        a, b = _trim(buf, a + dl if a + dl > f0 else f0, b + dh if b + dh < f1 else f1)
+        yield n, lo, buf[f0:f1], dead, 1
 
 
 # Reads of a frame vector sum or copy along its first axis, the states: a
@@ -611,7 +654,7 @@ def spitzer_check(law: LatticeLaw, N: int) -> Fraction:
     The factorization is exact, so the defect is identically zero."""
     below, den = _reduce(law, N, _upto_zero)
     T, _ = _reduce(law, N, _total, floor=1)
-    return _spitzer_gap(below, T, den, _unit(law, True), _PLAIN)
+    return _spitzer_gap(below, T, den, _unit(law), _PLAIN)
 
 
 def leftcont_check(law: LatticeLaw, x_max: int, N: int):
@@ -623,7 +666,7 @@ def leftcont_check(law: LatticeLaw, x_max: int, N: int):
         raise NotLeftContinuous("law has downward jumps larger than 1")
     xs = range(1, x_max + 1)
     p, den = _reduce(law, N, partial(_points, [-x for x in xs]))
-    D = _unit(law, True)
+    D = _unit(law)
     worst = Fraction(0)
     for x in xs:
         T, _ = _reduce(law, N, _total, x, 1)
@@ -693,7 +736,7 @@ def identity_suite(law: LatticeLaw, N: int, xs: Sequence[int] = ()) -> IdentityS
     sweeps of the free walk (also read at the states xs) and of T_0 give the
     float Spitzer gap, Delta_n and P(tau_0 > n) up to N.
     """
-    D = _unit(law, True)
+    D = _unit(law)
     below_f, points = _free_float(law, N, xs)
     T0_f, _ = _reduce(law, N, _total, 0, 1, False)
     primes, pool = _draw_primes(law, N, D)

@@ -80,16 +80,19 @@ class PolyTailFit:
 
 def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> VLadder:
     """V_1..V_J on x = 0..x_max via the duality assembly.  free, when given,
-    is `oracle.delta_table(law, N, xs)` for xs covering -x_max..0, already
-    swept elsewhere."""
+    is (tau0.tau0_coeffs(law, N, deltas=delta), p) for (delta, p) =
+    `oracle.delta_table(law, N, xs)`, xs covering -x_max..0, already
+    computed elsewhere."""
     if J < 1:
         raise ValueError("J must be >= 1")
     law.require_expansion_ready()
     # one free sweep serves both factors of the duality assembly: Delta_n
     # for T_0 and, mirrored as P(S~_n = x) = P(S_n = -x), the reversed
     # walk's point masses for B-tilde
-    delta, p = free if free is not None else oracle.delta_table(law, N, xs=range(-x_max, 1))
-    co = tau0.tau0_coeffs(law, N=N, deltas=delta)
+    if free is None:
+        delta, p = oracle.delta_table(law, N, xs=range(-x_max, 1))
+        free = tau0.tau0_coeffs(law, N=N, deltas=delta), p
+    co, p = free
     mu = tau0.mu_coeffs(co.psi)
     e0 = math.exp(co.psi.psi0)
     mup = [e0 * m for m in mu]  # mu'_0..mu'_4

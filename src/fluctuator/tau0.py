@@ -190,7 +190,7 @@ def tau0_coeffs_halfpow(psi: PsiScalars) -> tuple[float, float, float]:
     return tuple(T.poly_part.get(2 * ell - 3, 0.0) for ell in (1, 2, 3))
 
 
-def evaluate_tau0(coeffs: Tau0Coefficients, N: int, terms: int = 3) -> np.ndarray:
+def evaluate_tau0(coeffs: Tau0Coefficients, N: int, terms: int) -> np.ndarray:
     """Approximation of P(tau_0 > n), n = 0..N, using 1..3 terms."""
     if not 1 <= terms <= 3:
         raise ValueError("terms must be 1, 2, or 3")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import cli, oracle, walk
+from fluctuator import cli, oracle, tau0, walk
 
 
 def _run(argv):
@@ -217,6 +217,40 @@ def test_verify_certifies_from_the_suites_free_sweep(monkeypatch, model):
     assert len(calls) == 5
 
 
+_TINY_STEPS = {"atoms": {  # P(X = 1) = P(X = -1) = 2^-70
+    "-1": "1/1180591620717411303424",
+    "0": "590295810358705651711/590295810358705651712",
+    "1": "1/1180591620717411303424",
+}}
+
+
+@pytest.mark.parametrize("spec", ["lazy", "skewed", _TINY_STEPS], ids=["lazy", "skewed", "tiny"])
+def test_verify_computes_the_tau0_coefficients_once(tmp_path, monkeypatch, capsys, spec):
+    # the decay ladder and the certification share one tau0_coeffs call;
+    # on the tiny-step law its one TailNotDecayed fails both
+    if isinstance(spec, dict):
+        model = tmp_path / "law.json"
+        model.write_text(json.dumps(spec))
+        spec = str(model)
+    tau0_coeffs, calls = tau0.tau0_coeffs, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tau0_coeffs(*args, **kwargs)
+
+    monkeypatch.setattr(tau0, "tau0_coeffs", counted)
+    argv = ["verify", "--model", spec, "--horizon", "64", "--x-max", "2", "--check-polyharmonic"]
+    rc = _run(argv)
+    assert len(calls) == 1
+    if spec.endswith(".json"):
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == cli.EXIT_CHECK_FAILED
+        assert [line.split()[:2] for line in lines if "FAIL" in line] == [
+            ["tau0", "ladder"], ["polyharmonic", "FAIL"]]
+    else:
+        assert rc == cli.EXIT_PASS
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -275,7 +309,7 @@ def _csv_writer_bytes(header, rows) -> bytes:
 def test_errors_csv_is_the_csv_writer_file(tmp_path):
     # every CSV artifact is written with one printf format per row; its
     # bytes are those of csv.writer on the 17-digit fields
-    from fluctuator import conditioned, tau0
+    from fluctuator import conditioned
 
     N, x_max = 256, 3
     law = walk.skewed_walk()
@@ -370,11 +404,7 @@ def test_verify_reports_the_exact_checks_when_certification_fails(tmp_path, caps
     # extrapolate, so the tau0 ladder and the certification fail, and the
     # polyharmonic report still carries every line of plain verify
     model = tmp_path / "tiny.json"
-    model.write_text(json.dumps({"atoms": {
-        "-1": "1/1180591620717411303424",
-        "0": "590295810358705651711/590295810358705651712",
-        "1": "1/1180591620717411303424",
-    }}))
+    model.write_text(json.dumps(_TINY_STEPS))
     argv = ["verify", "--model", str(model), "--horizon", "64", "--x-max", "2"]
     assert _run(argv) == cli.EXIT_CHECK_FAILED
     plain = capsys.readouterr().out.splitlines()
