@@ -46,7 +46,6 @@ class BasisConversion:
     is read-only because conversions are shared across callers.
     """
 
-    j: int
     coefficients: Mapping[int, float]
     residual_decay_exponent: float
 
@@ -195,5 +194,5 @@ def power_to_shifted_basis(j: int, m: int, N_fit: int = 1 << 12) -> BasisConvers
             f"residual decay exponent {slope:.3f} below requirement {m + 0.25}"
         )
     return BasisConversion(
-        j=j, coefficients=MappingProxyType(coeffs), residual_decay_exponent=slope
+        coefficients=MappingProxyType(coeffs), residual_decay_exponent=slope
     )

@@ -94,13 +94,12 @@ def _cmd_expand_tau0(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     coeffs = tau0.tau0_coeffs(law, N=args.horizon)
     cross = tau0.tau0_coeffs_halfpow(coeffs.psi)
-    src = coeffs.theta_source
     doc = {
         "model": law_to_json(law),
         "horizon": args.horizon,
         "nu": {
             f"nu_{ell}": _num(
-                coeffs.nu[ell - 1], "dp+" + src, abs(coeffs.nu[ell - 1] - cross[ell - 1])
+                coeffs.nu[ell - 1], "dp+analytic", abs(coeffs.nu[ell - 1] - cross[ell - 1])
             )
             for ell in (1, 2, 3)
         },
@@ -108,8 +107,8 @@ def _cmd_expand_tau0(args) -> int:
             "psi0": _num(coeffs.psi.psi0, "dp"),
             "psi1": _num(coeffs.psi.psi1, "dp"),
             "psi2": _num(coeffs.psi.psi2, "dp"),
-            "theta1": _num(coeffs.psi.theta1, src),
-            "theta2": _num(coeffs.psi.theta2, src),
+            "theta1": _num(coeffs.psi.theta1, "analytic"),
+            "theta2": _num(coeffs.psi.theta2, "analytic"),
         },
         "diagnostics": {"remainder_decay_exponent": coeffs.psi.tail_decay_exponent},
     }
@@ -170,13 +169,13 @@ def _cmd_expand_taux(args) -> int:
     doc = {
         "model": law_to_json(law),
         "horizon": args.horizon,
-        "nu": {f"nu_{j}": _num(ladder.nu[j - 1], ladder.source) for j in range(1, J + 1)},
+        "nu": {f"nu_{j}": _num(ladder.nu[j - 1], "ladder") for j in range(1, J + 1)},
         "V": {
             f"V_{j}": {str(x): _num(ladder[j][x], "dp") for x in range(args.x_max + 1)}
             for j in range(1, J + 1)
         },
     }
-    if law.tag.left_continuous:
+    if law.left_continuous:
         lc = polyharmonic.v_leftcont(law, args.x_max, J)
         doc["V_leftcont"] = {
             f"V_{j}": {str(x): _num(lc[j][x], "analytic") for x in range(args.x_max + 1)}
@@ -200,7 +199,7 @@ def _cmd_verify(args) -> int:
     N = args.horizon
     results: list[tuple[str, bool, str]] = []
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
+    def check(name: str, ok: bool, detail: str) -> None:
         results.append((name, bool(ok), detail))
 
     # the suite's free float sweep also serves the polyharmonic certification

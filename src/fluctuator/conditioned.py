@@ -47,7 +47,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QLadder:
-    x_max: int
     q: np.ndarray  # q[l, x], l = 0..L, x = 0..x_max (weak: x >= 1, q_0(0) = 1 the n = 0 atom)
     V: np.ndarray  # renewal values V(x) (weak) or V-bar(x) (strict), x = 0..x_max
 
@@ -169,7 +168,7 @@ def q_ladder(
                 for j in range(-1, ell - 1):
                     acc += psis[y][j] * q[ell - 2 - j, x - y]
             q[ell, x] = -2.0 / ell * acc
-    return QLadder(x_max=x_max, q=q, V=V)
+    return QLadder(q=q, V=V)
 
 
 def u_expansion_eval(

@@ -67,10 +67,6 @@ class Polynomial:
             cs.pop()
         return Polynomial(coefficients=tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __call__(self, x):
         acc = self.coefficients[-1] * 0
         for c in reversed(self.coefficients):
@@ -134,16 +130,11 @@ class GaussPoly:
 
 @dataclass(frozen=True)
 class CdfExpansionAtZero:
-    """Delta_n = 1/2 - P(S_n <= 0) ~ A n^(-1/2) + B n^(-3/2), restated as
-    Delta_n / n ~ theta1 a_(n-1)^(2) + theta2 a_(n-1)^(3)."""
+    """Delta_n / n ~ theta1 a_(n-1)^(2) + theta2 a_(n-1)^(3), with
+    Delta_n = 1/2 - P(S_n <= 0)."""
 
-    A: float
-    B: float
     theta1: float
     theta2: float
-    mode: str
-    condition_number: float
-    residual_decay_exponent: float
 
 
 @lru_cache(maxsize=None)
@@ -358,18 +349,11 @@ def _ab_to_theta(A: float, B: float) -> tuple[float, float]:
     return t1, (4.0 * sp / 3.0) * (B - 0.375 * A) + t1
 
 
-def _theta_to_ab(t1: float, t2: float) -> tuple[float, float]:
-    sp = math.sqrt(math.pi)
-    A = -t1 / (2.0 * sp)
-    B = 3.0 * (t2 - t1) / (4.0 * sp) + 0.375 * A
-    return A, B
-
-
-def delta_coeffs(law: LatticeLaw, mode: str = "fit") -> CdfExpansionAtZero:
+def delta_coeffs(law: LatticeLaw, mode: str) -> CdfExpansionAtZero:
     """First two correction coefficients of Delta_n / n in the shifted
     a-basis.
 
-    fit mode (default) regresses exact DP values of Delta_n / n on
+    fit mode regresses exact DP values of Delta_n / n on
     {a_(n-1)^(2), a_(n-1)^(3)} with a nuisance a_(n-1)^(4) column over a
     geometric grid in [DELTA_FIT_N/8, DELTA_FIT_N]; analytic mode assembles
     the same numbers from Edgeworth terms at zero plus lattice corrections.
@@ -378,12 +362,7 @@ def delta_coeffs(law: LatticeLaw, mode: str = "fit") -> CdfExpansionAtZero:
     """
     law.require_expansion_ready()
     if mode == "analytic":
-        A, B = _delta_coeffs_analytic(law)
-        t1, t2 = _ab_to_theta(A, B)
-        return CdfExpansionAtZero(
-            A=A, B=B, theta1=t1, theta2=t2, mode="analytic",
-            condition_number=float("nan"), residual_decay_exponent=float("nan"),
-        )
+        return CdfExpansionAtZero(*_ab_to_theta(*_delta_coeffs_analytic(law)))
     if mode != "fit":
         raise ValueError("mode must be 'fit' or 'analytic'")
     deltas, _ = oracle.delta_table(law, DELTA_FIT_N)
@@ -405,23 +384,4 @@ def delta_coeffs(law: LatticeLaw, mode: str = "fit") -> CdfExpansionAtZero:
         if cond > 1e6:
             raise FitUnstable(f"design condition number {cond:.3e} > 1e6")
         sol, _ = mp.qr_solve(Amat, bvec)
-        t1, t2 = float(sol[0]), float(sol[1])
-
-        # decay of what is left after removing the two fitted terms
-        diag = basis._geometric_grid(max(8, DELTA_FIT_N // 64), DELTA_FIT_N, 24)
-        ln, lr = [], []
-        for n in diag:
-            resid = abs(
-                mp.mpf(deltas[n]) / n
-                - sol[0] * basis.a_value_mp(2, n - 1)
-                - sol[1] * basis.a_value_mp(3, n - 1)
-            )
-            if resid > 0:
-                ln.append(math.log(n))
-                lr.append(float(mp.log(resid)))
-    slope = float("inf") if len(lr) < 4 else float(-np.polyfit(ln, lr, 1)[0])
-    A, B = _theta_to_ab(t1, t2)
-    return CdfExpansionAtZero(
-        A=A, B=B, theta1=t1, theta2=t2, mode="fit",
-        condition_number=cond, residual_decay_exponent=slope,
-    )
+    return CdfExpansionAtZero(float(sol[0]), float(sol[1]))

@@ -123,9 +123,8 @@ class IdentitySuite:
 class McEstimate:
     estimate: float
     half_width: float
-    paths: int
 
-    def covers(self, truth: float, widths: float = 1.0) -> bool:
+    def covers(self, truth: float, widths: float) -> bool:
         return abs(self.estimate - truth) <= widths * self.half_width
 
 
@@ -136,6 +135,11 @@ class McEstimate:
 def _guard(width: int) -> None:
     if width > STATE_CAP:
         raise ResourceCapExceeded(f"state width {width} exceeds cap {STATE_CAP}")
+
+
+def _guard_sweep(law: LatticeLaw, N: int, start: int, floor: int | None) -> None:
+    """Refuse a sweep whose widest frame would exceed STATE_CAP."""
+    _guard(max(law.support[-1] - law.support[0] + 1, _widest(law, N, start, floor)))
 
 
 def _guard_table(rows: int, cols: int) -> None:
@@ -310,8 +314,8 @@ def _sweep(
     if not exact:
         yield from _sweep_float(law, N, start, floor)
         return
+    _guard_sweep(law, N, start, floor)
     klo, khi = law.support[0], law.support[-1]
-    _guard(max(khi - klo + 1, _widest(law, N, start, floor)))
     D = _unit(law)
     kern = np.zeros(khi - klo + 1, dtype=object)
     for v, p in law.atoms.items():
@@ -350,9 +354,9 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
     writes np.convolve(window + margin, kern) into it and zeroes only the
     cells written on the step before that this write misses.
     """
+    _guard_sweep(law, N, start, floor)
     klo, khi = law.support[0], law.support[-1]
     pad = khi - klo
-    _guard(max(pad + 1, _widest(law, N, start, floor)))
     kern = np.zeros(pad + 1)
     for v, p in law.atoms.items():
         kern[v - klo] = float(p)
@@ -507,6 +511,7 @@ def _free_float(law: LatticeLaw, N: int, xs: Sequence[int]):
     x0 = min(xs, default=0)
     span = max(xs, default=x0 - 1) - x0 + 1
     _guard_table(N + 1, span)
+    _guard_sweep(law, N, 0, None)  # before the N + 1 sums are allocated
     below = np.empty(N + 1)
     table = np.zeros((N + 1, span))
     for n, lo, vec, _, _ in _sweep(law, N):
@@ -552,6 +557,7 @@ def conditioned_table(
 ) -> np.ndarray:
     """Float table b[n, x] = P(S_n = x, tau > n), n = 0..N, x = 0..x_max."""
     _guard_table(N + 1, x_max + 1)
+    _guard_sweep(law, N, 0, 0 if strict else 1)
     out = np.zeros((N + 1, x_max + 1))
     for n, lo, vec, _, _ in _sweep(law, N, 0, 0 if strict else 1):
         _gather(out[n], 0, lo, vec)
@@ -571,7 +577,9 @@ def tau_tail(
     """
     if x < 0:
         raise ValueError("start must be >= 0")
-    exact = mode != "float"
+    if mode not in ("rational", "float"):
+        raise ValueError(f"mode must be 'rational' or 'float', got {mode!r}")
+    exact = mode == "rational"
     T, den = _reduce(law, N, _total, x, 1, exact)
     return [Fraction(t, d) for t, d in zip(T, den)] if exact else T
 
@@ -662,7 +670,7 @@ def leftcont_check(law: LatticeLaw, x_max: int, N: int):
 
     Valid only for left-continuous walks (downward jumps of one).
     """
-    if not law.tag.left_continuous:
+    if not law.left_continuous:
         raise NotLeftContinuous("law has downward jumps larger than 1")
     xs = range(1, x_max + 1)
     p, den = _reduce(law, N, partial(_points, [-x for x in xs]))
@@ -757,7 +765,7 @@ def identity_suite(law: LatticeLaw, N: int, xs: Sequence[int] = ()) -> IdentityS
     T = seq(_reduce(law, N, _total, range(4), 1, ring)[0])  # T[x]: P(tau_x > n)
     F = seq(_reduce(law.reverse(), N, partial(_below, dx), 0, 0, ring)[0])
     leftcont = None
-    if law.tag.left_continuous:
+    if law.left_continuous:
         leftcont = any(_leftcont_gap(x, free[x], T[x], den, Dq, ring) for x in dx)
     return IdentitySuite(
         primes=primes,
@@ -922,4 +930,4 @@ def mc_tau_tail(
     denom = 1.0 + z * z / paths
     center = (phat + z * z / (2 * paths)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / paths + z * z / (4 * paths * paths))
-    return McEstimate(estimate=center, half_width=half, paths=paths)
+    return McEstimate(estimate=center, half_width=half)

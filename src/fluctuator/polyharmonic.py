@@ -19,7 +19,6 @@ pinned by the DP ratio test: V_1(x) = mu'_0 (1 + Qt_0(x)) and V_j(0) = nu_j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +59,8 @@ class GridTooShort(ValueError):
 
 @dataclass(frozen=True)
 class VLadder:
-    x_max: int
     V: np.ndarray  # V[j-1, x] for j = 1..J, x = 0..x_max
-    source: str  # "ladder" | "leftcont"
-    nu: tuple[float, ...] | None = None
+    nu: tuple[float, ...] | None = None  # nu_1..nu_J of the duality route
 
     def __getitem__(self, j: int) -> np.ndarray:
         return self.V[j - 1]
@@ -71,10 +68,7 @@ class VLadder:
 
 @dataclass(frozen=True)
 class PolyTailFit:
-    degree: int
     coefficients: np.ndarray  # ascending
-    residuals: np.ndarray  # per grid point of the fit window
-    xs: np.ndarray
     passed: bool
 
 
@@ -93,9 +87,7 @@ def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> VLadder:
         delta, p = oracle.delta_table(law, N, xs=range(-x_max, 1))
         free = tau0.tau0_coeffs(law, N=N, deltas=delta), p
     co, p = free
-    mu = tau0.mu_coeffs(co.psi)
-    e0 = math.exp(co.psi.psi0)
-    mup = [e0 * m for m in mu]  # mu'_0..mu'_4
+    mup = [co.nu[0] * m for m in co.mu]  # mu'_i = exp(psi_0) mu_i, i = 0..4
     L = 2 * J - 2  # highest strict ladder index needed: Q_(2J-3) uses Qt_(2J-2)
     ws = conditioned.make_workspace(
         law.reverse(), x_max=x_max, N=N, traces={x: p[-x] for x in range(x_max + 1)}
@@ -112,7 +104,7 @@ def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> VLadder:
         for k in range(-1, m + 1):
             acc += mup[k + 1] * Qt[m - k]
         V[j - 1] = acc
-    return VLadder(x_max=x_max, V=V, source="ladder", nu=tuple(co.nu[:J]))
+    return VLadder(V=V, nu=tuple(co.nu[:J]))
 
 
 def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> VLadder:
@@ -123,12 +115,12 @@ def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> VLadder:
     Derivation: P(tau_x > n) = x sum_(m>n) p_m(-x)/m with the kernel
     identity a_(m-1)^(i+1)/m = -(2/(2i+1)) a_m^(i+2), whose tail telescopes
     to (2/(2i+1)) a_n^(i+1)."""
-    if not law.tag.left_continuous:
+    if not law.left_continuous:
         raise NotLeftContinuous("law has downward jumps larger than 1")
     thetas = edgeworth.theta_polys(law, 2 * J)
     xs = np.arange(x_max + 1, dtype=float)
     V = np.array([(2.0 / (2 * j - 1)) * xs * thetas[j - 1](-xs) for j in range(1, J + 1)])
-    return VLadder(x_max=x_max, V=V, source="leftcont")
+    return VLadder(V=V)
 
 
 def killed_step(law: LatticeLaw, f: np.ndarray) -> np.ndarray:
@@ -256,6 +248,4 @@ def poly_tail_fit(xs: np.ndarray, values: np.ndarray, degree: int) -> PolyTailFi
     scale = float(np.max(np.abs(fit_v)))
     last_q = resid[-(resid.size // 4) :]
     passed = bool(np.max(np.abs(last_q)) <= POLY_TAIL_REL_TOL * scale)
-    return PolyTailFit(
-        degree=degree, coefficients=coef, residuals=resid, xs=fit_x, passed=passed
-    )
+    return PolyTailFit(coefficients=coef, passed=passed)

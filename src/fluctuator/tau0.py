@@ -44,7 +44,6 @@ class PsiScalars:
     theta1: float
     theta2: float  # unshifted-basis convention: Delta_n/n ~ t1 a_n^(2) + t2 a_n^(3)
     tail_decay_exponent: float
-    horizon: int
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class Tau0Coefficients:
     nu: tuple[float, float, float]
     mu: tuple[float, float, float, float, float]
     psi: PsiScalars
-    theta_source: str
 
 
 def psi_scalars(deltas: np.ndarray, thetas: tuple[float, float]) -> PsiScalars:
@@ -104,7 +102,7 @@ def psi_scalars(deltas: np.ndarray, thetas: tuple[float, float]) -> PsiScalars:
     psi2 = float((n * (n - 1) / 2 * r).sum()) + (tails[2] - tails[1]) / 2
     return PsiScalars(
         psi0=psi0, psi1=psi1, psi2=psi2, theta1=t1, theta2=t2,
-        tail_decay_exponent=slope, horizon=N,
+        tail_decay_exponent=slope,
     )
 
 
@@ -175,9 +173,7 @@ def tau0_coeffs(
     psi = psi_scalars(deltas, (cdf.theta1, cdf.theta2))
     mu = mu_coeffs(psi)
     e0 = math.exp(psi.psi0)
-    return Tau0Coefficients(
-        nu=(e0, e0 * mu[2], e0 * mu[4]), mu=mu, psi=psi, theta_source="analytic"
-    )
+    return Tau0Coefficients(nu=(e0, e0 * mu[2], e0 * mu[4]), mu=mu, psi=psi)
 
 
 def tau0_coeffs_halfpow(psi: PsiScalars) -> tuple[float, float, float]:

@@ -1,10 +1,9 @@
-"""Lattice increment laws: exact-rational atoms, moments, cumulants, tags."""
+"""Lattice increment laws: exact-rational atoms, moments, cumulants."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,12 +25,6 @@ class SpanNotOne(LawError):
 
 
 MAX_CUMULANT_ORDER = 8
-
-
-@dataclass(frozen=True)
-class WalkTag:
-    left_continuous: bool
-    symmetric: bool
 
 
 class LatticeLaw:
@@ -85,10 +78,6 @@ class LatticeLaw:
         return self.raw_moment(2) - self.mean**2
 
     @cached_property
-    def sigma(self) -> float:
-        return math.sqrt(float(self.variance))
-
-    @cached_property
     def span(self) -> int:
         base = self.support[0]
         g = 0
@@ -97,10 +86,9 @@ class LatticeLaw:
         return g if g > 0 else 1
 
     @cached_property
-    def tag(self) -> WalkTag:
-        lc = min(self.support) >= -1 and -1 in self.support
-        sym = all(self.atoms.get(-v) == p for v, p in self.atoms.items())
-        return WalkTag(left_continuous=lc, symmetric=sym)
+    def left_continuous(self) -> bool:
+        """Downward jumps of size one: -1 is the smallest atom."""
+        return self.support[0] == -1
 
     def cumulants(self, k: int) -> list[Fraction]:
         """gamma_1..gamma_k as exact rationals.

@@ -32,7 +32,9 @@ def test_expand_tau0_artifacts(tmp_path):
     assert rc == cli.EXIT_PASS
     doc = json.loads((tmp_path / "coeffs.json").read_text())
     assert doc["nu"]["nu_1"]["value"] == pytest.approx(0.5, abs=1e-9)
-    assert "provenance" in doc["nu"]["nu_1"]
+    # theta_1, theta_2 come from the Edgeworth polynomials at zero
+    assert doc["nu"]["nu_1"]["provenance"] == "dp+analytic"
+    assert doc["psi"]["theta1"]["provenance"] == "analytic"
     lines = (tmp_path / "errors.csv").read_text().splitlines()
     assert lines[0].startswith("n,dp,approx_1")
     assert len(lines) == 257
@@ -162,6 +164,22 @@ def test_oversized_sweep_exits_3_before_sweeping(tmp_path):
     )
     assert rc == cli.EXIT_RESOURCE
     assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "--mode", "float"], ["oracle", "--mode", "rational"],
+     ["expand", "tau0"], ["expand", "local"], ["expand", "taux"],
+     ["verify"], ["verify", "--check-polyharmonic"]],
+    ids=["oracle-float", "oracle-rational", "tau0", "local", "taux", "verify", "verify-ph"],
+)
+def test_oversized_horizon_exits_3_before_allocating(tmp_path, capsys, argv):
+    # a 10^12-step sweep would need 8 TB for its N + 1 sums alone: every
+    # subcommand refuses it before allocating anything
+    rc = _run(argv + ["--model", "lazy", "--horizon", str(10**12), "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_RESOURCE
+    assert err.startswith("resource cap: ") and "Traceback" not in out + err
 
 
 def test_wide_law_exits_3_before_root_finding(tmp_path, capsys):

@@ -46,6 +46,12 @@ def test_tau_tail_monotone_and_exact_mode(lazy):
     np.testing.assert_allclose(flt, [float(v) for v in tail], rtol=1e-14)
 
 
+@pytest.mark.parametrize("mode", ["Float", "exact", ""])
+def test_tau_tail_rejects_unknown_modes(lazy, mode):
+    with pytest.raises(ValueError, match="mode must be"):
+        oracle.tau_tail(lazy, 2, 50, mode=mode)
+
+
 def test_identity_checkers(lazy, skewed):
     assert oracle.spitzer_check(lazy, 64) == 0
     assert oracle.spitzer_check(skewed, 64) == 0
@@ -124,7 +130,7 @@ def test_identity_suite_matches_the_single_checks(law, N):
     assert ids.spitzer is False and oracle.spitzer_check(law, N) == 0
     for x, d in enumerate(ids.duality, 1):
         assert d is False and oracle.duality_check(law, x, N) == 0
-    if law.tag.left_continuous:
+    if law.left_continuous:
         assert ids.leftcont is False and oracle.leftcont_check(law, 3, N) == 0
     else:
         assert ids.leftcont is None
@@ -178,7 +184,7 @@ def test_residue_suite_fails_exactly_when_the_rational_checks_do(law, N, plant):
         assert ids.spitzer == (oracle.spitzer_check(law, N) != 0)
         for x, d in enumerate(ids.duality, 1):
             assert d == (oracle.duality_check(law, x, N) != 0)
-        if law.tag.left_continuous:
+        if law.left_continuous:
             assert ids.leftcont == (oracle.leftcont_check(law, 3, N) != 0)
 
 
@@ -332,7 +338,7 @@ def test_propagator_reductions_random_laws(law, N, x, strict):
     assert oracle.spitzer_check(law, N) == 0
     assert oracle.duality_check(law, x, N) == 0
     assert oracle.recurrence_gap(law, min(N, 8), x=x + 1, strict=strict) == 0
-    if law.tag.left_continuous:
+    if law.left_continuous:
         assert oracle.leftcont_check(law, 3, N) == 0
 
 

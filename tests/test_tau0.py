@@ -46,7 +46,7 @@ def test_psi_scalars_decay_diagnostic(skewed_coeffs):
 def test_mu_recurrence_matches_closed_form(t1, p1, t2, p2):
     psi = tau0.PsiScalars(
         psi0=0.0, psi1=p1, psi2=p2, theta1=t1, theta2=t2,
-        tail_decay_exponent=float("inf"), horizon=0,
+        tail_decay_exponent=float("inf"),
     )
     mu = tau0.mu_coeffs(psi)
     closed = tau0.mu_closed_form(*tau0.reparametrized_scalars(psi))
@@ -73,10 +73,6 @@ def test_decay_ladder_skewed(skewed, skewed_coeffs):
         slopes.append(-np.polyfit(np.log(ns), np.log(err), 1)[0])
     assert slopes[0] > 1.4 and slopes[1] > 2.4 and slopes[2] > 3.2
     assert slopes[0] < slopes[1] < slopes[2]
-
-
-def test_theta_source_recorded(skewed_coeffs):
-    assert skewed_coeffs.theta_source == "analytic"
 
 
 def test_psi_scalars_flags_slow_tails(skewed):

@@ -1,9 +1,9 @@
-"""Lattice law ingestion, validation, cumulants, and reversal."""
+"""Lattice law ingestion, validation, cumulants, reversal and left-continuity."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fluctuator import walk
@@ -47,6 +47,14 @@ def test_reverse_involution_and_cumulant_signs(atoms):
     kr = rev.cumulants(4)
     for order, (a, b) in enumerate(zip(k, kr), start=1):
         assert b == (a if order % 2 == 0 else -a)
+
+
+@given(_laws())
+@example(walk.lazy_walk().atoms)
+@example(walk.skewed_walk().atoms)
+@example({-2: Fraction(1, 4), 0: Fraction(1, 4), 1: Fraction(1, 2)})
+def test_left_continuous_iff_smallest_atom_is_minus_one(atoms):
+    assert walk.make_law(atoms).left_continuous == (min(atoms) == -1)
 
 
 def test_mass_must_sum_to_one():
