@@ -137,9 +137,15 @@ def _guard(width: int) -> None:
         raise ResourceCapExceeded(f"state width {width} exceeds cap {STATE_CAP}")
 
 
-def _guard_sweep(law: LatticeLaw, N: int, start: int, floor: int | None) -> None:
-    """Refuse a sweep whose widest frame would exceed STATE_CAP."""
-    _guard(max(law.support[-1] - law.support[0] + 1, _widest(law, N, start, floor)))
+def _guard_sweep(law: LatticeLaw, N: int, start, floor: int | None) -> int:
+    """The widest frame of a sweep from start (an int or a sequence of
+    starts sharing one state grid), at least one kernel wide; refuses it
+    when it exceeds STATE_CAP."""
+    starts = [start] if isinstance(start, int) else list(start)
+    lo, top = min(starts), max(starts)
+    widest = max(law.support[-1] - law.support[0] + 1, _widest(law, N, top, floor) + top - lo)
+    _guard(widest)
+    return widest
 
 
 def _guard_table(rows: int, cols: int) -> None:
@@ -227,19 +233,19 @@ class _Residues:
         return bool(self.mod(resid).any())
 
 
-def _sweep_residues(law: LatticeLaw, N: int, start, floor: int | None, res: _Residues):
+def _sweep_residues(law: LatticeLaw, N: int, start, floor: int | None, res: _Residues,
+                    widest: int):
     """`_sweep`'s exact frames as int64 residues modulo res's primes.
 
     Frames are (states, k), or (states, len(start), k) when start is a
     sequence of starting states: those walks share one state grid and one
     killing floor.  den holds the k residues of D**n.  A step is one
-    slice-add per atom of the kernel D p mod q, exact in integers.
+    slice-add per atom of the kernel D p mod q, exact in integers.  widest
+    is the widest frame, from `_guard_sweep`.
     """
     klo, khi = law.support[0], law.support[-1]
     starts = [start] if isinstance(start, int) else list(start)
     lo, top = min(starts), max(starts)
-    widest = max(khi - klo + 1, _widest(law, N, top, floor) + top - lo)
-    _guard(widest)
     D = _unit(law)
     k, q = len(res.primes), res.q
     kern = np.array([[int(p * D) % qi for qi in res.primes] for p in law.atoms.values()])
@@ -305,16 +311,19 @@ def _sweep(
     `exact` is a `_Residues`, int64 residues of them (`_sweep_residues`,
     which also takes a sequence of starts).  The arrays are views of the
     propagator's state, valid until the next step: read them, do not write
-    them.  Refuses a sweep whose widest frame exceeds STATE_CAP before the
-    first step.
+    them.  Refuses a sweep whose widest frame exceeds STATE_CAP when it is
+    called, before anything is allocated or iterated.
     """
+    widest = _guard_sweep(law, N, start, floor)
     if isinstance(exact, _Residues):
-        yield from _sweep_residues(law, N, start, floor, exact)
-        return
+        return _sweep_residues(law, N, start, floor, exact, widest)
     if not exact:
-        yield from _sweep_float(law, N, start, floor)
-        return
-    _guard_sweep(law, N, start, floor)
+        return _sweep_float(law, N, start, floor)
+    return _sweep_exact(law, N, start, floor)
+
+
+def _sweep_exact(law: LatticeLaw, N: int, start: int, floor: int | None):
+    """`_sweep`'s exact frames as Python-int arrays scaled by D**n."""
     klo, khi = law.support[0], law.support[-1]
     D = _unit(law)
     kern = np.zeros(khi - klo + 1, dtype=object)
@@ -341,12 +350,15 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
     holding at least _TINY = 2^-120 -- is convolved, with a margin of one
     kernel width either side; every other cell is 0.  The states skipped
     each hold less than _TINY, at most khi - klo + 1 of them feed a cell,
-    and the kernel sums to 1, so a cell of frame n moves by at most
-    (n + 1) (khi - klo) _TINY, far below the last bit of the sums and
+    and the kernel sums to 1, so in exact arithmetic a cell of frame n
+    moves by at most (n + 1) (khi - klo) _TINY.  In floats that shift can
+    also tip a rounding, and the kernel spreads the tip on: measured, a
+    cell moves by that term plus at most a few units in the last place of
+    its full-width value.  Both stay far below the last bit of the sums and
     table cells the reductions read: those come out as the floats of the
     full-width convolution.
 
-    The buffer is allocated once, after the `_guard`.  The state x of
+    The buffer is allocated once, after `_sweep`'s guard.  The state x of
     frame n sits at index x - n c - base, with the drift c the one of 0,
     klo, khi nearest 0: the buffer is at most two kernel widths wider than
     the widest frame for a law with jumps both ways, and at most twice that
@@ -354,7 +366,6 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
     writes np.convolve(window + margin, kern) into it and zeroes only the
     cells written on the step before that this write misses.
     """
-    _guard_sweep(law, N, start, floor)
     klo, khi = law.support[0], law.support[-1]
     pad = khi - klo
     kern = np.zeros(pad + 1)
@@ -511,10 +522,10 @@ def _free_float(law: LatticeLaw, N: int, xs: Sequence[int]):
     x0 = min(xs, default=0)
     span = max(xs, default=x0 - 1) - x0 + 1
     _guard_table(N + 1, span)
-    _guard_sweep(law, N, 0, None)  # before the N + 1 sums are allocated
+    sweep = _sweep(law, N)  # refuses an oversized sweep before the sums are allocated
     below = np.empty(N + 1)
     table = np.zeros((N + 1, span))
-    for n, lo, vec, _, _ in _sweep(law, N):
+    for n, lo, vec, _, _ in sweep:
         below[n] = _upto_zero(lo, vec)
         _gather(table[n], x0, lo, vec)
     return below, {x: table[:, x - x0] for x in xs}
@@ -557,9 +568,9 @@ def conditioned_table(
 ) -> np.ndarray:
     """Float table b[n, x] = P(S_n = x, tau > n), n = 0..N, x = 0..x_max."""
     _guard_table(N + 1, x_max + 1)
-    _guard_sweep(law, N, 0, 0 if strict else 1)
+    sweep = _sweep(law, N, 0, 0 if strict else 1)  # refuses an oversized sweep before `out`
     out = np.zeros((N + 1, x_max + 1))
-    for n, lo, vec, _, _ in _sweep(law, N, 0, 0 if strict else 1):
+    for n, lo, vec, _, _ in sweep:
         _gather(out[n], 0, lo, vec)
     return out
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluctuator import basis, oracle, walk
@@ -392,11 +392,21 @@ def _full_width_frames(law, N, start, floor):
     start=st.integers(0, 4),
     floor=st.sampled_from([None, 0, 1]),
 )
+# the window's shift tips the rounding of a 6.2e-18 cell at n = 164 by one
+# ulp, 7.7e-34, above the mass term 165 * 6 * 2^-120 = 7.45e-34
+@example(
+    law=walk.LatticeLaw({-3: Fraction(33, 314), -2: Fraction(22, 157),
+                         -1: Fraction(33, 314), 0: Fraction(62, 157),
+                         2: Fraction(10, 157), 3: Fraction(30, 157)}),
+    N=1024, start=0, floor=None,
+)
 def test_live_window_frames_match_full_width_propagator(law, N, start, floor):
     # the tails fall below the live-window floor _TINY = 2^-120 well before
     # N: the window skips them, and only the mass it drops may differ, by at
     # most (khi - klo) _TINY per step, in cells far below anything a
-    # reduction can see
+    # reduction can see.  The shift can also tip a rounding, which the next
+    # steps spread: over 6500 random draws of these laws, 12 passed the mass
+    # term, by at most 3.9 ulps of the full-width cell.  The bound allows 8
     klo, khi = law.support[0], law.support[-1]
     live = oracle._sweep(law, N, start, floor)
     for n, ((lo, ref), (_, lo_live, vec, _, _)) in enumerate(
@@ -405,7 +415,8 @@ def test_live_window_frames_match_full_width_propagator(law, N, start, floor):
         assert lo_live == lo and vec.size == ref.size
         seen = ref >= 2.0**-30
         assert np.array_equal(vec[seen], ref[seen])
-        assert np.abs(vec - ref).max(initial=0.0) <= (n + 1) * (khi - klo) * oracle._TINY
+        bound = (n + 1) * (khi - klo) * oracle._TINY + 8 * np.spacing(ref)
+        assert np.all(np.abs(vec - ref) <= bound)
         assert vec.sum() == ref.sum()
         assert oracle._upto_zero(lo, vec) == oracle._upto_zero(lo, ref)
 
@@ -504,6 +515,6 @@ def test_widest_frame_is_known_before_the_sweep(law, N, start, floor, mode, stac
 
 
 def test_oversized_sweep_refused_before_its_first_frame(lazy):
-    sweep = oracle._sweep(lazy, 300_000, 0, 1)
+    # refused when the sweep is made, so a caller may allocate after making it
     with pytest.raises(oracle.ResourceCapExceeded):
-        next(sweep)
+        oracle._sweep(lazy, 300_000, 0, 1)
