@@ -19,7 +19,7 @@ import numpy as np
 from mpmath import mp
 
 from . import basis, oracle
-from .walk import LatticeLaw, SpanNotOne
+from .walk import LatticeLaw
 
 __all__ = [
     "Polynomial",

@@ -198,16 +198,6 @@ def _widest(law: LatticeLaw, N: int, start: int, floor: int | None) -> int:
     return max(width(n) for n in ns)
 
 
-def _trim(vec: np.ndarray, a: int, b: int) -> tuple[int, int]:
-    """The window [a, b) shrunk until both ends hold at least _TINY (empty
-    when no state does)."""
-    while a < b and vec[a] < _TINY:
-        a += 1
-    while b > a and vec[b - 1] < _TINY:
-        b -= 1
-    return a, b
-
-
 class _Residues:
     """Exact integer arithmetic in int64 residues modulo k primes.
 
@@ -363,8 +353,12 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
     klo, khi nearest 0: the buffer is at most two kernel widths wider than
     the widest frame for a law with jumps both ways, and at most twice that
     plus two kernel widths for a law whose jumps all have one sign.  A step
-    writes np.convolve(window + margin, kern) into it and zeroes only the
-    cells written on the step before that this write misses.
+    writes the full convolution of window + margin with kern into it and
+    zeroes only the cells written on the step before that this write
+    misses.  It calls np.correlate with the reversed kernel, the call
+    np.convolve makes once the window is at least a kernel wide, and
+    np.convolve itself before that.  Then the live window shrinks until
+    both ends hold at least _TINY (empty when no state does).
     """
     klo, khi = law.support[0], law.support[-1]
     pad = khi - klo
@@ -383,6 +377,7 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
     f1 = b = w1 = f0 + 1
     buf[f0] = 1.0
     lo, empty = start, buf[:0]
+    rkern = kern[::-1].copy()
     yield 0, lo, buf[f0:f1], empty, 1
     # the clamps below are written out: on a small frame, max and min calls
     # would cost about a fifth of a step
@@ -392,11 +387,14 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
             s = a - pad if a - pad > f0 else f0
             e = b + pad if b + pad < f1 else f1
             ws, we = s + dl, e + dh
-            buf[ws:we] = np.convolve(buf[s:e], kern)
+            if e - s > pad:
+                buf[ws:we] = np.correlate(buf[s:e], rkern, "full")
+            else:
+                buf[ws:we] = np.convolve(buf[s:e], kern)
         if ws > w0:
-            buf[w0 : min(ws, w1)] = 0.0
+            buf[w0 : ws if ws < w1 else w1] = 0.0
         if w1 > we:
-            buf[max(we, w0) : w1] = 0.0
+            buf[we if we > w0 else w0 : w1] = 0.0
         w0, w1 = ws, we
         lo += klo
         dead = empty
@@ -407,17 +405,24 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
                 dead = buf[f0 : f0 + cut]
                 f0 += cut
                 lo += cut
-        a, b = _trim(buf, a + dl if a + dl > f0 else f0, b + dh if b + dh < f1 else f1)
+        a = a + dl if a + dl > f0 else f0
+        b = b + dh if b + dh < f1 else f1
+        while a < b and buf[a] < _TINY:
+            a += 1
+        while b > a and buf[b - 1] < _TINY:
+            b -= 1
         yield n, lo, buf[f0:f1], dead, 1
 
 
 # Reads of a frame vector sum or copy along its first axis, the states: a
-# residue frame's other axes (starts, primes) pass through.
+# residue frame's other axes (starts, primes) pass through.  A float sweep
+# reads every frame, so the sums call np.add.reduce, the reduction behind
+# `.sum`, without its Python wrapper, and the clamps are written out.
 
 
 def _upto_zero(lo: int, vec: np.ndarray):
     """Mass of a frame vector on the states <= 0."""
-    return vec[: max(1 - lo, 0)].sum(0)
+    return np.add.reduce(vec[: 1 - lo if lo < 1 else 0], 0)
 
 
 def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
@@ -440,7 +445,7 @@ def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = N
 
 
 def _total(lo: int, vec: np.ndarray):
-    return vec.sum(0)
+    return np.add.reduce(vec, 0)
 
 
 def _points(xs, lo: int, vec: np.ndarray) -> list:
@@ -456,7 +461,8 @@ def _below(xs, lo: int, vec: np.ndarray) -> list:
 def _gather(row: np.ndarray, x0: int, lo: int, vec: np.ndarray) -> None:
     """Copy the masses of a frame vector at the states x0 .. x0 + len(row) - 1
     into row, one slice copy."""
-    first, last = max(lo, x0), min(x0 + len(row), lo + len(vec))
+    first = lo if lo > x0 else x0
+    last = x0 + len(row) if x0 + len(row) < lo + len(vec) else lo + len(vec)
     if last > first:
         row[first - x0 : last - x0] = vec[first - lo : last - lo]
 

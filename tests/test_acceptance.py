@@ -19,9 +19,7 @@ Criterion map (one test per numbered criterion):
   10 half-power series invariants on randomized tagged inputs
 """
 
-import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest

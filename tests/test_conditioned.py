@@ -1,7 +1,6 @@
 """Conditioned-walk ladder: psi_j(x) family, weak/strict q recursions, and
 the U_j expansion against the killed DP table."""
 
-import math
 from fractions import Fraction
 
 import numpy as np

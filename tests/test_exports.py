@@ -1,15 +1,27 @@
 """Module surfaces: each `__all__` names only what its module has, and lists
 every public function and class the module defines.  A module without
-`__all__` exports every public name, so it has nothing to check."""
+`__all__` exports every public name, so it has nothing to check.  And no
+module of the package, the tests or the scripts imports a name it never
+uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import fluctuator
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fluctuator.__path__))
+ROOT = Path(__file__).resolve().parents[1]
+# an __init__.py imports to re-export
+SOURCES = sorted(
+    str(p.relative_to(ROOT))
+    for d in ("src/fluctuator", "tests", "scripts")
+    for p in (ROOT / d).glob("*.py")
+    if p.name != "__init__.py"
+)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,3 +36,30 @@ def test_all_matches_the_public_definitions(name):
         and getattr(obj, "__module__", None) == mod.__name__
     }
     assert sorted(public - set(mod.__all__)) == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports (outside `from __future__`) that no name,
+    attribute chain or `__all__` entry of the module reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse((ROOT / path).read_text(), path)) == []

@@ -1,14 +1,12 @@
 """tau_0 pipeline: psi scalars, mu algebra (recurrence vs closed form vs
 half-power ring), and the nu ladder against the DP tail."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import basis, oracle, tau0
+from fluctuator import oracle, tau0
 
 N = 1 << 12
 
