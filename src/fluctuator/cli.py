@@ -160,18 +160,14 @@ def _cmd_expand_taux(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     J = args.terms
-    cert = None
-    if args.check_polyharmonic:
-        cert = polyharmonic.certify(law, args.x_max, J, args.horizon)
-        ladder = cert.ladder
-    else:
-        ladder = polyharmonic.v_ladder(law, x_max=args.x_max, J=J, N=args.horizon)
+    # the closed form sweeps nothing: --horizon is accepted and not read
+    top = polyharmonic.ladder_reach(law, args.x_max, J) if args.check_polyharmonic else args.x_max
+    ladder = polyharmonic.v_wiener_hopf(law, top, J)
     doc = {
         "model": law_to_json(law),
-        "horizon": args.horizon,
-        "nu": {f"nu_{j}": _num(ladder.nu[j - 1], "ladder") for j in range(1, J + 1)},
+        "nu": {f"nu_{j}": _num(ladder.nu[j - 1], "wiener-hopf") for j in range(1, J + 1)},
         "V": {
-            f"V_{j}": {str(x): _num(ladder[j][x], "dp") for x in range(args.x_max + 1)}
+            f"V_{j}": {str(x): _num(ladder[j][x], "wiener-hopf") for x in range(args.x_max + 1)}
             for j in range(1, J + 1)
         },
     }
@@ -181,17 +177,15 @@ def _cmd_expand_taux(args) -> int:
             f"V_{j}": {str(x): _num(lc[j][x], "analytic") for x in range(args.x_max + 1)}
             for j in range(1, J + 1)
         }
-    failures = []
-    if cert is not None:
-        doc["polyharmonic_checks"] = {c.key: _num(c.value, "dp") for c in cert.checks}
-        failures = [
-            f"{c.name}: {c.measure} {c.value:.3e} > {c.limit:g}" for c in cert.checks if not c.passed
-        ]
+    checks = polyharmonic.certify(law, ladder, args.x_max) if args.check_polyharmonic else ()
+    if checks:
+        doc["polyharmonic_checks"] = {c.key: _num(c.value, "wiener-hopf") for c in checks}
     _write_json(out_dir / "taux_coeffs.json", doc)
     print(f"wrote {out_dir / 'taux_coeffs.json'}")
-    for msg in failures:
-        print(f"FAIL: {msg}")
-    return EXIT_CHECK_FAILED if failures else EXIT_PASS
+    failed = [c for c in checks if not c.passed]
+    for c in failed:
+        print(f"FAIL: {c.name}: {c.measure} {c.value:.3e} > {c.limit:g}")
+    return EXIT_CHECK_FAILED if failed else EXIT_PASS
 
 
 def _cmd_verify(args) -> int:
@@ -202,10 +196,11 @@ def _cmd_verify(args) -> int:
     def check(name: str, ok: bool, detail: str) -> None:
         results.append((name, bool(ok), detail))
 
-    # the suite's free float sweep also serves the polyharmonic certification
+    # the suite's free float sweep also serves the paper route's V ladder
     xs = ()
     if args.check_polyharmonic:
-        xs = range(-polyharmonic.ladder_reach(law, args.x_max, 2), 1)
+        top = polyharmonic.ladder_reach(law, args.x_max, 2)  # refuses x-max 0 first
+        xs = range(-args.x_max, 1)
     ids = oracle.identity_suite(law, N, xs)
     k = len(ids.primes)
     where = (f"at N={N}, {k} primes, false pass <= "
@@ -248,12 +243,17 @@ def _cmd_verify(args) -> int:
             )
 
     if args.check_polyharmonic:
+        # certify the closed form as `expand taux` does; gauge the paper route by it
         try:
             if coeffs is None:
                 raise closure
-            cert = polyharmonic.certify(law, args.x_max, 2, N, free=(coeffs, ids.points))
-            for c in cert.checks:
+            paper = polyharmonic.v_ladder(law, args.x_max, 2, N, free=(coeffs, ids.points))
+            ladder = polyharmonic.v_wiener_hopf(law, top, 2)
+            for c in polyharmonic.certify(law, ladder, args.x_max):
                 check(c.name, c.passed, f"{c.measure} {c.value:.3e}")
+            gap = polyharmonic.route_gap(paper, ladder, args.x_max)
+            check("V paper route", gap <= polyharmonic.ROUTE_GAP_TOL,
+                  f"relative gap {gap:.3e} at N={N}")
         except TailNotDecayed as exc:
             check("polyharmonic", False, str(exc))
 

@@ -44,6 +44,7 @@ __all__ = [
     "identity_suite",
     "mc_tau_tail",
     "series_tail_sum",
+    "ladder_roots",
     "ladder_heights",
     "ladder_renewal",
 ]
@@ -837,30 +838,21 @@ def series_tail_sum(summands: np.ndarray, first_n: int) -> tuple[float, float, f
 # ladder-height structure
 
 
-def ladder_heights(law: LatticeLaw) -> np.ndarray:
-    """Distribution of the first weak ascending ladder height, in closed form.
-
-    F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, k = 0..h, where
-    the law has jumps in [-d, h].  The Wiener-Hopf factorization at s = 1
-    (Feller, Vol. II, Ch. XII) gives
-
-        1 - F(z) = -p_h (z - 1) prod_(|r| > 1) (z - r)
-
-    over the h - 1 roots of z^d (1 - phi(z)) outside the unit circle.  The
-    double root at z = 1 of a mean-zero law is divided out in exact
-    arithmetic first: in floats it splits and its halves get misclassified.
-    Raises LawError when the float roots do not split that way, and refuses
-    a quotient of degree d + h - 2 above ROOT_DEGREE_CAP before finding roots.
-    """
+def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q = z^d (1 - phi(z)) / (z - 1)^2 for jumps in [-d, h], as floats
+    (highest power first), and its d - 1 roots inside and h - 1 outside the
+    unit circle: the Wiener-Hopf roots at s = 1 (Feller, Vol. II, Ch. XII).
+    The double root at 1 is divided out exactly: in floats it splits and its
+    halves get misclassified.  Raises LawError when the roots split
+    otherwise, and refuses degree d + h - 2 above ROOT_DEGREE_CAP first."""
     law.require_expansion_ready()
-    h = law.support[-1]
-    degree = h - law.support[0] - 2  # of z^d (1 - phi(z)) / (z - 1)^2
-    if degree > ROOT_DEGREE_CAP:
+    d, h = -law.support[0], law.support[-1]
+    if d + h - 2 > ROOT_DEGREE_CAP:
         raise ResourceCapExceeded(
-            f"ladder root-finding degree {degree} exceeds cap {ROOT_DEGREE_CAP}"
+            f"ladder root-finding degree {d + h - 2} exceeds cap {ROOT_DEGREE_CAP}"
         )
     # z^d (1 - phi(z)), highest power first: z^(v + d) sits at index h - v
-    c = [Fraction(0)] * (h - law.support[0] + 1)
+    c = [Fraction(0)] * (d + h + 1)
     c[h] += 1
     for v, p in law.atoms.items():
         c[h - v] -= p
@@ -868,13 +860,26 @@ def ladder_heights(law: LatticeLaw) -> np.ndarray:
         for i in range(1, len(c)):
             c[i] += c[i - 1]
         c.pop()
-    roots = np.roots([float(a) for a in c])
-    outside = roots[np.abs(roots) > 1.0]
-    if outside.size != h - 1:
+    q = np.array([float(a) for a in c])
+    roots = np.roots(q)
+    inside, outside = roots[np.abs(roots) < 1.0], roots[np.abs(roots) > 1.0]
+    if (inside.size, outside.size) != (d - 1, h - 1):
         raise LawError(
-            f"{outside.size} roots of z^d (1 - phi(z)) outside the unit circle, "
-            f"expected {h - 1}"
+            f"{outside.size} roots of z^d (1 - phi(z)) outside the unit circle and "
+            f"{inside.size} inside, expected {h - 1} and {d - 1}"
         )
+    return q, inside, outside
+
+
+def ladder_heights(law: LatticeLaw) -> np.ndarray:
+    """Distribution of the first weak ascending ladder height, in closed form:
+    F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, k = 0..h, with
+
+        1 - F(z) = -p_h (z - 1) prod_(|r| > 1) (z - r)
+
+    over the h - 1 roots outside the unit circle of `ladder_roots`."""
+    h = law.support[-1]
+    _, _, outside = ladder_roots(law)
     # expand F from its values at M > h roots of unity: np.poly's partial
     # products grow like binomials and cancel (sum F ~ 1e87 at width 3125)
     M = 1 << h.bit_length()

@@ -1,9 +1,9 @@
-"""The coefficient functions V_j(x) of the tau_x tail
-expansion, the killed step (P - I), their polyharmonic certification, and
-polynomial-tail fits.
+"""The coefficient functions V_j(x) of the tau_x tail expansion (closed form
+and the paper's duality assembly), the killed step (P - I), their
+polyharmonic certification, and polynomial-tail fits.
 
-Assembly (duality route): with T_x(s) = sum_n P(tau_x > n) s^n and the
-strict-ladder generating functions B-tilde(s, y) of the reversed walk,
+Assembly (duality route, the paper's): with T_x(s) = sum_n P(tau_x > n) s^n
+and the strict-ladder generating functions B-tilde(s, y) of the reversed walk,
 
     T_x(s) = (1 + sum_(y<x) B-tilde(s, y)) * T_0(s),
 
@@ -33,8 +33,9 @@ __all__ = [
     "GridTooShort",
     "PolyTailFit",
     "PolyCheck",
-    "Certificate",
     "v_ladder",
+    "v_wiener_hopf",
+    "route_gap",
     "v_leftcont",
     "killed_step",
     "polyharm_defect",
@@ -47,6 +48,8 @@ __all__ = [
 # poly_tail_fit passes when its last-quartile residuals stay below this
 # fraction of the function scale
 POLY_TAIL_REL_TOL = 1e-3
+# verify's paper-route gap limit, the tolerance of certify's V_2 checks
+ROUTE_GAP_TOL = 1e-2
 
 
 class DomainGap(ValueError):
@@ -60,7 +63,7 @@ class GridTooShort(ValueError):
 @dataclass(frozen=True)
 class VLadder:
     V: np.ndarray  # V[j-1, x] for j = 1..J, x = 0..x_max
-    nu: tuple[float, ...] | None = None  # nu_1..nu_J of the duality route
+    nu: tuple[float, ...] | None = None  # nu_1..nu_J
 
     def __getitem__(self, j: int) -> np.ndarray:
         return self.V[j - 1]
@@ -107,6 +110,104 @@ def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> VLadder:
     return VLadder(V=V, nu=tuple(co.nu[:J]))
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of power series in t (last axis), truncated."""
+    out = a * b[..., :1]
+    for k in range(1, a.shape[-1]):
+        out[..., k:] += a[..., :-k] * b[..., k : k + 1]
+    return out
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """1 / a for power series with a nonzero constant term (Newton)."""
+    r = np.eye(1, a.shape[-1])[0] / a[..., :1]
+    for _ in range(a.shape[-1].bit_length()):
+        r = 2 * r - _mul(_mul(a, r), r)
+    return r
+
+
+def _taylor(c: np.ndarray, r: np.ndarray, K: int) -> np.ndarray:
+    """c^(k)(r) / k!, k < K, for the polynomial c (highest power first)."""
+    out = []
+    for k in range(1, K + 1):
+        out.append(np.polyval(c, r))
+        c = np.polyder(c) / k
+    return np.stack(out, -1)
+
+
+def _lift(z0: np.ndarray, a: np.ndarray, b: np.ndarray, u0, e: int, f: int) -> np.ndarray:
+    """The roots z = z0 + t u(t), u(0) = u0, of u^e A(t u) + t^f B(t u) = 0
+    for A, B of M Taylor coefficients a, b, one row per root.  A step divides
+    by the u-derivative at t = 0, e u0^(e-1) a_0: it gains one order of t."""
+    M = a.shape[-1]
+    u = np.zeros(a.shape, complex)
+    u[:, 0] = u0
+    slope = e * u0 ** (e - 1) * a[:, :1]
+    for _ in range(M - 1):
+        tu = np.zeros((len(u), M, M), complex)  # the powers (t u)^k, k < M
+        tu[:, 0, 0] = 1
+        for k in range(1, M):
+            tu[:, k, 1:] = _mul(tu[:, k - 1], u)[:, :-1]
+        F = (a[..., None] * tu).sum(1)
+        for _ in range(e):
+            F = _mul(F, u)
+        F[:, f:] += (b[..., None] * tu).sum(1)[:, : M - f]
+        u -= F / slope
+    return np.column_stack([z0, u[:, :-1]])
+
+
+def _taux_series(law: LatticeLaw, x_max: int, M: int) -> np.ndarray:
+    """E_x s^tau_x to order t^(M-1), x = 0..max(x_max, h), complex."""
+    d, h = -law.support[0], law.support[-1]
+    q, inside, _ = oracle.ladder_roots(law)
+    for _ in range(2):  # Newton-polish the roots of Q
+        inside = inside - np.polyval(q, inside) / np.polyval(np.polyder(q), inside)
+    p = np.zeros(d + h + 1)  # P = z^d phi(z), highest power first: p_v at h - v
+    p[h - np.array(law.support)] = [float(pv) for pv in law.atoms.values()]
+    g = np.eye(1, d + h + 1, h)[0] - p  # z^d (1 - phi(z)) = (z - 1)^2 Q(z)
+    # at 1: z = 1 + t v, v^2 Q(z) + P(z) = 0, v(0) = -sqrt(2)/sigma; at each
+    # root r of Q inside the circle: z = r + t u, (g(z) + t^2 P(z)) / t = 0
+    one = np.ones(1)
+    z1 = _lift(one, _taylor(q, one, M), _taylor(p, one, M), -np.sqrt(2 / float(law.variance)), 2, 0)
+    zr = _lift(inside, _taylor(g, inside, M + 1)[:, 1:], _taylor(p, inside, M), 0, 1, 1)
+    z = np.concatenate([z1, zr])
+    # c_i = prod_(j != i) (1 - 1/z_j) / (1/z_i - 1/z_j), which solve
+    # sum_i c_i z_i^(-k) = 1 for k < d: a factor z_i (z_j - 1) / (z_j - z_i)
+    # per j, so memory stays linear in d
+    unit = w = np.eye(1, M)[0]
+    for j in range(d):
+        diff = z[j] - z
+        diff[j] = unit
+        ratio = _mul(_mul(z, z[j] - unit), _inv(diff))
+        ratio[j] = unit
+        w = _mul(ratio, w)
+    E = np.zeros((max(x_max, h) + 1, M), complex)
+    for x in range(1, len(E)):
+        w = _mul(w, z)  # c_i z_i^x
+        E[x] = w.sum(0)
+    E[0] = (p[h - 1 :: -1, None] * E[1 : h + 1]).sum(0)  # E_0 = s (P(X <= 0) + sum_v p_v E_v)
+    E[0, 0] += p[h:].sum()
+    E[0, 2:] = E[0, 2:] - E[0, :-2]
+    return E
+
+
+def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> VLadder:
+    """V_1..V_J on x = 0..x_max and nu_j = V_j(0), with no horizon.  Put
+    s = 1 - t^2.  Over the d small roots z_i(t) of z^d (1 - s phi(z)) for
+    jumps in [-d, h], E_x s^tau_x = sum_i c_i z_i^x for x >= 1 (Feller,
+    Vol. II, Ch. XII).  It is 1 - t^2 sum_n P(tau_x > n) s^n, so V_j(x) is
+    the real part of its t^(2j-1) coefficient negated.  The roots are lifted
+    by Newton's method (Flajolet & Sedgewick, Sec. VII.7)."""
+    V = 0.0 - _taux_series(law, x_max, 2 * J)[: x_max + 1, 1::2].real.T  # no -0.0
+    return VLadder(V=V, nu=tuple(V[:, 0]))
+
+
+def route_gap(ladder: VLadder, reference: VLadder, x_max: int) -> float:
+    """max_j sup_(x <= x_max) |V_j - V_j^ref| / sup |V_j^ref|, same j."""
+    a, b = ladder.V[:, : x_max + 1], reference.V[:, : x_max + 1]
+    return float((np.abs(a - b).max(1) / np.abs(b).max(1)).max())
+
+
 def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> VLadder:
     """Closed form for left-continuous walks, a polynomial of degree 2j - 1:
 
@@ -124,16 +225,16 @@ def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> VLadder:
 
 
 def killed_step(law: LatticeLaw, f: np.ndarray) -> np.ndarray:
-    """(P - I)f(x) = sum_(v: x+v>0) P(X = v) f(x + v) - f(x), the walk killed
-    at <= 0, on x = 1..len(f) - 1 - h with h the largest upward jump: one
-    slice-add per atom.  Entry 0 of the result is 0."""
+    """(P - I)f(x) = sum_(v != 0: x+v>0) P(X = v) f(x + v) - P(X != 0) f(x), killed
+    at <= 0, on x = 1..len(f) - 1 - h (h the largest upward jump; entry 0 is 0), one
+    slice-add per atom; P(X != 0) is exact, so a holding mass near 1 keeps the jumps."""
     f = np.asarray(f, dtype=float)
     out = np.zeros(f.size - max(law.support))
     for v, p in law.atoms.items():
         lo = max(1, 1 - v)  # x + v > 0
-        if lo < out.size:  # else a long downward jump would wrap the slice of f
+        if v and lo < out.size:  # else a long downward jump would wrap the slice of f
             out[lo:] += float(p) * f[lo + v : out.size + v]
-    out[1:] -= f[1 : out.size]
+    out[1:] -= float(1 - law.atoms.get(0, 0)) * f[1 : out.size]
     return out
 
 
@@ -186,35 +287,29 @@ class PolyCheck:
         return self.value <= self.limit
 
 
-@dataclass(frozen=True)
-class Certificate:
-    ladder: VLadder  # V_1..V_J on x = 0..x_max plus the operator headroom
-    checks: tuple[PolyCheck, ...]
-
-
 def ladder_reach(law: LatticeLaw, x_max: int, J: int) -> int:
-    """The top state of `certify`'s ladder: x_max plus J * (largest upward
-    jump), the states that J operator steps read, plus 2."""
+    """The top state of the ladder `certify` reads: x_max plus J * (largest
+    upward jump), the states that J operator steps read, plus 2."""
     if x_max < 1:
         raise ValueError(f"x-max must be >= 1 for the polyharmonic checks, got {x_max}")
     return x_max + J * max(law.support) + 2
 
 
-def certify(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> Certificate:
-    """V_1..V_J and their polyharmonic checks on the window x = 1..x_max:
+def certify(law: LatticeLaw, ladder: VLadder, x_max: int) -> tuple[PolyCheck, ...]:
+    """The polyharmonic checks of a ladder of V_1..V_J on the window
+    x = 1..x_max:
 
       polyharmonic V1           sup |(P - I)V_1|                          <= 1e-6
       polyharmonic V2 identity  relative residual of (P - I)V_2 = V_1    <= 1e-2
       polyharmonic V2 (P-I)^2   sup |(P - I)^2 V_2| / sup |V_2|          <= 1e-2
 
-    (the V_2 checks for J >= 2) on the ladder up to `ladder_reach`.  free is
-    as in `v_ladder`, covering -ladder_reach(law, x_max, J)..0.
+    (the V_2 checks for J >= 2).  The ladder must reach
+    `ladder_reach(law, x_max, J)`.
     """
-    ladder = v_ladder(law, x_max=ladder_reach(law, x_max, J), J=J, N=N, free=free)
     window = (1, x_max)
     d1 = polyharm_defect(law, ladder[1], 1, window)
     checks = [PolyCheck("polyharmonic V1", "harmonic_defect_V1", "defect", d1, 1e-6)]
-    if J >= 2:
+    if len(ladder.V) >= 2:
         step_v2 = killed_step(law, ladder[2])  # (P - I)V_2, read by both V_2 checks
         resid = v2_identity_residual(step_v2, ladder[1], window)
         d2 = polyharm_defect(law, step_v2, 1, window)
@@ -225,7 +320,7 @@ def certify(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> Certifica
                 "polyharmonic V2 (P-I)^2", "biharmonic_defect_V2_rel", "relative defect", rel, 1e-2
             ),
         ]
-    return Certificate(ladder=ladder, checks=tuple(checks))
+    return tuple(checks)
 
 
 def poly_tail_fit(xs: np.ndarray, values: np.ndarray, degree: int) -> PolyTailFit:

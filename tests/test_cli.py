@@ -76,11 +76,10 @@ def test_missing_model_exits_2(tmp_path, name):
 def test_tail_not_decayed_exits_1(tmp_path, capsys):
     model = tmp_path / "wide.json"
     model.write_text('{"atoms": {"-2": "1/2", "1": "1/4", "3": "1/4"}}')
-    for target in ("local", "taux"):
-        rc = _run(["expand", target, "--model", str(model), "--horizon", "64",
-                   "--out-dir", str(tmp_path)])
-        assert rc == cli.EXIT_CHECK_FAILED
-        assert capsys.readouterr().out.startswith("FAIL: ")
+    rc = _run(["expand", "local", "--model", str(model), "--horizon", "64",
+               "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.startswith("FAIL: ")
 
 
 def test_leftcont_gate_follows_downward_jumps(tmp_path, capsys):
@@ -167,19 +166,27 @@ def test_oversized_sweep_exits_3_before_sweeping(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["oracle", "--mode", "float"], ["oracle", "--mode", "rational"],
-     ["expand", "tau0"], ["expand", "local"], ["expand", "taux"],
-     ["verify"], ["verify", "--check-polyharmonic"]],
+    "argv, want",
+    [(["oracle", "--mode", "float"], cli.EXIT_RESOURCE),
+     (["oracle", "--mode", "rational"], cli.EXIT_RESOURCE),
+     (["expand", "tau0"], cli.EXIT_RESOURCE), (["expand", "local"], cli.EXIT_RESOURCE),
+     (["expand", "taux"], cli.EXIT_PASS),
+     (["verify"], cli.EXIT_RESOURCE), (["verify", "--check-polyharmonic"], cli.EXIT_RESOURCE)],
     ids=["oracle-float", "oracle-rational", "tau0", "local", "taux", "verify", "verify-ph"],
 )
-def test_oversized_horizon_exits_3_before_allocating(tmp_path, capsys, argv):
+def test_oversized_horizon_exits_3_before_allocating(tmp_path, capsys, argv, want):
     # a 10^12-step sweep would need 8 TB for its N + 1 sums alone: every
-    # subcommand refuses it before allocating anything
+    # subcommand that sweeps refuses it before allocating anything;
+    # `expand taux` sweeps nothing and writes its closed form at once
+    t0 = time.perf_counter()
     rc = _run(argv + ["--model", "lazy", "--horizon", str(10**12), "--out-dir", str(tmp_path)])
     out, err = capsys.readouterr()
-    assert rc == cli.EXIT_RESOURCE
-    assert err.startswith("resource cap: ") and "Traceback" not in out + err
+    assert rc == want and "Traceback" not in out + err
+    if want == cli.EXIT_PASS:
+        assert time.perf_counter() - t0 < 1.0
+        assert (tmp_path / "taux_coeffs.json").is_file()
+    else:
+        assert err.startswith("resource cap: ")
 
 
 def test_wide_law_exits_3_before_root_finding(tmp_path, capsys):
@@ -233,6 +240,29 @@ def test_verify_certifies_from_the_suites_free_sweep(monkeypatch, model):
     argv = ["verify", "--model", model, "--horizon", "256", "--check-polyharmonic"]
     assert _run(argv) == cli.EXIT_PASS
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("extra", [[], ["--check-polyharmonic"]], ids=["plain", "certified"])
+def test_expand_taux_sweeps_nothing(tmp_path, monkeypatch, extra):
+    # V and nu come from the Wiener-Hopf roots, certified or not
+    calls = _count_sweeps(monkeypatch)
+    argv = ["expand", "taux", "--model", "skewed", "--out-dir", str(tmp_path)] + extra
+    assert _run(argv) == cli.EXIT_PASS
+    assert calls == []
+    doc = json.loads((tmp_path / "taux_coeffs.json").read_text())
+    assert "horizon" not in doc
+    assert {v["provenance"] for v in doc["V"]["V_2"].values()} == {"wiener-hopf"}
+
+
+def test_verify_reports_the_paper_route_gap(capsys):
+    # the duality ladder at N = 64 misses lazy's closed form by 1.2e-2, past
+    # the 1e-2 limit, while the closed form itself certifies
+    argv = ["verify", "--model", "lazy", "--horizon", "64", "--check-polyharmonic"]
+    assert _run(argv) == cli.EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines if "FAIL" in line] == [["V", "paper", "route"]]
+    assert lines[-1].endswith("at N=64")
+    assert _run(argv[:4] + ["2048", "--check-polyharmonic"]) == cli.EXIT_PASS
 
 
 _TINY_STEPS = {"atoms": {  # P(X = 1) = P(X = -1) = 2^-70

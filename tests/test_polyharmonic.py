@@ -2,13 +2,14 @@
 tail structure."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import oracle, polyharmonic as ph
+from fluctuator import basis, oracle, polyharmonic as ph, walk
 
 from test_conditioned import _mean_zero_laws
 
@@ -52,21 +53,15 @@ def test_v2_biharmonic_and_identity(lazy, lad_lazy):
     assert d2 / scale < 1e-4
 
 
-def test_certify_fails_a_negated_v2(monkeypatch, lazy):
+def test_certify_fails_a_negated_v2(lazy):
     # (P - I)V_2 = V_1 holds with the sign fixed at +1: a ladder with V_2
     # negated fails the identity, while the sign-blind biharmonic check and
     # the V_1 check still pass
-    v_ladder = ph.v_ladder
-
-    def negated(*args, **kwargs):
-        lad = v_ladder(*args, **kwargs)
-        V = lad.V.copy()
-        V[1] *= -1
-        return dataclasses.replace(lad, V=V)
-
-    monkeypatch.setattr(ph, "v_ladder", negated)
-    cert = ph.certify(lazy, WIN[1], 2, 1 << 10)
-    assert {c.name: c.passed for c in cert.checks} == {
+    lad = ph.v_wiener_hopf(lazy, ph.ladder_reach(lazy, WIN[1], 2), 2)
+    V = lad.V.copy()
+    V[1] *= -1
+    checks = ph.certify(lazy, dataclasses.replace(lad, V=V), WIN[1])
+    assert {c.name: c.passed for c in checks} == {
         "polyharmonic V1": True,
         "polyharmonic V2 identity": False,
         "polyharmonic V2 (P-I)^2": True,
@@ -113,6 +108,15 @@ def test_killed_step_matches_pointwise_sum(law, data):
     got = ph.killed_step(law, f)
     assert got.shape == (size - h,)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+def test_killed_step_keeps_the_jumps_of_a_heavy_hold():
+    # P(X = 1) = P(X = -1) = 2^-70: with P(X != 0) taken exactly, the jumps
+    # are not rounded away against the holding mass, and (P - I)x^2 = 2 eps
+    eps = Fraction(1, 2**70)
+    law = walk.make_law({-1: eps, 0: 1 - 2 * eps, 1: eps})
+    step = ph.killed_step(law, np.arange(10.0) ** 2)
+    np.testing.assert_allclose(step[1:], 2 * float(eps), rtol=1e-12)
 
 
 def test_defect_needs_headroom(lazy):
@@ -165,3 +169,74 @@ def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
     own = ph.v_ladder(skewed, x_max=10, J=2, N=512)
     assert len(calls) == 2  # the reversed walk swept on its own
     np.testing.assert_allclose(lad.V, own.V, rtol=1e-9, atol=0)
+
+
+# the closed form's values, computed at 40 digits by a Cauchy integral with
+# root tracking and by Newton lifting of the roots in mpmath, which agree to
+# 17-18 digits; p03v2 is a benchmark pool law
+DOWN2 = walk.make_law({-2: Fraction(1, 4), 0: Fraction(1, 4), 1: Fraction(1, 2)})
+P03V2 = walk.make_law(
+    {-1: Fraction(24, 65), 0: Fraction(2, 5), 1: Fraction(6, 65), 2: Fraction(9, 65)}
+)
+NU_40_DIGITS = {
+    "skewed": (walk.skewed_walk(), (
+        0.577350269189625765, -0.0748417015616181547, 0.00148495439606385227,
+        0.000896472468734844151, -0.000780882654377313263, -0.00105794183260572694)),
+    "down2": (DOWN2, (
+        0.866025403784438647, -0.240562612162344069, -0.0334114739114366762,
+        -0.0135048352575362565)),
+    "p03v2": (P03V2, (0.5182002205050366, -0.01447015391593077, 0.001651754063937532)),
+    "lazy": (walk.lazy_walk(), (0.5, 0.0, 0.0, 0.0)),  # sum_n s^n P(tau_0 > n) = ((1-s)^-1/2 + 1)/2
+}
+
+
+def _assert_digits(got, want, j):
+    # 1e-14 relative for j <= 2, 1e-12 above; absolute where the value is 0
+    tol = 1e-14 if j <= 2 else 1e-12
+    assert abs(got - want) <= tol * (abs(want) or 1.0), (j, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(NU_40_DIGITS))
+def test_wiener_hopf_nu_matches_the_40_digit_values(name):
+    law, nu = NU_40_DIGITS[name]
+    lad = ph.v_wiener_hopf(law, 0, len(nu))
+    for j, want in enumerate(nu, 1):
+        _assert_digits(lad.nu[j - 1], want, j)
+        assert lad[j][0] == lad.nu[j - 1]
+
+
+def test_wiener_hopf_v_matches_the_40_digit_values(skewed):
+    lad = ph.v_wiener_hopf(skewed, 8, 4)
+    for x, V in (
+        (1, (1.15470053837925, 0.491816895976348, 0.352231182746346, 0.294625951841261)),
+        (8, (9.23760430703401, 118.891388766456, 494.57772318951, 1276.5381646648)),
+    ):
+        for j, want in enumerate(V, 1):
+            _assert_digits(lad[j][x], want, j)
+
+
+@pytest.mark.parametrize("law", [walk.skewed_walk(), DOWN2], ids=["skewed", "down2"])
+def test_wiener_hopf_expansion_decays_against_the_rational_tail(law):
+    # P(tau_x > n) - sum_(j<=L) V_j(x) a_n^(j) = O(n^-(L+1/2)) against the
+    # exact DP tail: the fitted exponent on n = 100..300 is at least L + 0.4
+    N, lad = 300, ph.v_wiener_hopf(law, 2, 4)
+    ns = np.arange(100, N + 1)
+    for x in (0, 2):
+        truth = np.array(oracle.tau_tail(law, x, N, mode="rational"), dtype=float)
+        approx = np.zeros(N + 1)
+        for L in range(1, 5):
+            approx += lad[L][x] * basis.a_float(L, N)
+            slope = -np.polyfit(np.log(ns), np.log(np.abs(truth - approx)[ns]), 1)[0]
+            assert slope >= L + 0.4, (x, L, slope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=_mean_zero_laws())
+def test_wiener_hopf_matches_the_duality_route_random_laws(law):
+    # d up to 3 small roots, complex ones among them: the discarded
+    # imaginary parts are rounding, and the paper route at N = 4096 agrees
+    odd = ph._taux_series(law, 10, 4)[:11, 1::2]
+    assert (np.abs(odd.imag).max(0) <= 1e-12 * np.abs(odd.real).max(0)).all()
+    lad = ph.v_wiener_hopf(law, 10, 2)
+    np.testing.assert_array_equal(lad.V, -odd.real.T)
+    assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096), lad, 10) <= 1e-6
