@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_PASS
     try:
-        if args.horizon < 64:
+        if args.horizon < 64 and args.func is not _cmd_expand_taux:  # it sweeps nothing
             raise ConfigError("horizon must be >= 64")
         if getattr(args, "x_max", 0) < 0:
             raise ConfigError(f"x-max must be >= 0, got {args.x_max}")

@@ -118,87 +118,79 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inv(a: np.ndarray) -> np.ndarray:
-    """1 / a for power series with a nonzero constant term (Newton)."""
-    r = np.eye(1, a.shape[-1])[0] / a[..., :1]
-    for _ in range(a.shape[-1].bit_length()):
-        r = 2 * r - _mul(_mul(a, r), r)
-    return r
+def _compose(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """C(z(t)) for the polynomial c (highest power first), by Horner."""
+    out = np.zeros_like(z)
+    for ck in c:
+        out = _mul(out, z)
+        out[0] += ck
+    return out
 
 
-def _taylor(c: np.ndarray, r: np.ndarray, K: int) -> np.ndarray:
-    """c^(k)(r) / k!, k < K, for the polynomial c (highest power first)."""
-    out = []
-    for k in range(1, K + 1):
-        out.append(np.polyval(c, r))
-        c = np.polyder(c) / k
-    return np.stack(out, -1)
-
-
-def _lift(z0: np.ndarray, a: np.ndarray, b: np.ndarray, u0, e: int, f: int) -> np.ndarray:
-    """The roots z = z0 + t u(t), u(0) = u0, of u^e A(t u) + t^f B(t u) = 0
-    for A, B of M Taylor coefficients a, b, one row per root.  A step divides
-    by the u-derivative at t = 0, e u0^(e-1) a_0: it gains one order of t."""
-    M = a.shape[-1]
-    u = np.zeros(a.shape, complex)
-    u[:, 0] = u0
-    slope = e * u0 ** (e - 1) * a[:, :1]
-    for _ in range(M - 1):
-        tu = np.zeros((len(u), M, M), complex)  # the powers (t u)^k, k < M
-        tu[:, 0, 0] = 1
-        for k in range(1, M):
-            tu[:, k, 1:] = _mul(tu[:, k - 1], u)[:, :-1]
-        F = (a[..., None] * tu).sum(1)
-        for _ in range(e):
-            F = _mul(F, u)
-        F[:, f:] += (b[..., None] * tu).sum(1)[:, : M - f]
-        u -= F / slope
-    return np.column_stack([z0, u[:, :-1]])
-
-
-def _taux_series(law: LatticeLaw, x_max: int, M: int) -> np.ndarray:
-    """E_x s^tau_x to order t^(M-1), x = 0..max(x_max, h), complex."""
-    d, h = -law.support[0], law.support[-1]
-    q, inside, _ = oracle.ladder_roots(law)
-    for _ in range(2):  # Newton-polish the roots of Q
-        inside = inside - np.polyval(q, inside) / np.polyval(np.polyder(q), inside)
-    p = np.zeros(d + h + 1)  # P = z^d phi(z), highest power first: p_v at h - v
-    p[h - np.array(law.support)] = [float(pv) for pv in law.atoms.values()]
-    g = np.eye(1, d + h + 1, h)[0] - p  # z^d (1 - phi(z)) = (z - 1)^2 Q(z)
-    # at 1: z = 1 + t v, v^2 Q(z) + P(z) = 0, v(0) = -sqrt(2)/sigma; at each
-    # root r of Q inside the circle: z = r + t u, (g(z) + t^2 P(z)) / t = 0
-    one = np.ones(1)
-    z1 = _lift(one, _taylor(q, one, M), _taylor(p, one, M), -np.sqrt(2 / float(law.variance)), 2, 0)
-    zr = _lift(inside, _taylor(g, inside, M + 1)[:, 1:], _taylor(p, inside, M), 0, 1, 1)
-    z = np.concatenate([z1, zr])
-    # c_i = prod_(j != i) (1 - 1/z_j) / (1/z_i - 1/z_j), which solve
-    # sum_i c_i z_i^(-k) = 1 for k < d: a factor z_i (z_j - 1) / (z_j - z_i)
-    # per j, so memory stays linear in d
-    unit = w = np.eye(1, M)[0]
-    for j in range(d):
-        diff = z[j] - z
-        diff[j] = unit
-        ratio = _mul(_mul(z, z[j] - unit), _inv(diff))
-        ratio[j] = unit
-        w = _mul(ratio, w)
-    E = np.zeros((max(x_max, h) + 1, M), complex)
-    for x in range(1, len(E)):
-        w = _mul(w, z)  # c_i z_i^x
-        E[x] = w.sum(0)
-    E[0] = (p[h - 1 :: -1, None] * E[1 : h + 1]).sum(0)  # E_0 = s (P(X <= 0) + sum_v p_v E_v)
-    E[0, 0] += p[h:].sum()
-    E[0, 2:] = E[0, 2:] - E[0, :-2]
-    return E
+def _inside_factor(g: np.ndarray, p: np.ndarray, a0: np.ndarray, M: int) -> np.ndarray:
+    """Hensel lifting: the monic factor A of g + t^2 P with A = a0 at t = 0,
+    g = a0 b0, as rows of t-coefficients, (len(a0), M).  Order k solves
+    a0 B_k + b0 A_k = [k = 2] P - sum_(0<i<k) A_i B_(k-i) in the Sylvester
+    matrix of a0 and b0, nonsingular when they share no root: repeated
+    roots within a0 cost nothing."""
+    d, n = len(a0), len(g)
+    b0 = np.polydiv(g, a0)[0]
+    S = np.zeros((n, n))
+    for i in range(n - d + 1):
+        S[i : i + d, i] = a0
+    for k in range(d - 1):
+        S[k + 1 : k + n - d + 2, n - d + 1 + k] = b0
+    # lstsq, not solve or inv: the tau0 fits already load its LAPACK
+    # driver, and the others would add 0.25 MB of resident code
+    Sinv = np.linalg.lstsq(S, np.eye(n), rcond=None)[0]
+    A, B = np.zeros((M, d)), np.zeros((M, n - d + 1))
+    A[0], B[0] = a0, b0
+    for k in range(1, M):
+        rhs = p * (k == 2) - sum(np.convolve(A[i], B[k - i]) for i in range(1, k))
+        B[k], A[k, 1:] = np.split(Sinv @ rhs, [n - d + 1])
+    return A.T
 
 
 def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> VLadder:
     """V_1..V_J on x = 0..x_max and nu_j = V_j(0), with no horizon.  Put
     s = 1 - t^2.  Over the d small roots z_i(t) of z^d (1 - s phi(z)) for
-    jumps in [-d, h], E_x s^tau_x = sum_i c_i z_i^x for x >= 1 (Feller,
-    Vol. II, Ch. XII).  It is 1 - t^2 sum_n P(tau_x > n) s^n, so V_j(x) is
-    the real part of its t^(2j-1) coefficient negated.  The roots are lifted
-    by Newton's method (Flajolet & Sedgewick, Sec. VII.7)."""
-    V = 0.0 - _taux_series(law, x_max, 2 * J)[: x_max + 1, 1::2].real.T  # no -0.0
+    jumps in [-d, h], E_x s^tau_x = sum_i c_i z_i^x for x >= 1, with the c_i
+    that make it 1 at x = 1 - d..0 (Feller, Vol. II, Ch. XII).  It is
+    1 - t^2 sum_n P(tau_x > n) s^n, so V_j(x) is its t^(2j-1) coefficient
+    negated.  The root at 1 is lifted by Newton's method (Flajolet &
+    Sedgewick, Sec. VII.7), the other d - 1 together as one factor."""
+    d, h, M = -law.support[0], law.support[-1], 2 * J
+    q, inside, _ = oracle.ladder_roots(law)
+    p = np.zeros(d + h + 1)  # P = z^d phi(z), highest power first: p_v at h - v
+    p[h - np.array(law.support)] = [float(pv) for pv in law.atoms.values()]
+    g = np.eye(1, d + h + 1, h)[0] - p  # z^d (1 - phi(z)) = (z - 1)^2 Q(z)
+    # at 1: z = 1 + t v, v^2 Q(z) + P(z) = 0, v(0) = -sqrt(2)/sigma; a step
+    # divides by the v-derivative 2 v(0) Q(1) and gains one order of t
+    v = np.eye(1, M)[0] * -np.sqrt(2 / float(law.variance))
+    slope = 2 * v[0] * np.polyval(q, 1.0)
+    for _ in range(M - 1):
+        z1 = np.concatenate([[1.0], v[:-1]])
+        v = v - (_mul(_mul(v, v), _compose(q, z1)) + _compose(p, z1)) / slope
+    z1 = np.concatenate([[1.0], v[:-1]])
+    # the small roots are those of R = (z - z1) A, A the factor near the
+    # roots of Q inside the circle; sum_i c_i z_i^x solves the recurrence
+    # R gives, from its d values 1 at x = 1 - d..0
+    a0 = np.ones(1, complex)
+    for r in inside:  # not np.poly: its complex sort adds 0.125 MB of resident code
+        a0 = np.append(a0, 0) - r * np.append(0, a0)
+    A = _inside_factor(g, p, a0.real, M)
+    R = np.zeros((d + 1, M))
+    R[:d] = A
+    R[1:] -= _mul(A, z1)
+    E = np.zeros((max(x_max, h) + d, M))
+    E[:d, 0] = 1.0
+    for i in range(d, len(E)):
+        E[i] = -_mul(R[1:], E[i - d : i][::-1]).sum(0)
+    E = E[d - 1 :]  # x = 0..max(x_max, h)
+    E[0] = (p[h - 1 :: -1, None] * E[1 : h + 1]).sum(0)  # E_0 = s (P(X <= 0) + sum_v p_v E_v)
+    E[0, 0] += p[h:].sum()
+    E[0, 2:] = E[0, 2:] - E[0, :-2]
+    V = 0.0 - E[: x_max + 1, 1::2].T  # no -0.0
     return VLadder(V=V, nu=tuple(V[:, 0]))
 
 

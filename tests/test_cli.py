@@ -144,6 +144,13 @@ def test_low_horizon_exits_2():
     assert _run(["expand", "tau0", "--model", "lazy", "--horizon", "32"]) == cli.EXIT_CONFIG
 
 
+def test_taux_takes_a_low_horizon(tmp_path):
+    # expand taux sweeps nothing, so it does not bound the --horizon it never reads
+    rc = _run(["expand", "taux", "--model", "lazy", "--horizon", "32", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_PASS
+    assert (tmp_path / "taux_coeffs.json").exists()
+
+
 def test_oversized_table_exits_3(tmp_path):
     # refused before the (N+1) x (x_max+1) tables are allocated
     rc = _run(

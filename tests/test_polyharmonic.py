@@ -233,10 +233,28 @@ def test_wiener_hopf_expansion_decays_against_the_rational_tail(law):
 @settings(max_examples=60, deadline=None)
 @given(law=_mean_zero_laws())
 def test_wiener_hopf_matches_the_duality_route_random_laws(law):
-    # d up to 3 small roots, complex ones among them: the discarded
-    # imaginary parts are rounding, and the paper route at N = 4096 agrees
-    odd = ph._taux_series(law, 10, 4)[:11, 1::2]
-    assert (np.abs(odd.imag).max(0) <= 1e-12 * np.abs(odd.real).max(0)).all()
+    # d up to 3 small roots, complex ones among them: the paper route at
+    # N = 4096 agrees
     lad = ph.v_wiener_hopf(law, 10, 2)
-    np.testing.assert_array_equal(lad.V, -odd.real.T)
+    assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096), lad, 10) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        {-3: Fraction(1, 24), -2: Fraction(1, 4), -1: Fraction(1, 24), 1: Fraction(2, 3)},
+        {-4: Fraction(1, 324), -3: Fraction(4, 81), -2: Fraction(73, 324),
+         -1: Fraction(1, 18), 1: Fraction(2, 3)},
+        {-3: Fraction(1, 24) + Fraction(1, 10**16), -2: Fraction(1, 4) - Fraction(2, 10**16),
+         -1: Fraction(1, 24) + Fraction(1, 10**16), 1: Fraction(2, 3)},
+    ],
+    ids=["double", "triple", "near-double"],
+)
+def test_wiener_hopf_takes_repeated_inside_roots(atoms):
+    # Q = -(4z + 1)^2 / 24, -(6z + 1)^3 / 324, and a pair of roots 2.4e-8
+    # apart: the small roots near a repeated root split like t or t^(2/3),
+    # so the inside roots are lifted as one factor
+    law = walk.make_law(atoms)
+    lad = ph.v_wiener_hopf(law, 10, 2)
+    assert np.isfinite(lad.V).all()
     assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096), lad, 10) <= 1e-6
