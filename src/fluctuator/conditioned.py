@@ -41,7 +41,6 @@ __all__ = [
     "psi_x",
     "q_ladder",
     "u_expansion_eval",
-    "gf_fit_check",
 ]
 
 
@@ -126,7 +125,7 @@ def psi_x(ws: ConditionedWorkspace, x: int, j_max: int) -> dict[int, float]:
             weight *= n - 1 - d
         summand = weight * resid
         summand[: i] = 0.0  # terms n <= i vanish by the falling factorial
-        tail, _, _ = oracle.series_tail_sum(summand, first_n=1)
+        tail, _ = oracle.series_tail_sum(summand, first_n=1)
         vals[j] = float((-1) ** i / math.factorial(i)) * (float(summand.sum()) + tail)
     return vals
 
@@ -191,25 +190,3 @@ def u_expansion_eval(
         slope = float(-np.polyfit(np.log(n_grid[nz]), np.log(err[nz]), 1)[0])
     return {"truth": truth, "approx": approx, "error": err, "decay_exponent": slope}
 
-
-def gf_fit_check(ws: ConditionedWorkspace, ladder: QLadder, x: int) -> np.ndarray:
-    """Cross-check oracle: fit B(x, s) = sum_n b_n(x) s^n near s = 1 on the
-    basis {1, (1-s)^(1/2), (1-s), (1-s)^(3/2)} and compare with the weak
-    ladder's q_0..q_3(x), x >= 1.  Returns the fitted minus ladder values
-    (length 4).
-
-    Chebyshev-spaced grid on [0.9, 0.999]; ridge-regularized normal
-    equations; for cross-checking only.
-    """
-    k = np.arange(24)
-    s_grid = 0.9495 + 0.0495 * np.cos(np.pi * (k + 0.5) / 24)
-    b = ws.table_weak[:, x]
-    n = np.arange(b.size)
-    gf = np.array([float(np.sum(b * s**n)) for s in s_grid])
-    # close the GF truncation with the fitted leading tail coefficient
-    u = 1.0 - s_grid
-    X = np.stack([np.ones_like(u), u**0.5, u, u**1.5, u**2], axis=1)
-    A = X.T @ X + 1e-10 * np.eye(X.shape[1])
-    coef = np.linalg.solve(A, X.T @ gf)
-    lad = ladder.q[: min(4, ladder.q.shape[0]), x]
-    return coef[: lad.size] - lad

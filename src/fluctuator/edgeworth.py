@@ -1,7 +1,7 @@
 """Edgeworth machinery: Hermite polynomials, cumulant-partition sums, the
-CDF terms Q_nu and density terms q_nu, lattice corrections at zero, the
-local-expansion polynomials theta_j(x), and the correction coefficients
-(theta_1, theta_2) for Delta_n / n.
+CDF terms Q_nu, lattice corrections at zero, the local-expansion
+polynomials theta_j(x), and the correction coefficients (theta_1, theta_2)
+for Delta_n / n.
 
 Coefficient assembly runs in extended precision (mpmath, 40 digits) because
 the analytic theta values arise from cancellations between continuous
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from mpmath import mp
 
-from . import basis, oracle
+from . import basis
 from .walk import LatticeLaw
 
 __all__ = [
@@ -26,11 +25,9 @@ __all__ = [
     "GaussPoly",
     "CdfExpansionAtZero",
     "MissingCumulant",
-    "FitUnstable",
     "hermite",
     "partition_tuples",
     "edgeworth_Q",
-    "local_edgeworth_q",
     "theta_polys",
     "s_nu_zero",
     "delta_coeffs",
@@ -40,18 +37,15 @@ __all__ = [
 # Value assigned to the first periodic Bernoulli factor S_1 at its jump
 # point.  The CDF expansion is evaluated exactly on the lattice, where S_1
 # is discontinuous; we take the right limit, which is the convention that
-# reproduces the exact symmetric-walk identity Delta_n = -p_n(0)/2.
+# reproduces the exact symmetric-walk identity Delta_n = -p_n(0)/2.  The
+# convention-free truth is the Wiener-Hopf closed form
+# (polyharmonic.v_wiener_hopf): the nu_1, nu_2 that tau0 builds on these
+# theta values meet it to about 1e-11 relative at N = 8192.
 S1_AT_ZERO = Fraction(1, 2)
-# horizon of the DP that delta_coeffs' fit mode regresses on
-DELTA_FIT_N = 1 << 12
 
 
 class MissingCumulant(ValueError):
     """Requested order exceeds the cumulants supplied."""
-
-
-class FitUnstable(RuntimeError):
-    """Regression design matrix is too ill-conditioned to trust."""
 
 
 @dataclass(frozen=True)
@@ -214,21 +208,6 @@ def edgeworth_Q(nu: int, cumulants, sigma) -> GaussPoly:
     return GaussPoly(poly=(-1) * acc)
 
 
-def local_edgeworth_q(nu: int, cumulants, sigma) -> GaussPoly:
-    """Density correction q_nu(t): same sum with Hermite index nu + 2s and
-    positive sign; satisfies q_nu = Q_nu'."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    cfn = _cumulant_fn(cumulants, nu + 2)
-    sigma = mp.mpf(sigma)
-    acc = Polynomial.from_coeffs([mp.mpf(0)])
-    for ks in partition_tuples(nu):
-        s = sum(ks)
-        w = _partition_weight(ks, cfn, sigma)
-        acc = acc + w * _mp_poly(hermite(nu + 2 * s))
-    return GaussPoly(poly=acc)
-
-
 def _mp_poly(p: Polynomial) -> Polynomial:
     return Polynomial.from_coeffs([mp.mpf(c) for c in p.coefficients])
 
@@ -349,39 +328,9 @@ def _ab_to_theta(A: float, B: float) -> tuple[float, float]:
     return t1, (4.0 * sp / 3.0) * (B - 0.375 * A) + t1
 
 
-def delta_coeffs(law: LatticeLaw, mode: str) -> CdfExpansionAtZero:
+def delta_coeffs(law: LatticeLaw) -> CdfExpansionAtZero:
     """First two correction coefficients of Delta_n / n in the shifted
-    a-basis.
-
-    fit mode regresses exact DP values of Delta_n / n on
-    {a_(n-1)^(2), a_(n-1)^(3)} with a nuisance a_(n-1)^(4) column over a
-    geometric grid in [DELTA_FIT_N/8, DELTA_FIT_N]; analytic mode assembles
-    the same numbers from Edgeworth terms at zero plus lattice corrections.
-    The fit is convention-free ground truth; the analytic value depends on
-    the S_1(0) jump convention.
-    """
+    a-basis, assembled from Edgeworth terms at zero plus lattice
+    corrections.  The values depend on the S_1(0) jump convention."""
     law.require_expansion_ready()
-    if mode == "analytic":
-        return CdfExpansionAtZero(*_ab_to_theta(*_delta_coeffs_analytic(law)))
-    if mode != "fit":
-        raise ValueError("mode must be 'fit' or 'analytic'")
-    deltas, _ = oracle.delta_table(law, DELTA_FIT_N)
-    grid = basis._geometric_grid(max(8, DELTA_FIT_N // 8), DELTA_FIT_N, 28)
-    cols = [2, 3, 4]
-    with mp.workdps(40):
-        Amat = mp.matrix(len(grid), len(cols))
-        bvec = mp.matrix(len(grid), 1)
-        for row, n in enumerate(grid):
-            w = mp.mpf(n) ** mp.mpf("3.5")
-            for cidx, j in enumerate(cols):
-                Amat[row, cidx] = basis.a_value_mp(j, n - 1) * w
-            bvec[row] = mp.mpf(deltas[n]) / n * w
-        # condition of the two-coefficient design (nuisance column excluded)
-        sub = np.array(
-            [[float(Amat[r, c]) for c in range(2)] for r in range(len(grid))]
-        )
-        cond = float(np.linalg.cond(sub))
-        if cond > 1e6:
-            raise FitUnstable(f"design condition number {cond:.3e} > 1e6")
-        sol, _ = mp.qr_solve(Amat, bvec)
-    return CdfExpansionAtZero(float(sol[0]), float(sol[1]))
+    return CdfExpansionAtZero(*_ab_to_theta(*_delta_coeffs_analytic(law)))

@@ -803,12 +803,12 @@ def identity_suite(law: LatticeLaw, N: int, xs: Sequence[int] = ()) -> IdentityS
 # tail extrapolation
 
 
-def series_tail_sum(summands: np.ndarray, first_n: int) -> tuple[float, float, float]:
+def series_tail_sum(summands: np.ndarray, first_n: int) -> tuple[float, float]:
     """Extrapolate sum_(n>N) s_n for a sequence decaying like the a-basis.
 
     summands[i] = s_(first_n + i).  Fits the last quarter of the data on
     {a_n^(2), a_n^(3), a_n^(4)} and closes the sum with exact basis tails.
-    Returns (tail_value, tail_error_estimate, fitted_decay_exponent).
+    Returns (tail_value, fitted_decay_exponent).
     Raises TailNotDecayed when the raw log-log decay exponent is below 1.2.
     """
     basis_j, min_exponent = (2, 3, 4), 1.2
@@ -817,21 +817,15 @@ def series_tail_sum(summands: np.ndarray, first_n: int) -> tuple[float, float, f
     ns = np.arange(lo, N_last + 1)
     window = summands[lo - first_n :]
     mask = window != 0.0
-    if mask.sum() >= 8:
-        slope = -np.polyfit(np.log(ns[mask]), np.log(np.abs(window[mask])), 1)[0]
-    else:
-        # effectively zero tail
-        return 0.0, float(np.abs(window).max(initial=0.0)), float("inf")
+    if mask.sum() < 8:
+        return 0.0, float("inf")  # effectively zero tail
+    slope = -np.polyfit(np.log(ns[mask]), np.log(np.abs(window[mask])), 1)[0]
     if slope < min_exponent:
         raise TailNotDecayed(f"summand decay exponent {slope:.3f} < {min_exponent}")
     cols = np.stack([basis.a_float(j, N_last)[lo:] for j in basis_j], axis=1)
     coef, *_ = np.linalg.lstsq(cols, window, rcond=None)
-    resid = window - cols @ coef
     tail = sum(c * basis.weighted_tail_sum(0, N_last, j) for c, j in zip(coef, basis_j))
-    # Error: fit residual scale propagated over the tail length heuristically.
-    resid_scale = float(np.abs(resid).max(initial=0.0))
-    err = resid_scale * max(ns[-1], 1) / max(slope - 1.0, 0.2)
-    return float(tail), err, float(slope)
+    return float(tail), float(slope)
 
 
 # ---------------------------------------------------------------------------

@@ -230,28 +230,18 @@ def killed_step(law: LatticeLaw, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def polyharm_defect(
-    law: LatticeLaw,
-    f_values: np.ndarray,
-    k: int,
-    x_window: tuple[int, int],
-) -> float:
-    """sup_{x in window} |(P - I)^k f(x)|.
+def polyharm_defect(law: LatticeLaw, f_values: np.ndarray, x_window: tuple[int, int]) -> float:
+    """sup_{x in window} |(P - I)f(x)|.
 
-    f_values[x] must cover the window inflated by k * max upward jump.
+    f_values[x] must cover the window inflated by the largest upward jump.
     """
     lo, hi = x_window
     if lo < 1:
         raise ValueError("window must sit in x >= 1")
-    need = hi + k * max(law.support)
+    need = hi + max(law.support)
     if need >= len(f_values):
-        raise DomainGap(
-            f"need f up to x = {need}, given {len(f_values) - 1}"
-        )
-    g = f_values
-    for _ in range(k):
-        g = killed_step(law, g)
-    return float(np.max(np.abs(g[lo : hi + 1])))
+        raise DomainGap(f"need f up to x = {need}, given {len(f_values) - 1}")
+    return float(np.max(np.abs(killed_step(law, f_values)[lo : hi + 1])))
 
 
 def v2_identity_residual(
@@ -299,12 +289,12 @@ def certify(law: LatticeLaw, ladder: VLadder, x_max: int) -> tuple[PolyCheck, ..
     `ladder_reach(law, x_max, J)`.
     """
     window = (1, x_max)
-    d1 = polyharm_defect(law, ladder[1], 1, window)
+    d1 = polyharm_defect(law, ladder[1], window)
     checks = [PolyCheck("polyharmonic V1", "harmonic_defect_V1", "defect", d1, 1e-6)]
     if len(ladder.V) >= 2:
         step_v2 = killed_step(law, ladder[2])  # (P - I)V_2, read by both V_2 checks
         resid = v2_identity_residual(step_v2, ladder[1], window)
-        d2 = polyharm_defect(law, step_v2, 1, window)
+        d2 = polyharm_defect(law, step_v2, window)
         rel = d2 / float(np.max(np.abs(ladder[2][1 : x_max + 1])))
         checks += [
             PolyCheck("polyharmonic V2 identity", "v2_identity_residual", "residual", resid, 1e-2),

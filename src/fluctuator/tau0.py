@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis, edgeworth, halfpow, oracle
+from . import basis, edgeworth, oracle
 from .oracle import TailNotDecayed
 from .walk import LatticeLaw
 
@@ -32,7 +32,6 @@ __all__ = [
     "reparametrized_scalars",
     "tau0_coeffs",
     "evaluate_tau0",
-    "tau0_coeffs_halfpow",
 ]
 
 
@@ -161,29 +160,19 @@ def tau0_coeffs(
 ) -> Tau0Coefficients:
     """nu_1..nu_3 for P(tau_0 > n) ~ sum nu_l a_n^(l).
 
-    theta_1, theta_2 come from the Edgeworth polynomials at zero (analytic
-    mode of edgeworth.delta_coeffs).  `deltas` (deltas[n] for n = 0..N, from
+    theta_1, theta_2 come from the Edgeworth polynomials at zero
+    (edgeworth.delta_coeffs).  `deltas` (deltas[n] for n = 0..N, from
     oracle.delta_table) saves the free sweep when the caller has already
     run it.
     """
     law.require_expansion_ready()
-    cdf = edgeworth.delta_coeffs(law, mode="analytic")
+    cdf = edgeworth.delta_coeffs(law)
     if deltas is None:
         deltas, _ = oracle.delta_table(law, N)
     psi = psi_scalars(deltas, (cdf.theta1, cdf.theta2))
     mu = mu_coeffs(psi)
     e0 = math.exp(psi.psi0)
     return Tau0Coefficients(nu=(e0, e0 * mu[2], e0 * mu[4]), mu=mu, psi=psi)
-
-
-def tau0_coeffs_halfpow(psi: PsiScalars) -> tuple[float, float, float]:
-    """Cross-check route: exponentiate the singular part as a HalfPowSeries
-    (length 2^10), divide by sqrt(1-s), and read nu_l off half-index 2l - 3."""
-    Q = halfpow.from_poly(
-        {0: psi.psi0, 1: psi.theta1, 2: psi.psi1, 3: psi.theta2, 4: psi.psi2}, 1 << 10
-    )
-    T = halfpow.div_sqrt(halfpow.exp_poly(Q, order=4))
-    return tuple(T.poly_part.get(2 * ell - 3, 0.0) for ell in (1, 2, 3))
 
 
 def evaluate_tau0(coeffs: Tau0Coefficients, N: int, terms: int) -> np.ndarray:

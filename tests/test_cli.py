@@ -35,9 +35,26 @@ def test_expand_tau0_artifacts(tmp_path):
     # theta_1, theta_2 come from the Edgeworth polynomials at zero
     assert doc["nu"]["nu_1"]["provenance"] == "dp+analytic"
     assert doc["psi"]["theta1"]["provenance"] == "analytic"
+    # each nu's error is its gap to the closed form, where lazy has
+    # nu = (1/2, 0, 0): nu_2 and nu_3 estimate their own size
+    for ell in (2, 3):
+        nu = doc["nu"][f"nu_{ell}"]
+        assert nu["error_estimate"] == abs(nu["value"])
     lines = (tmp_path / "errors.csv").read_text().splitlines()
     assert lines[0].startswith("n,dp,approx_1")
     assert len(lines) == 257
+
+
+def test_expand_tau0_error_is_the_gap_to_the_closed_form(tmp_path):
+    # p03v2's paper-route nu_3 at N = 2048 is about 6e-7 off its 40-digit
+    # value; a second exponentiation of the same psi scalars would not see it
+    model = tmp_path / "p03v2.json"
+    model.write_text(json.dumps({"atoms": {"-1": "24/65", "0": "2/5", "1": "6/65", "2": "9/65"}}))
+    argv = ["expand", "tau0", "--model", str(model), "--horizon", "2048", "--out-dir", str(tmp_path)]
+    assert _run(argv) == cli.EXIT_PASS
+    nu3 = json.loads((tmp_path / "coeffs.json").read_text())["nu"]["nu_3"]
+    gap = abs(nu3["value"] - 0.001651754063937532)
+    assert nu3["error_estimate"] == pytest.approx(gap, rel=0, abs=1e-12)
 
 
 def test_oracle_rational_csv(tmp_path):
@@ -196,18 +213,35 @@ def test_oversized_horizon_exits_3_before_allocating(tmp_path, capsys, argv, wan
         assert err.startswith("resource cap: ")
 
 
-def test_wide_law_exits_3_before_root_finding(tmp_path, capsys):
-    # uniform on [-514, 514]: the ladder quotient has degree 1026, past the
-    # root-finding cap; the 64-step sweep runs, np.roots does not
+def _wide_model(tmp_path) -> str:
+    """Uniform on [-514, 514]: the ladder quotient has degree 1026, past the
+    root-finding cap."""
     k = 514
     model = tmp_path / "wide.json"
     model.write_text(json.dumps({"atoms": {str(v): f"1/{2 * k + 1}" for v in range(-k, k + 1)}}))
+    return str(model)
+
+
+def test_wide_law_exits_3_before_root_finding(tmp_path, capsys):
+    # the 64-step sweep runs, np.roots does not
+    model = _wide_model(tmp_path)
     t0 = time.perf_counter()
     rc = _run(["expand", "local", "--model", str(model), "--horizon", "64", "--x-max", "1",
                "--terms", "1", "--out-dir", str(tmp_path)])
     assert rc == cli.EXIT_RESOURCE
     assert "degree 1026 exceeds cap" in capsys.readouterr().err
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_expand_tau0_refuses_a_wide_law_before_sweeping(tmp_path, monkeypatch, capsys):
+    # the closed form that gauges nu comes first, so the cap refuses the law
+    # before the free sweep, as in expand taux
+    calls = _count_sweeps(monkeypatch)
+    argv = ["expand", "tau0", "--model", _wide_model(tmp_path), "--horizon", "64",
+            "--out-dir", str(tmp_path)]
+    assert _run(argv) == cli.EXIT_RESOURCE
+    assert calls == []
+    assert "degree 1026 exceeds cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

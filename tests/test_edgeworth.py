@@ -1,6 +1,5 @@
-"""Edgeworth layer: Hermite/partition machinery, Q_nu and its local
-derivative, theta polynomials against DP local probabilities, and the two
-routes (analytic vs fit) to the Delta_n coefficients."""
+"""Edgeworth layer: Hermite/partition machinery, Q_nu, theta polynomials
+against DP local probabilities, and the Delta_n coefficients."""
 
 import math
 
@@ -55,14 +54,6 @@ def test_gausspoly_product_rule():
         assert fd == pytest.approx(float(d.poly(x)) * math.exp(-x * x / 2), abs=1e-7)
 
 
-def test_local_q_is_derivative_of_Q(skewed):
-    sigma = math.sqrt(float(skewed.variance))
-    Q = edgeworth.edgeworth_Q(2, skewed, sigma)
-    q = edgeworth.local_edgeworth_q(2, skewed, sigma)
-    for x in (-1.0, 0.0, 0.7):
-        assert float(Q.deriv()(x)) == pytest.approx(float(q(x)), rel=1e-12, abs=1e-15)
-
-
 def test_q1_at_zero_third_cumulant(skewed):
     """Q_1(0) = gamma_3 / (6 sigma^3 sqrt(2 pi))."""
     cums = [float(c) for c in skewed.cumulants(3)]
@@ -104,16 +95,9 @@ def test_theta0_normalization(lazy):
     )
 
 
-def test_delta_coeffs_modes_agree(skewed):
-    fit = edgeworth.delta_coeffs(skewed, mode="fit")
-    ana = edgeworth.delta_coeffs(skewed, mode="analytic")
-    assert fit.theta1 == pytest.approx(ana.theta1, rel=1e-6)
-    assert fit.theta2 == pytest.approx(ana.theta2, rel=1e-3)
-
-
 def test_delta_coeffs_lazy_symmetry(lazy):
     # symmetric walk: theta_1 = -2 sqrt(pi) A with A = P(S_n = 0)-type mass
-    ana = edgeworth.delta_coeffs(lazy, mode="analytic")
+    ana = edgeworth.delta_coeffs(lazy)
     assert ana.theta1 == pytest.approx(1.0, rel=1e-12)
 
 

@@ -1,12 +1,15 @@
 """Module surfaces: each `__all__` names only what its module has, and lists
 every public function and class the module defines.  A module without
-`__all__` exports every public name, so it has nothing to check.  And no
+`__all__` exports every public name, so it has nothing to check.  No
 module of the package, the tests or the scripts imports a name it never
-uses."""
+uses.  And the benchmark's tracer, which wraps the package from outside,
+still finds every module and argument it binds."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,35 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse((ROOT / path).read_text(), path)) == []
+
+
+# one traced invocation of each subcommand the benchmark workloads run, as
+# benchmarks/worker.py runs them with --trace 1
+_TRACED_RUN = """
+import sys
+sys.path[:0] = [{benchmarks!r}, {src!r}]
+import fluctuator
+from fluctuator import cli
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install(fluctuator)
+for argv in (
+    ["verify", "--model", "lazy", "--horizon", "64"],
+    ["expand", "tau0", "--model", "skewed", "--horizon", "256"],
+    ["expand", "local", "--model", "skewed", "--horizon", "256", "--x-max", "4"],
+    ["expand", "taux", "--model", "skewed", "--x-max", "4", "--check-polyharmonic"],
+):
+    rc = cli.main(argv + ["--out-dir", "."])
+    if rc:
+        sys.exit(f"{{argv}} exited {{rc}}")
+tracer.layer_metrics()
+"""
+
+
+def test_the_benchmark_tracer_wraps_the_package(tmp_path):
+    code = _TRACED_RUN.format(benchmarks=str(ROOT / "benchmarks"), src=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
