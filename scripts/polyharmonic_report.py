@@ -33,7 +33,7 @@ def main() -> None:
         verdict = "PASS" if c.passed else "FAIL"
         print(f"{c.name:<24} {verdict}  {c.measure} {c.value:.3e} (limit {c.limit:g})")
     paper = ph.v_ladder(law, args.x_max, 2, args.horizon)
-    gap = ph.route_gap(paper, lad, args.x_max)
+    gap = ph.route_gap(paper.V, lad.V, args.x_max)
     verdict = "PASS" if gap <= ph.ROUTE_GAP_TOL else "FAIL"
     print(f"{'V paper route':<24} {verdict}  relative gap {gap:.3e} at N={args.horizon} "
           f"(limit {ph.ROUTE_GAP_TOL:g})")

@@ -127,25 +127,27 @@ def _cmd_expand_local(args) -> int:
     law = load_model(args.model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ws = conditioned.make_workspace(law, x_max=args.x_max, N=args.horizon)
-    ladder = conditioned.q_ladder(ws, L=2 * args.terms - 1, strict=False)
+    # refuse an unfit law, then an oversized table, before the sweep and the
+    # closed form's recurrence; the DP table only checks the closed form
+    law.require_expansion_ready()
+    table = oracle.conditioned_table(law, args.horizon, args.x_max, strict=False)
+    U = polyharmonic.u_wiener_hopf(law, args.x_max, args.terms)
+    V = conditioned.weak_renewal(oracle.ladder_renewal(law, args.x_max))
     doc = {
         "model": law_to_json(law),
         "horizon": args.horizon,
         "U": {
-            f"U_{j}": {
-                str(x): _num(ladder.U(j)[x], "dp") for x in range(1, args.x_max + 1)
-            }
+            f"U_{j}": {str(x): _num(U[j - 1, x], "wiener-hopf") for x in range(1, args.x_max + 1)}
             for j in range(1, args.terms + 1)
         },
-        "V": {str(x): _num(ladder.V[x], "dp") for x in range(args.x_max + 1)},
+        "V": {str(x): _num(V[x], "wiener-hopf") for x in range(args.x_max + 1)},
     }
     _write_json(out_dir / "local_coeffs.json", doc)
 
     n_grid = np.unique(np.geomspace(32, args.horizon, 60).astype(int))
     rows = []
     for x in range(1, args.x_max + 1):
-        res = conditioned.u_expansion_eval(ws, ladder, x, n_grid, J=args.terms)
+        res = conditioned.u_expansion_eval(table, U, x, n_grid, J=args.terms)
         for n, t, a, e in zip(n_grid, res["truth"], res["approx"], res["error"]):
             rows.append((n, x, t, a, e))
     _write_rows(out_dir / "local_errors.csv", ["n", "x", "dp", "approx", "err"],
@@ -195,11 +197,12 @@ def _cmd_verify(args) -> int:
     def check(name: str, ok: bool, detail: str) -> None:
         results.append((name, bool(ok), detail))
 
-    # the suite's free float sweep also serves the paper route's V ladder
+    # the suite's free float sweep also serves the paper route's V and U
+    # ladders: read at -x_max..0, mirrored, and at 0..x_max
     xs = ()
     if args.check_polyharmonic:
         top = polyharmonic.ladder_reach(law, args.x_max, 2)  # refuses x-max 0 first
-        xs = range(-args.x_max, 1)
+        xs = range(-args.x_max, args.x_max + 1)
     ids = oracle.identity_suite(law, N, xs)
     k = len(ids.primes)
     where = (f"at N={N}, {k} primes, false pass <= "
@@ -250,9 +253,16 @@ def _cmd_verify(args) -> int:
             ladder = polyharmonic.v_wiener_hopf(law, top, 2)
             for c in polyharmonic.certify(law, ladder, args.x_max):
                 check(c.name, c.passed, f"{c.measure} {c.value:.3e}")
-            gap = polyharmonic.route_gap(paper, ladder, args.x_max)
-            check("V paper route", gap <= polyharmonic.ROUTE_GAP_TOL,
-                  f"relative gap {gap:.3e} at N={N}")
+            ws = conditioned.make_workspace(law, args.x_max, N, traces=ids.points)
+            routes = (
+                ("V", paper.V, ladder.V),
+                ("U", conditioned.q_ladder(ws, 3).q[1::2],
+                 polyharmonic.u_wiener_hopf(law, args.x_max, 2)),
+            )
+            for name, route, closed in routes:
+                gap = polyharmonic.route_gap(route, closed, args.x_max)
+                check(f"{name} paper route", gap <= polyharmonic.ROUTE_GAP_TOL,
+                      f"relative gap {gap:.3e} at N={N}")
         except TailNotDecayed as exc:
             check("polyharmonic", False, str(exc))
 

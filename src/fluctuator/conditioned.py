@@ -4,13 +4,15 @@ the walk conditioned to stay positive,
     b_n(x) = P(S_n = x, tau_0 > n) ~ sum_j U_j(x) a_n^(j+1),
 
 with U_j(x) = q_(2j-1)(x) read off the generating function
-B(x, s) = sum_l q_l(x) (1-s)^(l/2).  The even-index scalars come from the
-psi_j(x) family (truncated weighted sums of local DP data with fitted
-a-basis tails), the ladder from the generating-function convolution
-recursion, and q_0, V from the closed-form ladder renewal (no horizon).
+B(x, s) = sum_l q_l(x) (1-s)^(l/2).  This is the paper's route, the
+cross-check of the closed form `polyharmonic.u_wiener_hopf`.  The even-index
+scalars come from the psi_j(x) family (truncated weighted sums of local DP
+data with fitted a-basis tails), the ladder from the generating-function
+convolution recursion, and q_0, V from the closed-form ladder renewal (no
+horizon).
 
 One recursion serves both killings: weak (tau_0, death at states <= 0),
-read by `expand local`, and strict (tau-bar_0, state 0 alive), whose
+read by `verify`, and strict (tau-bar_0, state 0 alive), whose
 reversed-walk family the tau_x assembly consumes.
 
 Conventions:
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "make_workspace",
     "psi_x",
     "q_ladder",
+    "weak_renewal",
     "u_expansion_eval",
 ]
 
@@ -49,15 +51,11 @@ class QLadder:
     q: np.ndarray  # q[l, x], l = 0..L, x = 0..x_max (weak: x >= 1, q_0(0) = 1 the n = 0 atom)
     V: np.ndarray  # renewal values V(x) (weak) or V-bar(x) (strict), x = 0..x_max
 
-    def U(self, j: int) -> np.ndarray:
-        """U_j(x) = q_(2j-1)(x)."""
-        return self.q[2 * j - 1]
-
 
 @dataclass
 class ConditionedWorkspace:
-    """Per-law DP aggregates shared by all x: local probabilities p_n(x),
-    theta polynomials, and the weakly killed table, swept on first use."""
+    """Per-law DP aggregates shared by all x: local probabilities p_n(x)
+    and theta polynomials."""
 
     law: LatticeLaw
     N: int
@@ -65,11 +63,6 @@ class ConditionedWorkspace:
     thetas: list
     theta0: float
     traces: dict[int, np.ndarray]  # p_n(x) for x = 0..x_max
-
-    @cached_property
-    def table_weak(self) -> np.ndarray:
-        """b[n, x] = P(S_n = x, tau_0 > n)."""
-        return oracle.conditioned_table(self.law, self.N, self.x_max, strict=False)
 
 
 def make_workspace(
@@ -151,13 +144,10 @@ def q_ladder(
     # backwards (iid increments, same law), the renewal mass of the weak
     # ascending ladder heights at y: exact, with no horizon truncation.  The
     # strict ladder is the weak one with its zero-height steps collapsed, so
-    # its renewal mass is u / u(0); weak V(x) = 1 + sum_n P(0 < S_n < x,
-    # tau > n) = sum_(y<x) u(y) / u(0) for x >= 1
+    # its renewal mass is u / u(0)
     u = oracle.ladder_renewal(ws.law, x_max)
     q[0] = u if strict else u / u[0]
-    V = np.cumsum(q[0])
-    if not strict:
-        V = np.concatenate(([1.0], V[:-1]))
+    V = np.cumsum(u) if strict else weak_renewal(u)
     if L >= 1:
         q[1, y0:] = -2.0 * ws.theta0 * V[y0:]
     for ell in range(2, L + 1):
@@ -170,23 +160,27 @@ def q_ladder(
     return QLadder(q=q, V=V)
 
 
-def u_expansion_eval(
-    ws: ConditionedWorkspace, ladder: QLadder, x: int, n_grid, J: int
-) -> dict:
-    """Approximations sum_(j<=J) U_j(x) a_n^(j+1) of the weak ladder against
-    DP b_n(x)."""
-    if 2 * J - 1 > ladder.q.shape[0] - 1:
-        raise ValueError("ladder too short for requested J")
+def weak_renewal(u: np.ndarray) -> np.ndarray:
+    """Weak V(x) = 1 + sum_n P(0 < S_n < x, tau > n) = sum_(y<x) u(y) / u(0)
+    for x >= 1 and V(0) = 1, from the renewal mass u of
+    `oracle.ladder_renewal`, on the same states."""
+    return np.concatenate(([1.0], np.cumsum(u / u[0])[:-1]))
+
+
+def u_expansion_eval(table: np.ndarray, U: np.ndarray, x: int, n_grid, J: int) -> dict:
+    """Approximations sum_(j<=J) U_j(x) a_n^(j+1), U_j = U[j - 1], against
+    the DP b_n(x) = table[n, x] of `oracle.conditioned_table` (weak)."""
+    if J > len(U):
+        raise ValueError("U too short for requested J")
     n_grid = np.asarray(n_grid)
     N = int(n_grid.max())
-    truth = ws.table_weak[n_grid, x]
+    truth = table[n_grid, x]
     approx = np.zeros(n_grid.size)
     for j in range(1, J + 1):
-        approx += ladder.q[2 * j - 1, x] * basis.a_float(j + 1, N)[n_grid]
+        approx += U[j - 1, x] * basis.a_float(j + 1, N)[n_grid]
     err = np.abs(truth - approx)
     nz = err > 0
     slope = float("nan")
     if nz.sum() >= 3:
         slope = float(-np.polyfit(np.log(n_grid[nz]), np.log(err[nz]), 1)[0])
     return {"truth": truth, "approx": approx, "error": err, "decay_exponent": slope}
-

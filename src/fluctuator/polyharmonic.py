@@ -1,6 +1,7 @@
 """The coefficient functions V_j(x) of the tau_x tail expansion (closed form
-and the paper's duality assembly), the killed step (P - I), their
-polyharmonic certification, and polynomial-tail fits.
+and the paper's duality assembly) and U_j(x) of the conditioned local
+probabilities (closed form), the killed step (P - I), their polyharmonic
+certification, and polynomial-tail fits.
 
 Assembly (duality route, the paper's): with T_x(s) = sum_n P(tau_x > n) s^n
 and the strict-ladder generating functions B-tilde(s, y) of the reversed walk,
@@ -35,6 +36,7 @@ __all__ = [
     "PolyCheck",
     "v_ladder",
     "v_wiener_hopf",
+    "u_wiener_hopf",
     "route_gap",
     "v_leftcont",
     "killed_step",
@@ -127,7 +129,7 @@ def _compose(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inside_factor(g: np.ndarray, p: np.ndarray, a0: np.ndarray, M: int) -> np.ndarray:
+def _factor(g: np.ndarray, p: np.ndarray, a0: np.ndarray, M: int) -> np.ndarray:
     """Hensel lifting: the monic factor A of g + t^2 P with A = a0 at t = 0,
     g = a0 b0, as rows of t-coefficients, (len(a0), M).  Order k solves
     a0 B_k + b0 A_k = [k = 2] P - sum_(0<i<k) A_i B_(k-i) in the Sylvester
@@ -151,37 +153,48 @@ def _inside_factor(g: np.ndarray, p: np.ndarray, a0: np.ndarray, M: int) -> np.n
     return A.T
 
 
+def _side_factor(law: LatticeLaw, M: int, large: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(R, P): R the monic factor of the d small (large: the h large) roots
+    of z^d (1 - s phi(z)) for jumps in [-d, h], s = 1 - t^2, as rows of
+    t-coefficients (highest power of z first, M orders of t), and P =
+    z^d phi(z), highest power first.  The root near 1 is lifted by Newton's
+    method (Flajolet & Sedgewick, Sec. VII.7), the roots near those of Q on
+    the same side of the circle together as one factor."""
+    d, h = -law.support[0], law.support[-1]
+    q, inside, outside = oracle.ladder_roots(law)
+    p = np.zeros(d + h + 1)  # p_v at h - v
+    p[h - np.array(law.support)] = [float(pv) for pv in law.atoms.values()]
+    g = np.eye(1, d + h + 1, h)[0] - p  # z^d (1 - phi(z)) = (z - 1)^2 Q(z)
+    # at 1: z = 1 + t v, v^2 Q(z) + P(z) = 0, v(0) = -sqrt(2)/sigma for the
+    # small root and +sqrt(2)/sigma for the large one; a step divides by the
+    # v-derivative 2 v(0) Q(1) and gains one order of t
+    v = np.eye(1, M)[0] * (1 if large else -1) * np.sqrt(2 / float(law.variance))
+    slope = 2 * v[0] * np.polyval(q, 1.0)
+    for _ in range(M - 1):
+        z1 = np.concatenate([[1.0], v[:-1]])
+        v = v - (_mul(_mul(v, v), _compose(q, z1)) + _compose(p, z1)) / slope
+    z1 = np.concatenate([[1.0], v[:-1]])
+    a0 = np.ones(1, complex)  # not np.poly: its complex sort adds 0.125 MB of resident code
+    for r in outside if large else inside:
+        a0 = np.append(a0, 0) - r * np.append(0, a0)
+    A = _factor(g, p, a0.real, M)
+    R = np.zeros((len(A) + 1, M))  # (z - z1) A
+    R[:-1] = A
+    R[1:] -= _mul(A, z1)
+    return R, p
+
+
 def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> VLadder:
     """V_1..V_J on x = 0..x_max and nu_j = V_j(0), with no horizon.  Put
     s = 1 - t^2.  Over the d small roots z_i(t) of z^d (1 - s phi(z)) for
     jumps in [-d, h], E_x s^tau_x = sum_i c_i z_i^x for x >= 1, with the c_i
     that make it 1 at x = 1 - d..0 (Feller, Vol. II, Ch. XII).  It is
     1 - t^2 sum_n P(tau_x > n) s^n, so V_j(x) is its t^(2j-1) coefficient
-    negated.  The root at 1 is lifted by Newton's method (Flajolet &
-    Sedgewick, Sec. VII.7), the other d - 1 together as one factor."""
+    negated."""
     d, h, M = -law.support[0], law.support[-1], 2 * J
-    q, inside, _ = oracle.ladder_roots(law)
-    p = np.zeros(d + h + 1)  # P = z^d phi(z), highest power first: p_v at h - v
-    p[h - np.array(law.support)] = [float(pv) for pv in law.atoms.values()]
-    g = np.eye(1, d + h + 1, h)[0] - p  # z^d (1 - phi(z)) = (z - 1)^2 Q(z)
-    # at 1: z = 1 + t v, v^2 Q(z) + P(z) = 0, v(0) = -sqrt(2)/sigma; a step
-    # divides by the v-derivative 2 v(0) Q(1) and gains one order of t
-    v = np.eye(1, M)[0] * -np.sqrt(2 / float(law.variance))
-    slope = 2 * v[0] * np.polyval(q, 1.0)
-    for _ in range(M - 1):
-        z1 = np.concatenate([[1.0], v[:-1]])
-        v = v - (_mul(_mul(v, v), _compose(q, z1)) + _compose(p, z1)) / slope
-    z1 = np.concatenate([[1.0], v[:-1]])
-    # the small roots are those of R = (z - z1) A, A the factor near the
-    # roots of Q inside the circle; sum_i c_i z_i^x solves the recurrence
-    # R gives, from its d values 1 at x = 1 - d..0
-    a0 = np.ones(1, complex)
-    for r in inside:  # not np.poly: its complex sort adds 0.125 MB of resident code
-        a0 = np.append(a0, 0) - r * np.append(0, a0)
-    A = _inside_factor(g, p, a0.real, M)
-    R = np.zeros((d + 1, M))
-    R[:d] = A
-    R[1:] -= _mul(A, z1)
+    # sum_i c_i z_i^x solves the recurrence whose characteristic polynomial
+    # is R, from its d values 1 at x = 1 - d..0
+    R, p = _side_factor(law, M, large=False)
     E = np.zeros((max(x_max, h) + d, M))
     E[:d, 0] = 1.0
     for i in range(d, len(E)):
@@ -194,9 +207,32 @@ def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> VLadder:
     return VLadder(V=V, nu=tuple(V[:, 0]))
 
 
-def route_gap(ladder: VLadder, reference: VLadder, x_max: int) -> float:
-    """max_j sup_(x <= x_max) |V_j - V_j^ref| / sup |V_j^ref|, same j."""
-    a, b = ladder.V[:, : x_max + 1], reference.V[:, : x_max + 1]
+def u_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
+    """U[j - 1, x] = U_j(x) for j = 1..J on x = 0..x_max, with no horizon.
+    By time reversal, sum_n P(S_n = x, tau_0 > n) s^n is the mass at x of
+    the strict ascending ladder renewal measure, [z^x] B(0) / B(z) with B
+    the monic factor of the h large roots of z^d (1 - s phi(z)) (Feller,
+    Vol. II, Ch. XII).  With s = 1 - t^2, U_j(x) is its t^(2j-1)
+    coefficient."""
+    h, M = law.support[-1], 2 * J
+    B, _ = _side_factor(law, M, large=True)
+    b0, inv = B[-1], np.zeros(M)  # B(0) and its inverse series
+    inv[0] = 1.0 / b0[0]
+    for k in range(1, M):
+        inv[k] = -(b0[1 : k + 1] @ inv[k - 1 :: -1]) * inv[0]
+    C = _mul(B[:-1], inv)  # the coefficients of z^h..z^1 in B(z) / B(0)
+    # F_x = [z^x] B(0) / B(z): F_0 = 1, 0 below, sum_i b_i F_(x-i) = 0 above
+    F = np.zeros((h + x_max, M))  # x = 1 - h..x_max
+    F[h - 1, 0] = 1.0
+    for i in range(h, len(F)):
+        F[i] = -_mul(C, F[i - h : i]).sum(0)
+    return F[h - 1 :, 1::2].T
+
+
+def route_gap(route: np.ndarray, reference: np.ndarray, x_max: int) -> float:
+    """max_j sup_(x <= x_max) |F_j - F_j^ref| / sup |F_j^ref| over the rows
+    j of two ladders of coefficient functions, F[j - 1, x]."""
+    a, b = route[:, : x_max + 1], reference[:, : x_max + 1]
     return float((np.abs(a - b).max(1) / np.abs(b).max(1)).max())
 
 

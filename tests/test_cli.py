@@ -91,9 +91,11 @@ def test_missing_model_exits_2(tmp_path, name):
 
 
 def test_tail_not_decayed_exits_1(tmp_path, capsys):
-    model = tmp_path / "wide.json"
-    model.write_text('{"atoms": {"-2": "1/2", "1": "1/4", "3": "1/4"}}')
-    rc = _run(["expand", "local", "--model", str(model), "--horizon", "64",
+    # P(X = 1) = P(X = -1) = 2^-70: at N = 64 the psi tail closure of the
+    # tau0 pipeline cannot extrapolate
+    model = tmp_path / "tiny.json"
+    model.write_text(json.dumps(_TINY_STEPS))
+    rc = _run(["expand", "tau0", "--model", str(model), "--horizon", "64",
                "--out-dir", str(tmp_path)])
     assert rc == cli.EXIT_CHECK_FAILED
     assert capsys.readouterr().out.startswith("FAIL: ")
@@ -222,6 +224,27 @@ def _wide_model(tmp_path) -> str:
     return str(model)
 
 
+def test_expand_local_sweeps_only_the_killed_table(tmp_path, monkeypatch):
+    # U and V are closed forms; the one sweep is the DP check of local_errors.csv
+    from fluctuator import conditioned, edgeworth
+
+    calls = []
+    for mod, name in ((oracle, "conditioned_table"), (oracle, "delta_table"),
+                      (edgeworth, "theta_polys"), (conditioned, "psi_x")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    argv = ["expand", "local", "--model", "skewed", "--horizon", "256", "--x-max", "4",
+            "--out-dir", str(tmp_path)]
+    assert _run(argv) == cli.EXIT_PASS
+    assert calls == ["conditioned_table"]
+    doc = json.loads((tmp_path / "local_coeffs.json").read_text())
+    provenances = {v["provenance"] for block in doc["U"].values() for v in block.values()}
+    assert provenances == {v["provenance"] for v in doc["V"].values()} == {"wiener-hopf"}
+
+
 def test_wide_law_exits_3_before_root_finding(tmp_path, capsys):
     # the 64-step sweep runs, np.roots does not
     model = _wide_model(tmp_path)
@@ -296,13 +319,15 @@ def test_expand_taux_sweeps_nothing(tmp_path, monkeypatch, extra):
 
 
 def test_verify_reports_the_paper_route_gap(capsys):
-    # the duality ladder at N = 64 misses lazy's closed form by 1.2e-2, past
-    # the 1e-2 limit, while the closed form itself certifies
+    # the duality V ladder and the weak q ladder at N = 64 each miss lazy's
+    # closed form by 1.2e-2, past the 1e-2 limit, while the closed form
+    # itself certifies
     argv = ["verify", "--model", "lazy", "--horizon", "64", "--check-polyharmonic"]
     assert _run(argv) == cli.EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:3] for line in lines if "FAIL" in line] == [["V", "paper", "route"]]
-    assert lines[-1].endswith("at N=64")
+    assert [line.split()[:3] for line in lines if "FAIL" in line] == [
+        ["V", "paper", "route"], ["U", "paper", "route"]]
+    assert lines[-1].startswith("U paper route") and lines[-1].endswith("at N=64")
     assert _run(argv[:4] + ["2048", "--check-polyharmonic"]) == cli.EXIT_PASS
 
 
@@ -398,7 +423,7 @@ def _csv_writer_bytes(header, rows) -> bytes:
 def test_errors_csv_is_the_csv_writer_file(tmp_path):
     # every CSV artifact is written with one printf format per row; its
     # bytes are those of csv.writer on the 17-digit fields
-    from fluctuator import conditioned
+    from fluctuator import conditioned, polyharmonic
 
     N, x_max = 256, 3
     law = walk.skewed_walk()
@@ -427,12 +452,12 @@ def test_errors_csv_is_the_csv_writer_file(tmp_path):
     out = tmp_path / "local"
     assert _run(["expand", "local", "--model", "skewed", "--horizon", str(N), "--x-max",
                  str(x_max), "--out-dir", str(out)]) == cli.EXIT_PASS
-    ws = conditioned.make_workspace(law, x_max=x_max, N=N)
-    ladder = conditioned.q_ladder(ws, L=3, strict=False)
+    table = oracle.conditioned_table(law, N, x_max, strict=False)
+    U = polyharmonic.u_wiener_hopf(law, x_max, 2)
     n_grid = np.unique(np.geomspace(32, N, 60).astype(int))
     rows = []
     for x in range(1, x_max + 1):
-        res = conditioned.u_expansion_eval(ws, ladder, x, n_grid, J=2)
+        res = conditioned.u_expansion_eval(table, U, x, n_grid, J=2)
         rows += zip(n_grid, [x] * n_grid.size, res["truth"], res["approx"], res["error"])
     want = _csv_writer_bytes(["n", "x", "dp", "approx", "err"], rows)
     assert (out / "local_errors.csv").read_bytes() == want

@@ -24,6 +24,11 @@ def ws_skewed(skewed):
     return conditioned.make_workspace(skewed, x_max=X_MAX, N=N)
 
 
+@pytest.fixture(scope="module")
+def table_skewed(skewed):
+    return oracle.conditioned_table(skewed, N, X_MAX, strict=False)
+
+
 def test_psi_odd_are_theta_values(ws_skewed):
     px = conditioned.psi_x(ws_skewed, 3, j_max=3)
     assert px[1] == pytest.approx(float(ws_skewed.thetas[1](3)), rel=1e-12)
@@ -121,21 +126,21 @@ def test_q1_proportional_to_renewal(ws_skewed):
     )
 
 
-def test_u_expansion_one_term_slope(ws_skewed):
+def test_u_expansion_one_term_slope(ws_skewed, table_skewed):
     """One-term ladder signature: |b_n(x) - U_1(x) a_n^(2)| decays ~ n^(-5/2)."""
     lad = conditioned.q_ladder(ws_skewed, L=1, strict=False)
     n_grid = np.unique(np.geomspace(N // 8, N, 40).astype(int))
     for x in (1, 4):
-        res = conditioned.u_expansion_eval(ws_skewed, lad, x, n_grid, J=1)
+        res = conditioned.u_expansion_eval(table_skewed, lad.q[1::2], x, n_grid, J=1)
         assert res["decay_exponent"] > 2.2
 
 
-def test_u_expansion_two_terms_improve(ws_skewed):
+def test_u_expansion_two_terms_improve(ws_skewed, table_skewed):
     lad = conditioned.q_ladder(ws_skewed, L=3, strict=False)
     n_grid = np.unique(np.geomspace(N // 8, N, 40).astype(int))
     for x in (1, 4):
-        one = conditioned.u_expansion_eval(ws_skewed, lad, x, n_grid, J=1)
-        two = conditioned.u_expansion_eval(ws_skewed, lad, x, n_grid, J=2)
+        one = conditioned.u_expansion_eval(table_skewed, lad.q[1::2], x, n_grid, J=1)
+        two = conditioned.u_expansion_eval(table_skewed, lad.q[1::2], x, n_grid, J=2)
         assert two["decay_exponent"] > one["decay_exponent"] + 0.5
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import basis, oracle, polyharmonic as ph, walk
+from fluctuator import basis, conditioned, oracle, polyharmonic as ph, walk
 
 from test_conditioned import _mean_zero_laws
 
@@ -237,7 +237,7 @@ def test_wiener_hopf_matches_the_duality_route_random_laws(law):
     # d up to 3 small roots, complex ones among them: the paper route at
     # N = 4096 agrees
     lad = ph.v_wiener_hopf(law, 10, 2)
-    assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096), lad, 10) <= 1e-6
+    assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096).V, lad.V, 10) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -258,4 +258,51 @@ def test_wiener_hopf_takes_repeated_inside_roots(atoms):
     law = walk.make_law(atoms)
     lad = ph.v_wiener_hopf(law, 10, 2)
     assert np.isfinite(lad.V).all()
-    assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096), lad, 10) <= 1e-6
+    assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096).V, lad.V, 10) <= 1e-6
+
+
+# double: Q = -(4z + 1)^2 / 24, a repeated root inside the circle
+DOUBLE = walk.make_law(
+    {-3: Fraction(1, 24), -2: Fraction(1, 4), -1: Fraction(1, 24), 1: Fraction(2, 3)}
+)
+
+
+def test_wiener_hopf_u_matches_the_40_digit_values(skewed):
+    U = ph.u_wiener_hopf(skewed, 1, 4)
+    for j, want in enumerate(
+        (-1.15470053837925, -1.00501713525602, -1.00798704404814, -1.00977998898561), 1
+    ):
+        assert abs(U[j - 1, 1] - want) <= 1e-14 * abs(want), (j, U[j - 1, 1], want)
+    assert (U[:, 0] == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "law", [walk.skewed_walk(), DOWN2, DOUBLE], ids=["skewed", "down2", "double"]
+)
+def test_wiener_hopf_u_solves_the_adjoint_hierarchy(law):
+    # b_n(x) = P(S_n = x, tau_0 > n) steps forward by the reversed walk's
+    # killed kernel, so (P~ - I)U_j = U_1 + ... + U_(j-1) and U_1 is harmonic
+    U = ph.u_wiener_hopf(law, 30, 8)
+    for j in range(1, 9):
+        step = ph.killed_step(law.reverse(), U[j - 1])[1:]
+        rhs = U[: j - 1].sum(0)[1 : step.size + 1]
+        scale = np.abs(rhs if j > 1 else U[0]).max()
+        assert np.abs(step - rhs).max() <= 1e-12 * scale, j
+
+
+@settings(max_examples=20, deadline=None)
+@given(law=_mean_zero_laws())
+def test_wiener_hopf_u_matches_the_paper_route_random_laws(law):
+    # the weak q ladder at N = 4096 against the closed form: within 1e-6 of
+    # each U_j's scale plus the ladder's own change from N / 2 to N
+    n, x_max = 4096, 6
+    _, p = oracle.delta_table(law, n, xs=range(x_max + 1))
+
+    def paper(N):
+        ws = conditioned.make_workspace(law, x_max, N, traces={x: p[x][: N + 1] for x in p})
+        return conditioned.q_ladder(ws, 3).q[1::2]
+
+    full, half = paper(n), paper(n // 2)
+    U = ph.u_wiener_hopf(law, x_max, 2)
+    slack = 1e-6 * np.abs(U).max(1, keepdims=True) + np.abs(full - half)
+    assert (np.abs(full - U) <= slack).all(), (full, U, slack)
