@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -323,10 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_PASS
     try:

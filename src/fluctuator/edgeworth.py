@@ -1,11 +1,10 @@
 """Edgeworth machinery: Hermite polynomials, cumulant-partition sums, the
-CDF terms Q_nu, lattice corrections at zero, the local-expansion
-polynomials theta_j(x), and the correction coefficients (theta_1, theta_2)
-for Delta_n / n.
+local-expansion polynomials theta_j(x), and the correction coefficients
+(theta_1, theta_2) of Delta_n / n.
 
-Coefficient assembly runs in extended precision (mpmath, 40 digits) because
-the analytic theta values arise from cancellations between continuous
-Edgeworth terms and lattice corrections of comparable size.
+(theta_1, theta_2) are a closed form in the cumulants: exact rationals, with
+one rounding at the end.  The theta polynomials are assembled in 40-digit
+mpmath, because their partition sums cancel.
 """
 
 from __future__ import annotations
@@ -22,14 +21,10 @@ from .walk import LatticeLaw
 
 __all__ = [
     "Polynomial",
-    "GaussPoly",
     "CdfExpansionAtZero",
-    "MissingCumulant",
     "hermite",
     "partition_tuples",
-    "edgeworth_Q",
     "theta_polys",
-    "s_nu_zero",
     "delta_coeffs",
     "S1_AT_ZERO",
 ]
@@ -42,10 +37,8 @@ __all__ = [
 # (polyharmonic.v_wiener_hopf): the nu_1, nu_2 that tau0 builds on these
 # theta values meet it to about 1e-11 relative at N = 8192.
 S1_AT_ZERO = Fraction(1, 2)
-
-
-class MissingCumulant(ValueError):
-    """Requested order exceeds the cumulants supplied."""
+# S_2(0) = B_2 / 2!, the second periodic Bernoulli factor at zero
+_S2_AT_ZERO = Fraction(1, 12)
 
 
 @dataclass(frozen=True)
@@ -74,52 +67,14 @@ class Polynomial:
             [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
         )
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            a, b = self.coefficients, other.coefficients
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-            return Polynomial.from_coeffs(out)
-        return Polynomial.from_coeffs([c * other for c in self.coefficients])
+    def __mul__(self, scalar) -> "Polynomial":
+        return Polynomial.from_coeffs([c * scalar for c in self.coefficients])
 
     __rmul__ = __mul__
-
-    def deriv(self) -> "Polynomial":
-        cs = self.coefficients
-        if len(cs) == 1:
-            return Polynomial.from_coeffs([cs[0] * 0])
-        return Polynomial.from_coeffs([i * cs[i] for i in range(1, len(cs))])
 
     def shift_x(self) -> "Polynomial":
         """Multiply by x."""
         return Polynomial.from_coeffs((self.coefficients[0] * 0,) + self.coefficients)
-
-
-@dataclass(frozen=True)
-class GaussPoly:
-    """poly(x) * exp(-x^2/2) / sqrt(2*pi)."""
-
-    poly: Polynomial
-
-    def deriv(self) -> "GaussPoly":
-        p = self.poly
-        return GaussPoly(poly=p.deriv() + (-1) * p.shift_x())
-
-    def at_zero(self):
-        return self.poly.coefficients[0] / mp.sqrt(2 * mp.pi)
-
-    def __call__(self, x):
-        return self.poly(x) * mp.exp(-mp.mpf(x) ** 2 / 2) / mp.sqrt(2 * mp.pi)
-
-    def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        return GaussPoly(poly=self.poly + other.poly)
-
-    def __mul__(self, scalar):
-        return GaussPoly(poly=self.poly * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -163,53 +118,18 @@ def partition_tuples(nu: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _to_mpf(value) -> mp.mpf:
-    if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / value.denominator
-    return mp.mpf(value)
-
-
-def _partition_weight(ks: tuple[int, ...], cumulants, sigma) -> mp.mpf:
+def _partition_weight(ks: tuple[int, ...], kappas: list[Fraction], sigma) -> mp.mpf:
+    """prod_m (kappa_(m+2) / ((m+2)! sigma^(m+2)))^k_m / k_m!, kappas[i] the
+    cumulant of order i + 1."""
     w = mp.mpf(1)
     for m, km in enumerate(ks, start=1):
         if km == 0:
             continue
-        kappa = cumulants(m + 2)
-        w *= (_to_mpf(kappa) / (math.factorial(m + 2) * sigma ** (m + 2))) ** km
+        kappa = kappas[m + 1]
+        w *= (mp.mpf(kappa.numerator) / kappa.denominator
+              / (math.factorial(m + 2) * sigma ** (m + 2))) ** km
         w /= math.factorial(km)
     return w
-
-
-def _cumulant_fn(law_or_fn, max_order: int):
-    if callable(law_or_fn):
-        return law_or_fn
-    ks = law_or_fn.cumulants(max_order)
-
-    def fn(order: int):
-        if order > max_order:
-            raise MissingCumulant(f"cumulant of order {order} not available")
-        return ks[order - 1]
-
-    return fn
-
-
-def edgeworth_Q(nu: int, cumulants, sigma) -> GaussPoly:
-    """CDF correction Q_nu(x) = -phi(x) sum over partitions of nu of
-    H_(nu+2s-1)(x) * prod (1/k_m!) (kappa_(m+2) / ((m+2)! sigma^(m+2)))^k_m."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    cfn = _cumulant_fn(cumulants, nu + 2)
-    sigma = mp.mpf(sigma)
-    acc = Polynomial.from_coeffs([mp.mpf(0)])
-    for ks in partition_tuples(nu):
-        s = sum(ks)
-        w = _partition_weight(ks, cfn, sigma)
-        acc = acc + w * _mp_poly(hermite(nu + 2 * s - 1))
-    return GaussPoly(poly=(-1) * acc)
-
-
-def _mp_poly(p: Polynomial) -> Polynomial:
-    return Polynomial.from_coeffs([mp.mpf(c) for c in p.coefficients])
 
 
 def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
@@ -222,11 +142,11 @@ def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
     """
     law.require_expansion_ready()
     J = r // 2
-    sig = mp.mpf(law.variance.numerator) / law.variance.denominator
-    sigma = mp.sqrt(sig)
-    cfn = _cumulant_fn(law, 2 * J + 2)
+    kappas = law.cumulants(2 * J + 2)
 
     with mp.workdps(40):
+        sig = mp.mpf(law.variance.numerator) / law.variance.denominator
+        sigma = mp.sqrt(sig)
         pref = 1 / (sigma * mp.sqrt(2 * mp.pi))
         # f[j][p] = coefficient of x^p in the n^-(j+1/2) ladder term
         f = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
@@ -251,7 +171,7 @@ def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
         for nu in range(1, 2 * J + 1):
             for ks in partition_tuples(nu):
                 s = sum(ks)
-                w = _partition_weight(ks, cfn, sigma)
+                w = _partition_weight(ks, kappas, sigma)
                 if w:
                     add_gauss_term(nu, hermite(nu + 2 * s), w)
 
@@ -268,69 +188,42 @@ def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
     ]
 
 
-@lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, by the defining recurrence."""
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += Fraction(math.comb(n + 1, k)) * _bernoulli(k)
-    return -acc / (n + 1)
-
-
-def s_nu_zero(nu: int) -> float:
-    """S_nu(0) for nu >= 2: zero at odd nu, 2 zeta(2k) / (2 pi)^(2k) =
-    (-1)^(k+1) B_(2k) / (2k)! at nu = 2k."""
-    if nu < 2:
-        raise ValueError("defined for nu >= 2; nu = 1 is convention-dependent")
-    if nu % 2:
-        return 0.0
-    k = nu // 2
-    return float(Fraction((-1) ** (k + 1)) * _bernoulli(2 * k) / math.factorial(2 * k))
-
-
-def _delta_coeffs_analytic(law: LatticeLaw) -> tuple[float, float]:
-    """(A, B): Delta_n ~ A n^(-1/2) + B n^(-3/2) from the Edgeworth CDF
-    expansion at 0 plus the lattice (periodic Bernoulli) corrections."""
-    sig2 = mp.mpf(law.variance.numerator) / law.variance.denominator
-    sigma = mp.sqrt(sig2)
-    cfn = _cumulant_fn(law, 5)
-    with mp.workdps(40):
-        Q1 = edgeworth_Q(1, cfn, sigma)
-        Q2 = edgeworth_Q(2, cfn, sigma)
-        Q3 = edgeworth_Q(3, cfn, sigma)
-        phi = GaussPoly(poly=Polynomial.from_coeffs([mp.mpf(1)]))
-        s1 = mp.mpf(S1_AT_ZERO.numerator) / S1_AT_ZERO.denominator
-        s2 = mp.mpf(s_nu_zero(2))
-        # P(S_n <= 0) - 1/2 = [Q1(0) + s1 phi(0)/sigma] n^-1/2
-        #   + [Q3(0) + s1 Q2'(0)/sigma + s2 Q1''(0)/sigma^2] n^-3/2 + ...
-        c_half = Q1.at_zero() + s1 * phi.at_zero() / sigma
-        c_three = (
-            Q3.at_zero()
-            + s1 * Q2.deriv().at_zero() / sigma
-            + s2 * Q1.deriv().deriv().at_zero() / sigma**2
-        )
-        return float(-c_half), float(-c_three)
-
-
-def _ab_to_theta(A: float, B: float) -> tuple[float, float]:
-    """Convert Delta_n ~ A n^(-1/2) + B n^(-3/2) to Delta_n/n ~
-    theta1 a_(n-1)^(2) + theta2 a_(n-1)^(3).
-
-    In the unshifted basis n^(-3/2) = Gamma(-1/2) a_n^(2) - (3/8)
-    Gamma(-3/2) a_n^(3) + ..., giving theta1 = -2 sqrt(pi) A and an
-    unshifted theta2 = (4 sqrt(pi)/3)(B - (3/8) A); shifting the basis via
-    a_(n-1)^(2) = a_n^(2) - a_n^(3) adds theta1 to theta2.
-    """
-    sp = math.sqrt(math.pi)
-    t1 = -2.0 * sp * A
-    return t1, (4.0 * sp / 3.0) * (B - 0.375 * A) + t1
+def _times_sqrt_2_over(r: Fraction, v: Fraction) -> float:
+    """r sqrt(2 / v), correctly rounded: the square root of 2 r^2 / v to 64
+    or more bits by an integer square root, with a sticky bit for the rest."""
+    x = 2 * r * r / v
+    shift = max(0, 130 - x.numerator.bit_length() + x.denominator.bit_length())
+    shift += shift % 2
+    m, rem = divmod(x.numerator << shift, x.denominator)
+    root = math.isqrt(m)
+    inexact = rem != 0 or root * root != m
+    return math.copysign(math.ldexp(float(2 * root + inexact), -shift // 2 - 1), r)
 
 
 def delta_coeffs(law: LatticeLaw) -> CdfExpansionAtZero:
     """First two correction coefficients of Delta_n / n in the shifted
-    a-basis, assembled from Edgeworth terms at zero plus lattice
-    corrections.  The values depend on the S_1(0) jump convention."""
+    a-basis, from the Edgeworth terms at zero plus the lattice (periodic
+    Bernoulli) corrections.  With v = sigma^2 and kappa_i the cumulants,
+
+        Delta_n ~ -R_A / sqrt(2 pi v) n^(-1/2) + R_B / sqrt(2 pi v) n^(-3/2),
+        R_A = S_1 + kappa_3 / (6 v),
+        R_B = 35 kappa_3^3 / (432 v^4) - 5 kappa_3 kappa_4 / (48 v^3)
+              + kappa_5 / (40 v^2) + S_1 (5 kappa_3^2 / (24 v^3) - kappa_4 / (8 v^2))
+              + S_2 kappa_3 / (2 v^2),
+
+    (He_2(0), He_4(0), He_6(0), He_8(0) = -1, 3, -15, 105), so that
+    theta_1 = sqrt(2 / v) R_A and theta_2 = sqrt(2 / v) (5 R_A / 4 + 2 R_B / 3),
+    the shift a_(n-1)^(2) = a_n^(2) - a_n^(3) included.  R_A and R_B are
+    exact rationals.  The values depend on the S_1(0) jump convention."""
     law.require_expansion_ready()
-    return CdfExpansionAtZero(*_ab_to_theta(*_delta_coeffs_analytic(law)))
+    _, v, k3, k4, k5 = law.cumulants(5)
+    s1, s2 = S1_AT_ZERO, _S2_AT_ZERO
+    r_a = s1 + k3 / (6 * v)
+    r_b = (
+        35 * k3**3 / (432 * v**4) - 5 * k3 * k4 / (48 * v**3) + k5 / (40 * v**2)
+        + s1 * (5 * k3**2 / (24 * v**3) - k4 / (8 * v**2))
+        + s2 * k3 / (2 * v**2)
+    )
+    return CdfExpansionAtZero(
+        _times_sqrt_2_over(r_a, v), _times_sqrt_2_over(5 * r_a / 4 + 2 * r_b / 3, v)
+    )

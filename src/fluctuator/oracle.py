@@ -865,6 +865,24 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, inside, outside
 
 
+def _ladder_escape(law: LatticeLaw) -> tuple[float, np.ndarray]:
+    """(1 - F[0], F[1..h]) for the ladder heights F of `ladder_heights`:
+    1 - F[0] = p_h prod_(|r| > 1) (-r) as a product, and F[1..h] from the
+    polynomial F(z) - 1 alone, so a holding mass near 1 loses neither to
+    rounding against 1."""
+    h = law.support[-1]
+    p_h = float(law.atoms[h])
+    _, _, outside = ladder_roots(law)
+    # expand F - 1 from its values at M > h roots of unity: np.poly's partial
+    # products grow like binomials and cancel (sum F ~ 1e87 at width 3125)
+    M = 1 << h.bit_length()
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    Gz = p_h * (z - 1.0)
+    for r in outside:
+        Gz *= z - r
+    return p_h * float(np.prod(-outside).real), np.fft.fft(Gz)[1 : h + 1].real / M
+
+
 def ladder_heights(law: LatticeLaw) -> np.ndarray:
     """Distribution of the first weak ascending ladder height, in closed form:
     F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, k = 0..h, with
@@ -872,16 +890,8 @@ def ladder_heights(law: LatticeLaw) -> np.ndarray:
         1 - F(z) = -p_h (z - 1) prod_(|r| > 1) (z - r)
 
     over the h - 1 roots outside the unit circle of `ladder_roots`."""
-    h = law.support[-1]
-    _, _, outside = ladder_roots(law)
-    # expand F from its values at M > h roots of unity: np.poly's partial
-    # products grow like binomials and cancel (sum F ~ 1e87 at width 3125)
-    M = 1 << h.bit_length()
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    Fz = float(law.atoms[h]) * (z - 1.0)
-    for r in outside:
-        Fz *= z - r
-    return np.fft.fft(1.0 + Fz)[: h + 1].real / M
+    escape, F = _ladder_escape(law)
+    return np.concatenate(([1.0 - escape], F))
 
 
 def ladder_renewal(law: LatticeLaw, y_max: int) -> np.ndarray:
@@ -892,12 +902,12 @@ def ladder_renewal(law: LatticeLaw, y_max: int) -> np.ndarray:
     By time reversal, u equals the Green function of the walk killed
     strictly below zero: u(y) = sum_(n>=0) P(S_n = y, tau-bar > n).
     """
-    F = ladder_heights(law)
+    escape, F = _ladder_escape(law)  # F[k - 1] = P(height k), k >= 1
     u = np.zeros(y_max + 1)
-    u[0] = 1.0 / (1.0 - F[0])
+    u[0] = 1.0 / escape
     for y in range(1, y_max + 1):
-        k = np.arange(1, min(y, F.size - 1) + 1)
-        u[y] = F[k] @ u[y - k] / (1.0 - F[0])
+        k = np.arange(1, min(y, F.size) + 1)
+        u[y] = F[k - 1] @ u[y - k] / escape
     return u
 
 

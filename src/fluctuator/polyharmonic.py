@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditioned, edgeworth, oracle, tau0
-from .oracle import NotLeftContinuous
+from .oracle import NotLeftContinuous, ResourceCapExceeded
 from .walk import LatticeLaw
 
 __all__ = [
@@ -52,6 +52,9 @@ __all__ = [
 POLY_TAIL_REL_TOL = 1e-3
 # verify's paper-route gap limit, the tolerance of certify's V_2 checks
 ROUTE_GAP_TOL = 1e-2
+# states v_wiener_hopf may hold: 65536 states of V_1, V_2 are about 25 MB of
+# taux_coeffs.json
+LADDER_STATE_CAP = 1 << 16
 
 
 class DomainGap(ValueError):
@@ -112,12 +115,25 @@ def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> VLadder:
     return VLadder(V=V, nu=tuple(co.nu[:J]))
 
 
+def _toeplitz(b: np.ndarray) -> np.ndarray:
+    """The upper triangular Toeplitz matrices of the power series b in t
+    (last axis), b[..., m - c] at [..., c, m]: a @ _toeplitz(b) is a b."""
+    M = b.shape[-1]
+    lag = np.arange(M) - np.arange(M)[:, None]
+    return np.where(lag >= 0, b[..., np.maximum(lag, 0)], 0.0)
+
+
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of power series in t (last axis), truncated."""
-    out = a * b[..., :1]
-    for k in range(1, a.shape[-1]):
-        out[..., k:] += a[..., :-k] * b[..., k : k + 1]
-    return out
+    """Product of the power series in t a (last axis) and b (1-D), truncated."""
+    return a @ _toeplitz(b)
+
+
+def _recur(rows: np.ndarray, E: np.ndarray, k: int) -> None:
+    """E[i] = -sum_r rows[r] E[i - k + r] as power series in t, for i >= k:
+    one block-Toeplitz matrix steps the recurrence."""
+    T = -_toeplitz(rows).reshape(-1, rows.shape[-1])
+    for i in range(k, len(E)):
+        E[i] = E[i - k : i].reshape(-1) @ T
 
 
 def _compose(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -192,13 +208,15 @@ def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> VLadder:
     1 - t^2 sum_n P(tau_x > n) s^n, so V_j(x) is its t^(2j-1) coefficient
     negated."""
     d, h, M = -law.support[0], law.support[-1], 2 * J
+    states = max(x_max, h) + d
+    if states > LADDER_STATE_CAP:
+        raise ResourceCapExceeded(f"ladder of {states} states exceeds cap {LADDER_STATE_CAP}")
     # sum_i c_i z_i^x solves the recurrence whose characteristic polynomial
     # is R, from its d values 1 at x = 1 - d..0
     R, p = _side_factor(law, M, large=False)
-    E = np.zeros((max(x_max, h) + d, M))
+    E = np.zeros((states, M))
     E[:d, 0] = 1.0
-    for i in range(d, len(E)):
-        E[i] = -_mul(R[1:], E[i - d : i][::-1]).sum(0)
+    _recur(R[:0:-1], E, d)
     E = E[d - 1 :]  # x = 0..max(x_max, h)
     E[0] = (p[h - 1 :: -1, None] * E[1 : h + 1]).sum(0)  # E_0 = s (P(X <= 0) + sum_v p_v E_v)
     E[0, 0] += p[h:].sum()
@@ -224,8 +242,7 @@ def u_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
     # F_x = [z^x] B(0) / B(z): F_0 = 1, 0 below, sum_i b_i F_(x-i) = 0 above
     F = np.zeros((h + x_max, M))  # x = 1 - h..x_max
     F[h - 1, 0] = 1.0
-    for i in range(h, len(F)):
-        F[i] = -_mul(C, F[i - h : i]).sum(0)
+    _recur(C, F, h)
     return F[h - 1 :, 1::2].T
 
 

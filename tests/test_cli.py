@@ -3,14 +3,20 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import cli, oracle, tau0, walk
+from fluctuator import cli, oracle, polyharmonic, tau0, walk
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(argv):
@@ -213,6 +219,80 @@ def test_oversized_horizon_exits_3_before_allocating(tmp_path, capsys, argv, wan
         assert (tmp_path / "taux_coeffs.json").is_file()
     else:
         assert err.startswith("resource cap: ")
+
+
+def test_taux_x_max_cap_exits_3_before_root_finding(tmp_path, monkeypatch, capsys):
+    # the ladder's states are known from --x-max and the support: an
+    # oversized ladder is refused before its roots, series or JSON exist
+    def roots(law):
+        raise AssertionError("ladder_roots ran")
+
+    monkeypatch.setattr(oracle, "ladder_roots", roots)
+    for extra in ([], ["--check-polyharmonic"]):
+        argv = ["expand", "taux", "--model", "skewed", "--x-max", "100000000"]
+        assert _run(argv + extra + ["--out-dir", str(tmp_path)]) == cli.EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("resource cap: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ladder_state_cap_admits_its_last_state(skewed):
+    # skewed jumps down by 1: x_max + 1 states; 40000 states fit well inside
+    cap = polyharmonic.LADDER_STATE_CAP
+    assert cap > polyharmonic.ladder_reach(skewed, 40000, 2) + 1
+    assert polyharmonic.v_wiener_hopf(skewed, cap - 1, 1).V.shape == (1, cap)
+    with pytest.raises(oracle.ResourceCapExceeded, match=f"{cap + 1} states exceeds cap"):
+        polyharmonic.v_wiener_hopf(skewed, cap, 1)
+
+
+def test_heavy_hold_law_writes_a_finite_renewal_function(tmp_path):
+    # P(X = 1) = P(X = -1) = 2^-70: the escape mass 1 - F[0] = 2^-70 of the
+    # ladder height comes off the roots, not from F[0], which rounds to 1.0;
+    # the renewal function is lazy's, V(x) = max(x, 1)
+    model = tmp_path / "tiny.json"
+    model.write_text(json.dumps(_TINY_STEPS))
+    docs = []
+    for spec in (str(model), "lazy"):
+        out = tmp_path / f"out{len(docs)}"
+        argv = ["expand", "local", "--model", spec, "--horizon", "64", "--x-max", "6"]
+        assert _run(argv + ["--out-dir", str(out)]) == cli.EXIT_PASS
+        docs.append(json.loads((out / "local_coeffs.json").read_text())["V"])
+    assert docs[0] == docs[1]
+    assert [docs[0][str(x)]["value"] for x in range(7)] == [1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def _fresh_process(argv, cwd) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "fluctuator.cli", *argv], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=120)
+    return run.returncode, run.stdout
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(["expand", "taux", "--model", "skewed", "--x-max", "5", "--check-polyharmonic",
+       "--terms", "1"],
+      ["expand", "taux", "--model", "skewed"]),
+     (["verify", "--model", "lazy", "--horizon", "64", "--x-max", "3", "--check-polyharmonic"],
+      ["verify", "--model", "lazy", "--horizon", "64"])],
+    ids=["taux", "verify"],
+)
+def test_one_parser_per_process_carries_no_options(tmp_path, monkeypatch, capsys, first, second):
+    # main reuses one parser: options set by a call are not the next call's
+    # defaults, so the second call writes what a fresh process writes
+    assert cli.build_parser() is not cli.build_parser()
+    here, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    cli.main(first + ["--out-dir", "first"])
+    capsys.readouterr()
+    rc = cli.main(second)
+    assert (rc, capsys.readouterr().out) == _fresh_process(second, fresh)
+    written = sorted(p.name for p in fresh.iterdir())
+    assert written == sorted(p.name for p in here.iterdir() if p.name != "first")
+    for name in written:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def _wide_model(tmp_path) -> str:

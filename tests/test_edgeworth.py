@@ -1,12 +1,15 @@
-"""Edgeworth layer: Hermite/partition machinery, Q_nu, theta polynomials
-against DP local probabilities, and the Delta_n coefficients."""
+"""Edgeworth layer: Hermite/partition machinery, theta polynomials against
+DP local probabilities, and the closed-form Delta_n coefficients against an
+exact-rational partition-sum reference."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_conditioned import _mean_zero_laws
 
 from fluctuator import basis, edgeworth, oracle
 
@@ -41,36 +44,6 @@ def test_partition_tuples_weighting(nu):
     assert len(tuples) == [1, 2, 3, 5, 7, 11, 15][nu - 1]
 
 
-def test_gausspoly_product_rule():
-    """d/dx[p(x) phi(x)] = (p'(x) - x p(x)) phi(x), via finite differences."""
-    p = edgeworth.Polynomial.from_coeffs((1.0, 2.0, -0.5))
-    d = edgeworth.GaussPoly(p).deriv()
-    h = 1e-6
-    for x in np.linspace(-2, 2, 9):
-        fd = (
-            p(x + h) * math.exp(-((x + h) ** 2) / 2)
-            - p(x - h) * math.exp(-((x - h) ** 2) / 2)
-        ) / (2 * h)
-        assert fd == pytest.approx(float(d.poly(x)) * math.exp(-x * x / 2), abs=1e-7)
-
-
-def test_q1_at_zero_third_cumulant(skewed):
-    """Q_1(0) = gamma_3 / (6 sigma^3 sqrt(2 pi))."""
-    cums = [float(c) for c in skewed.cumulants(3)]
-    sigma = math.sqrt(cums[1])
-    want = cums[2] / (6 * sigma**3 * math.sqrt(2 * math.pi))
-    got = edgeworth.edgeworth_Q(1, skewed, sigma).at_zero()
-    assert float(got) == pytest.approx(want, rel=1e-12)
-
-
-def test_s_nu_zero_bernoulli_values():
-    # S_1(0) = 1/2 is a separate convention constant; S_2k(0) from Bernoulli
-    assert float(edgeworth.S1_AT_ZERO) == pytest.approx(0.5)
-    assert edgeworth.s_nu_zero(2) == pytest.approx(1.0 / 12.0)
-    assert edgeworth.s_nu_zero(3) == pytest.approx(0.0)
-    assert edgeworth.s_nu_zero(4) == pytest.approx(1.0 / 720.0)
-
-
 def test_theta_polys_expand_local_probabilities(skewed):
     """p_n(x) - sum_j theta_j(x) a_(n-1)^(j+1) sits at the truncation floor
     of the 4-term ladder (well below the smallest kept term)."""
@@ -96,9 +69,76 @@ def test_theta0_normalization(lazy):
 
 
 def test_delta_coeffs_lazy_symmetry(lazy):
-    # symmetric walk: theta_1 = -2 sqrt(pi) A with A = P(S_n = 0)-type mass
+    # symmetric walk: R_A = S_1 = 1/2, R_B = -S_1 kappa_4 / (8 v^2) = 1/16
+    # with v = 1/2, kappa_4 = -1/4; both thetas come out correctly rounded
     ana = edgeworth.delta_coeffs(lazy)
-    assert ana.theta1 == pytest.approx(1.0, rel=1e-12)
+    assert ana.theta1 == 1.0
+    assert ana.theta2 == 4 / 3
+
+
+# S_r(0) of the periodic Bernoulli factors: S_0 = 1, the S_1 jump
+# convention, B_2 / 2!, and 0 at odd r >= 3
+_S_AT_ZERO = (Fraction(1), edgeworth.S1_AT_ZERO, Fraction(1, 12), Fraction(0))
+
+
+def _lattice_cdf_at_zero(law, k: int) -> Fraction:
+    """sqrt(2 pi v) times the n^(-k/2) coefficient (k odd) of P(S_n <= 0) - 1/2,
+    from Esseen's expansion as a partition sum over every term
+    S_r(0) D^r Q_nu(0) / sigma^r with nu + r = k: Q_0 = Phi, D^r Phi(0) =
+    (-1)^(r-1) He_(r-1)(0) phi(0), and D^r Q_nu(0) = -(-1)^r phi(0) sum over
+    partitions of nu of He_(nu+2s-1+r)(0) prod (kappa_(m+2) / ((m+2)!
+    sigma^(m+2)))^(k_m) / k_m!.  Each term is rational times sigma^-(k+2s-1)."""
+    kappas = law.cumulants(k + 2)
+    v = kappas[1]
+    acc = _S_AT_ZERO[k] * (-1) ** (k - 1) * edgeworth.hermite(k - 1)(0) / v ** ((k - 1) // 2)
+    for nu in range(1, k + 1):
+        r = k - nu
+        for ks in edgeworth.partition_tuples(nu):
+            s = sum(ks)
+            w = Fraction(1)
+            for m, km in enumerate(ks, start=1):
+                w *= (kappas[m + 1] / math.factorial(m + 2)) ** km / math.factorial(km)
+            he = edgeworth.hermite(nu + 2 * s - 1 + r)(0)
+            acc -= _S_AT_ZERO[r] * (-1) ** r * he * w / v ** ((k - 1) // 2 + s)
+    return acc
+
+
+def _assert_correctly_rounded(theta: float, r: Fraction, v: Fraction) -> None:
+    """theta is r sqrt(2 / v) to within half an ulp."""
+    assert theta * r >= 0
+    t = Fraction(abs(theta))
+    lo, hi = (Fraction(math.nextafter(abs(theta), to)) for to in (0, math.inf))
+    assert ((lo + t) / 2) ** 2 <= 2 * r * r / v <= ((t + hi) / 2) ** 2
+
+
+def _check_closed_form(law) -> None:
+    v = law.variance
+    r_a = _lattice_cdf_at_zero(law, 1)
+    r_b = -_lattice_cdf_at_zero(law, 3)
+    got = edgeworth.delta_coeffs(law)
+    _assert_correctly_rounded(got.theta1, r_a, v)
+    _assert_correctly_rounded(got.theta2, 5 * r_a / 4 + 2 * r_b / 3, v)
+
+
+def test_delta_coeffs_closed_form_hand_picked(lazy, skewed):
+    for law in (lazy, skewed):
+        _check_closed_form(law)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_mean_zero_laws())
+def test_delta_coeffs_closed_form_random_laws(law):
+    _check_closed_form(law)
+
+
+def test_delta_coeffs_needs_no_mpmath(skewed, monkeypatch):
+    class Unreachable:
+        def __getattr__(self, name):
+            raise AssertionError(f"delta_coeffs read mp.{name}")
+
+    want = edgeworth.delta_coeffs(skewed)
+    monkeypatch.setattr(edgeworth, "mp", Unreachable())
+    assert edgeworth.delta_coeffs(skewed) == want
 
 
 def test_theta_polys_reuse_conversions_across_laws(lazy, skewed, monkeypatch):
