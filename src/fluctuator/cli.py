@@ -128,11 +128,11 @@ def _cmd_expand_local(args) -> int:
     law = load_model(args.model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # refuse an unfit law, then an oversized table, before the sweep and the
-    # closed form's recurrence; the DP table only checks the closed form
+    # refuse an unfit law, then an oversized ladder or table, before the
+    # sweep; the DP table only checks the closed form
     law.require_expansion_ready()
-    table = oracle.conditioned_table(law, args.horizon, args.x_max, strict=False)
     U = polyharmonic.u_wiener_hopf(law, args.x_max, args.terms)
+    table = oracle.conditioned_table(law, args.horizon, args.x_max, strict=False)
     V = conditioned.weak_renewal(oracle.ladder_renewal(law, args.x_max))
     doc = {
         "model": law_to_json(law),

@@ -833,12 +833,12 @@ def series_tail_sum(summands: np.ndarray, first_n: int) -> tuple[float, float]:
 
 
 def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q = z^d (1 - phi(z)) / (z - 1)^2 for jumps in [-d, h], as floats
-    (highest power first), and its d - 1 roots inside and h - 1 outside the
-    unit circle: the Wiener-Hopf roots at s = 1 (Feller, Vol. II, Ch. XII).
-    The double root at 1 is divided out exactly: in floats it splits and its
-    halves get misclassified.  Raises LawError when the roots split
-    otherwise, and refuses degree d + h - 2 above ROOT_DEGREE_CAP first."""
+    """Q = z^d (1 - phi(z)) / (z - 1)^2 for jumps in [-d, h] and the monic
+    factors of its d - 1 roots inside and h - 1 outside the unit circle, as
+    floats, highest power first: the Wiener-Hopf factors at s = 1 (Feller,
+    Vol. II, Ch. XII).  Q is divided exactly: in floats the double root at 1
+    splits and its halves get misclassified.  Raises LawError when the roots
+    split otherwise, and refuses degree d + h - 2 above ROOT_DEGREE_CAP first."""
     law.require_expansion_ready()
     d, h = -law.support[0], law.support[-1]
     if d + h - 2 > ROOT_DEGREE_CAP:
@@ -862,34 +862,34 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{outside.size} roots of z^d (1 - phi(z)) outside the unit circle and "
             f"{inside.size} inside, expected {h - 1} and {d - 1}"
         )
-    return q, inside, outside
+    # both factors from their values at M > d, h roots of unity, by one FFT:
+    # multiplied in one root at a time (np.poly), they grow like binomials and cancel
+    M = 1 << max(d, h).bit_length()
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    vals = np.ones((2, M), complex)
+    for side, r in zip(vals, (inside, outside)):
+        for root in r:
+            side *= z - root
+    coef = np.fft.fft(vals).real / M
+    return q, coef[0, d - 1 :: -1], coef[1, h - 1 :: -1]
 
 
 def _ladder_escape(law: LatticeLaw) -> tuple[float, np.ndarray]:
-    """(1 - F[0], F[1..h]) for the ladder heights F of `ladder_heights`:
-    1 - F[0] = p_h prod_(|r| > 1) (-r) as a product, and F[1..h] from the
-    polynomial F(z) - 1 alone, so a holding mass near 1 loses neither to
-    rounding against 1."""
-    h = law.support[-1]
-    p_h = float(law.atoms[h])
-    _, _, outside = ladder_roots(law)
-    # expand F - 1 from its values at M > h roots of unity: np.poly's partial
-    # products grow like binomials and cancel (sum F ~ 1e87 at width 3125)
-    M = 1 << h.bit_length()
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    Gz = p_h * (z - 1.0)
-    for r in outside:
-        Gz *= z - r
-    return p_h * float(np.prod(-outside).real), np.fft.fft(Gz)[1 : h + 1].real / M
+    """(1 - F[0], F[1..h]) for the ladder heights F of `ladder_heights`, from
+    F(z) - 1 = p_h (z - 1) A(z), A the outside factor of `ladder_roots`: the
+    escape mass 1 - F[0] = p_h A(0) is not rounded against a holding mass near 1."""
+    p_h = float(law.atoms[law.support[-1]])
+    A = ladder_roots(law)[2]
+    return p_h * A[-1], p_h * (np.append(A, 0.0) - np.append(0.0, A))[-2::-1]
 
 
 def ladder_heights(law: LatticeLaw) -> np.ndarray:
     """Distribution of the first weak ascending ladder height, in closed form:
     F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, k = 0..h, with
 
-        1 - F(z) = -p_h (z - 1) prod_(|r| > 1) (z - r)
+        1 - F(z) = -p_h (z - 1) A(z)
 
-    over the h - 1 roots outside the unit circle of `ladder_roots`."""
+    with A the monic factor of the h - 1 roots outside of `ladder_roots`."""
     escape, F = _ladder_escape(law)
     return np.concatenate(([1.0 - escape], F))
 

@@ -52,8 +52,8 @@ __all__ = [
 POLY_TAIL_REL_TOL = 1e-3
 # verify's paper-route gap limit, the tolerance of certify's V_2 checks
 ROUTE_GAP_TOL = 1e-2
-# states v_wiener_hopf may hold: 65536 states of V_1, V_2 are about 25 MB of
-# taux_coeffs.json
+# states v_wiener_hopf or u_wiener_hopf may hold: 65536 states of V_1, V_2
+# are about 25 MB of taux_coeffs.json
 LADDER_STATE_CAP = 1 << 16
 
 
@@ -190,10 +190,7 @@ def _side_factor(law: LatticeLaw, M: int, large: bool) -> tuple[np.ndarray, np.n
         z1 = np.concatenate([[1.0], v[:-1]])
         v = v - (_mul(_mul(v, v), _compose(q, z1)) + _compose(p, z1)) / slope
     z1 = np.concatenate([[1.0], v[:-1]])
-    a0 = np.ones(1, complex)  # not np.poly: its complex sort adds 0.125 MB of resident code
-    for r in outside if large else inside:
-        a0 = np.append(a0, 0) - r * np.append(0, a0)
-    A = _factor(g, p, a0.real, M)
+    A = _factor(g, p, outside if large else inside, M)
     R = np.zeros((len(A) + 1, M))  # (z - z1) A
     R[:-1] = A
     R[1:] -= _mul(A, z1)
@@ -233,6 +230,8 @@ def u_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
     Vol. II, Ch. XII).  With s = 1 - t^2, U_j(x) is its t^(2j-1)
     coefficient."""
     h, M = law.support[-1], 2 * J
+    if h + x_max > LADDER_STATE_CAP:
+        raise ResourceCapExceeded(f"ladder of {h + x_max} states exceeds cap {LADDER_STATE_CAP}")
     B, _ = _side_factor(law, M, large=True)
     b0, inv = B[-1], np.zeros(M)  # B(0) and its inverse series
     inv[0] = 1.0 / b0[0]

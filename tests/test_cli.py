@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from fluctuator import cli, oracle, polyharmonic, tau0, walk
 
+from test_polyharmonic import up_law
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -235,13 +237,44 @@ def test_taux_x_max_cap_exits_3_before_root_finding(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_local_x_max_cap_exits_3_before_root_finding(tmp_path, monkeypatch, capsys):
+    # the closed form's ladder is refused before its roots, and so before
+    # the DP table is swept
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(oracle, "ladder_roots", refuse)
+    monkeypatch.setattr(oracle, "conditioned_table", refuse)
+    argv = ["expand", "local", "--model", "skewed", "--x-max", "100000", "--horizon", "64"]
+    assert _run(argv + ["--out-dir", str(tmp_path)]) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("resource cap: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ladder_state_cap_admits_its_last_state(skewed):
-    # skewed jumps down by 1: x_max + 1 states; 40000 states fit well inside
+    # skewed jumps down by 1 and up by 2: x_max + 1 states for V, x_max + 2
+    # for U; 40000 states fit well inside
     cap = polyharmonic.LADDER_STATE_CAP
     assert cap > polyharmonic.ladder_reach(skewed, 40000, 2) + 1
     assert polyharmonic.v_wiener_hopf(skewed, cap - 1, 1).V.shape == (1, cap)
-    with pytest.raises(oracle.ResourceCapExceeded, match=f"{cap + 1} states exceeds cap"):
-        polyharmonic.v_wiener_hopf(skewed, cap, 1)
+    assert polyharmonic.u_wiener_hopf(skewed, cap - 2, 1).shape == (1, cap - 1)
+    for ladder, x_max in ((polyharmonic.v_wiener_hopf, cap), (polyharmonic.u_wiener_hopf, cap - 1)):
+        with pytest.raises(oracle.ResourceCapExceeded, match=f"{cap + 1} states exceeds cap"):
+            ladder(skewed, x_max, 1)
+
+
+def test_wide_downward_law_gets_its_closed_form(tmp_path):
+    # down_80 has 79 roots inside the unit circle: the paper route's nu_1
+    # agrees with the closed form, and the closed form passes its
+    # hierarchy check
+    model = tmp_path / "down80.json"
+    model.write_text(json.dumps(walk.law_to_json(up_law(80).reverse())))
+    common = ["--model", str(model), "--out-dir", str(tmp_path)]
+    assert _run(["expand", "tau0", "--horizon", "2048"] + common) == cli.EXIT_PASS
+    nu_1 = json.loads((tmp_path / "coeffs.json").read_text())["nu"]["nu_1"]
+    assert nu_1["error_estimate"] < 1e-10
+    argv = ["expand", "taux", "--x-max", "5", "--check-polyharmonic"]
+    assert _run(argv + common) == cli.EXIT_PASS
 
 
 def test_heavy_hold_law_writes_a_finite_renewal_function(tmp_path):

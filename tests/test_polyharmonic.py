@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fluctuator import basis, conditioned, oracle, polyharmonic as ph, walk
 
-from test_conditioned import _mean_zero_laws
+from test_conditioned import _dp_reference, _mean_zero_laws
 
 X_MAX = 24
 WIN = (1, 15)
@@ -306,3 +306,96 @@ def test_wiener_hopf_u_matches_the_paper_route_random_laws(law):
     U = ph.u_wiener_hopf(law, x_max, 2)
     slack = 1e-6 * np.abs(U).max(1, keepdims=True) + np.abs(full - half)
     assert (np.abs(full - U) <= slack).all(), (full, U, slack)
+
+
+def up_law(h: int) -> walk.LatticeLaw:
+    """1/2 at 0, 1/(h(h+3)) on each of 1..h and (h+1)/(2(h+3)) on -1: mean
+    zero, left-continuous, h - 1 roots outside the unit circle, some of them
+    close to it; its reverse has h - 1 inside."""
+    atoms = {-1: Fraction(h + 1, 2 * (h + 3)), 0: Fraction(1, 2)}
+    atoms.update({k: Fraction(1, h * (h + 3)) for k in range(1, h + 1)})
+    return walk.make_law(atoms)
+
+
+@st.composite
+def _one_sided_laws(draw):
+    """Mean-zero laws on {-1, 0, 1} and a sparse subset of 2..H, H <= 120,
+    weights 1..4, or their reverses: left- or upward-continuous, wide."""
+    H = draw(st.integers(2, 120))
+    ups = {1, H} | draw(st.sets(st.integers(2, H), max_size=6))
+    w = {k: draw(st.integers(1, 4)) for k in ups}
+    w[-1] = sum(k * c for k, c in w.items())
+    w[0] = draw(st.integers(1, 4))
+    total = sum(w.values())
+    law = walk.make_law({k: Fraction(c, total) for k, c in w.items()})
+    return law.reverse() if draw(st.booleans()) else law
+
+
+def _hierarchy_gaps(law: walk.LatticeLaw, x_max: int) -> tuple[float, float, float, float]:
+    """On x = 1..x_max, relative to sup |V_1| or sup |U_1|: U_1 against
+    -(sqrt(2)/sigma) V for the weak renewal function V, (P - I)V_1,
+    (P - I)V_2 - V_1 and (P~ - I)U_2 - U_1, all from the closed forms."""
+    xs = slice(1, x_max + 1)
+    U = ph.u_wiener_hopf(law, x_max - law.support[0], 2)
+    V = conditioned.weak_renewal(oracle.ladder_renewal(law, x_max))
+    u1 = np.abs(U[0, xs]).max()
+    lad = ph.v_wiener_hopf(law, ph.ladder_reach(law, x_max, 2), 2)
+    v1 = np.abs(lad[1][xs]).max()
+    return (
+        np.abs(U[0, xs] + np.sqrt(2 / float(law.variance)) * V[xs]).max() / u1,
+        np.abs(ph.killed_step(law, lad[1])[xs]).max() / v1,
+        np.abs(ph.killed_step(law, lad[2])[xs] - lad[1][xs]).max() / v1,
+        np.abs(ph.killed_step(law.reverse(), U[1])[xs] - U[0, xs]).max() / u1,
+    )
+
+
+@pytest.mark.parametrize("h", [40, 80, 120])
+@pytest.mark.parametrize("reverse", [False, True], ids=["up", "down"])
+def test_closed_forms_hold_on_wide_one_sided_laws(h, reverse):
+    # up_h has h - 1 roots outside the unit circle, down_h as many inside,
+    # spread round it: multiplied into a factor one root at a time, their
+    # partial products grow like binomials and cancel
+    law = up_law(h).reverse() if reverse else up_law(h)
+    u1, v1, v2, u2 = _hierarchy_gaps(law, 40)
+    assert u1 <= 1e-13 and v1 <= 1e-10 and v2 <= 1e-10 and u2 <= 1e-9, (u1, v1, v2, u2)
+
+
+def test_nu_of_a_wide_downward_law():
+    # nu_1 of down_80, which the DP's two-term residual confirms
+    nu = ph.v_wiener_hopf(up_law(80).reverse(), 0, 1).nu[0]
+    assert abs(nu - 3.65203359754) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=_one_sided_laws())
+def test_closed_forms_hold_on_sparse_one_sided_laws(law):
+    u1, v1, v2, u2 = _hierarchy_gaps(law, 12)
+    assert u1 <= 1e-13 and v1 <= 1e-10 and v2 <= 1e-10 and u2 <= 1e-9, (u1, v1, v2, u2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=_one_sided_laws())
+def test_one_sided_side_factor_is_the_quotient(law):
+    # with no root of Q inside the circle (d = 1), the outside factor is Q
+    # itself, made monic, and with none outside (h = 1) the inside factor
+    # is: an exact reference with no roots.  Each coefficient is within
+    # 1e-13 of sum |Q / Q[0]|, which bounds the factor on the unit circle
+    # where the FFT reads it
+    q, inside, outside = oracle.ladder_roots(law)
+    got = outside if law.left_continuous else inside
+    want = q / q[0]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).sum()
+
+
+def test_ladder_renewal_matches_dp_on_a_wide_law():
+    # the shared outside factor of up_60 against the strict DP Green
+    # function, as the random-law test does on narrow laws, but over all
+    # x at once: at the widest horizon the state cap admits, the DP's own
+    # drift from N / 2 to N is 1.1e-6 at x = 6 and crosses zero near x = 1
+    law, n, x_max = up_law(60), 2048, 6
+    strict = oracle.conditioned_table(law, n, x_max, strict=True)
+    green, drift = _dp_reference([strict[1:, x] for x in range(x_max + 1)])
+    green[0] += 1.0  # the n = 0 atom
+    gap = np.abs(oracle.ladder_renewal(law, x_max) - green) / green
+    assert gap.max() <= 1e-8 + (drift / green).max(), (gap, drift / green)
