@@ -31,6 +31,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+LOCAL_ROW_CAP = 500_000  # rows of local_errors.csv: about 25 MB, as at LADDER_STATE_CAP
 
 _BUILTIN_MODELS = {"lazy": lazy_walk, "skewed": skewed_walk}
 
@@ -128,9 +129,11 @@ def _cmd_expand_local(args) -> int:
     law = load_model(args.model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # refuse an unfit law, then an oversized ladder or table, before the
-    # sweep; the DP table only checks the closed form
+    # refuse an unfit law, then each oversized table, before the DP check of the closed form
     law.require_expansion_ready()
+    n_grid = np.unique(np.geomspace(32, args.horizon, 60).astype(int))
+    if args.x_max * n_grid.size > LOCAL_ROW_CAP:
+        raise ResourceCapExceeded(f"{args.x_max * n_grid.size} error rows exceed {LOCAL_ROW_CAP}")
     U = polyharmonic.u_wiener_hopf(law, args.x_max, args.terms)
     table = oracle.conditioned_table(law, args.horizon, args.x_max, strict=False)
     V = conditioned.weak_renewal(oracle.ladder_renewal(law, args.x_max))
@@ -145,12 +148,10 @@ def _cmd_expand_local(args) -> int:
     }
     _write_json(out_dir / "local_coeffs.json", doc)
 
-    n_grid = np.unique(np.geomspace(32, args.horizon, 60).astype(int))
     rows = []
     for x in range(1, args.x_max + 1):
         res = conditioned.u_expansion_eval(table, U, x, n_grid, J=args.terms)
-        for n, t, a, e in zip(n_grid, res["truth"], res["approx"], res["error"]):
-            rows.append((n, x, t, a, e))
+        rows += zip(n_grid, [x] * n_grid.size, res["truth"], res["approx"], res["error"])
     _write_rows(out_dir / "local_errors.csv", ["n", "x", "dp", "approx", "err"],
                 "%d,%d,%.17g,%.17g,%.17g\r\n", rows)
     print(f"wrote {out_dir / 'local_coeffs.json'} and {out_dir / 'local_errors.csv'}")

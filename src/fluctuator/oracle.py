@@ -53,7 +53,7 @@ __all__ = [
 STATE_CAP = 200_000
 # float cells one table may hold (128 MiB of float64)
 TABLE_CELL_CAP = 1 << 24
-# polynomial degree ladder_heights may hand to np.roots (cubic in the degree)
+# polynomial degree ladder_roots may hand to np.roots (cubic in the degree)
 ROOT_DEGREE_CAP = 1024
 # identity_suite's exact checks run modulo this many primes from (2^23, 2^24)
 RESIDUE_PRIMES = 3
@@ -877,7 +877,9 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _ladder_escape(law: LatticeLaw) -> tuple[float, np.ndarray]:
     """(1 - F[0], F[1..h]) for the ladder heights F of `ladder_heights`, from
     F(z) - 1 = p_h (z - 1) A(z), A the outside factor of `ladder_roots`: the
-    escape mass 1 - F[0] = p_h A(0) is not rounded against a holding mass near 1."""
+    escape mass 1 - F[0] = p_h A(0) is not rounded against a holding mass near 1.
+    Not p_h / A~(0) by the reversed law's inside factor A~: when a root of A
+    lies far out, A~(0) is tiny and carries the rounding of A~'s larger terms."""
     p_h = float(law.atoms[law.support[-1]])
     A = ladder_roots(law)[2]
     return p_h * A[-1], p_h * (np.append(A, 0.0) - np.append(0.0, A))[-2::-1]

@@ -169,31 +169,29 @@ def _factor(g: np.ndarray, p: np.ndarray, a0: np.ndarray, M: int) -> np.ndarray:
     return A.T
 
 
-def _side_factor(law: LatticeLaw, M: int, large: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(R, P): R the monic factor of the d small (large: the h large) roots
-    of z^d (1 - s phi(z)) for jumps in [-d, h], s = 1 - t^2, as rows of
-    t-coefficients (highest power of z first, M orders of t), and P =
-    z^d phi(z), highest power first.  The root near 1 is lifted by Newton's
-    method (Flajolet & Sedgewick, Sec. VII.7), the roots near those of Q on
-    the same side of the circle together as one factor."""
+def _side_factor(
+    law: LatticeLaw, q: np.ndarray, a0: np.ndarray, M: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, P): R the monic factor of the d small roots of z^d (1 - s phi(z))
+    for jumps in [-d, h], s = 1 - t^2, as rows of t-coefficients (highest
+    power of z first, M orders of t), and P = z^d phi(z), highest power
+    first, from the Q and inside factor a0 of `oracle.ladder_roots`.  The
+    root near 1 is lifted by Newton's method (Flajolet & Sedgewick,
+    Sec. VII.7), the roots near those of a0 together as one factor."""
     d, h = -law.support[0], law.support[-1]
-    q, inside, outside = oracle.ladder_roots(law)
     p = np.zeros(d + h + 1)  # p_v at h - v
     p[h - np.array(law.support)] = [float(pv) for pv in law.atoms.values()]
     g = np.eye(1, d + h + 1, h)[0] - p  # z^d (1 - phi(z)) = (z - 1)^2 Q(z)
-    # at 1: z = 1 + t v, v^2 Q(z) + P(z) = 0, v(0) = -sqrt(2)/sigma for the
-    # small root and +sqrt(2)/sigma for the large one; a step divides by the
-    # v-derivative 2 v(0) Q(1) and gains one order of t
-    v = np.eye(1, M)[0] * (1 if large else -1) * np.sqrt(2 / float(law.variance))
+    # at 1: z = 1 + t v, v^2 Q(z) + P(z) = 0, v(0) = -sqrt(2)/sigma; a step
+    # divides by the v-derivative 2 v(0) Q(1) and gains one order of t
+    v = -np.eye(1, M)[0] * np.sqrt(2 / float(law.variance))
     slope = 2 * v[0] * np.polyval(q, 1.0)
     for _ in range(M - 1):
         z1 = np.concatenate([[1.0], v[:-1]])
         v = v - (_mul(_mul(v, v), _compose(q, z1)) + _compose(p, z1)) / slope
     z1 = np.concatenate([[1.0], v[:-1]])
-    A = _factor(g, p, outside if large else inside, M)
-    R = np.zeros((len(A) + 1, M))  # (z - z1) A
-    R[:-1] = A
-    R[1:] -= _mul(A, z1)
+    R = np.vstack([_factor(g, p, a0, M), np.zeros(M)])  # (z - z1) A
+    R[1:] -= _mul(R[:-1], z1)
     return R, p
 
 
@@ -210,7 +208,8 @@ def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> VLadder:
         raise ResourceCapExceeded(f"ladder of {states} states exceeds cap {LADDER_STATE_CAP}")
     # sum_i c_i z_i^x solves the recurrence whose characteristic polynomial
     # is R, from its d values 1 at x = 1 - d..0
-    R, p = _side_factor(law, M, large=False)
+    q, inside, _ = oracle.ladder_roots(law)
+    R, p = _side_factor(law, q, inside, M)
     E = np.zeros((states, M))
     E[:d, 0] = 1.0
     _recur(R[:0:-1], E, d)
@@ -227,21 +226,19 @@ def u_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
     By time reversal, sum_n P(S_n = x, tau_0 > n) s^n is the mass at x of
     the strict ascending ladder renewal measure, [z^x] B(0) / B(z) with B
     the monic factor of the h large roots of z^d (1 - s phi(z)) (Feller,
-    Vol. II, Ch. XII).  With s = 1 - t^2, U_j(x) is its t^(2j-1)
-    coefficient."""
+    Vol. II, Ch. XII): B(z) / B(0) = z^h R~(1/z), R~ the reversed law's
+    small-root factor.  With s = 1 - t^2, U_j(x) is its t^(2j-1) coefficient."""
     h, M = law.support[-1], 2 * J
     if h + x_max > LADDER_STATE_CAP:
         raise ResourceCapExceeded(f"ladder of {h + x_max} states exceeds cap {LADDER_STATE_CAP}")
-    B, _ = _side_factor(law, M, large=True)
-    b0, inv = B[-1], np.zeros(M)  # B(0) and its inverse series
-    inv[0] = 1.0 / b0[0]
-    for k in range(1, M):
-        inv[k] = -(b0[1 : k + 1] @ inv[k - 1 :: -1]) * inv[0]
-    C = _mul(B[:-1], inv)  # the coefficients of z^h..z^1 in B(z) / B(0)
-    # F_x = [z^x] B(0) / B(z): F_0 = 1, 0 below, sum_i b_i F_(x-i) = 0 above
+    # the reversed law's Q is q reversed, exactly, and its inside factor is
+    # the outside factor A reversed, made monic by |A(0)| > 1
+    q, _, A = oracle.ladder_roots(law)
+    R, _ = _side_factor(law.reverse(), q[::-1], A[::-1] / A[-1], M)
+    # F_x = [z^x] B(0) / B(z): F_0 = 1, 0 below, sum_i r~_i F_(x-i) = 0 above
     F = np.zeros((h + x_max, M))  # x = 1 - h..x_max
     F[h - 1, 0] = 1.0
-    _recur(C, F, h)
+    _recur(R[:0:-1], F, h)
     return F[h - 1 :, 1::2].T
 
 

@@ -251,6 +251,33 @@ def test_local_x_max_cap_exits_3_before_root_finding(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+def test_local_row_cap_exits_3_before_the_closed_form(tmp_path, monkeypatch, capsys):
+    # local_errors.csv has x_max rows per grid point: 20000 x 33 at horizon
+    # 64 is refused before U or the DP table exist, while the README and
+    # benchmark sizes (x-max 20 and 10) reach the DP table
+    class Swept(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran")
+
+    def sweep(*args, **kwargs):
+        raise Swept
+
+    monkeypatch.setattr(polyharmonic, "u_wiener_hopf", refuse)
+    monkeypatch.setattr(oracle, "conditioned_table", refuse)
+    argv = ["expand", "local", "--model", "skewed", "--x-max", "20000", "--horizon", "64"]
+    assert _run(argv + ["--out-dir", str(tmp_path)]) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("resource cap: 660000 error rows")
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "conditioned_table", sweep)
+    for x_max in ("20", "10"):
+        with pytest.raises(Swept):
+            _run(["expand", "local", "--model", "skewed", "--x-max", x_max,
+                  "--out-dir", str(tmp_path)])
+
+
 def test_ladder_state_cap_admits_its_last_state(skewed):
     # skewed jumps down by 1 and up by 2: x_max + 1 states for V, x_max + 2
     # for U; 40000 states fit well inside

@@ -274,6 +274,19 @@ def test_ladder_heights_exact_values(lazy, skewed):
         np.testing.assert_allclose(F, want, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("e", [Fraction(1, 10**6), Fraction(1, 10**10), Fraction(1, 10**14)])
+def test_ladder_heights_of_a_far_outside_root(e):
+    # {-1: a, 0: 1 - 2c - 3e, 1: c, 2: e} with a = c + 2e has Q linear, its
+    # root -a/e far outside the circle: F(z) = 1 + e (z - 1)(z + a/e), so
+    # F = [1 - a, a - e, e].  Read through the reversed law's inside factor,
+    # whose constant term is e/a, F[0] is off by 2.9e-4 at e = 1e-14
+    c = Fraction(1, 4)
+    a = c + 2 * e
+    law = walk.make_law({-1: a, 0: 1 - 2 * c - 3 * e, 1: c, 2: e})
+    want = np.array([float(1 - a), float(a - e), float(e)])
+    np.testing.assert_allclose(oracle.ladder_heights(law), want, rtol=1e-14, atol=0)
+
+
 def test_ladder_heights_refuse_a_wrong_root_split(monkeypatch, skewed):
     # skewed needs h - 1 = 1 root outside the unit circle; none found
     monkeypatch.setattr(oracle.np, "roots", lambda c: np.array([0.5]))

@@ -320,12 +320,12 @@ def up_law(h: int) -> walk.LatticeLaw:
 @st.composite
 def _one_sided_laws(draw):
     """Mean-zero laws on {-1, 0, 1} and a sparse subset of 2..H, H <= 120,
-    weights 1..4, or their reverses: left- or upward-continuous, wide."""
+    weights 1..1000, or their reverses: left- or upward-continuous, wide."""
     H = draw(st.integers(2, 120))
     ups = {1, H} | draw(st.sets(st.integers(2, H), max_size=6))
-    w = {k: draw(st.integers(1, 4)) for k in ups}
+    w = {k: draw(st.integers(1, 1000)) for k in ups}
     w[-1] = sum(k * c for k, c in w.items())
-    w[0] = draw(st.integers(1, 4))
+    w[0] = draw(st.integers(1, 1000))
     total = sum(w.values())
     law = walk.make_law({k: Fraction(c, total) for k, c in w.items()})
     return law.reverse() if draw(st.booleans()) else law
@@ -349,15 +349,49 @@ def _hierarchy_gaps(law: walk.LatticeLaw, x_max: int) -> tuple[float, float, flo
     )
 
 
-@pytest.mark.parametrize("h", [40, 80, 120])
+@pytest.mark.parametrize("h", [40, 80, 120, 160, 250])
 @pytest.mark.parametrize("reverse", [False, True], ids=["up", "down"])
 def test_closed_forms_hold_on_wide_one_sided_laws(h, reverse):
     # up_h has h - 1 roots outside the unit circle, down_h as many inside,
     # spread round it: multiplied into a factor one root at a time, their
-    # partial products grow like binomials and cancel
+    # partial products grow like binomials and cancel.  Lifting the outside
+    # factor instead of the reversed law's inside one, U_2 loses the adjoint
+    # hierarchy from h = 160 (3.6e-4) and 250 (1.2e-1)
     law = up_law(h).reverse() if reverse else up_law(h)
     u1, v1, v2, u2 = _hierarchy_gaps(law, 40)
     assert u1 <= 1e-13 and v1 <= 1e-10 and v2 <= 1e-10 and u2 <= 1e-9, (u1, v1, v2, u2)
+
+
+def _killed_harmonic(law: walk.LatticeLaw, x_max: int) -> np.ndarray:
+    """H on x = 0..x_max for a left-continuous law, exactly: its reversal
+    steps up by at most 1, so (P~ - I)H(x) = 0 solves for H(x + 1), from
+    H = 0 on x <= 0 and H(1) = 1; p~_v = p_(-v)."""
+    p = law.atoms
+    H = [Fraction(0), Fraction(1)]
+    for x in range(1, x_max):
+        down = sum(p[k] * H[x - k] for k in law.support if 0 < k < x)
+        H.append(((1 - p.get(0, 0)) * H[x] - down) / p[-1])
+    return np.array([float(v) for v in H])
+
+
+def _u1_gap(law: walk.LatticeLaw, x_max: int) -> float:
+    """U_1 against -(sqrt(2)/sigma) H on x = 0..x_max, relative to the sup
+    of the latter."""
+    want = -np.sqrt(2 / float(law.variance)) * _killed_harmonic(law, x_max)
+    return np.abs(ph.u_wiener_hopf(law, x_max, 1)[0] - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("h", [40, 120, 250])
+def test_u1_is_the_exact_killed_harmonic_function(h):
+    # an exact reference with no roots: U_1 of up_h is the reversed walk's
+    # killed harmonic function, scaled by U_1(1) = -sqrt(2)/sigma
+    assert _u1_gap(up_law(h), 40) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=_one_sided_laws().filter(lambda law: law.left_continuous))
+def test_u1_is_the_exact_killed_harmonic_function_on_sparse_laws(law):
+    assert _u1_gap(law, 40) <= 1e-12
 
 
 def test_nu_of_a_wide_downward_law():
