@@ -8,7 +8,7 @@ from . import (  # noqa: F401
     basis,
     conditioned,
     edgeworth,
-    halfpow,  # no caller in the package; the benchmark's tracer wraps it by name
+    halfpow,  # empty; kept only because the benchmark's tracer looks it up by name
     oracle,
     polyharmonic,
     tau0,

@@ -32,6 +32,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 LOCAL_ROW_CAP = 500_000  # rows of local_errors.csv: about 25 MB, as at LADDER_STATE_CAP
+VERIFY_X_MAX_CAP = 1000  # verify --check-polyharmonic: its q ladder is quadratic, ~3.5 s at 1000
 
 _BUILTIN_MODELS = {"lazy": lazy_walk, "skewed": skewed_walk}
 
@@ -58,13 +59,16 @@ def _num(value: float, provenance: str, error: float | None = None) -> dict:
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_rows(path: Path, header: list[str], line: str, rows) -> None:
     """A CSV file: the header, then `line % row` for each row.  line is a
     printf format of the row's fields ending in \\r\\n, with floats as %.17g:
-    the bytes of csv.writer, since numbers never need quoting."""
+    the bytes of csv.writer, since numbers never need quoting.  rows may
+    be a generator: each row is formatted and written as it comes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(line % row for row in rows)
@@ -77,7 +81,6 @@ def _write_rows(path: Path, header: list[str], line: str, rows) -> None:
 def _cmd_oracle(args) -> int:
     law = load_model(args.model)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     x = args.x
     tail = oracle.tau_tail(law, x, args.horizon, mode=args.mode)
     path = out_dir / f"oracle_tau{x}.csv"
@@ -93,7 +96,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_expand_tau0(args) -> int:
     law = load_model(args.model)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # the paper route is gauged by the closed form, found before the sweep
     exact = polyharmonic.v_wiener_hopf(law, 0, 3).nu
     coeffs = tau0.tau0_coeffs(law, N=args.horizon)
@@ -128,7 +130,6 @@ def _cmd_expand_tau0(args) -> int:
 def _cmd_expand_local(args) -> int:
     law = load_model(args.model)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # refuse an unfit law, then each oversized table, before the DP check of the closed form
     law.require_expansion_ready()
     n_grid = np.unique(np.geomspace(32, args.horizon, 60).astype(int))
@@ -148,12 +149,13 @@ def _cmd_expand_local(args) -> int:
     }
     _write_json(out_dir / "local_coeffs.json", doc)
 
-    rows = []
-    for x in range(1, args.x_max + 1):
-        res = conditioned.u_expansion_eval(table, U, x, n_grid, J=args.terms)
-        rows += zip(n_grid, [x] * n_grid.size, res["truth"], res["approx"], res["error"])
+    def rows():  # one x at a time: the file is never held as one list
+        for x in range(1, args.x_max + 1):
+            res = conditioned.u_expansion_eval(table, U, x, n_grid, J=args.terms)
+            yield from zip(n_grid, [x] * n_grid.size, res["truth"], res["approx"], res["error"])
+
     _write_rows(out_dir / "local_errors.csv", ["n", "x", "dp", "approx", "err"],
-                "%d,%d,%.17g,%.17g,%.17g\r\n", rows)
+                "%d,%d,%.17g,%.17g,%.17g\r\n", rows())
     print(f"wrote {out_dir / 'local_coeffs.json'} and {out_dir / 'local_errors.csv'}")
     return EXIT_PASS
 
@@ -161,7 +163,6 @@ def _cmd_expand_local(args) -> int:
 def _cmd_expand_taux(args) -> int:
     law = load_model(args.model)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     J = args.terms
     # the closed form sweeps nothing: --horizon is accepted and not read
     top = polyharmonic.ladder_reach(law, args.x_max, J) if args.check_polyharmonic else args.x_max
@@ -203,6 +204,8 @@ def _cmd_verify(args) -> int:
     # ladders: read at -x_max..0, mirrored, and at 0..x_max
     xs = ()
     if args.check_polyharmonic:
+        if args.x_max > VERIFY_X_MAX_CAP:
+            raise ResourceCapExceeded(f"x-max {args.x_max} exceeds {VERIFY_X_MAX_CAP}")
         top = polyharmonic.ladder_reach(law, args.x_max, 2)  # refuses x-max 0 first
         xs = range(-args.x_max, args.x_max + 1)
     ids = oracle.identity_suite(law, N, xs)

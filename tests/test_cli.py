@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import cli, oracle, polyharmonic, tau0, walk
+from fluctuator import cli, conditioned, oracle, polyharmonic, tau0, walk
 
 from test_polyharmonic import up_law
 
@@ -278,6 +278,26 @@ def test_local_row_cap_exits_3_before_the_closed_form(tmp_path, monkeypatch, cap
                   "--out-dir", str(tmp_path)])
 
 
+def test_verify_x_max_cap_exits_3_before_the_suite(monkeypatch, capsys):
+    # the paper route's q ladder is quadratic in --x-max: past the cap,
+    # verify --check-polyharmonic is refused before the identity suite
+    # sweeps, while the default x-max 15 and the cap itself are run
+    class Ran(Exception):
+        pass
+
+    def ran(*args, **kwargs):
+        raise Ran
+
+    monkeypatch.setattr(oracle, "identity_suite", ran)
+    monkeypatch.setattr(conditioned, "q_ladder", ran)
+    argv = ["verify", "--model", "skewed", "--horizon", "64", "--check-polyharmonic"]
+    assert _run(argv + ["--x-max", str(cli.VERIFY_X_MAX_CAP + 1)]) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("resource cap: ")
+    for extra in ([], ["--x-max", str(cli.VERIFY_X_MAX_CAP)]):
+        with pytest.raises(Ran):
+            _run(argv + extra)
+
+
 def test_ladder_state_cap_admits_its_last_state(skewed):
     # skewed jumps down by 1 and up by 2: x_max + 1 states for V, x_max + 2
     # for U; 40000 states fit well inside
@@ -520,6 +540,33 @@ def test_bad_x_max_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_CONFIG
     assert "Traceback" not in err and "x-max" in err
+
+
+_SPAN2 = {"atoms": {"-2": "1/2", "2": "1/2"}}
+_DRIFT = {"atoms": {"-1": "1/4", "1": "3/4"}}
+
+
+@pytest.mark.parametrize(
+    "argv, model, want",
+    [
+        (["oracle", "--horizon", str(10**12)], "lazy", cli.EXIT_RESOURCE),
+        (["expand", "taux", "--x-max", "65600"], "skewed", cli.EXIT_RESOURCE),
+        (["expand", "taux", "--x-max", "0", "--check-polyharmonic"], "lazy", cli.EXIT_CONFIG),
+        *((["expand", target, "--horizon", "64"], spec, cli.EXIT_CONFIG)
+          for target in ("tau0", "local", "taux") for spec in (_SPAN2, _DRIFT)),
+    ],
+    ids=["oracle-oversized", "taux-oversized", "taux-certify-zero",
+         "tau0-span2", "tau0-drift", "local-span2", "local-drift", "taux-span2", "taux-drift"],
+)
+def test_a_refused_request_makes_no_directory(tmp_path, argv, model, want):
+    # --out-dir is made by the first artifact written, not before the checks
+    if isinstance(model, dict):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        model = str(path)
+    out = tmp_path / "out"
+    assert _run(argv + ["--model", model, "--out-dir", str(out)]) == want
+    assert not out.exists()
 
 
 def test_verify_reports_check_horizons(capsys):
