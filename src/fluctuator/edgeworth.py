@@ -3,8 +3,9 @@ local-expansion polynomials theta_j(x), and the correction coefficients
 (theta_1, theta_2) of Delta_n / n.
 
 (theta_1, theta_2) are a closed form in the cumulants: exact rationals, with
-one rounding at the end.  The theta polynomials are assembled in 40-digit
-mpmath, because their partition sums cancel.
+one rounding at the end.  The theta polynomials sum a law-free table of
+exact terms in the cumulants, so their cancelling partition sums are exact;
+only the a-basis conversion runs in 40-digit mpmath, rounded once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from mpmath import mp
 
@@ -86,7 +87,7 @@ class CdfExpansionAtZero:
     theta2: float
 
 
-@lru_cache(maxsize=None)
+@cache
 def hermite(m: int) -> Polynomial:
     """Probabilists' Hermite polynomial, exact integer coefficients."""
     if m < 0:
@@ -118,70 +119,70 @@ def partition_tuples(nu: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _partition_weight(ks: tuple[int, ...], kappas: list[Fraction], sigma) -> mp.mpf:
-    """prod_m (kappa_(m+2) / ((m+2)! sigma^(m+2)))^k_m / k_m!, kappas[i] the
-    cumulant of order i + 1."""
-    w = mp.mpf(1)
-    for m, km in enumerate(ks, start=1):
-        if km == 0:
-            continue
-        kappa = kappas[m + 1]
-        w *= (mp.mpf(kappa.numerator) / kappa.denominator
-              / (math.factorial(m + 2) * sigma ** (m + 2))) ** km
-        w /= math.factorial(km)
-    return w
+@cache
+def _theta_terms(J: int) -> dict[tuple[int, int], dict[tuple, tuple[Fraction, int]]]:
+    """The law-free table of theta_polys: (j, p) -> {ks: (c, a)}, so that
+    the coefficient of x^p in the n^-(j+1/2) ladder term is
+    sum c prod_m kappa_(m+2)^(k_m) / v^a over sqrt(2 pi v), ks the pairs
+    (m + 2, k_m) with k_m > 0.
+
+    It expands (1/(sigma sqrt(n))) [phi(t) + sum q_nu(t) n^(-nu/2)], t =
+    x/(sigma sqrt(n)): partition ks of nu, with s = sum k_m, weighs
+    phi(t) He_(nu+2s)(t) n^(-nu/2) by prod (kappa_(m+2) / ((m+2)!
+    sigma^(m+2)))^(k_m) / k_m!, and phi(t) / (sigma sqrt(n)) contributes
+    (-1)^k x^(2k) / (k! (2 v n)^k) / sqrt(2 pi v n).  x^q of He_(nu+2s)
+    and the k-th of these land in j = (2k + q + nu) / 2 at p = 2k + q.
+    He_(nu+2s) has only powers q = nu (mod 2), so sigma appears to the
+    even power -(nu + 2s + p) beside the 1 / sqrt(2 pi v)."""
+    table: dict = {(j, p): {} for j in range(J + 1) for p in range(2 * j + 1)}
+    for nu in range(2 * J + 1):
+        for ks in partition_tuples(nu) if nu else [()]:
+            s = sum(ks)
+            w = Fraction(1)
+            for m, km in enumerate(ks, start=1):
+                w /= math.factorial(m + 2) ** km * math.factorial(km)
+            key = tuple((m + 2, km) for m, km in enumerate(ks, start=1) if km)
+            for q, hq in enumerate(hermite(nu + 2 * s).coefficients):
+                if hq == 0:
+                    continue
+                for k in range(J - (q + nu) // 2 + 1):
+                    p = 2 * k + q
+                    d_k = Fraction((-1) ** k, math.factorial(k) * 2**k)
+                    terms = table[(p + nu) // 2, p]
+                    c, _ = terms.get(key, (0, 0))
+                    terms[key] = (c + w * d_k * hq, (nu + 2 * s + p) // 2)
+    return table
 
 
 def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
     """Polynomials theta_0..theta_J, J = floor(r/2), such that
     p_n(x) ~ sum_j theta_j(x) a_(n-1)^(j+1); theta_j has degree exactly 2j.
 
-    Built by expanding (1/(sigma sqrt(n))) [phi(t) + sum q_nu(t) n^(-nu/2)],
-    t = x/(sigma sqrt(n)), as a bivariate series in (x, n^(-1/2)), collecting
-    the n^(-(j+1/2)) ladder and converting it to the shifted a-basis.
+    The n^(-(j+1/2)) ladder of the Edgeworth expansion (_theta_terms) is
+    summed in exact rationals, divided by sqrt(2 pi v) and converted to the
+    shifted a-basis in 40-digit mpmath, then rounded once.
     """
     law.require_expansion_ready()
     J = r // 2
     kappas = law.cumulants(2 * J + 2)
+    v = kappas[1]
+    f = [[Fraction(0)] * (2 * j + 1) for j in range(J + 1)]
+    for (j, p), terms in _theta_terms(J).items():
+        for ks, (c, a) in terms.items():
+            for order, km in ks:
+                c *= kappas[order - 1] ** km
+            f[j][p] += c / v**a
 
     with mp.workdps(40):
-        sig = mp.mpf(law.variance.numerator) / law.variance.denominator
-        sigma = mp.sqrt(sig)
-        pref = 1 / (sigma * mp.sqrt(2 * mp.pi))
-        # f[j][p] = coefficient of x^p in the n^-(j+1/2) ladder term
-        f = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
-
-        def add_gauss_term(nu: int, herm: Polynomial, weight) -> None:
-            # weight * phi(t) * herm(t) * n^(-nu/2) / (sigma sqrt(n))
-            hc = herm.coefficients
-            for m, hm in enumerate(hc):
-                if hm == 0:
-                    continue
-                for k in range(J + 1):
-                    twoj = 2 * k + m + nu
-                    if twoj % 2 or twoj // 2 > J:
-                        continue
-                    j = twoj // 2
-                    d_k = mp.mpf(-1) ** k / (math.factorial(k) * (2 * sig) ** k)
-                    f[j][2 * j - nu] += (
-                        weight * pref * d_k * mp.mpf(hm) / sigma**m
-                    )
-
-        add_gauss_term(0, hermite(0), mp.mpf(1))
-        for nu in range(1, 2 * J + 1):
-            for ks in partition_tuples(nu):
-                s = sum(ks)
-                w = _partition_weight(ks, kappas, sigma)
-                if w:
-                    add_gauss_term(nu, hermite(nu + 2 * s), w)
-
+        root = mp.sqrt(2 * mp.pi * v.numerator / v.denominator)
         # n^-(i+1/2) = sum_k gamma_k a_(n-1)^(k), k = i+1 .. J+1
         thetas = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
         for i in range(J + 1):
             conv = basis.power_to_shifted_basis(i + 1, J + 1)
+            row = [mp.mpf(c.numerator) / c.denominator / root for c in f[i]]
             for k, gamma in conv.coefficients.items():
                 j = k - 1
-                for p, c in enumerate(f[i]):
+                for p, c in enumerate(row):
                     thetas[j][p] += mp.mpf(gamma) * c
     return [
         Polynomial.from_coeffs([float(c) for c in row]) for row in thetas

@@ -53,7 +53,7 @@ POLY_TAIL_REL_TOL = 1e-3
 # verify's paper-route gap limit, the tolerance of certify's V_2 checks
 ROUTE_GAP_TOL = 1e-2
 # states v_wiener_hopf or u_wiener_hopf may hold: 65536 states of V_1, V_2
-# are about 25 MB of taux_coeffs.json
+# are about 17 MB of taux_coeffs.json
 LADDER_STATE_CAP = 1 << 16
 
 

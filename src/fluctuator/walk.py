@@ -30,7 +30,8 @@ MAX_CUMULANT_ORDER = 8
 class LatticeLaw:
     """Finite-support integer law with exact rational probabilities.
 
-    Immutable after construction; moments and cumulants are cached lazily.
+    Immutable after construction; support, mean, variance, span and
+    left-continuity are cached lazily, raw moments and cumulants are not.
     Span != 1 is allowed at construction and only rejected by expansion
     entry points (via require_span_one).
     """
@@ -93,19 +94,21 @@ class LatticeLaw:
     def cumulants(self, k: int) -> list[Fraction]:
         """gamma_1..gamma_k as exact rationals.
 
-        Standard moments-to-cumulants recursion:
-        kappa_n = m_n - sum_(i=1..n-1) C(n-1, i-1) kappa_i m_(n-i).
+        Standard moments-to-cumulants recursion,
+        kappa_n = m_n - sum_(i=1..n-1) C(n-1, i-1) kappa_i m_(n-i),
+        run in integers on D^n m_n and K_n = D^n kappa_n, D the lcm of the
+        masses' denominators.
         """
         if k > MAX_CUMULANT_ORDER:
             raise ValueError(f"cumulant order capped at {MAX_CUMULANT_ORDER}")
-        moments = [self.raw_moment(i) for i in range(k + 1)]
-        kappa: list[Fraction] = [Fraction(0)]  # kappa[0] unused
+        D = math.lcm(*(p.denominator for p in self.atoms.values()))
+        w = {v: p.numerator * (D // p.denominator) for v, p in self.atoms.items()}
+        mu = [D ** (n - 1) * sum(c * v**n for v, c in w.items()) for n in range(1, k + 1)]
+        K: list[int] = []
         for n in range(1, k + 1):
-            acc = moments[n]
-            for i in range(1, n):
-                acc -= math.comb(n - 1, i - 1) * kappa[i] * moments[n - i]
-            kappa.append(acc)
-        return kappa[1:]
+            K.append(mu[n - 1] - sum(
+                math.comb(n - 1, i - 1) * K[i - 1] * mu[n - i - 1] for i in range(1, n)))
+        return [Fraction(kn, D**n) for n, kn in enumerate(K, 1)]
 
     def reverse(self) -> "LatticeLaw":
         """Law of -X: negated support, odd cumulants flip sign."""

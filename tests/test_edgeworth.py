@@ -1,6 +1,7 @@
 """Edgeworth layer: Hermite/partition machinery, theta polynomials against
-DP local probabilities, and the closed-form Delta_n coefficients against an
-exact-rational partition-sum reference."""
+DP local probabilities and against a 40-digit partition-sum reference, and
+the closed-form Delta_n coefficients against an exact-rational partition-sum
+reference."""
 
 import math
 from fractions import Fraction
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from test_conditioned import _mean_zero_laws
 
-from fluctuator import basis, edgeworth, oracle
+from fluctuator import basis, edgeworth, oracle, walk
 
 
 @given(st.integers(0, 10))
@@ -160,3 +162,74 @@ def test_theta_polys_reuse_conversions_across_laws(lazy, skewed, monkeypatch):
     assert fits == []
     basis.power_to_shifted_basis.cache_clear()
     assert edgeworth.theta_polys(skewed, r=4) == warm
+
+
+def _theta_polys_reference(law, r: int) -> list:
+    """theta_0..theta_J with every term of the n^-(j+1/2) ladder summed in
+    40-digit mpmath, sigma and sqrt(2 pi) included: the partition weights
+    prod (kappa_(m+2) / ((m+2)! sigma^(m+2)))^k_m / k_m! times phi(t)
+    He_(nu+2s)(t) n^(-nu/2) / (sigma sqrt(n)), t = x / (sigma sqrt(n)),
+    collected by powers of x and n and converted to the shifted a-basis."""
+    J = r // 2
+    kappas = law.cumulants(2 * J + 2)
+    with mp.workdps(40):
+        sig = mp.mpf(law.variance.numerator) / law.variance.denominator
+        sigma = mp.sqrt(sig)
+        pref = 1 / (sigma * mp.sqrt(2 * mp.pi))
+        # f[j][p] = coefficient of x^p in the n^-(j+1/2) ladder term
+        f = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
+
+        def add_gauss_term(nu, herm, weight):
+            for m, hm in enumerate(herm.coefficients):
+                if hm == 0:
+                    continue
+                for k in range(J + 1):
+                    twoj = 2 * k + m + nu
+                    if twoj % 2 or twoj // 2 > J:
+                        continue
+                    j = twoj // 2
+                    d_k = mp.mpf(-1) ** k / (math.factorial(k) * (2 * sig) ** k)
+                    f[j][2 * j - nu] += weight * pref * d_k * mp.mpf(hm) / sigma**m
+
+        add_gauss_term(0, edgeworth.hermite(0), mp.mpf(1))
+        for nu in range(1, 2 * J + 1):
+            for ks in edgeworth.partition_tuples(nu):
+                w = mp.mpf(1)
+                for m, km in enumerate(ks, start=1):
+                    if km == 0:
+                        continue
+                    kappa = kappas[m + 1]
+                    w *= (mp.mpf(kappa.numerator) / kappa.denominator
+                          / (math.factorial(m + 2) * sigma ** (m + 2))) ** km
+                    w /= math.factorial(km)
+                if w:
+                    add_gauss_term(nu, edgeworth.hermite(nu + 2 * sum(ks)), w)
+
+        thetas = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
+        for i in range(J + 1):
+            conv = basis.power_to_shifted_basis(i + 1, J + 1)
+            for k, gamma in conv.coefficients.items():
+                for p, c in enumerate(f[i]):
+                    thetas[k - 1][p] += mp.mpf(gamma) * c
+    return [edgeworth.Polynomial.from_coeffs([float(c) for c in row]) for row in thetas]
+
+
+_DOUBLE_ROOT = walk.make_law({-3: Fraction(1, 24), -2: Fraction(1, 4), -1: Fraction(1, 24),
+                              1: Fraction(2, 3)})
+
+
+def _check_theta_polys(law) -> None:
+    for r in (2, 4, 6):
+        assert edgeworth.theta_polys(law, r) == _theta_polys_reference(law, r), (law, r)
+
+
+def test_theta_polys_match_the_reference_hand_picked(lazy, skewed):
+    """The exact term table gives the 40-digit sums' floats, float for float."""
+    for law in (lazy, skewed, _DOUBLE_ROOT):
+        _check_theta_polys(law)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_mean_zero_laws())
+def test_theta_polys_match_the_reference_random_laws(law):
+    _check_theta_polys(law)

@@ -1,5 +1,6 @@
 """Lattice law ingestion, validation, cumulants, reversal and left-continuity."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,25 @@ def test_reverse_involution_and_cumulant_signs(atoms):
     kr = rev.cumulants(4)
     for order, (a, b) in enumerate(zip(k, kr), start=1):
         assert b == (a if order % 2 == 0 else -a)
+
+
+def _recursion_cumulants(law, k: int) -> list[Fraction]:
+    """kappa_1..kappa_k by the moments-to-cumulants recursion on the raw
+    moments: kappa_n = m_n - sum_(i<n) C(n-1, i-1) kappa_i m_(n-i)."""
+    m = [law.raw_moment(i) for i in range(k + 1)]
+    kappa = [Fraction(0)]
+    for n in range(1, k + 1):
+        kappa.append(m[n] - sum(math.comb(n - 1, i - 1) * kappa[i] * m[n - i]
+                                for i in range(1, n)))
+    return kappa[1:]
+
+
+@given(_laws())
+@example(walk.skewed_walk().atoms)
+def test_cumulants_match_the_raw_moment_recursion(atoms):
+    law = walk.make_law(atoms)
+    for k in range(1, walk.MAX_CUMULANT_ORDER + 1):
+        assert law.cumulants(k) == _recursion_cumulants(law, k)
 
 
 @given(_laws())
