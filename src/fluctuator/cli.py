@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -265,8 +264,7 @@ def _cmd_verify(args) -> int:
                 ("U", conditioned.q_ladder(ws, 3).q[1::2],
                  polyharmonic.u_wiener_hopf(law, args.x_max, 2)),
             )
-            # the horizon-N route drifts from the closed form past x ~ 2 sigma sqrt(N)
-            window = max(1, min(args.x_max, math.isqrt(math.floor(4 * law.variance * N))))
+            window = polyharmonic.route_window(law, args.x_max, N)
             for name, route, closed in routes:
                 gap = polyharmonic.route_gap(route, closed, window)
                 check(f"{name} paper route", gap <= polyharmonic.ROUTE_GAP_TOL,

@@ -2,10 +2,11 @@
 checkers, renewal sums and Monte Carlo spot checks.
 
 Every DP table and identity check is a reduction over the frames of one
-killed-walk propagator, `_sweep`.  Everything here is either exact
-(rational mode, or int64 residues modulo primes), plain float arithmetic
-on exact recursions (float mode), or an unbiased simulation with a
-confidence interval.  No asymptotics enter: this module is what the
+killed-walk propagator, `_sweep`, except the float killed walk's, whose
+totals and table come from k-step blocks (`_killed_float`).  Everything
+here is either exact (rational mode, or int64 residues modulo primes),
+plain float arithmetic on exact recursions (float mode), or an unbiased
+simulation with a confidence interval.  No asymptotics enter: this module is what the
 expansion modules are tested against.
 """
 
@@ -59,6 +60,8 @@ ROOT_DEGREE_CAP = 1024
 RESIDUE_PRIMES = 3
 # live-window floor of the float sweeps: they skip the states below it
 _TINY = 2.0**-120
+# cells one near-floor operator of `_killed_float` and its build may hold (1 MiB of float64)
+_BLOCK_CELLS = 1 << 17
 _I64 = (1 << 63) - 1
 _Q_LO = 1 << 23  # residue primes lie above this
 _ODDS = np.arange(3, 4096, 2)  # trial divisors of a residue prime < 2^24
@@ -296,20 +299,24 @@ def _sweep(
     Yields (n, lo, alive, dead, den): alive[i] / den is the mass at state
     lo + i that has stayed >= floor through time n; dead holds the mass
     killed at step n, on the states lo - dead.size .. lo - 1.  Frame 0 is the
-    unkilled start.  floor=None runs the free walk.  Float mode uses float64
-    arrays with den = 1 (`_sweep_float`); exact mode uses Python-int arrays
-    scaled by den = D**n, D the lcm of the atom denominators, or, when
-    `exact` is a `_Residues`, int64 residues of them (`_sweep_residues`,
-    which also takes a sequence of starts).  The arrays are views of the
-    propagator's state, valid until the next step: read them, do not write
-    them.  Refuses a sweep whose widest frame exceeds STATE_CAP when it is
-    called, before anything is allocated or iterated.
+    unkilled start.  floor=None runs the free walk.  Float mode runs only
+    the free walk, on float64 arrays with den = 1 (`_sweep_float`): the
+    float killed walk has no per-step frames, `_killed_float` moves it k
+    steps a block and reads its totals and table.  Exact mode uses
+    Python-int arrays scaled by den = D**n, D the lcm of the atom
+    denominators, or, when `exact` is a `_Residues`, int64 residues of them
+    (`_sweep_residues`, which also takes a sequence of starts).  The arrays
+    are views of the propagator's state, valid until the next step: read
+    them, do not write them.  Refuses a sweep whose widest frame exceeds
+    STATE_CAP when it is called, before anything is allocated or iterated.
     """
     widest = _guard_sweep(law, N, start, floor)
+    if not exact and floor is not None:
+        raise ValueError("float sweeps are free: `_killed_float` sweeps the killed walk")
     if isinstance(exact, _Residues):
         return _sweep_residues(law, N, start, floor, exact, widest)
     if not exact:
-        return _sweep_float(law, N, start, floor)
+        return _sweep_float(law, N, start)
     return _sweep_exact(law, N, start, floor)
 
 
@@ -333,8 +340,17 @@ def _sweep_exact(law: LatticeLaw, N: int, start: int, floor: int | None):
         yield n, lo, alive, dead, den
 
 
-def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
-    """`_sweep`'s float frames, as views of one buffer indexed by state.
+def _kernel(law: LatticeLaw) -> np.ndarray:
+    """The float step law: kern[i] = P(X = klo + i)."""
+    kern = np.zeros(law.support[-1] - law.support[0] + 1)
+    for v, p in law.atoms.items():
+        kern[v - law.support[0]] = float(p)
+    return kern
+
+
+def _sweep_float(law: LatticeLaw, N: int, start: int):
+    """`_sweep`'s float frames of the free walk, as views of one buffer
+    indexed by state.
 
     The frames have the width and alignment of the full convolution, but
     only the live window -- the span from the first to the last state
@@ -352,29 +368,20 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
     The buffer is allocated once, after `_sweep`'s guard.  The state x of
     frame n sits at index x - n c - base, with the drift c the one of 0,
     klo, khi nearest 0: the buffer is at most two kernel widths wider than
-    the widest frame for a law with jumps both ways, and at most twice that
-    plus two kernel widths for a law whose jumps all have one sign.  A step
-    writes the full convolution of window + margin with kern into it and
-    zeroes only the cells written on the step before that this write
-    misses.  It calls np.correlate with the reversed kernel, the call
-    np.convolve makes once the window is at least a kernel wide, and
-    np.convolve itself before that.  Then the live window shrinks until
-    both ends hold at least _TINY (empty when no state does).
+    the widest frame.  A step writes the full convolution of window +
+    margin with kern into it and zeroes only the cells written on the step
+    before that this write misses.  It calls np.correlate with the reversed
+    kernel, the call np.convolve makes once the window is at least a kernel
+    wide, and np.convolve itself before that.  Then the live window shrinks
+    until both ends hold at least _TINY.
     """
     klo, khi = law.support[0], law.support[-1]
     pad = khi - klo
-    kern = np.zeros(pad + 1)
-    for v, p in law.atoms.items():
-        kern[v - klo] = float(p)
+    kern = _kernel(law)
     c = min(max(klo, 0), khi)
     dl, dh = klo - c, khi - c  # a step moves a frame's ends by these indices
-    steps = min(N, _last(law, N, start, floor) + 1)  # the steps that write
-    base = start + steps * dl  # the lowest index any write reaches
-    if floor is not None:
-        base = max(base, min(start, floor) + dl)
-    base = min(start, base)
-    buf = np.zeros(start + steps * dh - base + 1)
-    f0 = a = w0 = start - base  # frame [f0, f1), live window [a, b), last write [w0, w1)
+    buf = np.zeros(N * (dh - dl) + 1)
+    f0 = a = w0 = -N * dl  # frame [f0, f1), live window [a, b), last write [w0, w1)
     f1 = b = w1 = f0 + 1
     buf[f0] = 1.0
     lo, empty = start, buf[:0]
@@ -398,21 +405,14 @@ def _sweep_float(law: LatticeLaw, N: int, start: int, floor: int | None):
             buf[we if we > w0 else w0 : w1] = 0.0
         w0, w1 = ws, we
         lo += klo
-        dead = empty
-        if f1 > f0:
-            f0, f1 = f0 + dl, f1 + dh
-            if floor is not None and floor > lo:
-                cut = min(floor - lo, f1 - f0)
-                dead = buf[f0 : f0 + cut]
-                f0 += cut
-                lo += cut
+        f0, f1 = f0 + dl, f1 + dh
         a = a + dl if a + dl > f0 else f0
         b = b + dh if b + dh < f1 else f1
         while a < b and buf[a] < _TINY:
             a += 1
         while b > a and buf[b - 1] < _TINY:
             b -= 1
-        yield n, lo, buf[f0:f1], dead, 1
+        yield n, lo, buf[f0:f1], empty, 1
 
 
 # Reads of a frame vector sum or copy along its first axis, the states: a
@@ -435,6 +435,9 @@ def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = N
     """(values, dens): read(lo, alive) and den = D**n of every frame n = 0..N
     of a sweep, as object arrays of Python ints (exact), float arrays, or
     int64 residues reduced into [0, q) (a `_Residues`; the prime axis last)."""
+    if exact is False and floor is not None:  # the float killed walk: its totals
+        assert read is _total
+        return _killed_float(law, N, start, floor)[0], np.ones(N + 1)
     vals, dens = [], []
     for _, lo, alive, _, den in _sweep(law, N, start, floor, exact):
         vals.append(read(lo, alive))
@@ -534,12 +537,160 @@ def _free_float(law: LatticeLaw, N: int, xs: Sequence[int]):
     table = np.zeros((N + 1, span))
     for n, lo, vec, _, _ in sweep:
         below[n] = _upto_zero(lo, vec)
-        _gather(table[n], x0, lo, vec)
+        if span:
+            _gather(table[n], x0, lo, vec)
     return below, {x: table[:, x - x0] for x in xs}
 
 
 # ---------------------------------------------------------------------------
 # killed walk (weak and strict)
+
+
+def _block_length(N: int, klo: int, khi: int, W: int) -> int:
+    """k, the steps of one block of `_killed_float`, for N steps of a law on
+    [klo, khi] read at W columns: the k in 1, 2, 4, .., 32 whose operator
+    fits _BLOCK_CELLS and whose estimated cost is least.
+
+    The estimate counts float cells, and a numpy call as 1000 cells.
+    `_block_operator` takes five calls and one convolution of R x (R +
+    k up + dn) cells by khi - klo + 1 taps a step, R = W + (k - 1) dn.  A
+    block takes about ten calls, one product of the R near-floor sources
+    with the operator's columns, and four passes over the window, about
+    4 (khi - klo) sqrt(N) cells wide.  Convolution and product cells count
+    a quarter (vectorised inner loops and BLAS).  The long convolution does
+    about the same work a step whatever k is, so it does not enter.  A
+    step of k = 1 takes five calls and the passes."""
+    call, m, up, dn = 1000, khi - klo + 1, max(khi, 0), max(-klo, 0)
+    passes = 16 * (m - 1) * math.isqrt(N)
+    best, k_best = N * (5 * call + passes), 1
+    for k in (2, 4, 8, 16, 32):
+        R = W + (k - 1) * dn
+        build, cols = R * (R + k * up + dn), k * (W + 1) + (k - 1) * dn + k * up
+        if k > N or 2 * build + R * cols > _BLOCK_CELLS:
+            break
+        cost = k * (5 * call + m * build // 4) + -(-N // k) * (10 * call + R * cols // 4 + passes)
+        if cost < best:
+            best, k_best = cost, k
+    return k_best
+
+
+def _block_operator(kern: np.ndarray, klo: int, khi: int, k: int, W: int):
+    """(M, P): the near-floor operator of `_killed_float`'s k-step blocks.
+
+    Its rows are the unit sources u = 1..R, R = W + P, P = (k - 1) dn with
+    dn = max(-klo, 0), each moved by k plain killed steps.  Row u of M holds,
+    for j = 0..k - 1, the mass S_j(u) alive after j steps and the masses
+    G_j(u, 1..W) at the read columns, k (W + 1) entries, then, for u <= P
+    only, the masses A_k(u, 1..P + k up) after k steps, up = max(khi, 0).
+    A source above P cannot die within k - 1 steps, and one above R can
+    neither die within k - 1 steps nor reach a read column.
+
+    A step is one convolution of all R rows laid end to end, each row
+    followed by dn cells that catch what the next row's sources lose below
+    u = 1; they are zeroed after the step."""
+    up, dn = max(khi, 0), max(-klo, 0)
+    P = (k - 1) * dn
+    R = W + P
+    width = R + k * up  # columns u = 1..width, then dn for the killed mass
+    M = np.zeros((R, k * (W + 1) + P + k * up))
+    A = np.eye(R, width + dn)
+    rkern = kern[::-1].copy()
+    for j in range(k + 1):
+        if j and R:
+            flat = np.correlate(A.ravel(), rkern, "full")  # flat[i] lands at i + klo
+            if klo > 0 or khi < 0:  # one-sided: pad so that every cell has a source
+                flat = np.concatenate((np.zeros(max(klo, 0)), flat, np.zeros(max(-khi, 0))))
+            A = flat[max(-klo, 0) :][: A.size].reshape(A.shape)
+            A[:, width:] = 0.0
+        if j < k:
+            c = j * (W + 1)
+            M[:, c] = A.sum(1)
+            M[:, c + 1 : c + W + 1] = A[:, :W]
+    M[:P, k * (W + 1) :] = A[:P, : P + k * up]
+    return M, P
+
+
+def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0):
+    """(tail, table) of the float walk start + S_n killed on first entry
+    below floor >= 0: tail[n] = P(tau > n) and table[n, x] = P(start + S_n
+    = x, tau > n) for x = 0..cols - 1, n = 0..N.
+
+    The walk moves k steps a block (`_block_length`).  In u = x - floor + 1
+    a state is alive when u >= 1, and the read columns x >= floor are
+    u = 1..W.  The sources above P = (k - 1) dn cannot die before the
+    block's last step: one convolution with kern^(*k), whose taps are
+    positive, moves them, and the cells it puts below u = 1 are the mass
+    killed at that step.  The sources in [1, P] move by the dense killed
+    operator of `_block_operator`, which also reads the block's k frames
+    off the sources in [1, W + P]: one matrix product, while the sources
+    above W + P add their sum to the totals.  A start below the floor takes
+    one plain step first.  After each block the window drops its top cells
+    below _TINY = 2^-120; each feeds every later cell by less than _TINY.
+
+    Every cell is a sum of products of positive floats, so its rounding
+    stays relative: the reads are within 1e-13 relative of the exact
+    killed sweep (measured: within 3e-14 of a per-step float sweep on the
+    pool laws at N = 2048).
+    """
+    _guard_sweep(law, N, start, floor)
+    klo, khi = law.support[0], law.support[-1]
+    kern = _kernel(law)
+    W = max(cols - floor, 0)
+    k = _block_length(N, klo, khi, W)
+    tail, table = np.zeros(N + 1), np.zeros((N + 1, cols))
+    rows = table[:, floor : floor + W]  # the alive columns, u = 1..W
+    P = R = 0
+    kern_k = kern
+    if k > 1:
+        M, P = _block_operator(kern, klo, khi, k, W)
+        R = W + P
+        for _ in range(k - 1):
+            kern_k = np.convolve(kern_k, kern)
+    rkern_k = kern_k[::-1].copy()
+    u0 = start - floor + 1
+    buf = np.zeros(max(u0, 0) + N * max(khi, 0) + R + 1)  # buf[i] holds u = i + 1
+    n, hi = 0, 0  # the window is buf[:hi]; every cell past it is 0
+    if u0 >= 1:
+        buf[u0 - 1], hi = 1.0, u0
+    else:  # frame 0 lies below the floor: read it, then take one plain step
+        tail[0] = 1.0
+        if 0 <= start < cols:
+            table[0, start] = 1.0
+        n, i = 1, u0 + klo - 1  # i: where kern[0] lands
+        if N and i + kern.size > 0:
+            buf[max(i, 0) : i + kern.size] = kern[max(-i, 0) :]
+            hi = i + kern.size
+    off = P + k * klo  # where the far part of a block lands
+    at, skip = max(off, 0), max(-off, 0)
+    ns = P + k * max(khi, 0) if k > 1 else 0  # the cells the near part lands on
+    while n <= N:
+        if k > 1:
+            j = min(k, N + 1 - n)  # frames n .. n + j - 1 are read off this state
+            r = buf[:R] @ M
+            read = r[: j * (W + 1)].reshape(j, W + 1)
+            tail[n : n + j] = read[:, 0] + np.add.reduce(buf[R:hi])
+            rows[n : n + j] = read[:, 1:]
+            near = r[k * (W + 1) :]
+        else:
+            tail[n] = np.add.reduce(buf[:hi])
+            rows[n, :hi] = buf[: hi if hi < W else W]  # the cells past hi are 0 (and left untouched)
+        if n + k > N or not hi:
+            break
+        far = np.correlate(buf[P:hi], rkern_k, "full") if hi > P else buf[:0]
+        top = off + far.size
+        if at or top < hi or top < ns:  # cells the far part does not write
+            buf[: hi if hi > ns else ns] = 0.0
+        if top > at:
+            buf[at:top] = far[skip:]
+        if ns:
+            buf[:ns] += near
+        n += k
+        end = hi = max(top, ns, 0)
+        while hi and buf[hi - 1] < _TINY:  # drop the top cells below _TINY
+            hi -= 1
+        if hi < end:
+            buf[hi:end] = 0.0
+    return tail, table
 
 
 def conditioned_pmf(
@@ -575,11 +726,7 @@ def conditioned_table(
 ) -> np.ndarray:
     """Float table b[n, x] = P(S_n = x, tau > n), n = 0..N, x = 0..x_max."""
     _guard_table(N + 1, x_max + 1)
-    sweep = _sweep(law, N, 0, 0 if strict else 1)  # refuses an oversized sweep before `out`
-    out = np.zeros((N + 1, x_max + 1))
-    for n, lo, vec, _, _ in sweep:
-        _gather(out[n], 0, lo, vec)
-    return out
+    return _killed_float(law, N, 0, 0 if strict else 1, x_max + 1)[1]
 
 
 def tau_tail(

@@ -20,6 +20,7 @@ pinned by the DP ratio test: V_1(x) = mu'_0 (1 + Qt_0(x)) and V_j(0) = nu_j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "v_wiener_hopf",
     "u_wiener_hopf",
     "route_gap",
+    "route_window",
     "v_leftcont",
     "killed_step",
     "polyharm_defect",
@@ -247,6 +249,13 @@ def route_gap(route: np.ndarray, reference: np.ndarray, x_max: int) -> float:
     j of two ladders of coefficient functions, F[j - 1, x]."""
     a, b = route[:, : x_max + 1], reference[:, : x_max + 1]
     return float((np.abs(a - b).max(1) / np.abs(b).max(1)).max())
+
+
+def route_window(law: LatticeLaw, x_max: int, N: int) -> int:
+    """The states x = 0..w on which a horizon-N paper route is judged,
+    w = max(1, min(x_max, floor(2 sigma sqrt(N)))): past x ~ 2 sigma sqrt(N)
+    the route drifts from the closed form."""
+    return max(1, min(x_max, math.isqrt(math.floor(4 * law.variance * N))))
 
 
 def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> VLadder:

@@ -446,13 +446,18 @@ def test_verify_sweeps_each_walk_once(tmp_path, monkeypatch, spec):
 
 
 def _count_sweeps(monkeypatch) -> list:
-    sweep, calls = oracle._sweep, []
+    """Record each sweep: a per-step `oracle._sweep` or a k-step block sweep
+    of the float killed walk, `oracle._killed_float`."""
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sweep(*args, **kwargs)
+    def counting(sweep):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(oracle, "_sweep", counted)
+    for name in ("_sweep", "_killed_float"):
+        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
     return calls
 
 

@@ -403,7 +403,6 @@ def _full_width_frames(law, N, start, floor):
     law=_mean_zero_laws(),
     N=st.integers(1024, 1536),
     start=st.integers(0, 4),
-    floor=st.sampled_from([None, 0, 1]),
 )
 # the window's shift tips the rounding of a 6.2e-18 cell at n = 164 by one
 # ulp, 7.7e-34, above the mass term 165 * 6 * 2^-120 = 7.45e-34
@@ -411,19 +410,21 @@ def _full_width_frames(law, N, start, floor):
     law=walk.LatticeLaw({-3: Fraction(33, 314), -2: Fraction(22, 157),
                          -1: Fraction(33, 314), 0: Fraction(62, 157),
                          2: Fraction(10, 157), 3: Fraction(30, 157)}),
-    N=1024, start=0, floor=None,
+    N=1024, start=0,
 )
-def test_live_window_frames_match_full_width_propagator(law, N, start, floor):
+def test_live_window_frames_match_full_width_propagator(law, N, start):
     # the tails fall below the live-window floor _TINY = 2^-120 well before
     # N: the window skips them, and only the mass it drops may differ, by at
     # most (khi - klo) _TINY per step, in cells far below anything a
     # reduction can see.  The shift can also tip a rounding, which the next
     # steps spread: over 6500 random draws of these laws, 12 passed the mass
-    # term, by at most 3.9 ulps of the full-width cell.  The bound allows 8
+    # term, by at most 3.9 ulps of the full-width cell.  The bound allows 8.
+    # Float sweeps are free walks: the killed walk's block sweep has its own
+    # test against the exact sweep
     klo, khi = law.support[0], law.support[-1]
-    live = oracle._sweep(law, N, start, floor)
+    live = oracle._sweep(law, N, start)
     for n, ((lo, ref), (_, lo_live, vec, _, _)) in enumerate(
-        zip(_full_width_frames(law, N, start, floor), live, strict=True)
+        zip(_full_width_frames(law, N, start, None), live, strict=True)
     ):
         assert lo_live == lo and vec.size == ref.size
         seen = ref >= 2.0**-30
@@ -497,20 +498,102 @@ def _full_width_reads(law, N):
     ids=["p05v1-2048", "skewed-8192", "lazy-4096"],
 )
 def test_float_reads_are_those_of_the_full_width_propagator(law, N):
-    """Delta_n, the point masses P(S_n = x) at x = -16..0, the float
-    P(tau_0 > n) and the killed table at x = 0..10 equal, float for float,
-    the reads of the plain full-width propagator.  They must: the paper
-    route's nu_3 amplifies read noise about 10^9-fold, so a change of a few
-    ulp in these reads (a reordered pairwise sum, say) moves nu_3 of the
-    first law here past the benchmark gate's rtol of 1e-6.  The laws span
-    numpy's correlate paths: lazy's 3-tap kernel takes the small-kernel
-    one, the 4- and 5-tap kernels the general one."""
+    """Delta_n and the point masses P(S_n = x) at x = -16..0 equal, float
+    for float, the reads of the plain full-width propagator.  They must:
+    the paper route's nu_3 amplifies read noise about 10^9-fold, so a
+    change of a few ulp in these reads (a reordered pairwise sum, say)
+    moves nu_3 of the first law here past the benchmark gate's rtol of
+    1e-6.  The laws span numpy's correlate paths: lazy's 3-tap kernel takes
+    the small-kernel one, the 4- and 5-tap kernels the general one.
+
+    Only Delta_n feeds nu_3.  The killed walk's float P(tau_0 > n) and
+    table at x = 0..10 feed only DP checks (the dp and err columns, the
+    float Spitzer gap); they come from k-step blocks, whose sums run in
+    another order, and are held to 1e-13 relative."""
     delta, points = oracle.delta_table(law, N, range(-16, 1))
     got = (delta, np.stack([points[x] for x in range(-16, 1)], axis=1),
            oracle.tau_tail(law, 0, N, mode="float"), oracle.conditioned_table(law, N, 10))
     want = _full_width_reads(law, N)
-    for g, w in zip(got, want, strict=True):
+    for g, w in zip(got[:2], want[:2], strict=True):
         np.testing.assert_array_equal(g, w)
+    for g, w in zip(got[2:], want[2:], strict=True):
+        np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    law=_mean_zero_laws(),
+    N=st.one_of(st.integers(0, 40), st.integers(41, 512)),
+    start=st.integers(0, 4),
+    strict=st.booleans(),
+    k=st.sampled_from([None, 1, 2, 3, 8, 32]),
+)
+def test_block_sweep_matches_the_exact_killed_sweep(law, N, start, strict, k):
+    # the float killed walk's totals and table at x = 0..7, k steps a block,
+    # against the exact killed sweep: k = None takes the derived block
+    # length, the others force one, also above N and not dividing N
+    floor, cols = (0 if strict else 1), 8
+    with pytest.MonkeyPatch.context() as mp:
+        if k is not None:
+            mp.setattr(oracle, "_block_length", lambda *args: k)
+        tail, table = oracle._killed_float(law, N, start, floor, cols)
+        if start == 0:
+            np.testing.assert_array_equal(oracle.conditioned_table(law, N, cols - 1, strict), table)
+        # no read columns: another block length and near-floor operator
+        bare = oracle.tau_tail(law, start, N, mode="float") if not strict else tail
+    want_tail, want_table = [], []
+    for _, lo, alive, _, den in oracle._sweep(law, N, start, floor, exact=True):
+        want_tail.append(int(alive.sum()) / den)
+        want_table.append([int(m) / den for m in oracle._points(range(cols), lo, alive)])
+    for got in (tail, bare):
+        np.testing.assert_allclose(got, want_tail, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(table, want_table, rtol=1e-13, atol=0)
+
+
+def test_block_length_grows_with_the_horizon_within_the_budget():
+    # small at N = 64 and at a wide read, 16 to 32 at N >= 2048, and every
+    # operator it admits fits _BLOCK_CELLS
+    assert oracle._block_length(64, -1, 1, 0) <= 8
+    assert oracle._block_length(64, -1, 2, 15151) == 1
+    for N in (2048, 1 << 15):
+        for klo, khi in ((-1, 1), (-1, 2), (-2, 3), (-3, 3)):
+            for W in (0, 10, 30):
+                assert 16 <= oracle._block_length(N, klo, khi, W) <= 32
+    kern = np.full(7, 1 / 7)
+    for W in (0, 10, 30, 100, 400):
+        k = oracle._block_length(1 << 15, -3, 3, W)
+        if k > 1:
+            M, P = oracle._block_operator(kern, -3, 3, k, W)
+            assert M.size <= oracle._BLOCK_CELLS and P == 3 * (k - 1)
+
+
+def test_wide_killed_table_allocates_no_operator_beyond_the_budget(monkeypatch, skewed):
+    # expand local --x-max 15151 --horizon 64 reads 15151 columns: an
+    # operator of k >= 2 steps would hold about 2 x 15151^2 cells, so the
+    # block sweep takes single steps, and besides the table nothing it
+    # allocates passes the operator budget
+    sizes, operators = [], []
+    zeros, eye, build = np.zeros, np.eye, oracle._block_operator
+
+    def recorded(shape, *args, **kwargs):
+        sizes.append(int(np.prod(shape)))
+        return zeros(shape, *args, **kwargs)
+
+    def recorded_eye(n, m=None, *args, **kwargs):
+        sizes.append(n * (n if m is None else m))
+        return eye(n, m, *args, **kwargs)
+
+    def built(*args):
+        operators.append(build(*args))
+        return operators[-1]
+
+    monkeypatch.setattr(np, "zeros", recorded)
+    monkeypatch.setattr(np, "eye", recorded_eye)
+    monkeypatch.setattr(oracle, "_block_operator", built)
+    table = oracle.conditioned_table(skewed, 64, 15151)
+    assert table.shape == (65, 15152) and operators == []
+    sizes.remove(table.size)
+    assert max(sizes) <= oracle._BLOCK_CELLS
 
 
 @settings(max_examples=200, deadline=None)
@@ -527,6 +610,8 @@ def test_widest_frame_is_known_before_the_sweep(law, N, start, floor, mode, stac
     # state grid, whose frames span every walk of the stack
     exact = {"float": False, "exact": True, "residues": oracle._Residues((8388617, 8388619))}
     starts = range(start, start + stack + 1) if stack and mode == "residues" else start
+    if mode == "float":
+        floor = None  # float sweeps are free: `_killed_float` sweeps the killed walk
     guarded = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_guard", guarded.append)

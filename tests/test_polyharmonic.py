@@ -149,13 +149,16 @@ def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
     # point masses; the ladder heights are a closed form
     from fluctuator import conditioned, tau0
 
-    sweep, calls = oracle._sweep, []
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sweep(*args, **kwargs)
+    def counting(sweep):  # per-step sweeps and the float killed walk's block sweeps
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sweep(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(oracle, "_sweep", counted)
+    for name in ("_sweep", "_killed_float"):
+        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
     lad = ph.v_ladder(skewed, x_max=10, J=2, N=512)
     assert len(calls) == 1
     assert lad.nu == tau0.tau0_coeffs(skewed, N=512).nu[:2]

@@ -39,3 +39,12 @@ def test_polyharmonic_report(pytestconfig, tmp_path, model, left_continuous):
     stdout = _script(pytestconfig, "polyharmonic_report.py",
                      "--model", model, "--x-max", 24, "--horizon", 512)
     assert ("left-continuous closed form vs ladder" in stdout) == left_continuous
+
+
+def test_polyharmonic_report_judges_the_route_below_the_horizon_scale(pytestconfig):
+    # as in verify: the horizon-2048 route is judged on x <= 2 sigma sqrt(N)
+    # = 110 (skewed), where it passes, not on every x <= 200
+    stdout = _script(pytestconfig, "polyharmonic_report.py",
+                     "--model", "skewed", "--x-max", 200, "--horizon", 2048)
+    route = next(line for line in stdout.splitlines() if line.startswith("V paper route"))
+    assert "PASS" in route and " on x=0..110 at N=2048 " in route
