@@ -1,13 +1,15 @@
 """Exact ground truth for the expansions: dynamic programming, identity
 checkers, renewal sums and Monte Carlo spot checks.
 
-Every DP table and identity check is a reduction over the frames of one
-killed-walk propagator, `_sweep`, except the float killed walk's, whose
-totals and table come from k-step blocks (`_killed_float`).  Everything
-here is either exact (rational mode, or int64 residues modulo primes),
+Every DP table and rational identity check is a reduction over the frames
+of one killed-walk propagator, `_sweep`.  Two loops read only what they
+need: k-step blocks give the float killed walk's totals and table
+(`_killed_float`), and one residue pass that copies O(span) states near 0
+a step gives `identity_suite`'s exact checks (`_residue_reads`).
+Everything here is exact (rational mode, or int64 residues modulo primes),
 plain float arithmetic on exact recursions (float mode), or an unbiased
-simulation with a confidence interval.  No asymptotics enter: this module is what the
-expansion modules are tested against.
+simulation with a confidence interval.  No asymptotics enter: this module
+is what the expansion modules are tested against.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -141,15 +144,9 @@ def _guard(width: int) -> None:
         raise ResourceCapExceeded(f"state width {width} exceeds cap {STATE_CAP}")
 
 
-def _guard_sweep(law: LatticeLaw, N: int, start, floor: int | None) -> int:
-    """The widest frame of a sweep from start (an int or a sequence of
-    starts sharing one state grid), at least one kernel wide; refuses it
-    when it exceeds STATE_CAP."""
-    starts = [start] if isinstance(start, int) else list(start)
-    lo, top = min(starts), max(starts)
-    widest = max(law.support[-1] - law.support[0] + 1, _widest(law, N, top, floor) + top - lo)
-    _guard(widest)
-    return widest
+def _guard_sweep(law: LatticeLaw, N: int, start: int, floor: int | None) -> None:
+    """Refuse a sweep whose widest frame, at least a kernel wide, passes STATE_CAP."""
+    _guard(max(law.support[-1] - law.support[0] + 1, _widest(law, N, start, floor)))
 
 
 def _guard_table(rows: int, cols: int) -> None:
@@ -203,15 +200,11 @@ def _widest(law: LatticeLaw, N: int, start: int, floor: int | None) -> int:
 
 
 class _Residues:
-    """Exact integer arithmetic in int64 residues modulo k primes.
-
-    Frames and reads carry one entry per prime on their last axis; the
-    sequences of a residual carry the primes on their second-to-last axis,
-    (..., k, N + 1), which `mod` reduces into [0, q).  A series product
-    (`conv`) of two reduced sequences of N + 1 terms sums at most N + 1
-    products below q^2, which `_prime_pool` keeps below 2^63.  A residual
-    reduces to "nonzero modulo some prime".
-    """
+    """Exact integer arithmetic in int64 residues modulo k primes, on
+    sequences (..., k, N + 1) that `mod` reduces into [0, q).  A series
+    product (`conv`) of two reduced sequences sums at most N + 1 products
+    below q^2, which `_prime_pool` keeps below 2^63.  A residual reduces to
+    "nonzero modulo some prime"."""
 
     def __init__(self, primes: Sequence[int]):
         self.primes = tuple(primes)
@@ -227,64 +220,108 @@ class _Residues:
         return bool(self.mod(resid).any())
 
 
-def _sweep_residues(law: LatticeLaw, N: int, start, floor: int | None, res: _Residues,
-                    widest: int):
-    """`_sweep`'s exact frames as int64 residues modulo res's primes.
+def _residue_reads(law: LatticeLaw, N: int, res: _Residues):
+    """(free, T, F, den): `identity_suite`'s exact reads, int64 residues in
+    [0, q) of shape (rows, k, N + 1) scaled by den = D**n (k, N + 1): free
+    holds P(S_n <= 0) and P(S_n = -x), T[x] = P(tau_x > n) as in `tau_tail`,
+    and F[x - 1] the reversed walk's mass below x under strict killing, that
+    is the forward walk killed above 0 on the states 1 - x..0 (x = 1..3).
 
-    Frames are (states, k), or (states, len(start), k) when start is a
-    sequence of starting states: those walks share one state grid and one
-    killing floor.  den holds the k residues of D**n.  A step is one
-    slice-add per atom of the kernel D p mod q, exact in integers.  widest
-    is the widest frame, from `_guard_sweep`.
+    The free walk and the walk killed above 0 step as two columns of one
+    ping-pong pair of buffers, T_0..T_3 as four of another, on fixed state
+    grids (refused past STATE_CAP before they are allocated), primes last: a
+    step is one slice-add per atom of the kernel D p mod q over the live
+    states and one copy of O(span) states near 0 into an (N + 1)-row table.
+    Point masses are table cells; a total follows x_n = D x_(n-1) + s_n, s_n
+    the mass that crosses to <= 0 (weights on the window at n - 1) or is
+    killed at step n, which one cumsum unrolls as D**n sum_(m<=n) s_m D**-m.
+    int64 headroom: a step multiplies the bound on the entries by at most
+    `gain` (D when D < q), so live states are reduced mod q only when it
+    could pass 2^63 - 1; the tables are reduced before any product, so a
+    product is below q^2 < 2^48, a window's weighted sum below (span + 4)
+    2^48, and the cumsum of N + 1 reduced terms below (N + 1) q, which
+    `_prime_pool` keeps below 2^63.
     """
     klo, khi = law.support[0], law.support[-1]
-    starts = [start] if isinstance(start, int) else list(start)
-    lo, top = min(starts), max(starts)
-    D = _unit(law)
-    k, q = len(res.primes), res.q
-    kern = np.array([[int(p * D) % qi for qi in res.primes] for p in law.atoms.values()])
-    gain = int(kern.sum(0).max())
-    atoms = []  # (offset, factor): None for 1, an int shared by every prime (always when D < q)
-    for v, col in zip(law.atoms, kern):
-        if (col != col[0]).any():
-            atoms.append((v - klo, col))
-        else:
-            atoms.append((v - klo, None if col[0] == 1 else int(col[0])))
-    reduced = int(q.max()) - 1
-    # int64 headroom: frame entries are nonnegative and at most `bound`.  A
-    # step multiplies the bound by at most `gain`, the largest kernel row sum
-    # (D when D < q), and a read sums at most `widest` entries, so a frame is
-    # reduced mod q only when one of the two could pass 2^63 - 1.
+    D, k, q = _unit(law), len(res.primes), res.q
+    vs = sorted(law.atoms)
+    kern = np.array([[int(law.atoms[v] * D) % qi for qi in res.primes] for v in vs])
+    gain, reduced = int(kern.sum(0).max()), int(q.max()) - 1
     if gain * reduced > _I64:
         raise ResourceCapExceeded(f"kernel row sum {gain} overflows int64 residues")
-    unit = np.array([D % qi for qi in res.primes])
-    den = np.ones((N + 1, k), dtype=np.int64)  # D**n mod q, by doubling: den[m:2m] = den[:m] D**m
-    m = 1
-    while m <= N:
-        den[m : 2 * m] = den[: min(m, N + 1 - m)] * (den[m - 1] * unit % q) % q
-        m *= 2
-    alive = np.zeros((top - lo + 1, len(starts), k), dtype=np.int64)
-    alive[np.array(starts) - lo, np.arange(len(starts))] = 1
-    if isinstance(start, int):
-        alive = alive[:, 0]
+    # (offset, factor): None for 1, an int shared by every prime (always when D < q)
+    atoms = {v - klo: col if (col != col[0]).any() else None if col[0] == 1 else col[0]
+             for v, col in zip(vs, kern)}
+    # grids: the free walk's N klo..N khi and its window a0..a1 (-3..0 and the states
+    # whose mass can cross 0 in a step); T's killed cells t0..0 and the alive ones
+    a0, a1, t0 = min(-3, 1 - khi), max(0, -klo), min(klo, 0)
+    g0 = min(N * klo, a0)
+    rows_a, rows_t = max(N * khi, a1) - g0 + 1, max(3 + N * khi, 3) - t0 + 1
+    _guard(max(rows_a, rows_t))
+    A = [np.zeros((rows_a, 2, k), dtype=np.int64) for _ in range(2)]
+    T = [np.zeros((rows_t, 4, k), dtype=np.int64) for _ in range(2)]
+    A[0][-g0] = 1
+    T[0][np.arange(4) - t0, np.arange(4)] = 1
+    win_a, win_t = slice(a0 - g0, a1 - g0 + 1), slice(0, 1 - t0)
+    up = slice(1 - g0, 1 - g0 + max(khi, 0))  # where the walk killed above 0 dies
+    tab_a = np.zeros((N + 1, a1 - a0 + 1, 2, k), dtype=np.int64)
+    tab_t = np.zeros((N + 1, 1 - t0, 4, k), dtype=np.int64)
+    tab_a[0] = A[0][win_a]
+
+    def step(src, dst, lo, hi, last, i0):
+        """src's rows lo..hi - 1 convolved into dst, 0 outside its last write:
+        the atom at i0 assigns, the rest of that write is zeroed, the others add."""
+        w, s, out = hi - lo, src[lo:hi], dst[lo + klo :]
+        top, bot = min(lo + klo + i0, last[1]), max(hi + klo + i0, last[0])
+        if top > last[0]:
+            dst[last[0] : top] = 0
+        if last[1] > bot:
+            dst[bot : last[1]] = 0
+        out[i0 : i0 + w] = s if atoms[i0] is None else atoms[i0] * s
+        for i, f in atoms.items():
+            if i != i0:
+                out[i : i + w] += s if f is None else f * s
+        return lo + klo, hi + khi
+
+    # the atom that assigns: on growing frames one in [-khi, -klo] covers the frame
+    # before last; T_0..T_3 write from the killed cell 1 + klo, which only klo covers
+    i0 = 0 if -klo <= khi else khi - klo
+    la, ha, lt, ht = -g0, 1 - g0, -t0, 4 - t0  # the live rows
+    last_a, last_t = [(la, ha), (0, 0)], [(lt, ht), (0, 0)]
     bound = 1
-    yield 0, lo, alive, alive[:0], den[0]
     for n in range(1, N + 1):
-        if len(alive):
-            if bound * gain > _I64:
-                alive, bound = alive % q, reduced
-            width = len(alive)
-            out = np.zeros((width + khi - klo,) + alive.shape[1:], dtype=np.int64)
-            for i, kv in atoms:
-                out[i : i + width] += alive if kv is None else kv * alive
-            alive, bound = out, bound * gain
-        lo += klo
-        cut = 0 if floor is None else min(max(floor - lo, 0), len(alive))
-        dead, alive = alive[:cut], alive[cut:]
-        lo += cut
-        if bound * widest > _I64:
-            alive, bound = alive % q, reduced
-        yield n, lo, alive, dead, den[n]
+        src, dst = n & 1 ^ 1, n & 1
+        if bound * gain > _I64:
+            np.remainder(A[src][la:ha], q, out=A[src][la:ha])
+            np.remainder(T[src][lt:ht], q, out=T[src][lt:ht])
+            bound = reduced
+        bound *= gain
+        last_a[dst] = la, ha = step(A[src], A[dst], la, ha, last_a[dst], i0)
+        A[dst][up, 1] = 0
+        tab_a[n] = A[dst][win_a]
+        if ht > lt:
+            last_t[dst] = lt, ht = step(T[src], T[dst], lt, ht, last_t[dst], 0)
+            tab_t[n] = T[dst][win_t]
+            lt = max(lt, 1 - t0)
+
+    tab_a %= q
+    den = np.ones((N + 1, 1, k), dtype=np.int64)  # D**n by doubling: D**m times rows 0..m - 1
+    m, Dq = 1, np.array([D % qi for qi in res.primes])
+    while m <= N:
+        den[m : 2 * m] = den[: min(m, N + 1 - m)] * (den[m - 1] * Dq % q) % q
+        m *= 2
+    inv = den[::-1] * [pow(D, -N, qi) for qi in res.primes] % q  # D**-n = D**(N - n) D**-N
+    # s_n: the mass crossing to <= 0 (frame n - 1's state z sends sum_(v <= -z) D p_v
+    # there and had all D there when z <= 0), and T_0..T_3's killed mass, negated
+    zs = np.arange(a0, a1 + 1)[:, None]
+    wts = ((np.array(vs) <= -zs) @ kern - (zs <= 0) * kern.sum(0)) % q
+    inc = np.ones((N + 1, 5, k), dtype=np.int64)
+    inc[1:, 0] = (tab_a[:-1, :, 0] * wts).sum(1)
+    inc[1:, 1:] = -(tab_t[1:] % q).sum(1)
+    x = (np.cumsum(inc % q * inv % q, axis=0) % q * den % q).transpose(1, 2, 0)
+    free = np.concatenate((x[:1], tab_a[:, [-1 - a0, -2 - a0, -3 - a0], 0].transpose(1, 2, 0)))
+    F = np.cumsum(tab_a[:, [-a0, -1 - a0, -2 - a0], 1], axis=1) % q
+    return free, x[1:], F.transpose(1, 2, 0), den[:, 0].T
 
 
 def _sweep(
@@ -292,7 +329,7 @@ def _sweep(
     N: int,
     start: int = 0,
     floor: int | None = None,
-    exact: bool | _Residues = False,
+    exact: bool = False,
 ):
     """The walk start + S_n killed on first entry below `floor`, n = 0..N.
 
@@ -304,17 +341,14 @@ def _sweep(
     float killed walk has no per-step frames, `_killed_float` moves it k
     steps a block and reads its totals and table.  Exact mode uses
     Python-int arrays scaled by den = D**n, D the lcm of the atom
-    denominators, or, when `exact` is a `_Residues`, int64 residues of them
-    (`_sweep_residues`, which also takes a sequence of starts).  The arrays
-    are views of the propagator's state, valid until the next step: read
-    them, do not write them.  Refuses a sweep whose widest frame exceeds
-    STATE_CAP when it is called, before anything is allocated or iterated.
+    denominators.  The arrays are views of the propagator's state, valid
+    until the next step: read them, do not write them.  Refuses a sweep
+    whose widest frame exceeds STATE_CAP when it is called, before anything
+    is allocated or iterated.
     """
-    widest = _guard_sweep(law, N, start, floor)
+    _guard_sweep(law, N, start, floor)
     if not exact and floor is not None:
         raise ValueError("float sweeps are free: `_killed_float` sweeps the killed walk")
-    if isinstance(exact, _Residues):
-        return _sweep_residues(law, N, start, floor, exact, widest)
     if not exact:
         return _sweep_float(law, N, start)
     return _sweep_exact(law, N, start, floor)
@@ -415,8 +449,7 @@ def _sweep_float(law: LatticeLaw, N: int, start: int):
         yield n, lo, buf[f0:f1], empty, 1
 
 
-# Reads of a frame vector sum or copy along its first axis, the states: a
-# residue frame's other axes (starts, primes) pass through.  A float sweep
+# Reads of a frame vector sum or copy it over its states.  A float sweep
 # reads every frame, so the sums call np.add.reduce, the reduction behind
 # `.sum`, without its Python wrapper, and the clamps are written out.
 
@@ -431,10 +464,9 @@ def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
 
 
 def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = None,
-            exact: bool | _Residues = True):
+            exact: bool = True):
     """(values, dens): read(lo, alive) and den = D**n of every frame n = 0..N
-    of a sweep, as object arrays of Python ints (exact), float arrays, or
-    int64 residues reduced into [0, q) (a `_Residues`; the prime axis last)."""
+    of a sweep, as object arrays of Python ints (exact) or float arrays."""
     if exact is False and floor is not None:  # the float killed walk: its totals
         assert read is _total
         return _killed_float(law, N, start, floor)[0], np.ones(N + 1)
@@ -442,8 +474,6 @@ def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = N
     for _, lo, alive, _, den in _sweep(law, N, start, floor, exact):
         vals.append(read(lo, alive))
         dens.append(den)
-    if isinstance(exact, _Residues):
-        return np.array(vals) % exact.q, np.array(dens)
     dtype = object if exact else float
     return np.array(vals, dtype=dtype), np.array(dens, dtype=dtype)
 
@@ -457,20 +487,6 @@ def _points(xs, lo: int, vec: np.ndarray) -> list:
     return [vec[x - lo] if 0 <= x - lo < vec.size else 0 for x in xs]
 
 
-def _below(xs, lo: int, vec: np.ndarray) -> list:
-    """Masses of a frame vector on the states < x, for each x in xs."""
-    return [vec[: max(x - lo, 0)].sum(0) for x in xs]
-
-
-def _gather(row: np.ndarray, x0: int, lo: int, vec: np.ndarray) -> None:
-    """Copy the masses of a frame vector at the states x0 .. x0 + len(row) - 1
-    into row, one slice copy."""
-    first = lo if lo > x0 else x0
-    last = x0 + len(row) if x0 + len(row) < lo + len(vec) else lo + len(vec)
-    if last > first:
-        row[first - x0 : last - x0] = vec[first - lo : last - lo]
-
-
 def _worst(resid: np.ndarray, scale: np.ndarray):
     """max |resid / scale|: a Fraction for Python-int arrays, else a float.
     Only the nonzero entries of an integer residual become Fractions."""
@@ -481,19 +497,9 @@ def _worst(resid: np.ndarray, scale: np.ndarray):
     return float(np.max(np.abs(resid) / scale, initial=0.0))
 
 
-class _Plain:
-    """Rational (Python-int) and float arithmetic: nothing to reduce, and a
-    residual reduces to its largest entry (`_worst`)."""
-
-    @staticmethod
-    def mod(a):
-        return a
-
-    conv = staticmethod(np.convolve)
-    reduce = staticmethod(_worst)
-
-
-_PLAIN = _Plain()
+# rational (Python-int) and float arithmetic: nothing to reduce, and a
+# residual reduces to its largest entry
+_PLAIN = SimpleNamespace(mod=lambda a: a, conv=np.convolve, reduce=_worst)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +541,13 @@ def _free_float(law: LatticeLaw, N: int, xs: Sequence[int]):
     sweep = _sweep(law, N)  # refuses an oversized sweep before the sums are allocated
     below = np.empty(N + 1)
     table = np.zeros((N + 1, span))
+    top = x0 + span
     for n, lo, vec, _, _ in sweep:
         below[n] = _upto_zero(lo, vec)
-        if span:
-            _gather(table[n], x0, lo, vec)
+        if span:  # table[n] gets the states x0..top - 1 the frame holds
+            a, b = lo if lo > x0 else x0, top if top < lo + vec.size else lo + vec.size
+            if b > a:
+                table[n, a - x0 : b - x0] = vec[a - lo : b - lo]
     return below, {x: table[:, x - x0] for x in xs}
 
 
@@ -610,10 +619,12 @@ def _block_operator(kern: np.ndarray, klo: int, khi: int, k: int, W: int):
     return M, P
 
 
-def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0):
+def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0,
+                  totals: bool = True):
     """(tail, table) of the float walk start + S_n killed on first entry
     below floor >= 0: tail[n] = P(tau > n) and table[n, x] = P(start + S_n
-    = x, tau > n) for x = 0..cols - 1, n = 0..N.
+    = x, tau > n) for x = 0..cols - 1, n = 0..N.  totals=False leaves tail
+    at 0 where single steps would sum every frame for it.
 
     The walk moves k steps a block (`_block_length`).  In u = x - floor + 1
     a state is alive when u >= 1, and the read columns x >= floor are
@@ -672,7 +683,8 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
             rows[n : n + j] = read[:, 1:]
             near = r[k * (W + 1) :]
         else:
-            tail[n] = np.add.reduce(buf[:hi])
+            if totals:
+                tail[n] = np.add.reduce(buf[:hi])
             rows[n, :hi] = buf[: hi if hi < W else W]  # the cells past hi are 0 (and left untouched)
         if n + k > N or not hi:
             break
@@ -726,7 +738,7 @@ def conditioned_table(
 ) -> np.ndarray:
     """Float table b[n, x] = P(S_n = x, tau > n), n = 0..N, x = 0..x_max."""
     _guard_table(N + 1, x_max + 1)
-    return _killed_float(law, N, 0, 0 if strict else 1, x_max + 1)[1]
+    return _killed_float(law, N, 0, 0 if strict else 1, x_max + 1, totals=False)[1]
 
 
 def tau_tail(
@@ -853,10 +865,10 @@ def duality_check(law: LatticeLaw, x: int, N: int) -> Fraction:
     under strict killing."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    F, _ = _reduce(law.reverse(), N, partial(_below, [x]), 0, 0)
+    F, _ = _reduce(law.reverse(), N, lambda lo, vec: vec[: max(x - lo, 0)].sum(), 0, 0)
     T0, _ = _reduce(law, N, _total, 0, 1)
     Tx, den = _reduce(law, N, _total, x, 1)
-    return _duality_gap(F[:, 0], T0, Tx, den, _PLAIN)
+    return _duality_gap(F, T0, Tx, den, _PLAIN)
 
 
 def _prime_pool(N: int, D: int) -> tuple[int, int]:
@@ -902,41 +914,29 @@ def identity_suite(law: LatticeLaw, N: int, xs: Sequence[int] = ()) -> IdentityS
     every check that needs it.
 
     The exact checks run on int64 residues modulo the primes of
-    `_draw_primes`, from three sweeps: the free walk, T_0..T_3 as one stack
-    on a common state grid, and the reversed walk under strict killing.
-    Every residual entry is below B = bitlen(6 (N + 1) D**N) bits, which
-    bounds the chance of a false pass (`IdentitySuite.false_pass`).  Float
-    sweeps of the free walk (also read at the states xs) and of T_0 give the
-    float Spitzer gap, Delta_n and P(tau_0 > n) up to N.
+    `_draw_primes`, from one residue pass over the free walk, T_0..T_3 and
+    the reversed walk under strict killing (`_residue_reads`).  Every
+    residual entry is below B = bitlen(6 (N + 1) D**N) bits, which bounds
+    the chance of a false pass (`IdentitySuite.false_pass`).  Float sweeps
+    of the free walk (also read at the states xs) and of T_0 give the float
+    Spitzer gap, Delta_n and P(tau_0 > n) up to N.
     """
     D = _unit(law)
     below_f, points = _free_float(law, N, xs)
     T0_f, _ = _reduce(law, N, _total, 0, 1, False)
     primes, pool = _draw_primes(law, N, D)
     ring = _Residues(primes)
-    Dq = np.array([D % q for q in ring.primes])[:, None]
+    Dq = np.array([D % q for q in ring.primes])
+    # free: P(S_n <= 0) in row 0, P(S_n = -x) in row x; T[x]: P(tau_x > n)
+    free, T, F, den = _residue_reads(law, N, ring)
     dx = range(1, 4)
-
-    def free_read(lo: int, vec: np.ndarray) -> list:
-        pts = np.zeros((3,) + vec.shape[1:], dtype=vec.dtype)
-        _gather(pts, -3, lo, vec)  # the states -3, -2, -1
-        return [_upto_zero(lo, vec), pts[2], pts[1], pts[0]]
-
-    def seq(vals: np.ndarray) -> np.ndarray:
-        return np.moveaxis(vals, 0, -1)  # n last: (..., k, N + 1)
-
-    # free walk: P(S_n <= 0) in row 0, P(S_n = -x) in row x
-    free, den = map(seq, _reduce(law, N, free_read, exact=ring))
-    T = seq(_reduce(law, N, _total, range(4), 1, ring)[0])  # T[x]: P(tau_x > n)
-    F = seq(_reduce(law.reverse(), N, partial(_below, dx), 0, 0, ring)[0])
-    leftcont = None
-    if law.left_continuous:
-        leftcont = any(_leftcont_gap(x, free[x], T[x], den, Dq, ring) for x in dx)
+    leftcont = (any(_leftcont_gap(x, free[x], T[x], den, Dq[:, None], ring) for x in dx)
+                if law.left_continuous else None)
     return IdentitySuite(
         primes=primes,
         pool=pool,
         bits=(6 * (N + 1) * D**N).bit_length(),
-        spitzer=_spitzer_gap(free[0], T[0], den, Dq, ring),
+        spitzer=_spitzer_gap(free[0], T[0], den, Dq[:, None], ring),
         spitzer_float=_spitzer_gap(below_f, T0_f, np.ones(N + 1), 1, _PLAIN),
         duality=tuple(_duality_gap(F[x - 1], T[0], T[x], den, ring) for x in dx),
         leftcont=leftcont,

@@ -433,21 +433,22 @@ def test_expand_tau0_refuses_a_wide_law_before_sweeping(tmp_path, monkeypatch, c
     ids=["lazy", "skewed", "down2"],
 )
 def test_verify_sweeps_each_walk_once(tmp_path, monkeypatch, spec):
-    # exact residue sweeps of the free walk, of T_0..T_3 as one stack and of
-    # the reversed walk; float sweeps of the free walk and of T_0: 5 sweeps,
-    # left-continuous or not
+    # one residue pass over the free walk, T_0..T_3 and the reversed walk;
+    # float sweeps of the free walk and of T_0: 3 sweeps, left-continuous
+    # or not
     if isinstance(spec, dict):
         model = tmp_path / "law.json"
         model.write_text(json.dumps(spec))
         spec = str(model)
     calls = _count_sweeps(monkeypatch)
     assert _run(["verify", "--model", spec, "--horizon", "64"]) == cli.EXIT_PASS
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 def _count_sweeps(monkeypatch) -> list:
-    """Record each sweep: a per-step `oracle._sweep` or a k-step block sweep
-    of the float killed walk, `oracle._killed_float`."""
+    """Record each sweep: a per-step `oracle._sweep`, a k-step block sweep
+    of the float killed walk, `oracle._killed_float`, or the residue pass
+    of `identity_suite`, `oracle._residue_reads`."""
     calls = []
 
     def counting(sweep):
@@ -456,7 +457,7 @@ def _count_sweeps(monkeypatch) -> list:
             return sweep(*args, **kwargs)
         return counted
 
-    for name in ("_sweep", "_killed_float"):
+    for name in ("_sweep", "_killed_float", "_residue_reads"):
         monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
     return calls
 
@@ -464,11 +465,11 @@ def _count_sweeps(monkeypatch) -> list:
 @pytest.mark.parametrize("model", ["lazy", "skewed"])
 def test_verify_certifies_from_the_suites_free_sweep(monkeypatch, model):
     # the polyharmonic certification reads the suite's float free sweep:
-    # no sweep beyond the suite's 5
+    # no sweep beyond the suite's 3
     calls = _count_sweeps(monkeypatch)
     argv = ["verify", "--model", model, "--horizon", "256", "--check-polyharmonic"]
     assert _run(argv) == cli.EXIT_PASS
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("extra", [[], ["--check-polyharmonic"]], ids=["plain", "certified"])

@@ -83,14 +83,7 @@ def test_identity_checks_see_one_unit(monkeypatch, lazy, skewed):
 def test_identity_suite_sees_one_unit(monkeypatch, lazy, skewed):
     # the shared suite twin of the test above: every sweep it reads is off
     # by one unit at n = 3, and every exact gap must show it
-    reduce = oracle._reduce
-
-    def perturbed(*args, **kwargs):
-        vals, dens = reduce(*args, **kwargs)
-        vals[3] += 1
-        return vals, dens
-
-    monkeypatch.setattr(oracle, "_reduce", perturbed)
+    _plant(monkeypatch, 3)
     for law in (lazy, skewed):
         ids = oracle.identity_suite(law, 16)
         assert ids.spitzer > 0
@@ -142,24 +135,32 @@ def test_identity_suite_matches_the_single_checks(law, N):
     assert np.array_equal(ids.tau0_tail, oracle.tau_tail(law, 0, N, mode="float"))
 
 
-def _plant(n0: int, unit: int = 1):
-    """Patch oracle._reduce so that every sweep it reads is off by `unit` at
-    n = n0, in rational, float and residue mode alike."""
-    reduce = oracle._reduce
+def _plant(mp, n0: int, unit: int = 1):
+    """Patch oracle._reduce and oracle._residue_reads so that every read of
+    every walk is off by `unit` at n = n0, in rational, float and residue
+    mode alike; D**n stays as it is."""
+    reduce, reads = oracle._reduce, oracle._residue_reads
 
     def perturbed(*args, **kwargs):
         vals, dens = reduce(*args, **kwargs)
         vals[n0] += unit
         return vals, dens
 
-    return perturbed
+    def perturbed_reads(*args, **kwargs):
+        *seqs, den = reads(*args, **kwargs)
+        for seq in seqs:
+            seq[..., n0] += unit
+        return (*seqs, den)
+
+    mp.setattr(oracle, "_reduce", perturbed)
+    mp.setattr(oracle, "_residue_reads", perturbed_reads)
 
 
 @pytest.mark.parametrize("N, n0", [(600, 3), (600, 590)])
 def test_residue_suite_sees_one_unit_past_the_old_caps(monkeypatch, lazy, skewed, N, n0):
     # mod-p twin of test_identity_suite_sees_one_unit at horizons the
     # rational checks were capped below (512 for Spitzer, 256 for the rest)
-    monkeypatch.setattr(oracle, "_reduce", _plant(n0))
+    _plant(monkeypatch, n0)
     for law in (lazy, skewed):
         ids = oracle.identity_suite(law, N)
         assert len(ids.primes) == oracle.RESIDUE_PRIMES
@@ -179,7 +180,7 @@ def test_residue_suite_fails_exactly_when_the_rational_checks_do(law, N, plant):
     # its rational single check finds a nonzero defect
     with pytest.MonkeyPatch.context() as mp:
         if plant is not None:
-            mp.setattr(oracle, "_reduce", _plant(min(plant[0], N), plant[1]))
+            _plant(mp, min(plant[0], N), plant[1])
         ids = oracle.identity_suite(law, N)
         assert ids.spitzer == (oracle.spitzer_check(law, N) != 0)
         for x, d in enumerate(ids.duality, 1):
@@ -200,7 +201,7 @@ def test_residue_primes_skip_the_law_denominator(monkeypatch):
     ids = oracle.identity_suite(law, 40)
     assert sorted(ids.primes) == [8388619, 8388623, 8388637]
     assert not (ids.spitzer or any(ids.duality) or ids.leftcont)
-    monkeypatch.setattr(oracle, "_reduce", _plant(7))
+    _plant(monkeypatch, 7)
     ids = oracle.identity_suite(law, 40)
     assert ids.spitzer and all(ids.duality) and ids.leftcont
 
@@ -211,9 +212,56 @@ def test_residue_suite_takes_a_denominator_past_int64(monkeypatch):
     law = walk.LatticeLaw({-1: Fraction(3, D), 0: Fraction(D - 6, D), 1: Fraction(3, D)})
     ids = oracle.identity_suite(law, 40)
     assert not (ids.spitzer or any(ids.duality) or ids.leftcont)
-    monkeypatch.setattr(oracle, "_reduce", _plant(7))
+    _plant(monkeypatch, 7)
     ids = oracle.identity_suite(law, 40)
     assert ids.spitzer and all(ids.duality) and ids.leftcont
+
+
+def _exact_reads(law, N, primes):
+    """The sequences of `_residue_reads`, from the object-int sweeps reduced
+    mod each prime: the free walk's P(S_n <= 0) and P(S_n = -x), T_0..T_3
+    (starts 0..3, killed below 1: start 0 lies under the floor) and the
+    reversed walk's mass below x = 1..3 under strict killing."""
+    q = np.array(primes, dtype=object)[:, None]
+
+    def seq(rows):  # one row of Python ints per frame -> (reads, k, N + 1)
+        return (np.array(rows, dtype=object).T[:, None, :] % q).astype(np.int64)
+
+    free, den = [], []
+    for _, lo, alive, _, d in oracle._sweep(law, N, exact=True):
+        free.append([alive[: max(1 - lo, 0)].sum()] + oracle._points([-1, -2, -3], lo, alive))
+        den.append([d])
+    T = [[alive.sum() for _, _, alive, _, _ in oracle._sweep(law, N, x, 1, exact=True)]
+         for x in range(4)]
+    F = [[alive[: max(x - lo, 0)].sum() for x in (1, 2, 3)]
+         for _, lo, alive, _, _ in oracle._sweep(law.reverse(), N, 0, 0, exact=True)]
+    return seq(free), seq(np.array(T, dtype=object).T), seq(F), seq(den)[0]
+
+
+_D23 = (1 << 23) + 9  # 8388617, the first prime above 2^23
+_D70 = (1 << 70) + 25
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_mean_zero_laws(), N=st.integers(0, 64))
+@example(law=walk.LatticeLaw({-3: Fraction(1, 24), -2: Fraction(1, 4), -1: Fraction(1, 24),
+                              1: Fraction(2, 3)}), N=64)  # a double root on the unit circle
+@example(law=walk.LatticeLaw({-1: Fraction(24, 65), 0: Fraction(2, 5), 1: Fraction(6, 65),
+                              2: Fraction(9, 65)}), N=64)  # p03v2
+@example(law=walk.LatticeLaw({-1: Fraction(3, _D23), 0: Fraction(_D23 - 6, _D23),
+                              1: Fraction(3, _D23)}), N=64)
+@example(law=walk.LatticeLaw({-1: Fraction(3, _D70), 0: Fraction(_D70 - 6, _D70),
+                              1: Fraction(3, _D70)}), N=64)  # a kernel per prime
+@example(law=walk.LatticeLaw({-1: Fraction(5, 6), 5: Fraction(1, 6)}), N=64)  # wide windows
+@example(law=walk.LatticeLaw({-5: Fraction(1, 6), 1: Fraction(5, 6)}), N=64)
+def test_residue_reads_are_the_exact_sweeps_reduced(law, N):
+    # the residue pass copies a window near 0 a step and unrolls the totals
+    # by D**-n: its reads equal, residue for residue, those of the
+    # object-int sweeps at every n
+    primes, _ = oracle._draw_primes(law, N, oracle._unit(law))
+    got = oracle._residue_reads(law, N, oracle._Residues(primes))
+    for g, w in zip(got, _exact_reads(law, N, primes), strict=True):
+        assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_residue_primes_are_deterministic_and_refused_past_int64(lazy, skewed):
@@ -602,27 +650,41 @@ def test_wide_killed_table_allocates_no_operator_beyond_the_budget(monkeypatch, 
     N=st.integers(0, 40),
     start=st.integers(-5, 8),
     floor=st.one_of(st.none(), st.integers(-4, 9)),
-    mode=st.sampled_from(["float", "exact", "residues"]),
-    stack=st.integers(0, 3),
+    exact=st.booleans(),
 )
-def test_widest_frame_is_known_before_the_sweep(law, N, start, floor, mode, stack):
-    # stack > 0: a residue sweep of the starts start..start + stack on one
-    # state grid, whose frames span every walk of the stack
-    exact = {"float": False, "exact": True, "residues": oracle._Residues((8388617, 8388619))}
-    starts = range(start, start + stack + 1) if stack and mode == "residues" else start
-    if mode == "float":
+def test_widest_frame_is_known_before_the_sweep(law, N, start, floor, exact):
+    if not exact:
         floor = None  # float sweeps are free: `_killed_float` sweeps the killed walk
     guarded = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_guard", guarded.append)
-        frames = list(oracle._sweep(law, N, starts, floor, exact[mode]))
+        frames = list(oracle._sweep(law, N, start, floor, exact))
     widths = [len(alive) for _, _, alive, _, _ in frames]
     klo, khi = law.support[0], law.support[-1]
-    if isinstance(starts, int):
-        assert oracle._widest(law, N, start, floor) == max(widths)
-        assert guarded == [max(khi - klo + 1, max(widths))]
-    else:
-        assert len(guarded) == 1 and guarded[0] >= max(widths)
+    assert oracle._widest(law, N, start, floor) == max(widths)
+    assert guarded == [max(khi - klo + 1, max(widths))]
+
+
+def test_oversized_identity_suite_allocates_nothing_beyond_the_budget(monkeypatch, lazy):
+    # the residue pass refuses its state grids before it allocates them, as
+    # the suite does as a whole: nothing it makes passes the operator budget
+    sizes = []
+    zeros, empty, ones = np.zeros, np.empty, np.ones
+
+    def recording(alloc):
+        def recorded(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return alloc(shape, *args, **kwargs)
+        return recorded
+
+    for name, alloc in (("zeros", zeros), ("empty", empty), ("ones", ones)):
+        monkeypatch.setattr(np, name, recording(alloc))
+    N = oracle.STATE_CAP // 2  # the free grid spans 2N + 1 states
+    with pytest.raises(oracle.ResourceCapExceeded):
+        oracle._residue_reads(lazy, N, oracle._Residues((8388617, 8388619, 8388623)))
+    with pytest.raises(oracle.ResourceCapExceeded):
+        oracle.identity_suite(lazy, N)
+    assert max(sizes, default=0) <= oracle._BLOCK_CELLS
 
 
 def test_oversized_sweep_refused_before_its_first_frame(lazy):
