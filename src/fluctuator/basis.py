@@ -5,7 +5,9 @@ The sequences a_n^(j) = (-1)^n * C(j - 3/2, n) are the Taylor coefficients of
 expansions: a_n^(j) ~ const * n^(1/2-j), they satisfy the exact difference
 law a_n^(j) - a_{n-1}^(j) = a_n^(j+1), and their tail sums telescope in
 closed form.  Everything downstream (first-passage tails, local conditioned
-probabilities) is expressed on this basis.
+probabilities) is expressed on this basis.  Here they are evaluated in
+float64 and in mpmath; the exact rationals and tail sums the tests check
+these evaluators against are test references (tests/oracle_references.py).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -23,11 +24,9 @@ import numpy as np
 __all__ = [
     "BasisConversion",
     "FitDiagnosticError",
-    "a_seq",
     "a_float",
     "a_value",
     "a_value_mp",
-    "tail_sum",
     "weighted_tail_sum",
     "power_to_shifted_basis",
 ]
@@ -50,24 +49,10 @@ class BasisConversion:
     residual_decay_exponent: float
 
 
-def a_seq(j: int, N: int) -> tuple[Fraction, ...]:
-    """Exact rationals a_n^(j) for n = 0..N via the stable ratio recurrence.
-
-    a_n = a_{n-1} * (n - j + 1/2) / n, a_0 = 1.
-    """
-    if j < 1:
-        raise ValueError(f"family index must be >= 1, got {j}")
-    if N < 0:
-        raise ValueError(f"length must be >= 0, got {N}")
-    vals = [Fraction(1)]
-    for n in range(1, N + 1):
-        vals.append(vals[-1] * Fraction(2 * (n - j) + 1, 2 * n))
-    return tuple(vals)
-
-
 @lru_cache(maxsize=64)
 def a_float(j: int, N: int) -> np.ndarray:
-    """a_n^(j), n = 0..N, in float64 via the same ratio recurrence.
+    """a_n^(j), n = 0..N, in float64 via the ratio recurrence
+    a_n = a_{n-1} * (n - j + 1/2) / n, a_0 = 1.
 
     The ratios (n - j + 1/2)/n are close to 1, so the recurrence is
     numerically stable for the moderate j used here.  Memoised: the array
@@ -94,19 +79,6 @@ def a_value_mp(j: int, n) -> mp.mpf:
     """a_n^(j) in mpmath working precision for fit grids."""
     n = mp.mpf(n)
     return mp.gamma(n - j + mp.mpf(3) / 2) / (mp.gamma(n + 1) * mp.gamma(mp.mpf(3) / 2 - j))
-
-
-def tail_sum(j: int, n: int) -> Fraction:
-    """Exact tail sum_(k=n..inf) a_k^(j) = -a_{n-1}^(j-1).
-
-    Telescopes through the difference law; diverges for j = 1, hence
-    rejected.
-    """
-    if j < 2:
-        raise ValueError("tail sum diverges for j < 2")
-    if n < 1:
-        raise ValueError("tail start must be >= 1")
-    return -a_seq(j - 1, n - 1)[n - 1]
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,16 @@
 """Exact ground truth for the expansions: dynamic programming, identity
-checkers, renewal sums and Monte Carlo spot checks.
+checks, the Wiener-Hopf ladder factors and renewal sums.
 
-Every DP table and rational identity check is a reduction over the frames
-of one killed-walk propagator, `_sweep`.  Two loops read only what they
-need: k-step blocks give the float killed walk's totals and table
+Every DP table is a reduction over the frames of one killed-walk
+propagator, `_sweep`: rational `tau_tail` sums its exact frames, and the
+free walk's float frames give `delta_table`.  Two loops read only what
+they need: k-step blocks give the float killed walk's totals and table
 (`_killed_float`), and one residue pass that copies O(span) states near 0
 a step gives `identity_suite`'s exact checks (`_residue_reads`).
-Everything here is exact (rational mode, or int64 residues modulo primes),
-plain float arithmetic on exact recursions (float mode), or an unbiased
-simulation with a confidence interval.  No asymptotics enter: this module
-is what the expansion modules are tested against.
+Everything here is exact (rational mode, or int64 residues modulo primes)
+or plain float arithmetic on exact recursions (float mode).  No
+asymptotics enter: this module is what the expansion modules are tested
+against.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,24 +32,13 @@ __all__ = [
     "ResourceCapExceeded",
     "TailNotDecayed",
     "NotLeftContinuous",
-    "PmfFrame",
-    "SurvivalFrame",
-    "McEstimate",
     "IdentitySuite",
-    "pmf",
     "delta_table",
-    "conditioned_pmf",
     "conditioned_table",
-    "recurrence_gap",
     "tau_tail",
-    "spitzer_check",
-    "leftcont_check",
-    "duality_check",
     "identity_suite",
-    "mc_tau_tail",
     "series_tail_sum",
     "ladder_roots",
-    "ladder_heights",
     "ladder_renewal",
 ]
 
@@ -84,20 +73,6 @@ class NotLeftContinuous(LawError):
 
 
 @dataclass(frozen=True)
-class PmfFrame:
-    n: int
-    mass: dict[int, Fraction]
-
-    def prob(self, x: int) -> Fraction:
-        return self.mass.get(x, Fraction(0))
-
-
-@dataclass(frozen=True)
-class SurvivalFrame(PmfFrame):
-    killed_to_date: Fraction
-
-
-@dataclass(frozen=True)
 class IdentitySuite:
     """The identity residuals of one law up to N, each walk swept once.
 
@@ -124,15 +99,6 @@ class IdentitySuite:
         uniformly from P candidates all divide it with at most this
         probability: the chance that a failing exact check passes."""
         return (self.bits // 23 / self.pool) ** len(self.primes)
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    estimate: float
-    half_width: float
-
-    def covers(self, truth: float, widths: float) -> bool:
-        return abs(self.estimate - truth) <= widths * self.half_width
 
 
 # ---------------------------------------------------------------------------
@@ -449,42 +415,11 @@ def _sweep_float(law: LatticeLaw, N: int, start: int):
         yield n, lo, buf[f0:f1], empty, 1
 
 
-# Reads of a frame vector sum or copy it over its states.  A float sweep
-# reads every frame, so the sums call np.add.reduce, the reduction behind
-# `.sum`, without its Python wrapper, and the clamps are written out.
-
-
 def _upto_zero(lo: int, vec: np.ndarray):
-    """Mass of a frame vector on the states <= 0."""
+    """Mass of a frame vector on the states <= 0.  A float sweep reads every
+    frame, so this calls np.add.reduce, the reduction behind `.sum`, without
+    its Python wrapper, and writes its clamp out."""
     return np.add.reduce(vec[: 1 - lo if lo < 1 else 0], 0)
-
-
-def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
-    return {x: Fraction(int(m), den) for x, m in enumerate(vec, lo) if m}
-
-
-def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = None,
-            exact: bool = True):
-    """(values, dens): read(lo, alive) and den = D**n of every frame n = 0..N
-    of a sweep, as object arrays of Python ints (exact) or float arrays."""
-    if exact is False and floor is not None:  # the float killed walk: its totals
-        assert read is _total
-        return _killed_float(law, N, start, floor)[0], np.ones(N + 1)
-    vals, dens = [], []
-    for _, lo, alive, _, den in _sweep(law, N, start, floor, exact):
-        vals.append(read(lo, alive))
-        dens.append(den)
-    dtype = object if exact else float
-    return np.array(vals, dtype=dtype), np.array(dens, dtype=dtype)
-
-
-def _total(lo: int, vec: np.ndarray):
-    return np.add.reduce(vec, 0)
-
-
-def _points(xs, lo: int, vec: np.ndarray) -> list:
-    """Masses of a frame vector at the states xs."""
-    return [vec[x - lo] if 0 <= x - lo < vec.size else 0 for x in xs]
 
 
 def _worst(resid: np.ndarray, scale: np.ndarray):
@@ -504,15 +439,6 @@ _PLAIN = SimpleNamespace(mod=lambda a: a, conv=np.convolve, reduce=_worst)
 
 # ---------------------------------------------------------------------------
 # unconditioned walk
-
-
-def pmf(law: LatticeLaw, n: int) -> PmfFrame:
-    """Exact distribution of S_n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for _, lo, alive, _, den in _sweep(law, n, exact=True):
-        pass
-    return PmfFrame(n=n, mass=_mass(lo, alive, den))
 
 
 def delta_table(
@@ -705,31 +631,6 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
     return tail, table
 
 
-def conditioned_pmf(
-    law: LatticeLaw,
-    n: int,
-    strict: bool = False,
-) -> list[SurvivalFrame]:
-    """Exact survival frames for times 1..n.
-
-    strict=False: b_n(x) = P(S_n = x, tau > n) with tau the first
-    time the path enters (-inf, 0]; states x >= 1.
-    strict=True: state 0 stays alive (killing only below 0); states x >= 0.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    frames = []
-    killed = Fraction(0)
-    sweep = _sweep(law, n, 0, 0 if strict else 1, exact=True)
-    for step, lo, alive, dead, den in sweep:
-        if step:
-            killed += Fraction(int(dead.sum()), den)
-            frames.append(
-                SurvivalFrame(n=step, mass=_mass(lo, alive, den), killed_to_date=killed)
-            )
-    return frames
-
-
 def conditioned_table(
     law: LatticeLaw,
     N: int,
@@ -756,32 +657,10 @@ def tau_tail(
         raise ValueError("start must be >= 0")
     if mode not in ("rational", "float"):
         raise ValueError(f"mode must be 'rational' or 'float', got {mode!r}")
-    exact = mode == "rational"
-    T, den = _reduce(law, N, _total, x, 1, exact)
-    return [Fraction(t, d) for t, d in zip(T, den)] if exact else T
-
-
-def recurrence_gap(
-    law: LatticeLaw,
-    n: int,
-    x: int,
-    strict: bool = False,
-) -> Fraction:
-    """Exact defect of the convolution recurrence for killed-walk masses.
-
-    Weak:   n*b_n(x) - p_n(x) - sum_(k<n) sum_(0<y<x) p_k(y) b_(n-k)(x-y)
-    Strict: same with the inner sum over 0 <= y <= x.
-    The recurrence is an identity; a nonzero gap flags a DP bug.  Every
-    term is an integer over the common denominator D**n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    read = partial(_points, range(x + 1))
-    p, den = _reduce(law, n, read)
-    b, _ = _reduce(law, n, read, 0, 0 if strict else 1)
-    ys = range(0, x + 1) if strict else range(1, x)
-    rhs = p[n, x] + sum(p[k, y] * b[n - k, x - y] for k in range(1, n) for y in ys)
-    return Fraction(int(n * b[n, x] - rhs), int(den[n]))
+    if mode == "float":
+        return _killed_float(law, N, x, 1)[0]
+    sweep = _sweep(law, N, x, 1, exact=True)
+    return [Fraction(int(alive.sum()), den) for _, _, alive, _, den in sweep]
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +670,9 @@ def recurrence_gap(
 # frame n is scaled by D**n, so products of frames i and n - i share the
 # denominator D**n and a power-series product is one convolution.  The
 # residuals are written once over a `ring`: `_PLAIN` runs them on Python
-# ints (rational mode) or, with D = 1, on floats; a `_Residues` runs them
-# modulo primes, with `ring.mod` wherever a product could leave [0, q).
+# ints (the tests' rational single checks) or, with D = 1, on floats (the
+# float Spitzer gap); a `_Residues` runs them modulo primes, with
+# `ring.mod` wherever a product could leave [0, q).
 # Sequences keep n on their last axis.
 
 
@@ -832,43 +712,6 @@ def _leftcont_gap(x: int, p: np.ndarray, Tx: np.ndarray, den: np.ndarray, D, rin
     n = np.arange(1, Tx.shape[-1])
     R = n * (ring.mod(D * Tx[..., :-1]) - Tx[..., 1:]) - x * p[..., 1:]
     return ring.reduce(R, n * den[..., 1:])
-
-
-def spitzer_check(law: LatticeLaw, N: int) -> Fraction:
-    """Exact max defect of Spitzer's factorization up to N (`_spitzer_gap`).
-    The factorization is exact, so the defect is identically zero."""
-    below, den = _reduce(law, N, _upto_zero)
-    T, _ = _reduce(law, N, _total, floor=1)
-    return _spitzer_gap(below, T, den, _unit(law), _PLAIN)
-
-
-def leftcont_check(law: LatticeLaw, x_max: int, N: int):
-    """Exact max |P(tau_x = n) - (x/n) P(S_n = -x)| over 1<=x<=x_max, 1<=n<=N.
-
-    Valid only for left-continuous walks (downward jumps of one).
-    """
-    if not law.left_continuous:
-        raise NotLeftContinuous("law has downward jumps larger than 1")
-    xs = range(1, x_max + 1)
-    p, den = _reduce(law, N, partial(_points, [-x for x in xs]))
-    D = _unit(law)
-    worst = Fraction(0)
-    for x in xs:
-        T, _ = _reduce(law, N, _total, x, 1)
-        worst = max(worst, _leftcont_gap(x, p[:, x - 1], T, den, D, _PLAIN))
-    return worst
-
-
-def duality_check(law: LatticeLaw, x: int, N: int) -> Fraction:
-    """Exact coefficient-wise defect of the first-passage duality
-    factorization (`_duality_gap`), with Btilde built from the reversed walk
-    under strict killing."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    F, _ = _reduce(law.reverse(), N, lambda lo, vec: vec[: max(x - lo, 0)].sum(), 0, 0)
-    T0, _ = _reduce(law, N, _total, 0, 1)
-    Tx, den = _reduce(law, N, _total, x, 1)
-    return _duality_gap(F, T0, Tx, den, _PLAIN)
 
 
 def _prime_pool(N: int, D: int) -> tuple[int, int]:
@@ -923,7 +766,7 @@ def identity_suite(law: LatticeLaw, N: int, xs: Sequence[int] = ()) -> IdentityS
     """
     D = _unit(law)
     below_f, points = _free_float(law, N, xs)
-    T0_f, _ = _reduce(law, N, _total, 0, 1, False)
+    T0_f = _killed_float(law, N, 0, 1)[0]
     primes, pool = _draw_primes(law, N, D)
     ring = _Residues(primes)
     Dq = np.array([D % q for q in ring.primes])
@@ -1022,7 +865,8 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _ladder_escape(law: LatticeLaw) -> tuple[float, np.ndarray]:
-    """(1 - F[0], F[1..h]) for the ladder heights F of `ladder_heights`, from
+    """(1 - F[0], F[1..h]) for the first weak ascending ladder height,
+    F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, from
     F(z) - 1 = p_h (z - 1) A(z), A the outside factor of `ladder_roots`: the
     escape mass 1 - F[0] = p_h A(0) is not rounded against a holding mass near 1.
     Not p_h / A~(0) by the reversed law's inside factor A~: when a root of A
@@ -1030,17 +874,6 @@ def _ladder_escape(law: LatticeLaw) -> tuple[float, np.ndarray]:
     p_h = float(law.atoms[law.support[-1]])
     A = ladder_roots(law)[2]
     return p_h * A[-1], p_h * (np.append(A, 0.0) - np.append(0.0, A))[-2::-1]
-
-
-def ladder_heights(law: LatticeLaw) -> np.ndarray:
-    """Distribution of the first weak ascending ladder height, in closed form:
-    F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, k = 0..h, with
-
-        1 - F(z) = -p_h (z - 1) A(z)
-
-    with A the monic factor of the h - 1 roots outside of `ladder_roots`."""
-    escape, F = _ladder_escape(law)
-    return np.concatenate(([1.0 - escape], F))
 
 
 def ladder_renewal(law: LatticeLaw, y_max: int) -> np.ndarray:
@@ -1058,51 +891,3 @@ def ladder_renewal(law: LatticeLaw, y_max: int) -> np.ndarray:
         k = np.arange(1, min(y, F.size) + 1)
         u[y] = F[k - 1] @ u[y - k] / escape
     return u
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo
-
-
-_MC_BATCH = 1 << 14
-
-
-def mc_tau_tail(
-    sampler,
-    x: float,
-    n: int,
-    paths: int,
-    seed: int,
-) -> McEstimate:
-    """Unbiased MC estimate of P(tau_x > n) with a 95% Wilson interval.
-
-    sampler(rng, size) must return `size` iid increments.  Streams are
-    Philox counter-based and split per fixed-size batch, so the result is
-    reproducible for a given seed regardless of how work is scheduled.
-    """
-    if paths < 10_000:
-        raise ValueError("need at least 1e4 paths for a meaningful interval")
-    survived = 0
-    done = 0
-    batch_idx = 0
-    base = np.random.Philox(key=seed)
-    while done < paths:
-        b = min(_MC_BATCH, paths - done)
-        rng = np.random.Generator(base.jumped(batch_idx))
-        pos = np.full(b, float(x))
-        alive = np.ones(b, dtype=bool)
-        for _ in range(n):
-            if not alive.any():
-                break
-            steps = sampler(rng, int(alive.sum()))
-            pos[alive] += steps
-            alive[alive] = pos[alive] > 0.0
-        survived += int(alive.sum())
-        done += b
-        batch_idx += 1
-    phat = survived / paths
-    z = 1.96
-    denom = 1.0 + z * z / paths
-    center = (phat + z * z / (2 * paths)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / paths + z * z / (4 * paths * paths))
-    return McEstimate(estimate=center, half_width=half)

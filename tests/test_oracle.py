@@ -1,5 +1,7 @@
-"""DP oracles: exact pmf tables, killed tables, identity checkers, tail
-closure, ladder renewal, and the MC estimator."""
+"""DP oracles: float and exact killed tables, the identity suite, tail
+closure and ladder renewal, checked against the references of
+`oracle_references` (exact pmf tables, the rational single identity
+checks, the closed-form ladder heights and the MC estimator)."""
 
 from fractions import Fraction
 
@@ -10,16 +12,18 @@ from hypothesis import strategies as st
 
 from fluctuator import basis, oracle, walk
 
+import oracle_references as refs
+
 
 def test_pmf_mass_conservation(lazy, skewed):
     for law in (lazy, skewed):
-        frame = oracle.pmf(law, 12)
+        frame = refs.pmf(law, 12)
         assert sum(frame.mass.values()) == 1
 
 
 def test_pmf_lazy_known_values(lazy):
     # one step: P(S_1 = 0) = 1/2
-    m = oracle.pmf(lazy, 1).mass
+    m = refs.pmf(lazy, 1).mass
     assert m[0] == Fraction(1, 2) and m[1] == Fraction(1, 4)
 
 
@@ -53,31 +57,31 @@ def test_tau_tail_rejects_unknown_modes(lazy, mode):
 
 
 def test_identity_checkers(lazy, skewed):
-    assert oracle.spitzer_check(lazy, 64) == 0
-    assert oracle.spitzer_check(skewed, 64) == 0
+    assert refs.spitzer_check(lazy, 64) == 0
+    assert refs.spitzer_check(skewed, 64) == 0
     assert oracle.identity_suite(lazy, 256).spitzer_float < 1e-13
-    assert oracle.leftcont_check(lazy, 4, 64) == 0
+    assert refs.leftcont_check(lazy, 4, 64) == 0
     for law in (lazy, skewed):
         for x in (1, 3):
-            assert oracle.duality_check(law, x, 64) == 0
+            assert refs.duality_check(law, x, 64) == 0
 
 
 def test_identity_checks_see_one_unit(monkeypatch, lazy, skewed):
     # one scaled DP value off by one unit must show: a check that always
     # returned 0 would pass every other identity test
-    reduce = oracle._reduce
+    reduce = refs._reduce
 
     def perturbed(*args, **kwargs):
         vals, dens = reduce(*args, **kwargs)
         vals[3] += 1
         return vals, dens
 
-    monkeypatch.setattr(oracle, "_reduce", perturbed)
+    monkeypatch.setattr(refs, "_reduce", perturbed)
     for law in (lazy, skewed):
-        assert oracle.spitzer_check(law, 16) > 0
-        assert oracle.duality_check(law, 2, 16) > 0
-        assert oracle.leftcont_check(law, 2, 16) > 0
-        assert oracle.recurrence_gap(law, 5, x=2) != 0
+        assert refs.spitzer_check(law, 16) > 0
+        assert refs.duality_check(law, 2, 16) > 0
+        assert refs.leftcont_check(law, 2, 16) > 0
+        assert refs.recurrence_gap(law, 5, x=2) != 0
 
 
 def test_identity_suite_sees_one_unit(monkeypatch, lazy, skewed):
@@ -120,11 +124,11 @@ def _mean_zero_laws(draw):
 def test_identity_suite_matches_the_single_checks(law, N):
     ids = oracle.identity_suite(law, N)
     # the residue checks pass where the rational checks find no defect
-    assert ids.spitzer is False and oracle.spitzer_check(law, N) == 0
+    assert ids.spitzer is False and refs.spitzer_check(law, N) == 0
     for x, d in enumerate(ids.duality, 1):
-        assert d is False and oracle.duality_check(law, x, N) == 0
+        assert d is False and refs.duality_check(law, x, N) == 0
     if law.left_continuous:
-        assert ids.leftcont is False and oracle.leftcont_check(law, 3, N) == 0
+        assert ids.leftcont is False and refs.leftcont_check(law, 3, N) == 0
     else:
         assert ids.leftcont is None
     # the float Spitzer gap sits at rounding level, on the float sweeps that
@@ -135,16 +139,37 @@ def test_identity_suite_matches_the_single_checks(law, N):
     assert np.array_equal(ids.tau0_tail, oracle.tau_tail(law, 0, N, mode="float"))
 
 
+@settings(max_examples=40, deadline=None)
+@given(law=_mean_zero_laws(), x=st.integers(0, 3), N=st.integers(1, 40))
+def test_tau_tail_sums_the_exact_frames_and_reads_the_float_killed_walk(law, x, N):
+    # rational tau_tail sums the exact frames itself: the Fractions of the
+    # reference reduction.  Float tau_tail and the suite's P(tau_0 > n) are
+    # the totals of the float killed walk, bit for bit
+    T, den = refs._reduce(law, N, refs._total, x, 1)
+    want = [Fraction(int(t), int(d)) for t, d in zip(T, den)]
+    assert oracle.tau_tail(law, x, N, mode="rational") == want
+    killed = oracle._killed_float(law, N, x, 1)[0]
+    assert np.array_equal(oracle.tau_tail(law, x, N, mode="float"), killed)
+    tau0_tail = oracle.identity_suite(law, N).tau0_tail
+    assert np.array_equal(tau0_tail, oracle._killed_float(law, N, 0, 1)[0])
+
+
 def _plant(mp, n0: int, unit: int = 1):
-    """Patch oracle._reduce and oracle._residue_reads so that every read of
-    every walk is off by `unit` at n = n0, in rational, float and residue
-    mode alike; D**n stays as it is."""
-    reduce, reads = oracle._reduce, oracle._residue_reads
+    """Patch the references' `_reduce`, oracle._residue_reads and
+    oracle._killed_float so that every read of every walk is off by `unit`
+    at n = n0, in rational, residue and float mode alike (the float killed
+    walk in its totals); D**n stays as it is."""
+    reduce, reads, killed = refs._reduce, oracle._residue_reads, oracle._killed_float
 
     def perturbed(*args, **kwargs):
         vals, dens = reduce(*args, **kwargs)
         vals[n0] += unit
         return vals, dens
+
+    def perturbed_killed(*args, **kwargs):
+        tail, table = killed(*args, **kwargs)
+        tail[n0] += unit
+        return tail, table
 
     def perturbed_reads(*args, **kwargs):
         *seqs, den = reads(*args, **kwargs)
@@ -152,8 +177,9 @@ def _plant(mp, n0: int, unit: int = 1):
             seq[..., n0] += unit
         return (*seqs, den)
 
-    mp.setattr(oracle, "_reduce", perturbed)
+    mp.setattr(refs, "_reduce", perturbed)
     mp.setattr(oracle, "_residue_reads", perturbed_reads)
+    mp.setattr(oracle, "_killed_float", perturbed_killed)
 
 
 @pytest.mark.parametrize("N, n0", [(600, 3), (600, 590)])
@@ -182,11 +208,11 @@ def test_residue_suite_fails_exactly_when_the_rational_checks_do(law, N, plant):
         if plant is not None:
             _plant(mp, min(plant[0], N), plant[1])
         ids = oracle.identity_suite(law, N)
-        assert ids.spitzer == (oracle.spitzer_check(law, N) != 0)
+        assert ids.spitzer == (refs.spitzer_check(law, N) != 0)
         for x, d in enumerate(ids.duality, 1):
-            assert d == (oracle.duality_check(law, x, N) != 0)
+            assert d == (refs.duality_check(law, x, N) != 0)
         if law.left_continuous:
-            assert ids.leftcont == (oracle.leftcont_check(law, 3, N) != 0)
+            assert ids.leftcont == (refs.leftcont_check(law, 3, N) != 0)
 
 
 def test_residue_primes_skip_the_law_denominator(monkeypatch):
@@ -229,7 +255,7 @@ def _exact_reads(law, N, primes):
 
     free, den = [], []
     for _, lo, alive, _, d in oracle._sweep(law, N, exact=True):
-        free.append([alive[: max(1 - lo, 0)].sum()] + oracle._points([-1, -2, -3], lo, alive))
+        free.append([alive[: max(1 - lo, 0)].sum()] + refs._points([-1, -2, -3], lo, alive))
         den.append([d])
     T = [[alive.sum() for _, _, alive, _, _ in oracle._sweep(law, N, x, 1, exact=True)]
          for x in range(4)]
@@ -276,21 +302,21 @@ def test_residue_primes_are_deterministic_and_refused_past_int64(lazy, skewed):
 def test_leftcont_rejects_big_down_jumps(skewed):
     rev = skewed.reverse()  # support {-2, 0, 1}
     with pytest.raises(oracle.NotLeftContinuous):
-        oracle.leftcont_check(rev, 2, 16)
+        refs.leftcont_check(rev, 2, 16)
 
 
 def test_recurrence_gap_zero(lazy, skewed):
     for law in (lazy, skewed):
         for strict in (False, True):
             for n in (5, 12):
-                assert oracle.recurrence_gap(law, n, x=3, strict=strict) == 0
+                assert refs.recurrence_gap(law, n, x=3, strict=strict) == 0
 
 
 def test_series_tail_sum_recovers_known_tail():
     N = 512
     summand = basis.a_float(3, N)[1:]
     got, slope = oracle.series_tail_sum(summand, first_n=1)
-    want = float(basis.tail_sum(3, N + 1))
+    want = float(refs.tail_sum(3, N + 1))
     assert got == pytest.approx(want, rel=1e-6)
     assert 2.0 < slope < 3.0
 
@@ -317,7 +343,7 @@ def test_ladder_heights_exact_values(lazy, skewed):
     cases = ((lazy, [3 / 4, 1 / 4]), (skewed, [1 / 2, 1 / 4, 1 / 4]),
              (skewed.reverse(), [1 / 2, 1 / 2]))
     for law, want in cases:
-        F = oracle.ladder_heights(law)
+        F = refs.ladder_heights(law)
         assert F.dtype == np.float64
         np.testing.assert_allclose(F, want, rtol=0, atol=1e-15)
 
@@ -332,14 +358,14 @@ def test_ladder_heights_of_a_far_outside_root(e):
     a = c + 2 * e
     law = walk.make_law({-1: a, 0: 1 - 2 * c - 3 * e, 1: c, 2: e})
     want = np.array([float(1 - a), float(a - e), float(e)])
-    np.testing.assert_allclose(oracle.ladder_heights(law), want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(refs.ladder_heights(law), want, rtol=1e-14, atol=0)
 
 
 def test_ladder_heights_refuse_a_wrong_root_split(monkeypatch, skewed):
     # skewed needs h - 1 = 1 root outside the unit circle; none found
     monkeypatch.setattr(oracle.np, "roots", lambda c: np.array([0.5]))
     with pytest.raises(walk.LawError, match="expected 1"):
-        oracle.ladder_heights(skewed)
+        refs.ladder_heights(skewed)
 
 
 def test_ladder_heights_refuse_a_wide_law_before_root_finding(monkeypatch, skewed):
@@ -350,7 +376,7 @@ def test_ladder_heights_refuse_a_wide_law_before_root_finding(monkeypatch, skewe
     monkeypatch.setattr(oracle.np, "roots", roots)
     monkeypatch.setattr(oracle, "ROOT_DEGREE_CAP", 0)
     with pytest.raises(oracle.ResourceCapExceeded, match="degree 1 exceeds cap 0"):
-        oracle.ladder_heights(skewed)
+        refs.ladder_heights(skewed)
 
 
 def test_mc_reproducible_and_covers(lazy):
@@ -362,8 +388,8 @@ def test_mc_reproducible_and_covers(lazy):
         return rng.choice(vals, size=size, p=probs)
 
     n = 16
-    est1 = oracle.mc_tau_tail(sampler, 0, n, paths=40_000, seed=7)
-    est2 = oracle.mc_tau_tail(sampler, 0, n, paths=40_000, seed=7)
+    est1 = refs.mc_tau_tail(sampler, 0, n, paths=40_000, seed=7)
+    est2 = refs.mc_tau_tail(sampler, 0, n, paths=40_000, seed=7)
     assert est1.estimate == est2.estimate  # counter-based streams
     truth = float(oracle.tau_tail(lazy, 0, n, mode="rational")[n])
     assert est1.covers(truth, widths=4.0)
@@ -393,14 +419,14 @@ def test_propagator_reductions_random_laws(law, N, x, strict):
         rtol=1e-13, atol=0,
     )
     table = oracle.conditioned_table(law, N, x_max=4, strict=strict)
-    frames = oracle.conditioned_pmf(law, N, strict=strict)
+    frames = refs.conditioned_pmf(law, N, strict=strict)
     want = [[float(f.prob(y)) for y in range(5)] for f in frames]
     np.testing.assert_allclose(table[1:], want, rtol=1e-13, atol=0)
-    assert oracle.spitzer_check(law, N) == 0
-    assert oracle.duality_check(law, x, N) == 0
-    assert oracle.recurrence_gap(law, min(N, 8), x=x + 1, strict=strict) == 0
+    assert refs.spitzer_check(law, N) == 0
+    assert refs.duality_check(law, x, N) == 0
+    assert refs.recurrence_gap(law, min(N, 8), x=x + 1, strict=strict) == 0
     if law.left_continuous:
-        assert oracle.leftcont_check(law, 3, N) == 0
+        assert refs.leftcont_check(law, 3, N) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -408,7 +434,7 @@ def test_propagator_reductions_random_laws(law, N, x, strict):
 def test_delta_table_point_masses_random_laws(law, N):
     xs = (-3, 0, 2, 5)
     _, traces = oracle.delta_table(law, N, xs=xs)
-    frames = [oracle.pmf(law, n) for n in range(N + 1)]
+    frames = [refs.pmf(law, n) for n in range(N + 1)]
     for x in xs:
         want = [float(f.prob(x)) for f in frames]
         np.testing.assert_allclose(traces[x], want, rtol=1e-13, atol=0)
@@ -592,7 +618,7 @@ def test_block_sweep_matches_the_exact_killed_sweep(law, N, start, strict, k):
     want_tail, want_table = [], []
     for _, lo, alive, _, den in oracle._sweep(law, N, start, floor, exact=True):
         want_tail.append(int(alive.sum()) / den)
-        want_table.append([int(m) / den for m in oracle._points(range(cols), lo, alive)])
+        want_table.append([int(m) / den for m in refs._points(range(cols), lo, alive)])
     for got in (tail, bare):
         np.testing.assert_allclose(got, want_tail, rtol=1e-13, atol=0)
     np.testing.assert_allclose(table, want_table, rtol=1e-13, atol=0)
