@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from fluctuator import polyharmonic as ph
+from fluctuator import oracle, polyharmonic as ph, tau0
 from fluctuator.cli import load_model
 
 
@@ -33,7 +33,9 @@ def main() -> None:
     for c in ph.certify(law, lad, args.x_max):
         verdict = "PASS" if c.passed else "FAIL"
         print(f"{c.name:<24} {verdict}  {c.measure} {c.value:.3e} (limit {c.limit:g})")
-    paper = ph.v_ladder(law, args.x_max, 2, args.horizon)
+    # the paper route reads one free sweep: Delta_n and the points -x_max..0
+    delta, points = oracle.delta_table(law, args.horizon, range(-args.x_max, 1))
+    paper = ph.v_ladder(law, args.x_max, 2, tau0.tau0_coeffs(law, delta), points)
     window = ph.route_window(law, args.x_max, args.horizon)
     gap = ph.route_gap(paper.V, lad.V, window)
     verdict = "PASS" if gap <= ph.ROUTE_GAP_TOL else "FAIL"

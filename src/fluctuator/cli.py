@@ -98,7 +98,7 @@ def _cmd_expand_tau0(args) -> int:
     out_dir = Path(args.out_dir)
     # the paper route is gauged by the closed form, found before the sweep
     exact = polyharmonic.v_wiener_hopf(law, 0, 3).nu
-    coeffs = tau0.tau0_coeffs(law, N=args.horizon)
+    coeffs = tau0.tau0_coeffs(law, oracle.delta_table(law, args.horizon)[0])
     doc = {
         "model": law_to_json(law),
         "horizon": args.horizon,
@@ -227,7 +227,7 @@ def _cmd_verify(args) -> int:
     # tau0 decay ladder: its coefficients, or the one closure failure, also
     # serve the polyharmonic certification
     try:
-        coeffs = tau0.tau0_coeffs(law, N=N, deltas=ids.delta)
+        coeffs = tau0.tau0_coeffs(law, ids.delta)
     except TailNotDecayed as exc:
         coeffs, closure = None, exc
         check("tau0 ladder", False, str(exc))
@@ -254,14 +254,13 @@ def _cmd_verify(args) -> int:
         try:
             if coeffs is None:
                 raise closure
-            paper = polyharmonic.v_ladder(law, args.x_max, 2, N, free=(coeffs, ids.points))
+            paper = polyharmonic.v_ladder(law, args.x_max, 2, coeffs, ids.points)
             ladder = polyharmonic.v_wiener_hopf(law, top, 2)
             for c in polyharmonic.certify(law, ladder, args.x_max):
                 check(c.name, c.passed, f"{c.measure} {c.value:.3e}")
-            ws = conditioned.make_workspace(law, args.x_max, N, traces=ids.points)
             routes = (
                 ("V", paper.V, ladder.V),
-                ("U", conditioned.q_ladder(ws, 3).q[1::2],
+                ("U", conditioned.q_ladder(law, ids.points, args.x_max, 3)[1::2],
                  polyharmonic.u_wiener_hopf(law, args.x_max, 2)),
             )
             window = polyharmonic.route_window(law, args.x_max, N)

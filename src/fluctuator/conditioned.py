@@ -9,7 +9,9 @@ cross-check of the closed form `polyharmonic.u_wiener_hopf`.  The even-index
 scalars come from the psi_j(x) family (truncated weighted sums of local DP
 data with fitted a-basis tails), the ladder from the generating-function
 convolution recursion, and q_0, V from the closed-form ladder renewal (no
-horizon).
+horizon).  Nothing here sweeps: the local probabilities p_n(x) are the
+point masses of a free sweep (`oracle.delta_table`) the caller hands down,
+and their length fixes the horizon.
 
 One recursion serves both killings: weak (tau_0, death at states <= 0),
 read by `verify`, and strict (tau-bar_0, state 0 alive), whose
@@ -27,7 +29,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +37,6 @@ from .oracle import TailNotDecayed
 from .walk import LatticeLaw
 
 __all__ = [
-    "QLadder",
-    "ConditionedWorkspace",
-    "make_workspace",
     "psi_x",
     "q_ladder",
     "weak_renewal",
@@ -46,51 +44,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QLadder:
-    q: np.ndarray  # q[l, x], l = 0..L, x = 0..x_max (weak: x >= 1, q_0(0) = 1 the n = 0 atom)
-    V: np.ndarray  # renewal values V(x) (weak) or V-bar(x) (strict), x = 0..x_max
-
-
-@dataclass
-class ConditionedWorkspace:
-    """Per-law DP aggregates shared by all x: local probabilities p_n(x)
-    and theta polynomials."""
-
-    law: LatticeLaw
-    N: int
-    x_max: int
-    thetas: list
-    theta0: float
-    traces: dict[int, np.ndarray]  # p_n(x) for x = 0..x_max
-
-
-def make_workspace(
-    law: LatticeLaw,
-    x_max: int,
-    N: int,
-    traces: dict[int, np.ndarray] | None = None,
-) -> ConditionedWorkspace:
-    """Workspace of `law` on x = 0..x_max at horizon N.  `traces` (p_n(x)
-    for n = 0..N and x = 0..x_max) replaces the free sweep when the caller
-    already holds those columns."""
-    law.require_expansion_ready()
-    if traces is None:
-        _, traces = oracle.delta_table(law, N, xs=range(x_max + 1))
-    thetas = edgeworth.theta_polys(law, 6)  # theta_0..theta_3: psi_j up to j = 4
-    return ConditionedWorkspace(
-        law=law,
-        N=N,
-        x_max=x_max,
-        thetas=thetas,
-        theta0=thetas[0].coefficients[0],
-        traces=traces,
-    )
-
-
-def psi_x(ws: ConditionedWorkspace, x: int, j_max: int) -> dict[int, float]:
-    """{j: psi_j(x)} for j = -1..j_max: odd j = 2i-1 evaluate theta_i(x); even
-    j = 2i sum the weighted local remainders
+def psi_x(thetas: list, x: int, p: np.ndarray, j_max: int) -> dict[int, float]:
+    """{j: psi_j(x)} for j = -1..j_max, from the theta polynomials of
+    `edgeworth.theta_polys` and p[n] = p_n(x), n = 0..N: odd j = 2i-1
+    evaluate theta_i(x); even j = 2i sum the weighted local remainders
 
       psi_2i(x) = ((-1)^i / i!) sum_(n>=i+1) (n-1)!/(n-1-i)! *
                   (p_n(x) - sum_(k<=i+1) theta_k(x) a_(n-1)^(k+1)),
@@ -98,21 +55,21 @@ def psi_x(ws: ConditionedWorkspace, x: int, j_max: int) -> dict[int, float]:
     where the extra k = i+1 subtraction is a legal acceleration (its
     weighted sum telescopes to zero) that speeds the tail decay.
     """
-    N = ws.N
-    p = ws.traces[x][1:]  # p_n(x), n = 1..N
-    vals: dict[int, float] = {-1: float(ws.theta0)}
+    N = p.size - 1
+    p = p[1:]  # p_n(x), n = 1..N
+    vals: dict[int, float] = {-1: thetas[0].coefficients[0]}
     n = np.arange(1, N + 1, dtype=float)
     for j in range(0, j_max + 1):
         if j % 2:  # odd: theta polynomial
             i = (j + 1) // 2
-            vals[j] = float(ws.thetas[i](x))
+            vals[j] = float(thetas[i](x))
             continue
         i = j // 2
-        if i + 1 >= len(ws.thetas):
-            raise TailNotDecayed(f"psi_{j} needs theta_{i + 1}, beyond the workspace's thetas")
+        if i + 1 >= len(thetas):
+            raise TailNotDecayed(f"psi_{j} needs theta_{i + 1}, beyond the thetas given")
         resid = p.copy()
         for k in range(i + 2):
-            resid -= float(ws.thetas[k](x)) * basis.a_float(k + 1, N - 1)
+            resid -= float(thetas[k](x)) * basis.a_float(k + 1, N - 1)
         weight = np.ones(N)
         for d in range(i):
             weight *= n - 1 - d
@@ -124,9 +81,11 @@ def psi_x(ws: ConditionedWorkspace, x: int, j_max: int) -> dict[int, float]:
 
 
 def q_ladder(
-    ws: ConditionedWorkspace, L: int, strict: bool = False
-) -> QLadder:
-    """q_0..q_L on x = 0..x_max, from
+    law: LatticeLaw, traces: dict[int, np.ndarray], x_max: int, L: int, strict: bool = False
+) -> np.ndarray:
+    """q[l, x] = q_l(x), l = 0..L, x = 0..x_max (weak: x >= 1, with q_0(0) = 1
+    the n = 0 atom), from the local probabilities traces[y][n] = p_n(y),
+    n = 0..N, at y = 0..x_max and
 
       -(l/2) q_l(x) = sum_(y=y0..x) sum_(j=-1..l-2) psi_j(y) q_(l-2-j)(x-y),  l >= 2,
 
@@ -135,21 +94,22 @@ def q_ladder(
     q_0(0) = 1 the n = 0 atom, so the y = x pairing is the standalone
     psi_(l-2)(x) term of the weak recursion.
     """
-    x_max = ws.x_max
     y0 = 0 if strict else 1
+    thetas = edgeworth.theta_polys(law, 6)  # theta_0..theta_3: psi_j up to j = 4
     # psi_j is read only by the l >= 2 recursion
-    psis = {y: psi_x(ws, y, L - 2) for y in range(y0, x_max + 1)} if L >= 2 else {}
+    psis = ({y: psi_x(thetas, y, traces[y], L - 2) for y in range(y0, x_max + 1)}
+            if L >= 2 else {})
     q = np.zeros((L + 1, x_max + 1))
     # u(y) = sum_(n>=0) P(S_n = y, tau-bar > n) is, by reading the path
     # backwards (iid increments, same law), the renewal mass of the weak
     # ascending ladder heights at y: exact, with no horizon truncation.  The
     # strict ladder is the weak one with its zero-height steps collapsed, so
     # its renewal mass is u / u(0)
-    u = oracle.ladder_renewal(ws.law, x_max)
+    u = oracle.ladder_renewal(law, x_max)
     q[0] = u if strict else u / u[0]
     V = np.cumsum(u) if strict else weak_renewal(u)
     if L >= 1:
-        q[1, y0:] = -2.0 * ws.theta0 * V[y0:]
+        q[1, y0:] = -2.0 * thetas[0].coefficients[0] * V[y0:]
     for ell in range(2, L + 1):
         for x in range(y0, x_max + 1):
             acc = 0.0
@@ -157,7 +117,7 @@ def q_ladder(
                 for j in range(-1, ell - 1):
                     acc += psis[y][j] * q[ell - 2 - j, x - y]
             q[ell, x] = -2.0 / ell * acc
-    return QLadder(q=q, V=V)
+    return q
 
 
 def weak_renewal(u: np.ndarray) -> np.ndarray:
@@ -178,9 +138,4 @@ def u_expansion_eval(table: np.ndarray, U: np.ndarray, x: int, n_grid, J: int) -
     approx = np.zeros(n_grid.size)
     for j in range(1, J + 1):
         approx += U[j - 1, x] * basis.a_float(j + 1, N)[n_grid]
-    err = np.abs(truth - approx)
-    nz = err > 0
-    slope = float("nan")
-    if nz.sum() >= 3:
-        slope = float(-np.polyfit(np.log(n_grid[nz]), np.log(err[nz]), 1)[0])
-    return {"truth": truth, "approx": approx, "error": err, "decay_exponent": slope}
+    return {"truth": truth, "approx": approx, "error": np.abs(truth - approx)}

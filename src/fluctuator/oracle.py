@@ -1,12 +1,14 @@
 """Exact ground truth for the expansions: dynamic programming, identity
 checks, the Wiener-Hopf ladder factors and renewal sums.
 
-Every DP table is a reduction over the frames of one killed-walk
-propagator, `_sweep`: rational `tau_tail` sums its exact frames, and the
-free walk's float frames give `delta_table`.  Two loops read only what
-they need: k-step blocks give the float killed walk's totals and table
-(`_killed_float`), and one residue pass that copies O(span) states near 0
-a step gives `identity_suite`'s exact checks (`_residue_reads`).
+Every DP table is a reduction over sweeps of the walk: the free walk's
+float frames (`_sweep_float`) give `delta_table`, and rational `tau_tail`
+sums the exact frames of the killed walk (`_sweep_exact`, also the tests'
+exact reference).  Two loops read only what they need: k-step blocks give
+the float killed walk's totals and table (`_killed_float`), and one residue
+pass that copies O(span) states near 0 a step gives `identity_suite`'s
+exact checks (`_residue_reads`).  Each refuses its sweep (`_guard_sweep`)
+before it allocates anything.
 Everything here is exact (rational mode, or int64 residues modulo primes)
 or plain float arithmetic on exact recursions (float mode).  No
 asymptotics enter: this module is what the expansion modules are tested
@@ -290,38 +292,17 @@ def _residue_reads(law: LatticeLaw, N: int, res: _Residues):
     return free, x[1:], F.transpose(1, 2, 0), den[:, 0].T
 
 
-def _sweep(
-    law: LatticeLaw,
-    N: int,
-    start: int = 0,
-    floor: int | None = None,
-    exact: bool = False,
-):
-    """The walk start + S_n killed on first entry below `floor`, n = 0..N.
+def _sweep_exact(law: LatticeLaw, N: int, start: int = 0, floor: int | None = None):
+    """The walk start + S_n killed on first entry below `floor`, n = 0..N,
+    in exact frames.
 
     Yields (n, lo, alive, dead, den): alive[i] / den is the mass at state
     lo + i that has stayed >= floor through time n; dead holds the mass
     killed at step n, on the states lo - dead.size .. lo - 1.  Frame 0 is the
-    unkilled start.  floor=None runs the free walk.  Float mode runs only
-    the free walk, on float64 arrays with den = 1 (`_sweep_float`): the
-    float killed walk has no per-step frames, `_killed_float` moves it k
-    steps a block and reads its totals and table.  Exact mode uses
+    unkilled start.  floor=None runs the free walk.  The arrays are
     Python-int arrays scaled by den = D**n, D the lcm of the atom
-    denominators.  The arrays are views of the propagator's state, valid
-    until the next step: read them, do not write them.  Refuses a sweep
-    whose widest frame exceeds STATE_CAP when it is called, before anything
-    is allocated or iterated.
+    denominators.  Unguarded: `_guard_sweep` refuses an oversized sweep.
     """
-    _guard_sweep(law, N, start, floor)
-    if not exact and floor is not None:
-        raise ValueError("float sweeps are free: `_killed_float` sweeps the killed walk")
-    if not exact:
-        return _sweep_float(law, N, start)
-    return _sweep_exact(law, N, start, floor)
-
-
-def _sweep_exact(law: LatticeLaw, N: int, start: int, floor: int | None):
-    """`_sweep`'s exact frames as Python-int arrays scaled by D**n."""
     klo, khi = law.support[0], law.support[-1]
     D = _unit(law)
     kern = np.zeros(khi - klo + 1, dtype=object)
@@ -348,9 +329,10 @@ def _kernel(law: LatticeLaw) -> np.ndarray:
     return kern
 
 
-def _sweep_float(law: LatticeLaw, N: int, start: int):
-    """`_sweep`'s float frames of the free walk, as views of one buffer
-    indexed by state.
+def _sweep_float(law: LatticeLaw, N: int):
+    """The float frames of the free walk S_n, n = 0..N: yields (lo, vec),
+    vec[i] = P(S_n = lo + i), a view of one buffer indexed by state, valid
+    until the next step: read it, do not write it.
 
     The frames have the width and alignment of the full convolution, but
     only the live window -- the span from the first to the last state
@@ -365,15 +347,15 @@ def _sweep_float(law: LatticeLaw, N: int, start: int):
     table cells the reductions read: those come out as the floats of the
     full-width convolution.
 
-    The buffer is allocated once, after `_sweep`'s guard.  The state x of
-    frame n sits at index x - n c - base, with the drift c the one of 0,
-    klo, khi nearest 0: the buffer is at most two kernel widths wider than
-    the widest frame.  A step writes the full convolution of window +
-    margin with kern into it and zeroes only the cells written on the step
-    before that this write misses.  It calls np.correlate with the reversed
-    kernel, the call np.convolve makes once the window is at least a kernel
-    wide, and np.convolve itself before that.  Then the live window shrinks
-    until both ends hold at least _TINY.
+    The buffer is allocated once, after the caller's `_guard_sweep`.  The
+    state x of frame n sits at index x - n c - base, with the drift c the
+    one of 0, klo, khi nearest 0: the buffer is at most two kernel widths
+    wider than the widest frame.  A step writes the full convolution of
+    window + margin with kern into it and zeroes only the cells written on
+    the step before that this write misses.  It calls np.correlate with the
+    reversed kernel, the call np.convolve makes once the window is at least
+    a kernel wide, and np.convolve itself before that.  Then the live window
+    shrinks until both ends hold at least _TINY.
     """
     klo, khi = law.support[0], law.support[-1]
     pad = khi - klo
@@ -384,9 +366,9 @@ def _sweep_float(law: LatticeLaw, N: int, start: int):
     f0 = a = w0 = -N * dl  # frame [f0, f1), live window [a, b), last write [w0, w1)
     f1 = b = w1 = f0 + 1
     buf[f0] = 1.0
-    lo, empty = start, buf[:0]
+    lo = 0
     rkern = kern[::-1].copy()
-    yield 0, lo, buf[f0:f1], empty, 1
+    yield lo, buf[f0:f1]
     # the clamps below are written out: on a small frame, max and min calls
     # would cost about a fifth of a step
     for n in range(1, N + 1):
@@ -412,7 +394,7 @@ def _sweep_float(law: LatticeLaw, N: int, start: int):
             a += 1
         while b > a and buf[b - 1] < _TINY:
             b -= 1
-        yield n, lo, buf[f0:f1], empty, 1
+        yield lo, buf[f0:f1]
 
 
 def _upto_zero(lo: int, vec: np.ndarray):
@@ -464,11 +446,11 @@ def _free_float(law: LatticeLaw, N: int, xs: Sequence[int]):
     x0 = min(xs, default=0)
     span = max(xs, default=x0 - 1) - x0 + 1
     _guard_table(N + 1, span)
-    sweep = _sweep(law, N)  # refuses an oversized sweep before the sums are allocated
+    _guard_sweep(law, N, 0, None)
     below = np.empty(N + 1)
     table = np.zeros((N + 1, span))
     top = x0 + span
-    for n, lo, vec, _, _ in sweep:
+    for n, (lo, vec) in enumerate(_sweep_float(law, N)):
         below[n] = _upto_zero(lo, vec)
         if span:  # table[n] gets the states x0..top - 1 the frame holds
             a, b = lo if lo > x0 else x0, top if top < lo + vec.size else lo + vec.size
@@ -659,8 +641,8 @@ def tau_tail(
         raise ValueError(f"mode must be 'rational' or 'float', got {mode!r}")
     if mode == "float":
         return _killed_float(law, N, x, 1)[0]
-    sweep = _sweep(law, N, x, 1, exact=True)
-    return [Fraction(int(alive.sum()), den) for _, _, alive, _, den in sweep]
+    _guard_sweep(law, N, x, 1)
+    return [Fraction(int(alive.sum()), den) for _, _, alive, _, den in _sweep_exact(law, N, x, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +668,8 @@ def _spitzer_gap(below: np.ndarray, T: np.ndarray, den: np.ndarray, D, ring):
     by n.  The integer residual of entry n < N is below (6n + 5) D**(n+1).
     """
     N = T.shape[-1] - 1
+    if not N:  # no entries, and np.convolve refuses an empty G
+        return ring.reduce(T[..., :0], den[..., :0])
     E = den - 2 * below  # 2 D**n Delta_n
     E[..., 0] = 0
     G = ring.mod(E[..., 1:] - ring.mod(D * E[..., :-1]))  # [s^m] 2(1-s)Q', scaled by D**(m+1)

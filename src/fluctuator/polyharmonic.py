@@ -82,28 +82,20 @@ class PolyTailFit:
     passed: bool
 
 
-def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> VLadder:
-    """V_1..V_J on x = 0..x_max via the duality assembly.  free, when given,
-    is (tau0.tau0_coeffs(law, N, deltas=delta), p) for (delta, p) =
-    `oracle.delta_table(law, N, xs)`, xs covering -x_max..0, already
-    computed elsewhere."""
+def v_ladder(
+    law: LatticeLaw, x_max: int, J: int, coeffs: tau0.Tau0Coefficients, points: dict
+) -> VLadder:
+    """V_1..V_J on x = 0..x_max via the duality assembly, from one free
+    sweep of the law: coeffs = tau0.tau0_coeffs(law, delta) for T_0 and
+    points[x][n] = P(S_n = x) at x = -x_max..0 for B-tilde, mirrored as
+    the reversed walk's point masses P(S~_n = x) = P(S_n = -x), with
+    (delta, points) = `oracle.delta_table(law, N, xs)`."""
     if J < 1:
         raise ValueError("J must be >= 1")
-    law.require_expansion_ready()
-    # one free sweep serves both factors of the duality assembly: Delta_n
-    # for T_0 and, mirrored as P(S~_n = x) = P(S_n = -x), the reversed
-    # walk's point masses for B-tilde
-    if free is None:
-        delta, p = oracle.delta_table(law, N, xs=range(-x_max, 1))
-        free = tau0.tau0_coeffs(law, N=N, deltas=delta), p
-    co, p = free
-    mup = [co.nu[0] * m for m in co.mu]  # mu'_i = exp(psi_0) mu_i, i = 0..4
+    mup = [coeffs.nu[0] * m for m in coeffs.mu]  # mu'_i = exp(psi_0) mu_i, i = 0..4
     L = 2 * J - 2  # highest strict ladder index needed: Q_(2J-3) uses Qt_(2J-2)
-    ws = conditioned.make_workspace(
-        law.reverse(), x_max=x_max, N=N, traces={x: p[-x] for x in range(x_max + 1)}
-    )
-    lad = conditioned.q_ladder(ws, max(L, 1), strict=True)
-    qt = lad.q.copy()
+    traces = {x: points[-x] for x in range(x_max + 1)}
+    qt = conditioned.q_ladder(law.reverse(), traces, x_max, max(L, 1), strict=True)
     qt[0, 0] -= 1.0  # drop the n = 0 atom: assembly uses n >= 1 ladders
     Qt = np.zeros((qt.shape[0], x_max + 1))
     Qt[:, 1:] = np.cumsum(qt[:, :-1], axis=1)  # Qt_l(x) = sum_(y<x) qt_l(y)
@@ -114,7 +106,7 @@ def v_ladder(law: LatticeLaw, x_max: int, J: int, N: int, free=None) -> VLadder:
         for k in range(-1, m + 1):
             acc += mup[k + 1] * Qt[m - k]
         V[j - 1] = acc
-    return VLadder(V=V, nu=tuple(co.nu[:J]))
+    return VLadder(V=V, nu=tuple(coeffs.nu[:J]))
 
 
 def _toeplitz(b: np.ndarray) -> np.ndarray:

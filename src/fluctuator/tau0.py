@@ -1,8 +1,9 @@
 """Asymptotic expansion of P(tau_0 > n) on the a-basis.
 
-Pipeline: exact DP values of Delta_n = 1/2 - P(S_n <= 0) feed the scalars
-psi_0, psi_1, psi_2 (regular part of the Spitzer exponent at s = 1); the
-half-power part carries theta_1, theta_2 from the Edgeworth module.
+Pipeline: DP values of Delta_n = 1/2 - P(S_n <= 0), from a free sweep the
+caller runs (`oracle.delta_table`), feed the scalars psi_0, psi_1, psi_2
+(regular part of the Spitzer exponent at s = 1); the half-power part
+carries theta_1, theta_2 from the Edgeworth module.
 Exponentiating the local expansion of the exponent and dividing by
 sqrt(1-s) yields
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis, edgeworth, oracle
+from . import basis, edgeworth
 from .oracle import TailNotDecayed
 from .walk import LatticeLaw
 
@@ -117,22 +118,14 @@ def mu_coeffs(psi: PsiScalars) -> tuple[float, float, float, float, float]:
     return tuple(mu)
 
 
-def tau0_coeffs(
-    law: LatticeLaw,
-    N: int,
-    deltas: np.ndarray | None = None,
-) -> Tau0Coefficients:
-    """nu_1..nu_3 for P(tau_0 > n) ~ sum nu_l a_n^(l).
+def tau0_coeffs(law: LatticeLaw, deltas: np.ndarray) -> Tau0Coefficients:
+    """nu_1..nu_3 for P(tau_0 > n) ~ sum nu_l a_n^(l), from deltas[n] =
+    Delta_n, n = 0..N, of the caller's free sweep (`oracle.delta_table`).
 
     theta_1, theta_2 come from the Edgeworth polynomials at zero
-    (edgeworth.delta_coeffs).  `deltas` (deltas[n] for n = 0..N, from
-    oracle.delta_table) saves the free sweep when the caller has already
-    run it.
+    (edgeworth.delta_coeffs).
     """
-    law.require_expansion_ready()
     cdf = edgeworth.delta_coeffs(law)
-    if deltas is None:
-        deltas, _ = oracle.delta_table(law, N)
     psi = psi_scalars(deltas, (cdf.theta1, cdf.theta2))
     mu = mu_coeffs(psi)
     e0 = math.exp(psi.psi0)

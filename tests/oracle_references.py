@@ -2,10 +2,11 @@
 survival frames, the rational single identity checks, the killed-walk
 recurrence, the closed-form ladder heights, the Monte Carlo estimator of
 P(tau_x > n), the reparametrized mu closed form and the exact a-basis
-sequences and tail sums.
+sequences and tail sums.  Also the paper routes at a horizon N, each from
+its own free sweep, and the fitted decay exponent of an error sequence.
 
-The checks reduce the exact frames of `oracle._sweep` (`_reduce`) and
-score them with the residual functions `identity_suite` runs
+The checks reduce the exact frames of `oracle._sweep_exact` (`_reduce`)
+and score them with the residual functions `identity_suite` runs
 (`oracle._spitzer_gap`, `oracle._duality_gap`, `oracle._leftcont_gap`,
 on the `oracle._PLAIN` ring), so each identity has one definition.  They
 reach the oracle's helpers as module attributes, so a monkeypatch of
@@ -21,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from fluctuator import oracle, tau0
+from fluctuator import oracle, polyharmonic, tau0
 from fluctuator.walk import LatticeLaw
 
 
@@ -60,7 +61,7 @@ def _reduce(law: LatticeLaw, N: int, read, start: int = 0, floor: int | None = N
     """(values, dens): read(lo, alive) and den = D**n of every frame n = 0..N
     of an exact sweep, as object arrays of Python ints."""
     vals, dens = [], []
-    for _, lo, alive, _, den in oracle._sweep(law, N, start, floor, exact=True):
+    for _, lo, alive, _, den in oracle._sweep_exact(law, N, start, floor):
         vals.append(read(lo, alive))
         dens.append(den)
     return np.array(vals, dtype=object), np.array(dens, dtype=object)
@@ -83,7 +84,7 @@ def pmf(law: LatticeLaw, n: int) -> PmfFrame:
     """Exact distribution of S_n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for _, lo, alive, _, den in oracle._sweep(law, n, exact=True):
+    for _, lo, alive, _, den in oracle._sweep_exact(law, n):
         pass
     return PmfFrame(n=n, mass=_mass(lo, alive, den))
 
@@ -103,7 +104,7 @@ def conditioned_pmf(
         raise ValueError("n must be >= 1")
     frames = []
     killed = Fraction(0)
-    sweep = oracle._sweep(law, n, 0, 0 if strict else 1, exact=True)
+    sweep = oracle._sweep_exact(law, n, 0, 0 if strict else 1)
     for step, lo, alive, dead, den in sweep:
         if step:
             killed += Fraction(int(dead.sum()), den)
@@ -311,3 +312,28 @@ def tail_sum(j: int, n: int) -> Fraction:
     if n < 1:
         raise ValueError("tail start must be >= 1")
     return -a_seq(j - 1, n - 1)[n - 1]
+
+
+# ---------------------------------------------------------------------------
+# the paper routes at a horizon
+
+
+def tau0_coeffs_at(law: LatticeLaw, N: int) -> tau0.Tau0Coefficients:
+    """`tau0.tau0_coeffs` from a free sweep of N steps."""
+    return tau0.tau0_coeffs(law, oracle.delta_table(law, N)[0])
+
+
+def v_ladder_at(law: LatticeLaw, x_max: int, J: int, N: int) -> polyharmonic.VLadder:
+    """`polyharmonic.v_ladder` from one free sweep of N steps, read at
+    -x_max..0 as `verify` reads it."""
+    delta, points = oracle.delta_table(law, N, range(-x_max, 1))
+    return polyharmonic.v_ladder(law, x_max, J, tau0.tau0_coeffs(law, delta), points)
+
+
+def decay_exponent(ns: np.ndarray, err: np.ndarray) -> float:
+    """-slope of the least-squares line through log |err| against log n over
+    the nonzero errors; nan below three of them."""
+    nz = err > 0
+    if nz.sum() < 3:
+        return float("nan")
+    return float(-np.polyfit(np.log(ns[nz]), np.log(err[nz]), 1)[0])

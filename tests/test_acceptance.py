@@ -46,23 +46,23 @@ def lazy_tail(lazy):
 
 @pytest.fixture(scope="module")
 def lazy_coeffs(lazy):
-    return tau0.tau0_coeffs(lazy, N=N_BIG)
+    return refs.tau0_coeffs_at(lazy, N_BIG)
 
 
 @pytest.fixture(scope="module")
 def skewed_coeffs(skewed):
-    return tau0.tau0_coeffs(skewed, N=N_BIG)
+    return refs.tau0_coeffs_at(skewed, N_BIG)
 
 
 @pytest.fixture(scope="module")
 def lad_lazy(lazy):
     # window [1, 30] for defects needs operator headroom above x = 30
-    return ph.v_ladder(lazy, x_max=34, J=2, N=N_BIG)
+    return refs.v_ladder_at(lazy, x_max=34, J=2, N=N_BIG)
 
 
 @pytest.fixture(scope="module")
 def lad_skewed(skewed):
-    return ph.v_ladder(skewed, x_max=44, J=2, N=N_BIG)
+    return refs.v_ladder_at(skewed, x_max=44, J=2, N=N_BIG)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,8 @@ def test_criterion_5_conditioned_ladder(skewed):
     n_grid = np.unique(np.geomspace(512, N_BIG, 48).astype(int))
     for x in (1, 2, 5):
         res = conditioned.u_expansion_eval(table, U, x, n_grid, J=1)
-        assert res["decay_exponent"] >= 2.2, f"x={x}: {res['decay_exponent']}"
+        slope = refs.decay_exponent(n_grid, res["error"])
+        assert slope >= 2.2, f"x={x}: {slope}"
 
 
 # ---------------------------------------------------------------------------

@@ -446,19 +446,20 @@ def test_verify_sweeps_each_walk_once(tmp_path, monkeypatch, spec):
 
 
 def _count_sweeps(monkeypatch) -> list:
-    """Record each sweep: a per-step `oracle._sweep`, a k-step block sweep
-    of the float killed walk, `oracle._killed_float`, or the residue pass
-    of `identity_suite`, `oracle._residue_reads`."""
+    """Record the name of each sweep: a per-step sweep of the free float
+    walk, `oracle._sweep_float`, or of the exact walk, `oracle._sweep_exact`,
+    a k-step block sweep of the float killed walk, `oracle._killed_float`,
+    or the residue pass of `identity_suite`, `oracle._residue_reads`."""
     calls = []
 
-    def counting(sweep):
+    def counting(name, sweep):
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(name)
             return sweep(*args, **kwargs)
         return counted
 
-    for name in ("_sweep", "_killed_float", "_residue_reads"):
-        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
+    for name in ("_sweep_float", "_sweep_exact", "_killed_float", "_residue_reads"):
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
     return calls
 
 
@@ -470,6 +471,14 @@ def test_verify_certifies_from_the_suites_free_sweep(monkeypatch, model):
     argv = ["verify", "--model", model, "--horizon", "256", "--check-polyharmonic"]
     assert _run(argv) == cli.EXIT_PASS
     assert len(calls) == 3
+
+
+def test_expand_tau0_sweeps_the_free_and_the_killed_walk_once(tmp_path, monkeypatch):
+    # Delta_n for the coefficients, P(tau_0 > n) for errors.csv
+    calls = _count_sweeps(monkeypatch)
+    argv = ["expand", "tau0", "--model", "skewed", "--horizon", "256", "--out-dir", str(tmp_path)]
+    assert _run(argv) == cli.EXIT_PASS
+    assert sorted(calls) == ["_killed_float", "_sweep_float"]
 
 
 @pytest.mark.parametrize("extra", [[], ["--check-polyharmonic"]], ids=["plain", "certified"])
@@ -640,7 +649,7 @@ def test_errors_csv_is_the_csv_writer_file(tmp_path):
     law = walk.skewed_walk()
     assert _run(["expand", "tau0", "--model", "skewed", "--horizon", str(N),
                  "--out-dir", str(tmp_path)]) == cli.EXIT_PASS
-    coeffs = tau0.tau0_coeffs(law, N=N)
+    coeffs = tau0.tau0_coeffs(law, oracle.delta_table(law, N)[0])
     truth = oracle.tau_tail(law, 0, N, mode="float")
     approx = [tau0.evaluate_tau0(coeffs, N, t) for t in (1, 2, 3)]
     rows = [[n, truth[n], *(a[n] for a in approx), *(abs(truth[n] - a[n]) for a in approx)]

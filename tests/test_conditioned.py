@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fluctuator import conditioned, oracle, walk
+from fluctuator import conditioned, edgeworth, oracle, walk
 
 import oracle_references as refs
 
@@ -16,14 +16,19 @@ N = 1 << 12
 X_MAX = 8
 
 
-@pytest.fixture(scope="module")
-def ws_lazy(lazy):
-    return conditioned.make_workspace(lazy, x_max=X_MAX, N=N)
+def _traces(law, x_max, n):
+    """p_n(x) for n = 0..n at x = 0..x_max, from one free sweep."""
+    return oracle.delta_table(law, n, xs=range(x_max + 1))[1]
 
 
 @pytest.fixture(scope="module")
-def ws_skewed(skewed):
-    return conditioned.make_workspace(skewed, x_max=X_MAX, N=N)
+def p_lazy(lazy):
+    return _traces(lazy, X_MAX, N)
+
+
+@pytest.fixture(scope="module")
+def p_skewed(skewed):
+    return _traces(skewed, X_MAX, N)
 
 
 @pytest.fixture(scope="module")
@@ -31,30 +36,42 @@ def table_skewed(skewed):
     return oracle.conditioned_table(skewed, N, X_MAX, strict=False)
 
 
-def test_psi_odd_are_theta_values(ws_skewed):
-    px = conditioned.psi_x(ws_skewed, 3, j_max=3)
-    assert px[1] == pytest.approx(float(ws_skewed.thetas[1](3)), rel=1e-12)
-    assert px[3] == pytest.approx(float(ws_skewed.thetas[2](3)), rel=1e-12)
+def _weak_V(law, x_max):
+    """The weak renewal function V the weak q ladder reads."""
+    return conditioned.weak_renewal(oracle.ladder_renewal(law, x_max))
 
 
-def test_psi_minus_one_is_theta0(ws_lazy):
-    px = conditioned.psi_x(ws_lazy, 2, j_max=0)
-    assert px[-1] == pytest.approx(ws_lazy.theta0, rel=1e-14)
+def _theta0(law):
+    """theta_0, the factor of q_1 = -2 theta_0 V."""
+    return edgeworth.theta_polys(law, 6)[0].coefficients[0]
 
 
-def test_weak_q0_is_renewal_increment(ws_lazy):
-    lad = conditioned.q_ladder(ws_lazy, L=1, strict=False)
+def test_psi_odd_are_theta_values(skewed, p_skewed):
+    thetas = edgeworth.theta_polys(skewed, 6)
+    px = conditioned.psi_x(thetas, 3, p_skewed[3], j_max=3)
+    assert px[1] == pytest.approx(float(thetas[1](3)), rel=1e-12)
+    assert px[3] == pytest.approx(float(thetas[2](3)), rel=1e-12)
+
+
+def test_psi_minus_one_is_theta0(lazy, p_lazy):
+    thetas = edgeworth.theta_polys(lazy, 6)
+    px = conditioned.psi_x(thetas, 2, p_lazy[2], j_max=0)
+    assert px[-1] == pytest.approx(_theta0(lazy), rel=1e-14)
+
+
+def test_weak_q0_is_renewal_increment(lazy, p_lazy):
+    q = conditioned.q_ladder(lazy, p_lazy, X_MAX, L=1, strict=False)
     # lazy walk: V(x) = x exactly, so q_0(x) = 1 for x >= 1
-    np.testing.assert_allclose(lad.V[1:], np.arange(1, X_MAX + 1), rtol=1e-12)
-    np.testing.assert_allclose(lad.q[0, 1:], 1.0, rtol=1e-12)
+    np.testing.assert_allclose(_weak_V(lazy, X_MAX)[1:], np.arange(1, X_MAX + 1), rtol=1e-12)
+    np.testing.assert_allclose(q[0, 1:], 1.0, rtol=1e-12)
 
 
-def test_strict_q0_from_ladder_renewal(ws_lazy, ws_skewed):
-    for ws in (ws_lazy, ws_skewed):
-        lad = conditioned.q_ladder(ws, L=1, strict=True)
-        want = oracle.ladder_renewal(ws.law, X_MAX)
-        np.testing.assert_allclose(lad.q[0], want, rtol=1e-12)
-        np.testing.assert_allclose(lad.V, np.cumsum(want), rtol=1e-12)
+def test_strict_q0_from_ladder_renewal(lazy, skewed, p_lazy, p_skewed):
+    for law, p in ((lazy, p_lazy), (skewed, p_skewed)):
+        q = conditioned.q_ladder(law, p, X_MAX, L=1, strict=True)
+        want = oracle.ladder_renewal(law, X_MAX)
+        np.testing.assert_allclose(q[0], want, rtol=1e-12)
+        np.testing.assert_allclose(q[1] / (-2.0 * _theta0(law)), np.cumsum(want), rtol=1e-12)
 
 
 @st.composite
@@ -104,7 +121,8 @@ def test_renewal_functions_match_dp_random_laws(law):
     V, drift = _dp_reference([weak[1:, :x].sum(axis=1) for x in range(x_max + 1)])
     V[1:] += 1.0  # V(x) = 1 + sum_n P(0 < S_n < x, tau > n); V(0) = 1
     V[0], drift[0] = 1.0, 0.0
-    got = conditioned.q_ladder(conditioned.make_workspace(law, x_max, N=n), L=1).V
+    q = conditioned.q_ladder(law, {}, x_max, L=1)  # L = 1 reads no p_n(x)
+    got = np.concatenate(([1.0], q[1, 1:] / (-2.0 * _theta0(law))))  # V(0) = 1
     assert (np.abs(got - V) <= 1e-8 * V + drift).all(), (got, V, drift)
 
 
@@ -121,29 +139,33 @@ def test_ladder_heights_wiener_hopf_moment(law):
     assert min(up.min(), down.min()) > -1e-15
 
 
-def test_q1_proportional_to_renewal(ws_skewed):
-    lad = conditioned.q_ladder(ws_skewed, L=1, strict=False)
+def test_q1_proportional_to_renewal(skewed, p_skewed):
+    q = conditioned.q_ladder(skewed, p_skewed, X_MAX, L=1, strict=False)
     np.testing.assert_allclose(
-        lad.q[1, 1:], -2.0 * ws_skewed.theta0 * lad.V[1:], rtol=1e-12
+        q[1, 1:], -2.0 * _theta0(skewed) * _weak_V(skewed, X_MAX)[1:], rtol=1e-12
     )
 
 
-def test_u_expansion_one_term_slope(ws_skewed, table_skewed):
+def _decay(table, U, x, n_grid, J):
+    res = conditioned.u_expansion_eval(table, U, x, n_grid, J=J)
+    return refs.decay_exponent(n_grid, res["error"])
+
+
+def test_u_expansion_one_term_slope(skewed, p_skewed, table_skewed):
     """One-term ladder signature: |b_n(x) - U_1(x) a_n^(2)| decays ~ n^(-5/2)."""
-    lad = conditioned.q_ladder(ws_skewed, L=1, strict=False)
+    q = conditioned.q_ladder(skewed, p_skewed, X_MAX, L=1, strict=False)
     n_grid = np.unique(np.geomspace(N // 8, N, 40).astype(int))
     for x in (1, 4):
-        res = conditioned.u_expansion_eval(table_skewed, lad.q[1::2], x, n_grid, J=1)
-        assert res["decay_exponent"] > 2.2
+        assert _decay(table_skewed, q[1::2], x, n_grid, J=1) > 2.2
 
 
-def test_u_expansion_two_terms_improve(ws_skewed, table_skewed):
-    lad = conditioned.q_ladder(ws_skewed, L=3, strict=False)
+def test_u_expansion_two_terms_improve(skewed, p_skewed, table_skewed):
+    q = conditioned.q_ladder(skewed, p_skewed, X_MAX, L=3, strict=False)
     n_grid = np.unique(np.geomspace(N // 8, N, 40).astype(int))
     for x in (1, 4):
-        one = conditioned.u_expansion_eval(table_skewed, lad.q[1::2], x, n_grid, J=1)
-        two = conditioned.u_expansion_eval(table_skewed, lad.q[1::2], x, n_grid, J=2)
-        assert two["decay_exponent"] > one["decay_exponent"] + 0.5
+        one = _decay(table_skewed, q[1::2], x, n_grid, J=1)
+        two = _decay(table_skewed, q[1::2], x, n_grid, J=2)
+        assert two > one + 0.5
 
 
 def test_one_term_ladder_reads_no_psi(monkeypatch):
@@ -155,17 +177,18 @@ def test_one_term_ladder_reads_no_psi(monkeypatch):
         conditioned, "psi_x", lambda *a, **k: calls.append(1) or psi_x(*a, **k)
     )
     law = walk.LatticeLaw({-1: Fraction(1, 100), 0: Fraction(49, 50), 1: Fraction(1, 100)})
-    lad = conditioned.q_ladder(conditioned.make_workspace(law, 6, N=64), L=1)
-    assert lad.q.shape == (2, 7) and calls == []
+    q = conditioned.q_ladder(law, _traces(law, 6, 64), 6, L=1)
+    assert q.shape == (2, 7) and calls == []
 
 
-def test_weak_ladder_is_the_standalone_psi_recursion(ws_skewed):
+def test_weak_ladder_is_the_standalone_psi_recursion(skewed, p_skewed):
     # the weak recursion as usually written: a standalone psi_(l-2)(x) term
     # and y = 1..x-1, against the shared recursion's y = x pairing with q_0(0) = 1
     L = 4
-    lad = conditioned.q_ladder(ws_skewed, L=L)
-    psis = {y: conditioned.psi_x(ws_skewed, y, L - 2) for y in range(1, X_MAX + 1)}
-    q = lad.q.copy()
+    got = conditioned.q_ladder(skewed, p_skewed, X_MAX, L=L)
+    thetas = edgeworth.theta_polys(skewed, 6)
+    psis = {y: conditioned.psi_x(thetas, y, p_skewed[y], L - 2) for y in range(1, X_MAX + 1)}
+    q = got.copy()
     q[0, 0] = 0.0
     for ell in range(2, L + 1):
         for x in range(1, X_MAX + 1):
@@ -173,9 +196,9 @@ def test_weak_ladder_is_the_standalone_psi_recursion(ws_skewed):
                 psis[y][j] * q[ell - 2 - j, x - y] for y in range(1, x) for j in range(-1, ell - 1)
             )
             q[ell, x] = -2.0 / ell * acc
-    np.testing.assert_allclose(lad.q[2:, 1:], q[2:, 1:], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got[2:, 1:], q[2:, 1:], rtol=1e-13, atol=0)
 
 
-def test_ladder_needs_enough_thetas(ws_lazy):
+def test_ladder_needs_enough_thetas(lazy, p_lazy):
     with pytest.raises(oracle.TailNotDecayed):
-        conditioned.psi_x(ws_lazy, 1, j_max=12)
+        conditioned.psi_x(edgeworth.theta_polys(lazy, 6), 1, p_lazy[1], j_max=12)

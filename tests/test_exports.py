@@ -3,8 +3,9 @@ every public function and class the module defines.  A module without
 `__all__` exports every public name, so it has nothing to check.  No
 module of the package, the tests or the scripts imports a name it never
 uses.  The benchmark's tracer, which wraps the package from outside,
-still finds every module and argument it binds.  And the package defines
-only what its CLI, scripts and benchmark reach."""
+still finds every module and argument it binds.  The package defines
+only what its CLI, scripts and benchmark reach, and only the CLI and the
+oracle start a sweep."""
 
 import ast
 import importlib
@@ -141,3 +142,24 @@ def test_src_defines_only_what_the_cli_scripts_or_benchmark_reach():
             todo += defs[name] & defs.keys() - reached
     unreached = sorted(where[n] for n in defs.keys() - reached)
     assert not unreached, f"{len(unreached)} definitions only the tests reach: {unreached}"
+
+
+# the oracle's sweeps and the public readers that run them
+_SWEEPS = {"delta_table", "conditioned_table", "tau_tail", "identity_suite", "_sweep_float",
+           "_sweep_exact", "_killed_float", "_residue_reads"}
+
+
+def test_only_the_cli_and_the_oracle_start_a_sweep():
+    # the commands sweep the walk and hand its reads down: no library
+    # consumer sweeps for itself
+    calls = []
+    for p in sorted((ROOT / "src/fluctuator").glob("*.py")):
+        if p.name in ("cli.py", "oracle.py"):
+            continue
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in _SWEEPS:
+                    calls.append(f"{p.stem}:{node.lineno} {name}")
+    assert calls == []

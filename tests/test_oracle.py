@@ -120,7 +120,7 @@ def _mean_zero_laws(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(law=_mean_zero_laws(), N=st.integers(1, 40))
+@given(law=_mean_zero_laws(), N=st.integers(0, 40))
 def test_identity_suite_matches_the_single_checks(law, N):
     ids = oracle.identity_suite(law, N)
     # the residue checks pass where the rational checks find no defect
@@ -140,7 +140,7 @@ def test_identity_suite_matches_the_single_checks(law, N):
 
 
 @settings(max_examples=40, deadline=None)
-@given(law=_mean_zero_laws(), x=st.integers(0, 3), N=st.integers(1, 40))
+@given(law=_mean_zero_laws(), x=st.integers(0, 3), N=st.integers(0, 40))
 def test_tau_tail_sums_the_exact_frames_and_reads_the_float_killed_walk(law, x, N):
     # rational tau_tail sums the exact frames itself: the Fractions of the
     # reference reduction.  Float tau_tail and the suite's P(tau_0 > n) are
@@ -254,13 +254,13 @@ def _exact_reads(law, N, primes):
         return (np.array(rows, dtype=object).T[:, None, :] % q).astype(np.int64)
 
     free, den = [], []
-    for _, lo, alive, _, d in oracle._sweep(law, N, exact=True):
+    for _, lo, alive, _, d in oracle._sweep_exact(law, N):
         free.append([alive[: max(1 - lo, 0)].sum()] + refs._points([-1, -2, -3], lo, alive))
         den.append([d])
-    T = [[alive.sum() for _, _, alive, _, _ in oracle._sweep(law, N, x, 1, exact=True)]
+    T = [[alive.sum() for _, _, alive, _, _ in oracle._sweep_exact(law, N, x, 1)]
          for x in range(4)]
     F = [[alive[: max(x - lo, 0)].sum() for x in (1, 2, 3)]
-         for _, lo, alive, _, _ in oracle._sweep(law.reverse(), N, 0, 0, exact=True)]
+         for _, lo, alive, _, _ in oracle._sweep_exact(law.reverse(), N, 0, 0)]
     return seq(free), seq(np.array(T, dtype=object).T), seq(F), seq(den)[0]
 
 
@@ -451,7 +451,7 @@ def test_delta_table_guards_the_span(monkeypatch, lazy):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep started")
 
-    monkeypatch.setattr(oracle, "_sweep", no_sweep)
+    monkeypatch.setattr(oracle, "_sweep_float", no_sweep)
     with pytest.raises(oracle.ResourceCapExceeded):
         oracle.delta_table(lazy, 64, xs=(0, 1 << 30))
 
@@ -473,20 +473,16 @@ def _full_width_frames(law, N, start, floor):
 
 
 @settings(max_examples=12, deadline=None)
-@given(
-    law=_mean_zero_laws(),
-    N=st.integers(1024, 1536),
-    start=st.integers(0, 4),
-)
+@given(law=_mean_zero_laws(), N=st.integers(1024, 1536))
 # the window's shift tips the rounding of a 6.2e-18 cell at n = 164 by one
 # ulp, 7.7e-34, above the mass term 165 * 6 * 2^-120 = 7.45e-34
 @example(
     law=walk.LatticeLaw({-3: Fraction(33, 314), -2: Fraction(22, 157),
                          -1: Fraction(33, 314), 0: Fraction(62, 157),
                          2: Fraction(10, 157), 3: Fraction(30, 157)}),
-    N=1024, start=0,
+    N=1024,
 )
-def test_live_window_frames_match_full_width_propagator(law, N, start):
+def test_live_window_frames_match_full_width_propagator(law, N):
     # the tails fall below the live-window floor _TINY = 2^-120 well before
     # N: the window skips them, and only the mass it drops may differ, by at
     # most (khi - klo) _TINY per step, in cells far below anything a
@@ -496,9 +492,9 @@ def test_live_window_frames_match_full_width_propagator(law, N, start):
     # Float sweeps are free walks: the killed walk's block sweep has its own
     # test against the exact sweep
     klo, khi = law.support[0], law.support[-1]
-    live = oracle._sweep(law, N, start)
-    for n, ((lo, ref), (_, lo_live, vec, _, _)) in enumerate(
-        zip(_full_width_frames(law, N, start, None), live, strict=True)
+    live = oracle._sweep_float(law, N)
+    for n, ((lo, ref), (lo_live, vec)) in enumerate(
+        zip(_full_width_frames(law, N, 0, None), live, strict=True)
     ):
         assert lo_live == lo and vec.size == ref.size
         seen = ref >= 2.0**-30
@@ -536,7 +532,7 @@ def test_live_window_skips_the_underflowed_tails(monkeypatch, skewed):
     monkeypatch.setattr(np, "zeros", allocating(zeros))
     monkeypatch.setattr(np, "empty", allocating(empty))
     N = 4096
-    for _ in oracle._sweep(skewed, N):
+    for _ in oracle._sweep_float(skewed, N):
         pass
     full = sum(1 + 3 * n for n in range(N))
     assert len(cells) == N
@@ -616,7 +612,7 @@ def test_block_sweep_matches_the_exact_killed_sweep(law, N, start, strict, k):
         # no read columns: another block length and near-floor operator
         bare = oracle.tau_tail(law, start, N, mode="float") if not strict else tail
     want_tail, want_table = [], []
-    for _, lo, alive, _, den in oracle._sweep(law, N, start, floor, exact=True):
+    for _, lo, alive, _, den in oracle._sweep_exact(law, N, start, floor):
         want_tail.append(int(alive.sum()) / den)
         want_table.append([int(m) / den for m in refs._points(range(cols), lo, alive)])
     for got in (tail, bare):
@@ -684,8 +680,11 @@ def test_widest_frame_is_known_before_the_sweep(law, N, start, floor, exact):
     guarded = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_guard", guarded.append)
-        frames = list(oracle._sweep(law, N, start, floor, exact))
-    widths = [len(alive) for _, _, alive, _, _ in frames]
+        oracle._guard_sweep(law, N, start, floor)
+    if exact:
+        widths = [len(alive) for _, _, alive, _, _ in oracle._sweep_exact(law, N, start, floor)]
+    else:
+        widths = [len(vec) for _, vec in oracle._sweep_float(law, N)]
     klo, khi = law.support[0], law.support[-1]
     assert oracle._widest(law, N, start, floor) == max(widths)
     assert guarded == [max(khi - klo + 1, max(widths))]
@@ -713,7 +712,17 @@ def test_oversized_identity_suite_allocates_nothing_beyond_the_budget(monkeypatc
     assert max(sizes, default=0) <= oracle._BLOCK_CELLS
 
 
-def test_oversized_sweep_refused_before_its_first_frame(lazy):
-    # refused when the sweep is made, so a caller may allocate after making it
+def test_oversized_sweep_refused_before_its_first_frame(monkeypatch, lazy):
+    # each caller refuses its sweep before it makes a frame or allocates
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep started")
+
+    for name in ("_sweep_float", "_sweep_exact"):
+        monkeypatch.setattr(oracle, name, no_sweep)
     with pytest.raises(oracle.ResourceCapExceeded):
-        oracle._sweep(lazy, 300_000, 0, 1)
+        oracle._guard_sweep(lazy, 300_000, 0, 1)
+    for mode in ("rational", "float"):
+        with pytest.raises(oracle.ResourceCapExceeded):
+            oracle.tau_tail(lazy, 0, 300_000, mode=mode)
+    with pytest.raises(oracle.ResourceCapExceeded):
+        oracle.delta_table(lazy, 300_000)

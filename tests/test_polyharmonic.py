@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fluctuator import basis, conditioned, oracle, polyharmonic as ph, walk
 
+import oracle_references as refs
 from test_conditioned import _dp_reference, _mean_zero_laws
 
 X_MAX = 24
@@ -19,12 +20,12 @@ WIN = (1, 15)
 
 @pytest.fixture(scope="module")
 def lad_lazy(lazy):
-    return ph.v_ladder(lazy, x_max=X_MAX, J=2, N=1 << 12)
+    return refs.v_ladder_at(lazy, x_max=X_MAX, J=2, N=1 << 12)
 
 
 @pytest.fixture(scope="module")
 def lad_skewed(skewed):
-    return ph.v_ladder(skewed, x_max=X_MAX, J=2, N=1 << 12)
+    return refs.v_ladder_at(skewed, x_max=X_MAX, J=2, N=1 << 12)
 
 
 def test_v1_lazy_is_linear(lad_lazy):
@@ -147,7 +148,7 @@ def test_poly_tail_fit_grid_guard():
 def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
     # one free sweep of the law: Delta_n and, mirrored, the reversed walk's
     # point masses; the ladder heights are a closed form
-    from fluctuator import conditioned, tau0
+    from fluctuator import tau0
 
     calls = []
 
@@ -157,20 +158,17 @@ def test_v_ladder_shares_the_free_sweep(monkeypatch, skewed):
             return sweep(*args, **kwargs)
         return counted
 
-    for name in ("_sweep", "_killed_float"):
+    for name in ("_sweep_float", "_sweep_exact", "_killed_float"):
         monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
-    lad = ph.v_ladder(skewed, x_max=10, J=2, N=512)
+    lad = refs.v_ladder_at(skewed, x_max=10, J=2, N=512)
     assert len(calls) == 1
-    assert lad.nu == tau0.tau0_coeffs(skewed, N=512).nu[:2]
+    assert lad.nu == refs.tau0_coeffs_at(skewed, 512).nu[:2]
 
-    make_workspace = conditioned.make_workspace
-
-    def unshared(law, x_max, N, traces=None):
-        return make_workspace(law, x_max, N)
-
-    monkeypatch.setattr(conditioned, "make_workspace", unshared)
+    # the reversed walk swept on its own: its point masses in place of the mirror
     calls.clear()
-    own = ph.v_ladder(skewed, x_max=10, J=2, N=512)
+    delta, _ = oracle.delta_table(skewed, 512)
+    _, p = oracle.delta_table(skewed.reverse(), 512, xs=range(11))
+    own = ph.v_ladder(skewed, 10, 2, tau0.tau0_coeffs(skewed, delta), {-x: p[x] for x in p})
     assert len(calls) == 2  # the reversed walk swept on its own
     np.testing.assert_allclose(lad.V, own.V, rtol=1e-9, atol=0)
 
@@ -240,7 +238,7 @@ def test_wiener_hopf_matches_the_duality_route_random_laws(law):
     # d up to 3 small roots, complex ones among them: the paper route at
     # N = 4096 agrees
     lad = ph.v_wiener_hopf(law, 10, 2)
-    assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096).V, lad.V, 10) <= 1e-6
+    assert ph.route_gap(refs.v_ladder_at(law, 10, 2, 4096).V, lad.V, 10) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -261,7 +259,7 @@ def test_wiener_hopf_takes_repeated_inside_roots(atoms):
     law = walk.make_law(atoms)
     lad = ph.v_wiener_hopf(law, 10, 2)
     assert np.isfinite(lad.V).all()
-    assert ph.route_gap(ph.v_ladder(law, 10, 2, 4096).V, lad.V, 10) <= 1e-6
+    assert ph.route_gap(refs.v_ladder_at(law, 10, 2, 4096).V, lad.V, 10) <= 1e-6
 
 
 # double: Q = -(4z + 1)^2 / 24, a repeated root inside the circle
@@ -302,8 +300,7 @@ def test_wiener_hopf_u_matches_the_paper_route_random_laws(law):
     _, p = oracle.delta_table(law, n, xs=range(x_max + 1))
 
     def paper(N):
-        ws = conditioned.make_workspace(law, x_max, N, traces={x: p[x][: N + 1] for x in p})
-        return conditioned.q_ladder(ws, 3).q[1::2]
+        return conditioned.q_ladder(law, {x: p[x][: N + 1] for x in p}, x_max, 3)[1::2]
 
     full, half = paper(n), paper(n // 2)
     U = ph.u_wiener_hopf(law, x_max, 2)

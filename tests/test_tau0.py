@@ -15,12 +15,12 @@ N = 1 << 12
 
 @pytest.fixture(scope="module")
 def lazy_coeffs(lazy):
-    return tau0.tau0_coeffs(lazy, N=N)
+    return refs.tau0_coeffs_at(lazy, N)
 
 
 @pytest.fixture(scope="module")
 def skewed_coeffs(skewed):
-    return tau0.tau0_coeffs(skewed, N=N)
+    return refs.tau0_coeffs_at(skewed, N)
 
 
 def test_lazy_nu1_exact_half(lazy_coeffs):
