@@ -6,13 +6,13 @@ float frames (`_sweep_float`) give `delta_table`, and rational `tau_tail`
 sums the exact frames of the killed walk (`_sweep_exact`, also the tests'
 exact reference).  Two loops read only what they need: k-step blocks give
 the float killed walk's totals and table (`_killed_float`), and one residue
-pass that copies O(span) states near 0 a step gives `identity_suite`'s
-exact checks (`_residue_reads`).  Each refuses its sweep (`_guard_sweep`)
-before it allocates anything.
-Everything here is exact (rational mode, or int64 residues modulo primes)
-or plain float arithmetic on exact recursions (float mode).  No
-asymptotics enter: this module is what the expansion modules are tested
-against.
+pass gives `identity_suite`'s exact checks (`_residue_reads`): six walks
+step as the columns of one int64 buffer, which keeps live only the states
+that can still reach the window near 0 it reads.  Each loop refuses its
+sweep before it allocates anything.  Everything here is exact (rational
+mode, or int64 residues modulo primes) or plain float arithmetic on exact
+recursions (float mode); no asymptotics enter, so this module is what the
+expansion modules are tested against.
 """
 
 from __future__ import annotations
@@ -195,20 +195,23 @@ def _residue_reads(law: LatticeLaw, N: int, res: _Residues):
     and F[x - 1] the reversed walk's mass below x under strict killing, that
     is the forward walk killed above 0 on the states 1 - x..0 (x = 1..3).
 
-    The free walk and the walk killed above 0 step as two columns of one
-    ping-pong pair of buffers, T_0..T_3 as four of another, on fixed state
-    grids (refused past STATE_CAP before they are allocated), primes last: a
-    step is one slice-add per atom of the kernel D p mod q over the live
-    states and one copy of O(span) states near 0 into an (N + 1)-row table.
-    Point masses are table cells; a total follows x_n = D x_(n-1) + s_n, s_n
-    the mass that crosses to <= 0 (weights on the window at n - 1) or is
-    killed at step n, which one cumsum unrolls as D**n sum_(m<=n) s_m D**-m.
-    int64 headroom: a step multiplies the bound on the entries by at most
-    `gain` (D when D < q), so live states are reduced mod q only when it
-    could pass 2^63 - 1; the tables are reduced before any product, so a
-    product is below q^2 < 2^48, a window's weighted sum below (span + 4)
-    2^48, and the cumsum of N + 1 reduced terms below (N + 1) q, which
-    `_prime_pool` keeps below 2^63.
+    The free walk, the walk killed above 0 and T_0..T_3 step as six columns
+    of one ping-pong pair of buffers on one state grid, refused past
+    STATE_CAP before it is allocated.  A step is one slice-add per atom of
+    the kernel D p mod q, one copy of the window w0..w1 (-3..0, the states
+    whose mass can cross 0 in a step and T's killed cells) into an
+    (N + 1)-row table, then two zeroings: T's killed cells and the killed
+    walk's cells above 0.  After step n only the states that can still
+    reach the window, w0 - (N - n) khi .. w1 - (N - n) klo, stay live.  That
+    is exact, for no read sums a frame: a point mass is a table cell, and a
+    total follows x_n = D x_(n-1) + s_n, s_n the mass that crosses to <= 0
+    or is killed at step n, which one cumsum unrolls as
+    D**n sum_(m<=n) s_m D**-m.  int64 headroom: a step multiplies the bound
+    on the live entries by at most `gain` (D when D < q), so they are reduced
+    mod q, a prime at a time, only when it could pass 2^63 - 1; the table is
+    reduced before any product, so a product is below q^2 < 2^48, a window's
+    weighted sum below (span + 4) 2^48, and the cumsum of N + 1 reduced terms
+    below (N + 1) q, which `_prime_pool` keeps below 2^63.
     """
     klo, khi = law.support[0], law.support[-1]
     D, k, q = _unit(law), len(res.primes), res.q
@@ -217,78 +220,74 @@ def _residue_reads(law: LatticeLaw, N: int, res: _Residues):
     gain, reduced = int(kern.sum(0).max()), int(q.max()) - 1
     if gain * reduced > _I64:
         raise ResourceCapExceeded(f"kernel row sum {gain} overflows int64 residues")
-    # (offset, factor): None for 1, an int shared by every prime (always when D < q)
-    atoms = {v - klo: col if (col != col[0]).any() else None if col[0] == 1 else col[0]
+    # offset: factor, None for 1, one int for every prime (always when D < q), or a row
+    spread = bool((kern != kern[:, :1]).any())
+    atoms = {v - klo: col if spread else None if col[0] == 1 else col[0]
              for v, col in zip(vs, kern)}
-    # grids: the free walk's N klo..N khi and its window a0..a1 (-3..0 and the states
-    # whose mass can cross 0 in a step); T's killed cells t0..0 and the alive ones
+    # the window w0..w1 = a1: -3..0, the states whose mass crosses 0 in a step (a0..a1)
+    # and T's killed cells t0..0; the grid: every state reached, N klo..3 + N khi
     a0, a1, t0 = min(-3, 1 - khi), max(0, -klo), min(klo, 0)
-    g0 = min(N * klo, a0)
-    rows_a, rows_t = max(N * khi, a1) - g0 + 1, max(3 + N * khi, 3) - t0 + 1
-    _guard(max(rows_a, rows_t))
-    A = [np.zeros((rows_a, 2, k), dtype=np.int64) for _ in range(2)]
-    T = [np.zeros((rows_t, 4, k), dtype=np.int64) for _ in range(2)]
-    A[0][-g0] = 1
-    T[0][np.arange(4) - t0, np.arange(4)] = 1
-    win_a, win_t = slice(a0 - g0, a1 - g0 + 1), slice(0, 1 - t0)
-    up = slice(1 - g0, 1 - g0 + max(khi, 0))  # where the walk killed above 0 dies
-    tab_a = np.zeros((N + 1, a1 - a0 + 1, 2, k), dtype=np.int64)
-    tab_t = np.zeros((N + 1, 1 - t0, 4, k), dtype=np.int64)
-    tab_a[0] = A[0][win_a]
-
-    def step(src, dst, lo, hi, last, i0):
-        """src's rows lo..hi - 1 convolved into dst, 0 outside its last write:
-        the atom at i0 assigns, the rest of that write is zeroed, the others add."""
-        w, s, out = hi - lo, src[lo:hi], dst[lo + klo :]
-        top, bot = min(lo + klo + i0, last[1]), max(hi + klo + i0, last[0])
-        if top > last[0]:
-            dst[last[0] : top] = 0
-        if last[1] > bot:
-            dst[bot : last[1]] = 0
-        out[i0 : i0 + w] = s if atoms[i0] is None else atoms[i0] * s
-        for i, f in atoms.items():
-            if i != i0:
-                out[i : i + w] += s if f is None else f * s
-        return lo + klo, hi + khi
-
-    # the atom that assigns: on growing frames one in [-khi, -klo] covers the frame
-    # before last; T_0..T_3 write from the killed cell 1 + klo, which only klo covers
-    i0 = 0 if -klo <= khi else khi - klo
-    la, ha, lt, ht = -g0, 1 - g0, -t0, 4 - t0  # the live rows
-    last_a, last_t = [(la, ha), (0, 0)], [(lt, ht), (0, 0)]
-    bound = 1
-    for n in range(1, N + 1):
-        src, dst = n & 1 ^ 1, n & 1
+    w0, g0 = min(a0, t0), min(N * klo, a0, t0)
+    rows = max(3 + N * max(khi, 0), a1) - g0 + 1
+    _guard(rows)
+    # (states, columns, primes): primes last in memory, or first if the factors differ by prime
+    B = [np.zeros((k, rows, 6), dtype=np.int64).transpose(1, 2, 0) if spread
+         else np.zeros((rows, 6, k), dtype=np.int64) for _ in range(2)]
+    B[0][np.array([0, 0, 0, 1, 2, 3]) - g0, np.arange(6)] = 1  # T_x starts at x, the rest at 0
+    win, dead, up = (slice(w0 - g0, a1 - g0 + 1), slice(t0 - g0, 1 - g0),
+                     slice(1 - g0, 1 - g0 + max(khi, 0)))
+    tab = np.empty((N + 1, a1 - w0 + 1, 6, k), dtype=np.int64)
+    tab[0] = B[0][win]
+    # the atom that assigns: one in [-khi, -klo] (klo or khi is one), which covers dst's last
+    # write on growing frames, with a factor other than 1 if one has it, multiplied in place
+    i0 = max((v - klo for v in vs if -khi <= v <= -klo), key=lambda i: atoms[i] is not None,
+             default=0)
+    f0 = atoms.pop(i0)
+    f0 = 1 if f0 is None else f0
+    # live rows after step n: the states reached by then that can reach the window by N
+    ns = np.arange(N + 1)
+    los = np.maximum(ns * klo, w0 - (N - ns) * max(khi, 0)) - g0
+    his = np.maximum(los, np.minimum(4 + ns * khi, a1 + 1 + (N - ns) * max(-klo, 0)) - g0)
+    last, bound = [(-g0, 4 - g0), (0, 0)], 1  # each buffer's last write
+    for n, lo, hi in zip(range(1, N + 1), los.tolist(), his.tolist()):
+        src, dst = B[n & 1 ^ 1], B[n & 1]
         if bound * gain > _I64:
-            np.remainder(A[src][la:ha], q, out=A[src][la:ha])
-            np.remainder(T[src][lt:ht], q, out=T[src][lt:ht])
+            live = src[lo:hi]
+            for j, qj in enumerate(res.primes):
+                np.remainder(live[..., j], qj, out=live[..., j])
             bound = reduced
         bound *= gain
-        last_a[dst] = la, ha = step(A[src], A[dst], la, ha, last_a[dst], i0)
-        A[dst][up, 1] = 0
-        tab_a[n] = A[dst][win_a]
-        if ht > lt:
-            last_t[dst] = lt, ht = step(T[src], T[dst], lt, ht, last_t[dst], 0)
-            tab_t[n] = T[dst][win_t]
-            lt = max(lt, 1 - t0)
+        # dst is 0 outside its last write: zero what the assigning atom misses
+        a, b, (l0, l1) = lo + klo + i0, hi + klo + i0, last[n & 1]
+        if a > l0:
+            dst[l0 : a if a < l1 else l1] = 0
+        if l1 > b:
+            dst[b if b > l0 else l0 : l1] = 0
+        s, out = src[lo:hi], dst[lo + klo :]
+        np.multiply(s, f0, out=out[i0 : i0 + hi - lo])
+        for i, f in atoms.items():
+            out[i : i + hi - lo] += s if f is None else f * s
+        last[n & 1] = lo + klo, hi + khi
+        tab[n] = dst[win]
+        dst[dead, 2:] = 0
+        dst[up, 1] = 0
 
-    tab_a %= q
-    den = np.ones((N + 1, 1, k), dtype=np.int64)  # D**n by doubling: D**m times rows 0..m - 1
-    m, Dq = 1, np.array([D % qi for qi in res.primes])
-    while m <= N:
+    for j, qj in enumerate(res.primes):
+        np.remainder(tab[..., j], qj, out=tab[..., j])
+    den, Dq = np.ones((N + 1, 1, k), dtype=np.int64), np.array([D % qi for qi in res.primes])
+    for m in (1 << i for i in range(N.bit_length())):  # D**n: D**m times rows 0..m - 1
         den[m : 2 * m] = den[: min(m, N + 1 - m)] * (den[m - 1] * Dq % q) % q
-        m *= 2
     inv = den[::-1] * [pow(D, -N, qi) for qi in res.primes] % q  # D**-n = D**(N - n) D**-N
     # s_n: the mass crossing to <= 0 (frame n - 1's state z sends sum_(v <= -z) D p_v
     # there and had all D there when z <= 0), and T_0..T_3's killed mass, negated
     zs = np.arange(a0, a1 + 1)[:, None]
     wts = ((np.array(vs) <= -zs) @ kern - (zs <= 0) * kern.sum(0)) % q
     inc = np.ones((N + 1, 5, k), dtype=np.int64)
-    inc[1:, 0] = (tab_a[:-1, :, 0] * wts).sum(1)
-    inc[1:, 1:] = -(tab_t[1:] % q).sum(1)
+    inc[1:, 0] = (tab[:-1, a0 - w0 :, 0] * wts).sum(1)
+    inc[1:, 1:] = -tab[1:, t0 - w0 : 1 - w0, 2:].sum(1)
     x = (np.cumsum(inc % q * inv % q, axis=0) % q * den % q).transpose(1, 2, 0)
-    free = np.concatenate((x[:1], tab_a[:, [-1 - a0, -2 - a0, -3 - a0], 0].transpose(1, 2, 0)))
-    F = np.cumsum(tab_a[:, [-a0, -1 - a0, -2 - a0], 1], axis=1) % q
+    free = np.concatenate((x[:1], tab[:, [-1 - w0, -2 - w0, -3 - w0], 0].transpose(1, 2, 0)))
+    F = np.cumsum(tab[:, [-w0, -1 - w0, -2 - w0], 1], axis=1) % q
     return free, x[1:], F.transpose(1, 2, 0), den[:, 0].T
 
 

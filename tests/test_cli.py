@@ -737,8 +737,8 @@ def test_taux_and_verify_certify_alike(tmp_path, capsys):
     assert _run(["verify"] + common) == cli.EXIT_PASS
     lines = capsys.readouterr().out.splitlines()
     for name, key, measure in (
-        ("polyharmonic V1", "harmonic_defect_V1", "defect"),
-        ("polyharmonic V2 identity", "v2_identity_residual", "residual"),
+        ("polyharmonic V1", "harmonic_defect_V1", "relative defect"),
+        ("polyharmonic V2 identity", "v2_identity_residual", "relative residual"),
         ("polyharmonic V2 (P-I)^2", "biharmonic_defect_V2_rel", "relative defect"),
     ):
         line = next(ln for ln in lines if ln.startswith(name + " "))

@@ -280,6 +280,11 @@ _D70 = (1 << 70) + 25
                               1: Fraction(3, _D70)}), N=64)  # a kernel per prime
 @example(law=walk.LatticeLaw({-1: Fraction(5, 6), 5: Fraction(1, 6)}), N=64)  # wide windows
 @example(law=walk.LatticeLaw({-5: Fraction(1, 6), 1: Fraction(5, 6)}), N=64)
+# past N = 64 the pass drops most states in its second half: only those that
+# can still reach the window near 0 by step N stay live
+@example(law=walk.skewed_walk(), N=301)
+@example(law=walk.LatticeLaw({-1: Fraction(5, 6), 5: Fraction(1, 6)}), N=256)
+@example(law=walk.LatticeLaw({-5: Fraction(1, 6), 1: Fraction(5, 6)}), N=256)
 def test_residue_reads_are_the_exact_sweeps_reduced(law, N):
     # the residue pass copies a window near 0 a step and unrolls the totals
     # by D**-n: its reads equal, residue for residue, those of the

@@ -433,3 +433,16 @@ def test_ladder_renewal_matches_dp_on_a_wide_law():
     green[0] += 1.0  # the n = 0 atom
     gap = np.abs(oracle.ladder_renewal(law, x_max) - green) / green
     assert gap.max() <= 1e-8 + (drift / green).max(), (gap, drift / green)
+
+
+def test_certify_fails_a_one_point_error_of_1e_6_in_v2(skewed):
+    # each line is relative to the window's sup of the V_j checked, and its
+    # limit of 1e-9 sits 7000 times above what the closed form reads: V_2(10)
+    # off by a factor 1 + 1e-6 reads 2.6e-8 on the identity line
+    lad = ph.v_wiener_hopf(skewed, ph.ladder_reach(skewed, 30, 2), 2)
+    assert all(c.passed for c in ph.certify(skewed, lad, 30))
+    V = lad.V.copy()
+    V[1, 10] *= 1 + 1e-6
+    checks = {c.name: c for c in ph.certify(skewed, dataclasses.replace(lad, V=V), 30)}
+    assert not checks["polyharmonic V2 identity"].passed
+    assert checks["polyharmonic V2 identity"].value > 10 * ph.CERTIFY_TOL
