@@ -171,15 +171,15 @@ def _cmd_expand_taux(args) -> int:
         "model": law_to_json(law),
         "nu": {f"nu_{j}": _num(ladder.nu[j - 1], "wiener-hopf") for j in range(1, J + 1)},
         "V": {
-            f"V_{j}": {str(x): _num(ladder[j][x], "wiener-hopf") for x in range(args.x_max + 1)}
-            for j in range(1, J + 1)
+            f"V_{j}": {str(x): _num(v, "wiener-hopf") for x, v in enumerate(row)}
+            for j, row in enumerate(ladder.V[:, : args.x_max + 1].tolist(), 1)
         },
     }
     if law.left_continuous:
         lc = polyharmonic.v_leftcont(law, args.x_max, J)
         doc["V_leftcont"] = {
-            f"V_{j}": {str(x): _num(lc[j][x], "analytic") for x in range(args.x_max + 1)}
-            for j in range(1, J + 1)
+            f"V_{j}": {str(x): _num(v, "analytic") for x, v in enumerate(row)}
+            for j, row in enumerate(lc.V.tolist(), 1)
         }
     checks = polyharmonic.certify(law, ladder, args.x_max) if args.check_polyharmonic else ()
     if checks:

@@ -120,10 +120,11 @@ def partition_tuples(nu: int) -> list[tuple[int, ...]]:
 
 
 @cache
-def _theta_terms(J: int) -> dict[tuple[int, int], dict[tuple, tuple[Fraction, int]]]:
-    """The law-free table of theta_polys: (j, p) -> {ks: (c, a)}, so that
-    the coefficient of x^p in the n^-(j+1/2) ladder term is
-    sum c prod_m kappa_(m+2)^(k_m) / v^a over sqrt(2 pi v), ks the pairs
+def _theta_terms(J: int) -> dict[tuple[int, int], tuple[int, tuple]]:
+    """The law-free integer table of theta_polys: (j, p) -> (L, ((c, ks, e),
+    ...)), so that the coefficient of x^p in the n^-(j+1/2) ladder term is
+    D^p sum c prod_m K_(m+2)^(k_m) K_2^e / (L K_2^(3j - p)) over sqrt(2 pi v),
+    K_m = D^m kappa_m with D the lcm of the atom denominators, ks the pairs
     (m + 2, k_m) with k_m > 0.
 
     It expands (1/(sigma sqrt(n))) [phi(t) + sum q_nu(t) n^(-nu/2)], t =
@@ -133,7 +134,9 @@ def _theta_terms(J: int) -> dict[tuple[int, int], dict[tuple, tuple[Fraction, in
     (-1)^k x^(2k) / (k! (2 v n)^k) / sqrt(2 pi v n).  x^q of He_(nu+2s)
     and the k-th of these land in j = (2k + q + nu) / 2 at p = 2k + q.
     He_(nu+2s) has only powers q = nu (mod 2), so sigma appears to the
-    even power -(nu + 2s + p) beside the 1 / sqrt(2 pi v)."""
+    even power -(nu + 2s + p) = -2(j + s) beside the 1 / sqrt(2 pi v).  As
+    sum (m + 2) k_m = nu + 2s, a term (c / L) prod kappa_(m+2)^(k_m) / v^(j+s)
+    is D^p (c / L) prod K_(m+2)^(k_m) K_2^e / K_2^(3j - p) with e = nu - s."""
     table: dict = {(j, p): {} for j in range(J + 1) for p in range(2 * j + 1)}
     for nu in range(2 * J + 1):
         for ks in partition_tuples(nu) if nu else [()]:
@@ -150,7 +153,10 @@ def _theta_terms(J: int) -> dict[tuple[int, int], dict[tuple, tuple[Fraction, in
                     d_k = Fraction((-1) ** k, math.factorial(k) * 2**k)
                     terms = table[(p + nu) // 2, p]
                     c, _ = terms.get(key, (0, 0))
-                    terms[key] = (c + w * d_k * hq, (nu + 2 * s + p) // 2)
+                    terms[key] = (c + w * d_k * hq, nu - s)
+    for jp, terms in table.items():
+        L = math.lcm(*(c.denominator for c, _ in terms.values()))
+        table[jp] = L, tuple((int(c * L), ks, e) for ks, (c, e) in terms.items() if c)
     return table
 
 
@@ -159,19 +165,22 @@ def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
     p_n(x) ~ sum_j theta_j(x) a_(n-1)^(j+1); theta_j has degree exactly 2j.
 
     The n^(-(j+1/2)) ladder of the Edgeworth expansion (_theta_terms) is
-    summed in exact rationals, divided by sqrt(2 pi v) and converted to the
-    shifted a-basis in 40-digit mpmath, then rounded once.
+    summed in integers to one rational a coefficient, divided by sqrt(2 pi v)
+    and converted to the shifted a-basis in 40-digit mpmath, then rounded once.
     """
     law.require_expansion_ready()
     J = r // 2
     kappas = law.cumulants(2 * J + 2)
-    v = kappas[1]
+    v, D = kappas[1], math.lcm(*(p.denominator for p in law.atoms.values()))
+    K = [k.numerator * (D**m // k.denominator) for m, k in enumerate(kappas, 1)]  # D^m kappa_m
     f = [[Fraction(0)] * (2 * j + 1) for j in range(J + 1)]
-    for (j, p), terms in _theta_terms(J).items():
-        for ks, (c, a) in terms.items():
+    for (j, p), (L, terms) in _theta_terms(J).items():
+        acc = 0
+        for c, ks, e in terms:
             for order, km in ks:
-                c *= kappas[order - 1] ** km
-            f[j][p] += c / v**a
+                c *= K[order - 1] ** km
+            acc += c * K[1] ** e
+        f[j][p] = Fraction(D**p * acc, L * K[1] ** (3 * j - p))
 
     with mp.workdps(40):
         root = mp.sqrt(2 * mp.pi * v.numerator / v.denominator)

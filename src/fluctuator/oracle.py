@@ -58,7 +58,11 @@ _TINY = 2.0**-120
 _BLOCK_CELLS = 1 << 17
 _I64 = (1 << 63) - 1
 _Q_LO = 1 << 23  # residue primes lie above this
-_ODDS = np.arange(3, 4096, 2)  # trial divisors of a residue prime < 2^24
+# the odd primes below 4096, trial divisors of a residue prime < 2^24, sieved by the odd d < 64
+_ODD_PRIMES = np.arange(3, 4096, 2)
+for _d in range(3, 64, 2):
+    _ODD_PRIMES = _ODD_PRIMES[(_ODD_PRIMES % _d != 0) | (_ODD_PRIMES == _d)]
+del _d
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -202,7 +206,8 @@ def _residue_reads(law: LatticeLaw, N: int, res: _Residues):
     whose mass can cross 0 in a step and T's killed cells) into an
     (N + 1)-row table, then two zeroings: T's killed cells and the killed
     walk's cells above 0.  After step n only the states that can still
-    reach the window, w0 - (N - n) khi .. w1 - (N - n) klo, stay live.  That
+    reach a read, w0 - (N - n) khi .. -(N - n) klo, stay live: the cells
+    above 0 are read only up to frame N - 1, by the crossing weights.  That
     is exact, for no read sums a frame: a point mass is a table cell, and a
     total follows x_n = D x_(n-1) + s_n, s_n the mass that crosses to <= 0
     or is killed at step n, which one cumsum unrolls as
@@ -244,10 +249,10 @@ def _residue_reads(law: LatticeLaw, N: int, res: _Residues):
              default=0)
     f0 = atoms.pop(i0)
     f0 = 1 if f0 is None else f0
-    # live rows after step n: the states reached by then that can reach the window by N
+    # live rows after step n: the states reached by then that can still reach a read
     ns = np.arange(N + 1)
     los = np.maximum(ns * klo, w0 - (N - ns) * max(khi, 0)) - g0
-    his = np.maximum(los, np.minimum(4 + ns * khi, a1 + 1 + (N - ns) * max(-klo, 0)) - g0)
+    his = np.maximum(los, np.minimum(4 + ns * khi, 1 + (N - ns) * max(-klo, 0)) - g0)
     last, bound = [(-g0, 4 - g0), (0, 0)], 1  # each buffer's last write
     for n, lo, hi in zip(range(1, N + 1), los.tolist(), his.tolist()):
         src, dst = B[n & 1 ^ 1], B[n & 1]
@@ -727,9 +732,9 @@ def _draw_primes(law: LatticeLaw, N: int, D: int) -> tuple[tuple[int, ...], int]
     rng = random.Random(json.dumps(law_to_json(law)))
     primes: list[int] = []
     while len(primes) < RESIDUE_PRIMES:
-        q = rng.randrange(_Q_LO + 1, hi, 2)  # odd q < 2^24 is prime when no odd d < 4096 divides it
+        q = rng.randrange(_Q_LO + 1, hi, 2)  # odd q < 2^24 is prime when no odd prime < 4096 does
         # (the gcd with 3 5 7 11 13 turns most composites away before the full trial division)
-        if math.gcd(q, 15015) == 1 and (q % _ODDS).all() and D % q and q not in primes:
+        if math.gcd(q, 15015) == 1 and (q % _ODD_PRIMES).all() and D % q and q not in primes:
             primes.append(q)
     return tuple(primes), pool
 
@@ -809,25 +814,25 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q = z^d (1 - phi(z)) / (z - 1)^2 for jumps in [-d, h] and the monic
     factors of its d - 1 roots inside and h - 1 outside the unit circle, as
     floats, highest power first: the Wiener-Hopf factors at s = 1 (Feller,
-    Vol. II, Ch. XII).  Q is divided exactly: in floats the double root at 1
-    splits and its halves get misclassified.  Raises LawError when the roots
-    split otherwise, and refuses degree d + h - 2 above ROOT_DEGREE_CAP first."""
+    Vol. II, Ch. XII).  Q is divided exactly, in integers times D = `_unit`, as
+    floats split the double root at 1 and misclassify its halves.  Raises LawError
+    when the roots split otherwise; refuses degree d + h - 2 > ROOT_DEGREE_CAP first."""
     law.require_expansion_ready()
     d, h = -law.support[0], law.support[-1]
     if d + h - 2 > ROOT_DEGREE_CAP:
         raise ResourceCapExceeded(
             f"ladder root-finding degree {d + h - 2} exceeds cap {ROOT_DEGREE_CAP}"
         )
-    # z^d (1 - phi(z)), highest power first: z^(v + d) sits at index h - v
-    c = [Fraction(0)] * (d + h + 1)
-    c[h] += 1
+    # D z^d (1 - phi(z)), highest power first: z^(v + d) sits at index h - v
+    c, D = [0] * (d + h + 1), _unit(law)
+    c[h] += D
     for v, p in law.atoms.items():
-        c[h - v] -= p
+        c[h - v] -= p.numerator * (D // p.denominator)
     for _ in range(2):  # synthetic division by z - 1; the remainder is 0
         for i in range(1, len(c)):
             c[i] += c[i - 1]
         c.pop()
-    q = np.array([float(a) for a in c])
+    q = np.array([a / D for a in c])  # int / int rounds correctly, as float(Fraction) does
     roots = np.roots(q)
     inside, outside = roots[np.abs(roots) < 1.0], roots[np.abs(roots) > 1.0]
     if (inside.size, outside.size) != (d - 1, h - 1):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -113,12 +114,17 @@ def v_ladder(
     return VLadder(V=V, nu=tuple(coeffs.nu[:J]))
 
 
+@cache
+def _lags(M: int) -> tuple[np.ndarray, np.ndarray]:
+    lag = np.arange(M) - np.arange(M)[:, None]  # m - c at [c, m], one per size
+    return lag >= 0, np.maximum(lag, 0)
+
+
 def _toeplitz(b: np.ndarray) -> np.ndarray:
     """The upper triangular Toeplitz matrices of the power series b in t
     (last axis), b[..., m - c] at [..., c, m]: a @ _toeplitz(b) is a b."""
-    M = b.shape[-1]
-    lag = np.arange(M) - np.arange(M)[:, None]
-    return np.where(lag >= 0, b[..., np.maximum(lag, 0)], 0.0)
+    mask, idx = _lags(b.shape[-1])
+    return np.where(mask, b[..., idx], 0.0)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,21 +142,24 @@ def _recur(rows: np.ndarray, E: np.ndarray, k: int) -> None:
 
 def _compose(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """C(z(t)) for the polynomial c (highest power first), by Horner."""
-    out = np.zeros_like(z)
+    out, T = np.zeros_like(z), _toeplitz(z)
     for ck in c:
-        out = _mul(out, z)
+        out = out @ T
         out[0] += ck
     return out
 
 
 def _factor(g: np.ndarray, p: np.ndarray, a0: np.ndarray, M: int) -> np.ndarray:
     """Hensel lifting: the monic factor A of g + t^2 P with A = a0 at t = 0,
-    g = a0 b0, as rows of t-coefficients, (len(a0), M).  Order k solves
-    a0 B_k + b0 A_k = [k = 2] P - sum_(0<i<k) A_i B_(k-i) in the Sylvester
-    matrix of a0 and b0, nonsingular when they share no root: repeated
-    roots within a0 cost nothing."""
+    g = a0 b0 (b0 by np.polydiv's synthetic division, bit for bit), as rows
+    of t-coefficients, (len(a0), M).  Order k solves a0 B_k + b0 A_k =
+    [k = 2] P - sum_(0<i<k) A_i B_(k-i) in the Sylvester matrix of a0 and b0,
+    nonsingular when they share no root: repeated roots within a0 cost nothing."""
     d, n = len(a0), len(g)
-    b0 = np.polydiv(g, a0)[0]
+    b0, r = np.zeros(n - d + 1), g.copy()  # polydiv would also trim the unused remainder
+    for k in range(n - d + 1):
+        b0[k] = 1.0 / a0[0] * r[k]
+        r[k : k + d] -= b0[k] * a0
     S = np.zeros((n, n))
     for i in range(n - d + 1):
         S[i : i + d, i] = a0
@@ -163,7 +172,8 @@ def _factor(g: np.ndarray, p: np.ndarray, a0: np.ndarray, M: int) -> np.ndarray:
     A[0], B[0] = a0, b0
     for k in range(1, M):
         rhs = p * (k == 2) - sum(np.convolve(A[i], B[k - i]) for i in range(1, k))
-        B[k], A[k, 1:] = np.split(Sinv @ rhs, [n - d + 1])
+        x = Sinv @ rhs
+        B[k], A[k, 1:] = x[: n - d + 1], x[n - d + 1 :]
     return A.T
 
 

@@ -3,7 +3,9 @@ survival frames, the rational single identity checks, the killed-walk
 recurrence, the closed-form ladder heights, the Monte Carlo estimator of
 P(tau_x > n), the reparametrized mu closed form and the exact a-basis
 sequences and tail sums.  Also the paper routes at a horizon N, each from
-its own free sweep, and the fitted decay exponent of an error sequence.
+its own free sweep, the fitted decay exponent of an error sequence, and the
+closed-form kernels as first written (a Toeplitz matrix built per product,
+np.polydiv, Fraction sums), which the rewritten ones match bit for bit.
 
 The checks reduce the exact frames of `oracle._sweep_exact` (`_reduce`)
 and score them with the residual functions `identity_suite` runs
@@ -21,8 +23,9 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
+from mpmath import mp
 
-from fluctuator import oracle, polyharmonic, tau0
+from fluctuator import basis, edgeworth, oracle, polyharmonic, tau0
 from fluctuator.walk import LatticeLaw
 
 
@@ -337,3 +340,81 @@ def decay_exponent(ns: np.ndarray, err: np.ndarray) -> float:
     if nz.sum() < 3:
         return float("nan")
     return float(-np.polyfit(np.log(ns[nz]), np.log(err[nz]), 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# the closed-form kernels as first written
+
+
+def toeplitz(b: np.ndarray) -> np.ndarray:
+    """`polyharmonic._toeplitz` with the lag mask and index built per call."""
+    M = b.shape[-1]
+    lag = np.arange(M) - np.arange(M)[:, None]
+    return np.where(lag >= 0, b[..., np.maximum(lag, 0)], 0.0)
+
+
+def compose(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`polyharmonic._compose` with one Toeplitz matrix of z per coefficient."""
+    out = np.zeros_like(z)
+    for ck in c:
+        out = out @ toeplitz(z)
+        out[0] += ck
+    return out
+
+
+def factor(g: np.ndarray, p: np.ndarray, a0: np.ndarray, M: int) -> np.ndarray:
+    """`polyharmonic._factor` with b0 from np.polydiv and the solution cut by np.split."""
+    d, n = len(a0), len(g)
+    b0 = np.polydiv(g, a0)[0]
+    S = np.zeros((n, n))
+    for i in range(n - d + 1):
+        S[i : i + d, i] = a0
+    for k in range(d - 1):
+        S[k + 1 : k + n - d + 2, n - d + 1 + k] = b0
+    Sinv = np.linalg.lstsq(S, np.eye(n), rcond=None)[0]
+    A, B = np.zeros((M, d)), np.zeros((M, n - d + 1))
+    A[0], B[0] = a0, b0
+    for k in range(1, M):
+        rhs = p * (k == 2) - sum(np.convolve(A[i], B[k - i]) for i in range(1, k))
+        B[k], A[k, 1:] = np.split(Sinv @ rhs, [n - d + 1])
+    return A.T
+
+
+def ladder_q(law: LatticeLaw) -> np.ndarray:
+    """Q = z^d (1 - phi(z)) / (z - 1)^2 of `oracle.ladder_roots`, divided in
+    Fractions and rounded a coefficient at a time."""
+    d, h = -law.support[0], law.support[-1]
+    c = [Fraction(0)] * (d + h + 1)
+    c[h] += 1
+    for v, p in law.atoms.items():
+        c[h - v] -= p
+    for _ in range(2):
+        for i in range(1, len(c)):
+            c[i] += c[i - 1]
+        c.pop()
+    return np.array([float(a) for a in c])
+
+
+def theta_polys(law: LatticeLaw, r: int) -> list[edgeworth.Polynomial]:
+    """`edgeworth.theta_polys` with every term of `edgeworth._theta_terms`
+    summed in Fractions of the cumulants, c / L prod kappa^k / v^(j + s)."""
+    J = r // 2
+    kappas = law.cumulants(2 * J + 2)
+    v = kappas[1]
+    f = [[Fraction(0)] * (2 * j + 1) for j in range(J + 1)]
+    for (j, p), (L, terms) in edgeworth._theta_terms(J).items():
+        for c, ks, e in terms:
+            c = Fraction(c, L)
+            for order, km in ks:
+                c *= kappas[order - 1] ** km
+            f[j][p] += c / v ** (3 * j - p - e)  # j + s, e = nu - s, nu = 2j - p
+    with mp.workdps(40):
+        root = mp.sqrt(2 * mp.pi * v.numerator / v.denominator)
+        thetas = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
+        for i in range(J + 1):
+            conv = basis.power_to_shifted_basis(i + 1, J + 1)
+            row = [mp.mpf(c.numerator) / c.denominator / root for c in f[i]]
+            for k, gamma in conv.coefficients.items():
+                for p, c in enumerate(row):
+                    thetas[k - 1][p] += mp.mpf(gamma) * c
+    return [edgeworth.Polynomial.from_coeffs([float(c) for c in row]) for row in thetas]

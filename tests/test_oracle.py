@@ -3,6 +3,7 @@ closure and ladder renewal, checked against the references of
 `oracle_references` (exact pmf tables, the rational single identity
 checks, the closed-form ladder heights and the MC estimator)."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +286,8 @@ _D70 = (1 << 70) + 25
 @example(law=walk.skewed_walk(), N=301)
 @example(law=walk.LatticeLaw({-1: Fraction(5, 6), 5: Fraction(1, 6)}), N=256)
 @example(law=walk.LatticeLaw({-5: Fraction(1, 6), 1: Fraction(5, 6)}), N=256)
+# the top live state after step n is (N - n)(-klo): frame N - 1 reads state -klo
+@example(law=walk.lazy_walk(), N=1)
 def test_residue_reads_are_the_exact_sweeps_reduced(law, N):
     # the residue pass copies a window near 0 a step and unrolls the totals
     # by D**-n: its reads equal, residue for residue, those of the
@@ -293,6 +296,20 @@ def test_residue_reads_are_the_exact_sweeps_reduced(law, N):
     got = oracle._residue_reads(law, N, oracle._Residues(primes))
     for g, w in zip(got, _exact_reads(law, N, primes), strict=True):
         assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("N", [64, 2048])
+def test_residue_primes_are_pinned(lazy, skewed, N):
+    # trial division by the odd primes below 4096 decides each odd q < 2^24
+    # as division by every odd number below 4096 did: the same primes a law
+    p03v2 = walk.LatticeLaw({-1: Fraction(24, 65), 0: Fraction(2, 5), 1: Fraction(6, 65),
+                             2: Fraction(9, 65)})
+    assert oracle._ODD_PRIMES.tolist() == [
+        p for p in range(3, 4096, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+    for law, primes in ((lazy, (13528813, 15530323, 10472237)),
+                        (skewed, (9431479, 9026639, 13644329)),
+                        (p03v2, (13106857, 15197263, 16313971))):
+        assert oracle._draw_primes(law, N, oracle._unit(law)) == (primes, 504756)
 
 
 def test_residue_primes_are_deterministic_and_refused_past_int64(lazy, skewed):

@@ -3,13 +3,14 @@ tail structure."""
 
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fluctuator import basis, conditioned, oracle, polyharmonic as ph, walk
+from fluctuator import basis, conditioned, edgeworth, oracle, polyharmonic as ph, walk
 
 import oracle_references as refs
 from test_conditioned import _dp_reference, _mean_zero_laws
@@ -446,3 +447,57 @@ def test_certify_fails_a_one_point_error_of_1e_6_in_v2(skewed):
     checks = {c.name: c for c in ph.certify(skewed, dataclasses.replace(lad, V=V), 30)}
     assert not checks["polyharmonic V2 identity"].passed
     assert checks["polyharmonic V2 identity"].value > 10 * ph.CERTIFY_TOL
+
+
+@st.composite
+def _heavy_laws(draw):
+    """Mean-zero span-1 rational laws on [-3, 3] with integer weights up to 1000."""
+    w = {v: draw(st.integers(0, 1000)) for v in (-3, -2, -1, 1, 2, 3)}
+    for side in (-1, 1):
+        if not any(c for v, c in w.items() if v * side > 0):
+            w[side] = 1
+    left = sum(-v * c for v, c in w.items() if v < 0)
+    right = sum(v * c for v, c in w.items() if v > 0)
+    weights = {v: c * (right if v < 0 else left) for v, c in w.items() if c}
+    weights[0] = draw(st.integers(0, 1000)) * (left + right)
+    total = sum(weights.values())
+    law = walk.make_law({v: Fraction(c, total) for v, c in weights.items() if c})
+    assume(law.span == 1)
+    return law
+
+
+EPS = Fraction(1, 10**8)  # inside and outside roots of Q close in on -1 from both sides
+NEAR_PERIODIC = walk.make_law({-2: (1 - EPS) / 2, -1: EPS / 2, 1: EPS / 2, 2: (1 - EPS) / 2})
+# atoms over 3^45: Q's integer coefficients pass 2^53, so rounding one before
+# dividing by D would move q
+_Y, _Z = 315503156436873260706, 322063399262219338937
+BIG_D = walk.make_law({v: Fraction(c, 3**45) for v, c in
+                       {-1: _Y + 2 * _Z, 0: 3**45 - 2 * _Y - 3 * _Z, 1: _Y, 2: _Z}.items()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(law=_heavy_laws(), J=st.integers(1, 4))
+@example(law=DOUBLE, J=4)
+@example(law=NEAR_PERIODIC, J=4)
+@example(law=BIG_D, J=3)
+@example(law=up_law(120), J=2)
+@example(law=up_law(120).reverse(), J=2)
+def test_closed_form_kernels_are_their_first_form_bit_for_bit(law, J):
+    # the kernels build once what depends only on sizes or on the law's
+    # integers; as first written, with a Toeplitz matrix per product,
+    # np.polydiv and Fraction sums, they give the same floats bit for bit
+    q, inside, _ = oracle.ladder_roots(law)
+    assert np.array_equal(q, refs.ladder_q(law))
+    R, p = ph._side_factor(law, q, inside, 2 * J)
+    g = np.eye(1, p.size, law.support[-1])[0] - p  # z^d (1 - phi(z))
+    for b in (R, p):
+        assert np.array_equal(ph._toeplitz(b), refs.toeplitz(b))
+    assert np.array_equal(ph._compose(p, R[1]), refs.compose(p, R[1]))
+    assert np.array_equal(ph._factor(g, p, inside, 2 * J), refs.factor(g, p, inside, 2 * J))
+    with mock.patch.multiple(ph, _toeplitz=refs.toeplitz, _compose=refs.compose,
+                             _factor=refs.factor):
+        first = ph.v_wiener_hopf(law, 12, J).V, ph.u_wiener_hopf(law, 12, J)
+    assert np.array_equal(ph.v_wiener_hopf(law, 12, J).V, first[0])
+    assert np.array_equal(ph.u_wiener_hopf(law, 12, J), first[1])
+    r = min(2 * J, 6)  # theta_3 reads the cumulants up to the cap, 8
+    assert edgeworth.theta_polys(law, r) == refs.theta_polys(law, r)
