@@ -5,7 +5,8 @@ The sequences a_n^(j) = (-1)^n * C(j - 3/2, n) are the Taylor coefficients of
 expansions: a_n^(j) ~ const * n^(1/2-j), they satisfy the exact difference
 law a_n^(j) - a_{n-1}^(j) = a_n^(j+1), and their tail sums telescope in
 closed form.  Everything downstream (first-passage tails, local conditioned
-probabilities) is expressed on this basis.  Here they are evaluated in
+probabilities) is expressed on this basis, and the paper route's truncated
+remainder sums are closed on it (`tail_sums`).  Here they are evaluated in
 float64 and in mpmath; the exact rationals and tail sums the tests check
 these evaluators against are test references (tests/oracle_references.py).
 """
@@ -24,16 +25,22 @@ import numpy as np
 __all__ = [
     "BasisConversion",
     "FitDiagnosticError",
+    "TailNotDecayed",
     "a_float",
     "a_value",
     "a_value_mp",
     "weighted_tail_sum",
+    "tail_sums",
     "power_to_shifted_basis",
 ]
 
 
 class FitDiagnosticError(RuntimeError):
     """Raised when a basis-conversion fit fails its residual-decay check."""
+
+
+class TailNotDecayed(RuntimeError):
+    """A truncated series' summands do not decay fast enough to extrapolate."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,34 @@ def weighted_tail_sum(p: int, N: int, j: int) -> float:
     for q in range(p):
         total -= math.comb(p, q) * weighted_tail_sum(q, N, j - 1)
     return total
+
+
+def tail_sums(
+    window: np.ndarray, lo: int, j0: int, powers: tuple[int, ...]
+) -> tuple[dict[int, float], float]:
+    """({p: sum_(n>N) n^p r_n}, slope) for the last terms window[i] =
+    r_(lo+i) of a remainder, n = lo..N.
+
+    Fits the window on {a_n^(j0), a_n^(j0+1), a_n^(j0+2)} by least squares
+    and sums the fitted tails exactly (`weighted_tail_sum`); slope is the
+    window's raw log-log decay exponent.  Fewer than 8 nonzero terms close
+    to zero tails with slope inf.  Raises TailNotDecayed when the slope is
+    below j0 - 0.8.
+    """
+    N = lo + window.size - 1
+    nz = window != 0.0
+    if nz.sum() < 8:
+        return dict.fromkeys(powers, 0.0), float("inf")
+    ns = np.arange(lo, N + 1, dtype=float)
+    slope = float(-np.polyfit(np.log(ns[nz]), np.log(np.abs(window[nz])), 1)[0])
+    if slope < j0 - 0.8:
+        raise TailNotDecayed(f"remainder decay exponent {slope:.3f} < {j0 - 0.8:g}")
+    js = range(j0, j0 + 3)
+    cols = np.stack([a_float(j, N)[lo:] for j in js], axis=1)
+    coef, *_ = np.linalg.lstsq(cols, window, rcond=None)
+    tails = {p: float(sum(c * weighted_tail_sum(p, N, j) for c, j in zip(coef, js)))
+             for p in powers}
+    return tails, slope
 
 
 def _geometric_grid(lo: int, hi: int, count: int) -> list[int]:

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from . import basis, edgeworth, oracle
-from .oracle import TailNotDecayed
+from .basis import TailNotDecayed
 from .walk import LatticeLaw
 
 __all__ = [
@@ -53,10 +53,14 @@ def psi_x(thetas: list, x: int, p: np.ndarray, j_max: int) -> dict[int, float]:
                   (p_n(x) - sum_(k<=i+1) theta_k(x) a_(n-1)^(k+1)),
 
     where the extra k = i+1 subtraction is a legal acceleration (its
-    weighted sum telescopes to zero) that speeds the tail decay.
+    weighted sum telescopes to zero) that speeds the tail decay.  Each sum
+    is closed beyond N by `basis.tail_sums` on its terms n > 3N/4 (the fit
+    on {a^(2), a^(3), a^(4)}), and raises TailNotDecayed when they decay
+    slower than n^(-1.2).
     """
     N = p.size - 1
     p = p[1:]  # p_n(x), n = 1..N
+    lo = 1 + (3 * N) // 4  # the tail fit's first n
     vals: dict[int, float] = {-1: thetas[0].coefficients[0]}
     n = np.arange(1, N + 1, dtype=float)
     for j in range(0, j_max + 1):
@@ -75,8 +79,8 @@ def psi_x(thetas: list, x: int, p: np.ndarray, j_max: int) -> dict[int, float]:
             weight *= n - 1 - d
         summand = weight * resid
         summand[: i] = 0.0  # terms n <= i vanish by the falling factorial
-        tail, _ = oracle.series_tail_sum(summand, first_n=1)
-        vals[j] = float((-1) ** i / math.factorial(i)) * (float(summand.sum()) + tail)
+        tails, _ = basis.tail_sums(summand[lo - 1 :], lo, 2, (0,))
+        vals[j] = float((-1) ** i / math.factorial(i)) * (float(summand.sum()) + tails[0])
     return vals
 
 
@@ -92,13 +96,19 @@ def q_ladder(
     with q_1 = -2 theta_0 V.  Strict: y0 = 0 and q-bar_0(x) = sum_(n>=0)
     b-bar_n(x).  Weak: y0 = 1 and q_0(x) = V(x+1) - V(x) for x >= 1, with
     q_0(0) = 1 the n = 0 atom, so the y = x pairing is the standalone
-    psi_(l-2)(x) term of the weak recursion.
+    psi_(l-2)(x) term of the weak recursion.  The sum over y is a
+    truncated series convolution: row l sums one `np.convolve` of
+    psi_j(0..x_max) with q_(l-2-j) per j, psi_j(0) = 0 when weak, and
+    keeps its terms y0..x_max.
     """
     y0 = 0 if strict else 1
     thetas = edgeworth.theta_polys(law, 6)  # theta_0..theta_3: psi_j up to j = 4
-    # psi_j is read only by the l >= 2 recursion
-    psis = ({y: psi_x(thetas, y, traces[y], L - 2) for y in range(y0, x_max + 1)}
-            if L >= 2 else {})
+    # psi[j + 1, y] = psi_j(y), read only by the l >= 2 recursion
+    psi = np.zeros((L, x_max + 1))
+    if L >= 2:
+        for y in range(y0, x_max + 1):
+            vals = psi_x(thetas, y, traces[y], L - 2)
+            psi[:, y] = [vals[j] for j in range(-1, L - 1)]
     q = np.zeros((L + 1, x_max + 1))
     # u(y) = sum_(n>=0) P(S_n = y, tau-bar > n) is, by reading the path
     # backwards (iid increments, same law), the renewal mass of the weak
@@ -110,13 +120,9 @@ def q_ladder(
     V = np.cumsum(u) if strict else weak_renewal(u)
     if L >= 1:
         q[1, y0:] = -2.0 * thetas[0].coefficients[0] * V[y0:]
-    for ell in range(2, L + 1):
-        for x in range(y0, x_max + 1):
-            acc = 0.0
-            for y in range(y0, x + 1):
-                for j in range(-1, ell - 1):
-                    acc += psis[y][j] * q[ell - 2 - j, x - y]
-            q[ell, x] = -2.0 / ell * acc
+    for ell in range(2, L + 1):  # weak: psi[:, 0] = 0 starts the sums at y = 1
+        acc = sum(np.convolve(psi[j + 1], q[ell - 2 - j])[: x_max + 1] for j in range(-1, ell - 1))
+        q[ell, y0:] = -2.0 / ell * acc[y0:]
     return q
 
 

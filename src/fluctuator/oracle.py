@@ -27,19 +27,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import basis
 from .walk import LatticeLaw, LawError, law_to_json
 
 __all__ = [
     "ResourceCapExceeded",
-    "TailNotDecayed",
     "NotLeftContinuous",
     "IdentitySuite",
     "delta_table",
     "conditioned_table",
     "tau_tail",
     "identity_suite",
-    "series_tail_sum",
     "ladder_roots",
     "ladder_renewal",
 ]
@@ -68,10 +65,6 @@ del _d
 class ResourceCapExceeded(RuntimeError):
     """A DP frame would grow past STATE_CAP, a table past TABLE_CELL_CAP, or a
     root finding past ROOT_DEGREE_CAP."""
-
-
-class TailNotDecayed(RuntimeError):
-    """A truncated series' summands do not decay fast enough to extrapolate."""
 
 
 class NotLeftContinuous(LawError):
@@ -775,35 +768,6 @@ def identity_suite(law: LatticeLaw, N: int, xs: Sequence[int] = ()) -> IdentityS
         tau0_tail=T0_f,
         points=points,
     )
-
-
-# ---------------------------------------------------------------------------
-# tail extrapolation
-
-
-def series_tail_sum(summands: np.ndarray, first_n: int) -> tuple[float, float]:
-    """Extrapolate sum_(n>N) s_n for a sequence decaying like the a-basis.
-
-    summands[i] = s_(first_n + i).  Fits the last quarter of the data on
-    {a_n^(2), a_n^(3), a_n^(4)} and closes the sum with exact basis tails.
-    Returns (tail_value, fitted_decay_exponent).
-    Raises TailNotDecayed when the raw log-log decay exponent is below 1.2.
-    """
-    basis_j, min_exponent = (2, 3, 4), 1.2
-    N_last = first_n + summands.size - 1
-    lo = first_n + (3 * summands.size) // 4
-    ns = np.arange(lo, N_last + 1)
-    window = summands[lo - first_n :]
-    mask = window != 0.0
-    if mask.sum() < 8:
-        return 0.0, float("inf")  # effectively zero tail
-    slope = -np.polyfit(np.log(ns[mask]), np.log(np.abs(window[mask])), 1)[0]
-    if slope < min_exponent:
-        raise TailNotDecayed(f"summand decay exponent {slope:.3f} < {min_exponent}")
-    cols = np.stack([basis.a_float(j, N_last)[lo:] for j in basis_j], axis=1)
-    coef, *_ = np.linalg.lstsq(cols, window, rcond=None)
-    tail = sum(c * basis.weighted_tail_sum(0, N_last, j) for c, j in zip(coef, basis_j))
-    return float(tail), float(slope)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, edgeworth
-from .oracle import TailNotDecayed
 from .walk import LatticeLaw
 
 __all__ = [
@@ -63,12 +62,12 @@ def psi_scalars(deltas: np.ndarray, thetas: tuple[float, float]) -> PsiScalars:
     psi's are weighted sums of the remainder r_n = Delta_n/n - t1 a_n^(2)
     - t2 a_n^(3):
         psi0 = sum r_n - t1 - t2,  psi1 = -sum n r_n,  psi2 = sum C(n,2) r_n,
-    closed beyond the horizon by fitting r_n on {a^(4), a^(5), a^(6)} and
-    summing the fitted tails exactly.
+    each closed beyond the horizon by `basis.tail_sums` on the last quartile
+    of r_n (the fit on {a^(4), a^(5), a^(6)}).
 
     `deltas[n]` for n = 0..N come from oracle.delta_table; `thetas` are the
     shifted-basis (theta1, theta2) of edgeworth.delta_coeffs.  Raises
-    TailNotDecayed when the remainder decays slower than n^(-3.2).
+    basis.TailNotDecayed when the remainder decays slower than n^(-3.2).
     """
     deltas = np.asarray(deltas, dtype=float)
     N = deltas.size - 1
@@ -78,25 +77,9 @@ def psi_scalars(deltas: np.ndarray, thetas: tuple[float, float]) -> PsiScalars:
     n = np.arange(1, N + 1, dtype=float)
     r = deltas[1:] / n - t1 * basis.a_float(2, N)[1:] - t2 * basis.a_float(3, N)[1:]
 
-    # decay diagnostic and tail fit on the last quartile
+    # tail closure on the last quartile
     lo = 1 + (3 * (N - 1)) // 4
-    ns = np.arange(lo, N + 1, dtype=float)
-    window = r[lo - 1 :]
-    nz = np.abs(window) > 0
-    if nz.sum() < 8:
-        slope = float("inf")
-        tails = {0: 0.0, 1: 0.0, 2: 0.0}
-    else:
-        slope = float(-np.polyfit(np.log(ns[nz]), np.log(np.abs(window[nz])), 1)[0])
-        if slope < 3.2:
-            raise TailNotDecayed(f"remainder decay exponent {slope:.3f} < 3.2")
-        js = (4, 5, 6)
-        cols = np.stack([basis.a_float(j, N)[lo:] for j in js], axis=1)
-        coef, *_ = np.linalg.lstsq(cols, window, rcond=None)
-        tails = {
-            p: float(sum(c * basis.weighted_tail_sum(p, N, j) for c, j in zip(coef, js)))
-            for p in (0, 1, 2)
-        }
+    tails, slope = basis.tail_sums(r[lo - 1 :], lo, 4, (0, 1, 2))
 
     psi0 = float(r.sum()) + tails[0] - t1 - t2
     psi1 = -(float((n * r).sum()) + tails[1])

@@ -5,7 +5,10 @@ P(tau_x > n), the reparametrized mu closed form and the exact a-basis
 sequences and tail sums.  Also the paper routes at a horizon N, each from
 its own free sweep, the fitted decay exponent of an error sequence, and the
 closed-form kernels as first written (a Toeplitz matrix built per product,
-np.polydiv, Fraction sums), which the rewritten ones match bit for bit.
+np.polydiv, Fraction sums), which the rewritten ones match bit for bit, and
+the paper route's psi closures and q recursion as first written (a tail fit
+per caller, four nested loops), which the shared closure matches bit for
+bit and the convolutions to 1e-13.
 
 The checks reduce the exact frames of `oracle._sweep_exact` (`_reduce`)
 and score them with the residual functions `identity_suite` runs
@@ -418,3 +421,123 @@ def theta_polys(law: LatticeLaw, r: int) -> list[edgeworth.Polynomial]:
                 for p, c in enumerate(row):
                     thetas[k - 1][p] += mp.mpf(gamma) * c
     return [edgeworth.Polynomial.from_coeffs([float(c) for c in row]) for row in thetas]
+
+
+# ---------------------------------------------------------------------------
+# the paper route's sums as first written: two tail closures and the
+# four-loop q recursion, which `basis.tail_sums` and the convolutions of
+# `conditioned.q_ladder` replaced
+
+
+def closed_sum(col: np.ndarray) -> float:
+    """sum_(n>=1) col[n - 1] with the a-basis tail closure on n > 3N/4."""
+    lo = 1 + (3 * col.size) // 4
+    tails, _ = basis.tail_sums(col[lo - 1 :], lo, 2, (0,))
+    return float(col.sum()) + tails[0]
+
+
+def series_tail_sum(summands: np.ndarray, first_n: int) -> tuple[float, float]:
+    """Extrapolate sum_(n>N) s_n for a sequence decaying like the a-basis.
+
+    summands[i] = s_(first_n + i).  Fits the last quarter of the data on
+    {a_n^(2), a_n^(3), a_n^(4)} and closes the sum with exact basis tails.
+    Returns (tail_value, fitted_decay_exponent).
+    Raises TailNotDecayed when the raw log-log decay exponent is below 1.2.
+    """
+    basis_j, min_exponent = (2, 3, 4), 1.2
+    N_last = first_n + summands.size - 1
+    lo = first_n + (3 * summands.size) // 4
+    ns = np.arange(lo, N_last + 1)
+    window = summands[lo - first_n :]
+    mask = window != 0.0
+    if mask.sum() < 8:
+        return 0.0, float("inf")  # effectively zero tail
+    slope = -np.polyfit(np.log(ns[mask]), np.log(np.abs(window[mask])), 1)[0]
+    if slope < min_exponent:
+        raise basis.TailNotDecayed(f"summand decay exponent {slope:.3f} < {min_exponent}")
+    cols = np.stack([basis.a_float(j, N_last)[lo:] for j in basis_j], axis=1)
+    coef, *_ = np.linalg.lstsq(cols, window, rcond=None)
+    tail = sum(c * basis.weighted_tail_sum(0, N_last, j) for c, j in zip(coef, basis_j))
+    return float(tail), float(slope)
+
+
+def psi_scalars(deltas: np.ndarray, thetas: tuple[float, float]) -> tau0.PsiScalars:
+    """`tau0.psi_scalars` with its tail closure inline."""
+    deltas = np.asarray(deltas, dtype=float)
+    N = deltas.size - 1
+    t1, t2_shift = thetas
+    t2 = t2_shift - t1  # shifted -> unshifted basis
+
+    n = np.arange(1, N + 1, dtype=float)
+    r = deltas[1:] / n - t1 * basis.a_float(2, N)[1:] - t2 * basis.a_float(3, N)[1:]
+
+    # decay diagnostic and tail fit on the last quartile
+    lo = 1 + (3 * (N - 1)) // 4
+    ns = np.arange(lo, N + 1, dtype=float)
+    window = r[lo - 1 :]
+    nz = np.abs(window) > 0
+    if nz.sum() < 8:
+        slope = float("inf")
+        tails = {0: 0.0, 1: 0.0, 2: 0.0}
+    else:
+        slope = float(-np.polyfit(np.log(ns[nz]), np.log(np.abs(window[nz])), 1)[0])
+        if slope < 3.2:
+            raise basis.TailNotDecayed(f"remainder decay exponent {slope:.3f} < 3.2")
+        js = (4, 5, 6)
+        cols = np.stack([basis.a_float(j, N)[lo:] for j in js], axis=1)
+        coef, *_ = np.linalg.lstsq(cols, window, rcond=None)
+        tails = {
+            p: float(sum(c * basis.weighted_tail_sum(p, N, j) for c, j in zip(coef, js)))
+            for p in (0, 1, 2)
+        }
+
+    psi0 = float(r.sum()) + tails[0] - t1 - t2
+    psi1 = -(float((n * r).sum()) + tails[1])
+    psi2 = float((n * (n - 1) / 2 * r).sum()) + (tails[2] - tails[1]) / 2
+    return tau0.PsiScalars(
+        psi0=psi0, psi1=psi1, psi2=psi2, theta1=t1, theta2=t2,
+        tail_decay_exponent=slope,
+    )
+
+
+def psi_x(thetas: list, x: int, p: np.ndarray, j_max: int) -> dict[int, float]:
+    """`conditioned.psi_x` with each even psi_j closed by `series_tail_sum`."""
+    N = p.size - 1
+    p = p[1:]  # p_n(x), n = 1..N
+    vals: dict[int, float] = {-1: thetas[0].coefficients[0]}
+    n = np.arange(1, N + 1, dtype=float)
+    for j in range(0, j_max + 1):
+        if j % 2:  # odd: theta polynomial
+            i = (j + 1) // 2
+            vals[j] = float(thetas[i](x))
+            continue
+        i = j // 2
+        if i + 1 >= len(thetas):
+            raise basis.TailNotDecayed(f"psi_{j} needs theta_{i + 1}, beyond the thetas given")
+        resid = p.copy()
+        for k in range(i + 2):
+            resid -= float(thetas[k](x)) * basis.a_float(k + 1, N - 1)
+        weight = np.ones(N)
+        for d in range(i):
+            weight *= n - 1 - d
+        summand = weight * resid
+        summand[: i] = 0.0  # terms n <= i vanish by the falling factorial
+        tail, _ = series_tail_sum(summand, first_n=1)
+        vals[j] = float((-1) ** i / math.factorial(i)) * (float(summand.sum()) + tail)
+    return vals
+
+
+def q_ladder_loops(q: np.ndarray, psis: dict, strict: bool) -> np.ndarray:
+    """Rows l >= 2 of `conditioned.q_ladder` by the four nested loops over
+    l, x, y and j, from its rows q_0, q_1 and psis[y] = {j: psi_j(y)}."""
+    y0 = 0 if strict else 1
+    q = q.copy()
+    L, x_max = q.shape[0] - 1, q.shape[1] - 1
+    for ell in range(2, L + 1):
+        for x in range(y0, x_max + 1):
+            acc = 0.0
+            for y in range(y0, x + 1):
+                for j in range(-1, ell - 1):
+                    acc += psis[y][j] * q[ell - 2 - j, x - y]
+            q[ell, x] = -2.0 / ell * acc
+    return q

@@ -77,6 +77,23 @@ def test_weighted_tail_needs_depth():
         basis.weighted_tail_sum(2, 16, 3)  # needs j >= p + 2
 
 
+def test_tail_sums_recover_a_known_tail():
+    N = 512
+    lo = 1 + (3 * N) // 4  # the last quartile, as psi_x fits it
+    summand = basis.a_float(3, N)[1:]
+    got, slope = basis.tail_sums(summand[lo - 1 :], lo, 2, (0,))
+    want = float(refs.tail_sum(3, N + 1))
+    assert got[0] == pytest.approx(want, rel=1e-6)
+    assert 2.0 < slope < 3.0
+
+
+def test_tail_sums_refuse_a_slow_tail():
+    # n^(-1) decays slower than the n^(-1.2) the a^(2) fit needs
+    window = 1.0 / np.arange(100, 200)
+    with pytest.raises(basis.TailNotDecayed, match="decay exponent 1.000 < 1.2"):
+        basis.tail_sums(window, 100, 2, (0,))
+
+
 @settings(deadline=None, max_examples=10)
 @given(st.integers(min_value=1, max_value=3))
 def test_power_to_shifted_basis_reproduces_power(j):

@@ -587,19 +587,25 @@ _DRIFT = {"atoms": {"-1": "1/4", "1": "3/4"}}
         (["expand", "taux", "--x-max", "0", "--check-polyharmonic"], "lazy", cli.EXIT_CONFIG),
         *((["expand", target, "--horizon", "64"], spec, cli.EXIT_CONFIG)
           for target in ("tau0", "local", "taux") for spec in (_SPAN2, _DRIFT)),
+        *((["verify", "--horizon", "4096"], spec, cli.EXIT_CONFIG) for spec in (_SPAN2, _DRIFT)),
     ],
     ids=["oracle-oversized", "taux-oversized", "taux-certify-zero",
-         "tau0-span2", "tau0-drift", "local-span2", "local-drift", "taux-span2", "taux-drift"],
+         "tau0-span2", "tau0-drift", "local-span2", "local-drift", "taux-span2", "taux-drift",
+         "verify-span2", "verify-drift"],
 )
-def test_a_refused_request_makes_no_directory(tmp_path, argv, model, want):
-    # --out-dir is made by the first artifact written, not before the checks
+def test_a_refused_request_makes_no_directory(tmp_path, monkeypatch, argv, model, want):
+    # --out-dir is made by the first artifact written, not before the checks;
+    # a configuration error is found before anything sweeps
     if isinstance(model, dict):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
         model = str(path)
     out = tmp_path / "out"
+    calls = _count_sweeps(monkeypatch)
     assert _run(argv + ["--model", model, "--out-dir", str(out)]) == want
     assert not out.exists()
+    if want == cli.EXIT_CONFIG:
+        assert calls == []
 
 
 def test_verify_reports_check_horizons(capsys):

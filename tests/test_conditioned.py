@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fluctuator import conditioned, edgeworth, oracle, walk
+from fluctuator import basis, conditioned, edgeworth, oracle, walk
 
 import oracle_references as refs
 
@@ -91,18 +91,18 @@ def _mean_zero_laws(draw):
     return law
 
 
-def _closed_sum(col: np.ndarray) -> float:
-    """sum_(n>=1) col[n - 1] with the a-basis tail closure."""
-    tail, _ = oracle.series_tail_sum(col, first_n=1)
-    return float(col.sum()) + tail
+# double: Q = -(4z + 1)^2 / 24, a repeated root inside the circle
+DOUBLE = walk.make_law(
+    {-3: Fraction(1, 24), -2: Fraction(1, 4), -1: Fraction(1, 24), 1: Fraction(2, 3)}
+)
 
 
 def _dp_reference(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Closed column sums at horizon N and their change from N / 2, which
     bounds the reference's own truncation error (it falls about tenfold
     per doubling)."""
-    full = np.array([_closed_sum(c) for c in cols])
-    half = np.array([_closed_sum(c[: c.size // 2]) for c in cols])
+    full = np.array([refs.closed_sum(c) for c in cols])
+    half = np.array([refs.closed_sum(c[: c.size // 2]) for c in cols])
     return full, np.abs(full - half)
 
 
@@ -200,5 +200,39 @@ def test_weak_ladder_is_the_standalone_psi_recursion(skewed, p_skewed):
 
 
 def test_ladder_needs_enough_thetas(lazy, p_lazy):
-    with pytest.raises(oracle.TailNotDecayed):
+    with pytest.raises(basis.TailNotDecayed):
         conditioned.psi_x(edgeworth.theta_polys(lazy, 6), 1, p_lazy[1], j_max=12)
+
+
+def _check_against_the_loops(law, x_max: int, n: int, L: int = 4) -> None:
+    """psi_x equals its first form and q_ladder its four-loop recursion, to
+    1e-13 of each row's sup, weak and strict; a law whose tails do not
+    decay is refused by both forms."""
+    traces = _traces(law, x_max, n)
+    thetas = edgeworth.theta_polys(law, 6)
+    try:
+        psis = {y: refs.psi_x(thetas, y, traces[y], L - 2) for y in range(x_max + 1)}
+    except basis.TailNotDecayed:
+        with pytest.raises(basis.TailNotDecayed):
+            conditioned.q_ladder(law, traces, x_max, L, strict=True)
+        return
+    for y, want in psis.items():
+        assert conditioned.psi_x(thetas, y, traces[y], L - 2) == want, y
+    for strict in (False, True):
+        for ell in range(L + 1):
+            got = conditioned.q_ladder(law, traces, x_max, ell, strict)
+            want = refs.q_ladder_loops(got, psis, strict)
+            sup = np.abs(want).max(axis=1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-13 * sup).all(), (strict, ell, got - want)
+
+
+@pytest.mark.parametrize("law", [walk.lazy_walk(), walk.skewed_walk(), DOUBLE],
+                         ids=["lazy", "skewed", "double"])
+def test_q_ladder_convolutions_match_the_loops(law):
+    _check_against_the_loops(law, x_max=24, n=N)
+
+
+@settings(max_examples=10, deadline=None)
+@given(law=_mean_zero_laws())
+def test_q_ladder_convolutions_match_the_loops_random_laws(law):
+    _check_against_the_loops(law, x_max=12, n=1024)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from test_conditioned import _mean_zero_laws
+from test_conditioned import DOUBLE, _mean_zero_laws
 
-from fluctuator import basis, edgeworth, oracle, walk
+from fluctuator import basis, edgeworth, oracle
 
 
 @given(st.integers(0, 10))
@@ -214,10 +214,6 @@ def _theta_polys_reference(law, r: int) -> list:
     return [edgeworth.Polynomial.from_coeffs([float(c) for c in row]) for row in thetas]
 
 
-_DOUBLE_ROOT = walk.make_law({-3: Fraction(1, 24), -2: Fraction(1, 4), -1: Fraction(1, 24),
-                              1: Fraction(2, 3)})
-
-
 def _check_theta_polys(law) -> None:
     for r in (2, 4, 6):
         assert edgeworth.theta_polys(law, r) == _theta_polys_reference(law, r), (law, r)
@@ -225,7 +221,7 @@ def _check_theta_polys(law) -> None:
 
 def test_theta_polys_match_the_reference_hand_picked(lazy, skewed):
     """The exact term table gives the 40-digit sums' floats, float for float."""
-    for law in (lazy, skewed, _DOUBLE_ROOT):
+    for law in (lazy, skewed, DOUBLE):
         _check_theta_polys(law)
 
 

@@ -144,6 +144,23 @@ def test_src_defines_only_what_the_cli_scripts_or_benchmark_reach():
     assert not unreached, f"{len(unreached)} definitions only the tests reach: {unreached}"
 
 
+def test_the_oracle_imports_no_asymptotics():
+    # the ground truth imports no package module but the law type: no
+    # fit, tail closure or expansion reaches what the expansions are
+    # tested against
+    tree = ast.parse((ROOT / "src/fluctuator/oracle.py").read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "fluctuator"
+                                                 or node.module.startswith("fluctuator.")):
+            module = (node.module or "").removeprefix("fluctuator").lstrip(".")
+            package |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            package |= {a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("fluctuator.")}
+    assert package == {"walk"}
+
+
 # the oracle's sweeps and the public readers that run them
 _SWEEPS = {"delta_table", "conditioned_table", "tau_tail", "identity_suite", "_sweep_float",
            "_sweep_exact", "_killed_float", "_residue_reads"}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluctuator import basis, oracle, walk
+from fluctuator import oracle, walk
 
 import oracle_references as refs
 
@@ -334,15 +334,6 @@ def test_recurrence_gap_zero(lazy, skewed):
                 assert refs.recurrence_gap(law, n, x=3, strict=strict) == 0
 
 
-def test_series_tail_sum_recovers_known_tail():
-    N = 512
-    summand = basis.a_float(3, N)[1:]
-    got, slope = oracle.series_tail_sum(summand, first_n=1)
-    want = float(refs.tail_sum(3, N + 1))
-    assert got == pytest.approx(want, rel=1e-6)
-    assert 2.0 < slope < 3.0
-
-
 def test_ladder_renewal_lazy_flat(lazy):
     u = oracle.ladder_renewal(lazy, 20)
     np.testing.assert_allclose(u, 4.0, rtol=1e-11)
@@ -354,9 +345,8 @@ def test_ladder_renewal_matches_strict_green(skewed):
     table = oracle.conditioned_table(skewed, N, x_max=3, strict=True)
     u = oracle.ladder_renewal(skewed, 3)
     for x in range(4):
-        direct = (1.0 if x == 0 else 0.0) + table[1:, x].sum()
-        tail, _ = oracle.series_tail_sum(table[1:, x], first_n=1)
-        assert u[x] == pytest.approx(direct + tail, rel=1e-8)
+        direct = (1.0 if x == 0 else 0.0) + refs.closed_sum(table[1:, x])
+        assert u[x] == pytest.approx(direct, rel=1e-8)
 
 
 def test_ladder_heights_exact_values(lazy, skewed):

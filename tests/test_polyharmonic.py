@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fluctuator import basis, conditioned, edgeworth, oracle, polyharmonic as ph, walk
 
 import oracle_references as refs
-from test_conditioned import _dp_reference, _mean_zero_laws
+from test_conditioned import DOUBLE, _dp_reference, _mean_zero_laws
 
 X_MAX = 24
 WIN = (1, 15)
@@ -261,12 +261,6 @@ def test_wiener_hopf_takes_repeated_inside_roots(atoms):
     lad = ph.v_wiener_hopf(law, 10, 2)
     assert np.isfinite(lad.V).all()
     assert ph.route_gap(refs.v_ladder_at(law, 10, 2, 4096).V, lad.V, 10) <= 1e-6
-
-
-# double: Q = -(4z + 1)^2 / 24, a repeated root inside the circle
-DOUBLE = walk.make_law(
-    {-3: Fraction(1, 24), -2: Fraction(1, 4), -1: Fraction(1, 24), 1: Fraction(2, 3)}
-)
 
 
 def test_wiener_hopf_u_matches_the_40_digit_values(skewed):

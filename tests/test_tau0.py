@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctuator import oracle, polyharmonic, tau0
+from fluctuator import basis, edgeworth, oracle, polyharmonic, tau0, walk
+from test_conditioned import DOUBLE, _mean_zero_laws
 
 import oracle_references as refs
 
@@ -79,8 +80,38 @@ def test_decay_ladder_skewed(skewed, skewed_coeffs):
 
 def test_psi_scalars_flags_slow_tails(skewed):
     # feeding wrong thetas leaves an n^(-3/2) remainder: must be rejected
-    with pytest.raises(oracle.TailNotDecayed):
-        tau0.psi_scalars(oracle.delta_table(skewed, N)[0], thetas=(0.0, 0.0))
+    deltas = oracle.delta_table(skewed, N)[0]
+    with pytest.raises(basis.TailNotDecayed):
+        tau0.psi_scalars(deltas, thetas=(0.0, 0.0))
+    with pytest.raises(basis.TailNotDecayed):
+        refs.psi_scalars(deltas, thetas=(0.0, 0.0))
+
+
+def _check_psi_scalars_first_form(law, n: int) -> None:
+    """psi_scalars through basis.tail_sums equals its inline first form, or
+    both refuse the remainder."""
+    cdf = edgeworth.delta_coeffs(law)
+    deltas, thetas = oracle.delta_table(law, n)[0], (cdf.theta1, cdf.theta2)
+    try:
+        want = refs.psi_scalars(deltas, thetas)
+    except basis.TailNotDecayed as exc:
+        with pytest.raises(basis.TailNotDecayed, match=str(exc)):
+            tau0.psi_scalars(deltas, thetas)
+        return
+    assert tau0.psi_scalars(deltas, thetas) == want
+
+
+@pytest.mark.parametrize("law", [walk.lazy_walk(), walk.skewed_walk(), DOUBLE],
+                         ids=["lazy", "skewed", "double"])
+@pytest.mark.parametrize("n", [64, 2048, 8192])
+def test_psi_scalars_match_the_first_form(law, n):
+    _check_psi_scalars_first_form(law, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(law=_mean_zero_laws(), n=st.sampled_from([256, 2048]))
+def test_psi_scalars_match_the_first_form_random_laws(law, n):
+    _check_psi_scalars_first_form(law, n)
 
 
 def test_evaluate_tau0_term_bounds(lazy_coeffs):
