@@ -7,8 +7,11 @@ law a_n^(j) - a_{n-1}^(j) = a_n^(j+1), and their tail sums telescope in
 closed form.  Everything downstream (first-passage tails, local conditioned
 probabilities) is expressed on this basis, and the paper route's truncated
 remainder sums are closed on it (`tail_sums`).  Here they are evaluated in
-float64 and in mpmath; the exact rationals and tail sums the tests check
-these evaluators against are test references (tests/oracle_references.py).
+float64; only the single values `a_value` of the tail closures load mpmath.
+The conversions of n^-(j-1/2) onto the basis are a literal table of fitted
+floats.  The exact rationals and tail sums the tests check these evaluators
+against, and the 40-digit fit the table reproduces, are test references
+(tests/oracle_references.py).
 """
 
 from __future__ import annotations
@@ -19,24 +22,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
     "BasisConversion",
-    "FitDiagnosticError",
     "TailNotDecayed",
     "a_float",
     "a_value",
-    "a_value_mp",
     "weighted_tail_sum",
     "tail_sums",
     "power_to_shifted_basis",
 ]
-
-
-class FitDiagnosticError(RuntimeError):
-    """Raised when a basis-conversion fit fails its residual-decay check."""
 
 
 class TailNotDecayed(RuntimeError):
@@ -53,7 +49,6 @@ class BasisConversion:
     """
 
     coefficients: Mapping[int, float]
-    residual_decay_exponent: float
 
 
 @lru_cache(maxsize=64)
@@ -76,16 +71,17 @@ def a_float(j: int, N: int) -> np.ndarray:
 
 
 def a_value(j: int, n: int) -> float:
-    """Single a_n^(j) for possibly huge n, a_value_mp rounded from 30 digits
-    (a float log-gamma difference would cancel to ~1e-11 relative)."""
+    """Single a_n^(j) = Gamma(n - j + 3/2) / (Gamma(n + 1) Gamma(3/2 - j)) for
+    possibly huge n, rounded from 30 digits (a float log-gamma difference
+    would cancel to ~1e-11 relative).  The only mpmath user of the package:
+    it loads on the first call, which only the tail closures make."""
+    import mpmath as mp
+
     with mp.workdps(30):
-        return float(a_value_mp(j, n))
-
-
-def a_value_mp(j: int, n) -> mp.mpf:
-    """a_n^(j) in mpmath working precision for fit grids."""
-    n = mp.mpf(n)
-    return mp.gamma(n - j + mp.mpf(3) / 2) / (mp.gamma(n + 1) * mp.gamma(mp.mpf(3) / 2 - j))
+        n = mp.mpf(n)
+        return float(
+            mp.gamma(n - j + mp.mpf(3) / 2) / (mp.gamma(n + 1) * mp.gamma(mp.mpf(3) / 2 - j))
+        )
 
 
 @lru_cache(maxsize=None)
@@ -138,68 +134,40 @@ def tail_sums(
     return tails, slope
 
 
-def _geometric_grid(lo: int, hi: int, count: int) -> list[int]:
-    pts = np.unique(np.round(np.geomspace(lo, hi, count)).astype(np.int64))
-    return [int(p) for p in pts]
+# gamma_j..gamma_m of n^-(j-1/2) = sum_k gamma_k a_(n-1)^(k) + O(n^-(m+1/2)),
+# keyed (j, m): weighted least-squares fits in 40 digits on n = 512..4096
+# (N_fit = 4096), rounded to float.  tests/oracle_references.py refits them
+# and checks the table bit for bit, and each residual's decay exponent >= m + 1/4.
+_CONVERSIONS = {
+    (j, m): BasisConversion(MappingProxyType(dict(enumerate(gammas, j))))
+    for (j, m), gammas in {
+        (1, 1): (1.7721849926273656,),
+        (1, 2): (1.7724536542093803, 1.3274403999304671),
+        (2, 2): (-3.542218468922374,),
+        (1, 3): (1.7724538506513885, 1.3293367584322773, 1.1950749592894307),
+        (2, 3): (-3.544903674183669, -4.418172680654635),
+        (3, 3): (2.3590873817941076,),
+        (1, 4): (1.77245385090505, 1.3293403793902778, 1.200080119633713, 1.1213674997100846),
+        (2, 4): (-3.54490769356885, -4.431095407443904, -4.878622164623662),
+        (3, 4): (2.3632611940124204, 4.115254897185083),
+        (4, 4): (-0.9422949794264723,),
+    }.items()
+}
 
 
-def _fit_on_basis(
-    j: int,
-    m: int,
-    N_fit: int,
-) -> tuple[dict[int, float], float]:
-    """Weighted least squares of n^-(j-1/2) against shifted a-basis columns.
-
-    Rows are weighted by n^(m+1/2) so each contributes at the scale of the
-    expected residual; solved by QR in extended precision.
-    """
-    n_cols = m - j + 1
-    grid = _geometric_grid(max(8, N_fit // 8), N_fit, max(12, 4 * n_cols + 8))
-    with mp.workdps(40):
-        A = mp.matrix(len(grid), n_cols)
-        b = mp.matrix(len(grid), 1)
-        for row, n in enumerate(grid):
-            w = mp.mpf(n) ** (m + mp.mpf(1) / 2)
-            for col, k in enumerate(range(j, m + 1)):
-                A[row, col] = a_value_mp(k, n - 1) * w
-            b[row] = mp.mpf(n) ** (-(j - mp.mpf(1) / 2)) * w
-        sol, _ = mp.qr_solve(A, b)
-        coeffs = {k: float(sol[i]) for i, k in enumerate(range(j, m + 1))}
-
-        # Residual decay diagnostic across a wider window than the fit grid.
-        diag = _geometric_grid(max(8, N_fit // 64), N_fit, 24)
-        logs_n, logs_r = [], []
-        for n in diag:
-            approx = mp.fsum(
-                mp.mpf(coeffs[k]) * a_value_mp(k, n - 1) for k in range(j, m + 1)
-            )
-            resid = abs(mp.mpf(n) ** (-(j - mp.mpf(1) / 2)) - approx)
-            if resid > 0:
-                logs_n.append(math.log(n))
-                logs_r.append(float(mp.log(resid)))
-    if len(logs_r) < 4:
-        # Residuals at rounding level everywhere: decay is beyond measurable.
-        return coeffs, float("inf")
-    slope = -np.polyfit(logs_n, logs_r, 1)[0]
-    return coeffs, float(slope)
-
-
-@lru_cache(maxsize=None)
 def power_to_shifted_basis(j: int, m: int, N_fit: int = 1 << 12) -> BasisConversion:
     """Coefficients gamma_k, k = j..m, with
     n^-(j-1/2) = sum gamma_k a_{n-1}^(k) + O(n^-(m+1/2)).
 
     Local-probability expansions index the basis at n-1.  The conversion
-    depends on the basis alone, not on the walk, so each (j, m, N_fit) is
-    fitted once per process and the same object is returned afterwards.
+    depends on the basis alone, not on the walk: it is read from the
+    table of fits at N_fit = 4096, which holds 1 <= j <= m <= 4 (theta
+    polynomials to r = 7).  Other pairs raise ValueError.
     """
-    if not (m >= j >= 1):
-        raise ValueError(f"need m >= j >= 1, got j={j}, m={m}")
-    coeffs, slope = _fit_on_basis(j, m, N_fit)
-    if slope < m + 0.25:
-        raise FitDiagnosticError(
-            f"residual decay exponent {slope:.3f} below requirement {m + 0.25}"
+    conv = _CONVERSIONS.get((j, m)) if N_fit == 1 << 12 else None
+    if conv is None:
+        raise ValueError(
+            f"no conversion for j={j}, m={m}, N_fit={N_fit}: "
+            "the table holds 1 <= j <= m <= 4 at N_fit=4096"
         )
-    return BasisConversion(
-        coefficients=MappingProxyType(coeffs), residual_decay_exponent=slope
-    )
+    return conv

@@ -4,8 +4,10 @@ local-expansion polynomials theta_j(x), and the correction coefficients
 
 (theta_1, theta_2) are a closed form in the cumulants: exact rationals, with
 one rounding at the end.  The theta polynomials sum a law-free table of
-exact terms in the cumulants, so their cancelling partition sums are exact;
-only the a-basis conversion runs in 40-digit mpmath, rounded once.
+exact terms in the cumulants, so their cancelling partition sums are exact,
+convert them to the a-basis exactly with the table's float coefficients,
+and divide by sqrt(2 pi v) in integer fixed point, rounding once.  No
+mpmath.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-
-from mpmath import mp
 
 from . import basis
 from .walk import LatticeLaw
@@ -40,6 +40,14 @@ __all__ = [
 S1_AT_ZERO = Fraction(1, 2)
 # S_2(0) = B_2 / 2!, the second periodic Bernoulli factor at zero
 _S2_AT_ZERO = Fraction(1, 12)
+# pi to 100 decimals, truncated: pi = _PI_E100 / 10^100 + O(10^-100)
+_PI_E100 = int(
+    "3"
+    "14159265358979323846264338327950288419716939937510"
+    "58209749445923078164062862089986280348253421170679"
+)
+# bits of the fixed point 2^_B / sqrt(2 pi v) of theta_polys
+_B = 256
 
 
 @dataclass(frozen=True)
@@ -165,36 +173,40 @@ def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
     p_n(x) ~ sum_j theta_j(x) a_(n-1)^(j+1); theta_j has degree exactly 2j.
 
     The n^(-(j+1/2)) ladder of the Edgeworth expansion (_theta_terms) is
-    summed in integers to one rational a coefficient, divided by sqrt(2 pi v)
-    and converted to the shifted a-basis in 40-digit mpmath, then rounded once.
+    summed in integers to one rational a coefficient and converted to the
+    shifted a-basis exactly, each float gamma_k the integer ratio it is; the
+    fractions are left unreduced.  Each sum is then times 2^_B / sqrt(2 pi v),
+    one integer square root a call, and rounded once by an int/int division.
     """
     law.require_expansion_ready()
     J = r // 2
     kappas = law.cumulants(2 * J + 2)
     v, D = kappas[1], math.lcm(*(p.denominator for p in law.atoms.values()))
     K = [k.numerator * (D**m // k.denominator) for m, k in enumerate(kappas, 1)]  # D^m kappa_m
-    f = [[Fraction(0)] * (2 * j + 1) for j in range(J + 1)]
+    # f[j][p] = (numerator, denominator) of the x^p coefficient in the
+    # n^-(j+1/2) ladder term, times sqrt(2 pi v)
+    f = [[(0, 1)] * (2 * j + 1) for j in range(J + 1)]
     for (j, p), (L, terms) in _theta_terms(J).items():
         acc = 0
         for c, ks, e in terms:
             for order, km in ks:
                 c *= K[order - 1] ** km
             acc += c * K[1] ** e
-        f[j][p] = Fraction(D**p * acc, L * K[1] ** (3 * j - p))
+        f[j][p] = D**p * acc, L * K[1] ** (3 * j - p)
 
-    with mp.workdps(40):
-        root = mp.sqrt(2 * mp.pi * v.numerator / v.denominator)
-        # n^-(i+1/2) = sum_k gamma_k a_(n-1)^(k), k = i+1 .. J+1
-        thetas = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
-        for i in range(J + 1):
-            conv = basis.power_to_shifted_basis(i + 1, J + 1)
-            row = [mp.mpf(c.numerator) / c.denominator / root for c in f[i]]
-            for k, gamma in conv.coefficients.items():
-                j = k - 1
-                for p, c in enumerate(row):
-                    thetas[j][p] += mp.mpf(gamma) * c
+    # n^-(i+1/2) = sum_k gamma_k a_(n-1)^(k), k = i+1 .. J+1
+    thetas = [[(0, 1)] * (2 * j + 1) for j in range(J + 1)]
+    for i in range(J + 1):
+        for k, gamma in basis.power_to_shifted_basis(i + 1, J + 1).coefficients.items():
+            a, b = gamma.as_integer_ratio()
+            row = thetas[k - 1]
+            for p, (c, d) in enumerate(f[i]):
+                s, t = row[p]
+                row[p] = s * b * d + a * c * t, t * b * d
+    # 2^_B / sqrt(2 pi v) to within one unit: relative error sqrt(2 pi v) 2^-_B
+    root = math.isqrt((v.denominator * 10**100 << 2 * _B) // (2 * _PI_E100 * v.numerator))
     return [
-        Polynomial.from_coeffs([float(c) for c in row]) for row in thetas
+        Polynomial.from_coeffs([s * root / (t << _B) for s, t in row]) for row in thetas
     ]
 
 

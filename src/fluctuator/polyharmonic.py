@@ -184,8 +184,8 @@ def _side_factor(
     for jumps in [-d, h], s = 1 - t^2, as rows of t-coefficients (highest
     power of z first, M orders of t), and P = z^d phi(z), highest power
     first, from the Q and inside factor a0 of `oracle.ladder_roots`.  The
-    root near 1 is lifted by Newton's method (Flajolet & Sedgewick,
-    Sec. VII.7), the roots near those of a0 together as one factor."""
+    root near 1 is lifted by a fixed-slope iteration, one order of t a
+    step, M - 1 steps; the roots near those of a0 together as one factor."""
     d, h = -law.support[0], law.support[-1]
     p = np.zeros(d + h + 1)  # p_v at h - v
     p[h - np.array(law.support)] = [float(pv) for pv in law.atoms.values()]

@@ -1,14 +1,16 @@
 """Exact references that only the tests read: rational pmf tables and
 survival frames, the rational single identity checks, the killed-walk
 recurrence, the closed-form ladder heights, the Monte Carlo estimator of
-P(tau_x > n), the reparametrized mu closed form and the exact a-basis
-sequences and tail sums.  Also the paper routes at a horizon N, each from
-its own free sweep, the fitted decay exponent of an error sequence, and the
-closed-form kernels as first written (a Toeplitz matrix built per product,
-np.polydiv, Fraction sums), which the rewritten ones match bit for bit, and
-the paper route's psi closures and q recursion as first written (a tail fit
-per caller, four nested loops), which the shared closure matches bit for
-bit and the convolutions to 1e-13.
+P(tau_x > n), the reparametrized mu closed form, the exact a-basis
+sequences and tail sums, and the 40-digit fits of the a-basis conversions
+that `basis.power_to_shifted_basis` holds as a table.  Also the paper
+routes at a horizon N, each from its own free sweep, the fitted decay
+exponent of an error sequence, and the closed-form kernels as first
+written (a Toeplitz matrix built per product, np.polydiv, Fraction sums),
+which the rewritten ones match bit for bit, and the paper route's psi
+closures and q recursion as first written (a tail fit per caller, four
+nested loops), which the shared closure matches bit for bit and the
+convolutions to 1e-13.
 
 The checks reduce the exact frames of `oracle._sweep_exact` (`_reduce`)
 and score them with the residual functions `identity_suite` runs
@@ -318,6 +320,74 @@ def tail_sum(j: int, n: int) -> Fraction:
     if n < 1:
         raise ValueError("tail start must be >= 1")
     return -a_seq(j - 1, n - 1)[n - 1]
+
+
+# ---------------------------------------------------------------------------
+# the 40-digit a-basis conversion fits, whose floats `basis` holds as a table
+
+
+class FitDiagnosticError(RuntimeError):
+    """Raised when a basis-conversion fit fails its residual-decay check."""
+
+
+def a_value_mp(j: int, n) -> mp.mpf:
+    """a_n^(j) in mpmath working precision."""
+    n = mp.mpf(n)
+    return mp.gamma(n - j + mp.mpf(3) / 2) / (mp.gamma(n + 1) * mp.gamma(mp.mpf(3) / 2 - j))
+
+
+def _geometric_grid(lo: int, hi: int, count: int) -> list[int]:
+    pts = np.unique(np.round(np.geomspace(lo, hi, count)).astype(np.int64))
+    return [int(p) for p in pts]
+
+
+def _fit_on_basis(j: int, m: int, N_fit: int) -> tuple[dict[int, float], float]:
+    """Weighted least squares of n^-(j-1/2) against shifted a-basis columns.
+
+    Rows are weighted by n^(m+1/2) so each contributes at the scale of the
+    expected residual; solved by QR in extended precision.
+    """
+    n_cols = m - j + 1
+    grid = _geometric_grid(max(8, N_fit // 8), N_fit, max(12, 4 * n_cols + 8))
+    with mp.workdps(40):
+        A = mp.matrix(len(grid), n_cols)
+        b = mp.matrix(len(grid), 1)
+        for row, n in enumerate(grid):
+            w = mp.mpf(n) ** (m + mp.mpf(1) / 2)
+            for col, k in enumerate(range(j, m + 1)):
+                A[row, col] = a_value_mp(k, n - 1) * w
+            b[row] = mp.mpf(n) ** (-(j - mp.mpf(1) / 2)) * w
+        sol, _ = mp.qr_solve(A, b)
+        coeffs = {k: float(sol[i]) for i, k in enumerate(range(j, m + 1))}
+
+        # Residual decay diagnostic across a wider window than the fit grid.
+        diag = _geometric_grid(max(8, N_fit // 64), N_fit, 24)
+        logs_n, logs_r = [], []
+        for n in diag:
+            approx = mp.fsum(
+                mp.mpf(coeffs[k]) * a_value_mp(k, n - 1) for k in range(j, m + 1)
+            )
+            resid = abs(mp.mpf(n) ** (-(j - mp.mpf(1) / 2)) - approx)
+            if resid > 0:
+                logs_n.append(math.log(n))
+                logs_r.append(float(mp.log(resid)))
+    if len(logs_r) < 4:
+        # Residuals at rounding level everywhere: decay is beyond measurable.
+        return coeffs, float("inf")
+    slope = -np.polyfit(logs_n, logs_r, 1)[0]
+    return coeffs, float(slope)
+
+
+def fitted_conversion(j: int, m: int, N_fit: int = 1 << 12) -> tuple[dict[int, float], float]:
+    """({k: gamma_k}, residual decay exponent) of the fit of n^-(j-1/2) on
+    a_(n-1)^(j..m), refused with FitDiagnosticError when its residual decays
+    slower than n^-(m+1/4)."""
+    coeffs, slope = _fit_on_basis(j, m, N_fit)
+    if slope < m + 0.25:
+        raise FitDiagnosticError(
+            f"residual decay exponent {slope:.3f} below requirement {m + 0.25}"
+        )
+    return coeffs, slope
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from fluctuator import basis
 
@@ -59,8 +60,8 @@ def test_a_value_matches_extended_precision():
     ns = [1, 2, 3, 7, 30, 100, 1000, 8191, 8192, 10_000, 16_384, 30_000, 1 << 15]
     for j in range(1, 7):
         for n in ns:
-            with basis.mp.workdps(40):
-                want = basis.a_value_mp(j, n)
+            with mp.workdps(40):
+                want = refs.a_value_mp(j, n)
             assert basis.a_value(j, n) == pytest.approx(float(want), rel=1e-14, abs=0)
 
 
@@ -112,15 +113,26 @@ def test_power_to_shifted_basis_reproduces_power(j):
         assert approx == pytest.approx(target, rel=rel)
 
 
-def test_power_to_shifted_basis_is_fitted_once():
-    """Repeated conversions share one read-only entry that equals a fresh fit."""
-    conv = basis.power_to_shifted_basis(2, 3, N_fit=1 << 12)
-    assert basis.power_to_shifted_basis(2, 3, N_fit=1 << 12) is conv
-    with pytest.raises(TypeError):
-        conv.coefficients[2] = 0.0
-    coeffs, slope = basis._fit_on_basis(2, 3, 1 << 12)
-    assert dict(conv.coefficients) == coeffs
-    assert conv.residual_decay_exponent == slope
+def test_conversion_table_is_the_fit_bit_for_bit():
+    """Each table entry holds the floats of the 40-digit fit, whose residual
+    decays at least like n^-(m+1/4), and is one shared read-only mapping."""
+    for m in range(1, 5):
+        for j in range(1, m + 1):
+            conv = basis.power_to_shifted_basis(j, m, N_fit=1 << 12)
+            assert basis.power_to_shifted_basis(j, m) is conv
+            with pytest.raises(TypeError):
+                conv.coefficients[j] = 0.0
+            # raises FitDiagnosticError below decay exponent m + 1/4
+            coeffs, _ = refs.fitted_conversion(j, m, 1 << 12)
+            got = {k: g.hex() for k, g in conv.coefficients.items()}
+            assert got == {k: g.hex() for k, g in coeffs.items()}, (j, m)
+
+
+@pytest.mark.parametrize("j, m, N_fit", [(1, 5, 1 << 12), (0, 2, 1 << 12), (3, 2, 1 << 12),
+                                         (2, 3, 1 << 13)])
+def test_conversion_table_refuses_other_pairs(j, m, N_fit):
+    with pytest.raises(ValueError, match="the table holds"):
+        basis.power_to_shifted_basis(j, m, N_fit)
 
 
 def test_a_float_is_shared_and_read_only():

@@ -340,12 +340,41 @@ def test_heavy_hold_law_writes_a_finite_renewal_function(tmp_path):
     assert [docs[0][str(x)]["value"] for x in range(7)] == [1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
-def _fresh_process(argv, cwd) -> tuple[int, str]:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, "-m", "fluctuator.cli", *argv], cwd=cwd, env=env,
-                         capture_output=True, text=True, timeout=120)
+
+
+def _fresh_process(argv, cwd) -> tuple[int, str]:
+    run = subprocess.run([sys.executable, "-m", "fluctuator.cli", *argv], cwd=cwd,
+                         env=_src_env(), capture_output=True, text=True, timeout=120)
     return run.returncode, run.stdout
+
+
+_MPMATH_LOADED = """
+import sys
+import fluctuator.cli as cli
+for argv in {argvs!r}:
+    assert cli.main(argv + ["--out-dir", "."]) == cli.EXIT_PASS, argv
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "mpmath"))
+"""
+
+
+def test_closed_form_commands_never_load_mpmath(tmp_path):
+    # only basis.a_value imports mpmath, for the paper route's tail closures
+    closed = [["expand", "taux", "--model", "skewed", "--x-max", "6", "--check-polyharmonic"],
+              ["expand", "local", "--model", "skewed", "--horizon", "256", "--x-max", "4"],
+              ["oracle", "--model", "skewed", "--x", "2", "--horizon", "256", "--mode", "float"]]
+    paper = [["expand", "tau0", "--model", "skewed", "--horizon", "256"]]
+    loaded = []
+    for argvs in (closed, closed + paper):
+        run = subprocess.run([sys.executable, "-c", _MPMATH_LOADED.format(argvs=argvs)],
+                             cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        loaded.append(run.stdout.splitlines()[-1])
+    assert loaded[0] == "[]"
+    assert "'mpmath'" in loaded[1]
 
 
 @pytest.mark.parametrize(

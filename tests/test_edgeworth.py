@@ -133,35 +133,10 @@ def test_delta_coeffs_closed_form_random_laws(law):
     _check_closed_form(law)
 
 
-def test_delta_coeffs_needs_no_mpmath(skewed, monkeypatch):
-    class Unreachable:
-        def __getattr__(self, name):
-            raise AssertionError(f"delta_coeffs read mp.{name}")
-
-    want = edgeworth.delta_coeffs(skewed)
-    monkeypatch.setattr(edgeworth, "mp", Unreachable())
-    assert edgeworth.delta_coeffs(skewed) == want
-
-
-def test_theta_polys_reuse_conversions_across_laws(lazy, skewed, monkeypatch):
-    """The a-basis conversions do not depend on the law: a second law runs
-    no fit and gets the same polynomials as from a cold cache."""
-    fits = []
-    fit = basis._fit_on_basis
-
-    def counting_fit(*args, **kwargs):
-        fits.append(args)
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(basis, "_fit_on_basis", counting_fit)
-    basis.power_to_shifted_basis.cache_clear()
-    edgeworth.theta_polys(lazy, r=4)
-    assert fits
-    fits.clear()
-    warm = edgeworth.theta_polys(skewed, r=4)
-    assert fits == []
-    basis.power_to_shifted_basis.cache_clear()
-    assert edgeworth.theta_polys(skewed, r=4) == warm
+def test_pi_literal_has_only_correct_digits():
+    with mp.workdps(120):
+        assert edgeworth._PI_E100 == int(mp.floor(mp.pi * 10**100))
+    assert len(str(edgeworth._PI_E100)) == 101
 
 
 def _theta_polys_reference(law, r: int) -> list:
