@@ -7,8 +7,9 @@ law a_n^(j) - a_{n-1}^(j) = a_n^(j+1), and their tail sums telescope in
 closed form.  Everything downstream (first-passage tails, local conditioned
 probabilities) is expressed on this basis, and the paper route's truncated
 remainder sums are closed on it (`tail_sums`).  Here they are evaluated in
-float64; only the single values `a_value` of the tail closures load mpmath.
-The conversions of n^-(j-1/2) onto the basis are a literal table of fitted
+float64 by one memoised cumprod (`a_float`): the closures fit on its columns
+and take their telescoped endpoints a_N^(j) from the same sequence.  The
+conversions of n^-(j-1/2) onto the basis are a literal table of fitted
 floats.  The exact rationals and tail sums the tests check these evaluators
 against, and the 40-digit fit the table reproduces, are test references
 (tests/oracle_references.py).
@@ -18,17 +19,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 __all__ = [
-    "BasisConversion",
     "TailNotDecayed",
     "a_float",
-    "a_value",
     "weighted_tail_sum",
     "tail_sums",
     "power_to_shifted_basis",
@@ -37,18 +35,6 @@ __all__ = [
 
 class TailNotDecayed(RuntimeError):
     """A truncated series' summands do not decay fast enough to extrapolate."""
-
-
-@dataclass(frozen=True)
-class BasisConversion:
-    """Coefficients expressing n^-(j-1/2) on the shifted a-basis a_{n-1}^(k).
-
-    coefficients[k] multiplies a_{n-1}^(k); the expansion is valid up to a
-    residual of order n^-(m+1/2) where m = max(coefficients).  The mapping
-    is read-only because conversions are shared across callers.
-    """
-
-    coefficients: Mapping[int, float]
 
 
 @lru_cache(maxsize=64)
@@ -70,23 +56,9 @@ def a_float(j: int, N: int) -> np.ndarray:
     return out
 
 
-def a_value(j: int, n: int) -> float:
-    """Single a_n^(j) = Gamma(n - j + 3/2) / (Gamma(n + 1) Gamma(3/2 - j)) for
-    possibly huge n, rounded from 30 digits (a float log-gamma difference
-    would cancel to ~1e-11 relative).  The only mpmath user of the package:
-    it loads on the first call, which only the tail closures make."""
-    import mpmath as mp
-
-    with mp.workdps(30):
-        n = mp.mpf(n)
-        return float(
-            mp.gamma(n - j + mp.mpf(3) / 2) / (mp.gamma(n + 1) * mp.gamma(mp.mpf(3) / 2 - j))
-        )
-
-
 @lru_cache(maxsize=None)
 def weighted_tail_sum(p: int, N: int, j: int) -> float:
-    """sum_(k>N) k^p * a_k^(j), evaluated exactly by telescoping.
+    """sum_(k>N) k^p * a_k^(j), summed in closed form by telescoping.
 
     Requires j >= p + 2 so the sum converges (a_k^(j) ~ k^(1/2-j)).
     Writing a_k^(j) = a_k^(j-1) - a_{k-1}^(j-1) and summing by parts drops j
@@ -94,13 +66,13 @@ def weighted_tail_sum(p: int, N: int, j: int) -> float:
 
         T_p(N, j) = -(N+1)^p a_N^(j-1) - sum_(q<p) C(p, q) T_q(N, j-1).
 
-    Memoised: the recursion and repeated closures revisit the same keys.
+    The endpoint a_N^(j-1) is read from `a_float`, the sequence the
+    closures fit on.  Memoised: the recursion and repeated closures revisit
+    the same keys.
     """
     if j < p + 2:
         raise ValueError(f"sum of k^{p} * a_k^({j}) beyond N diverges or is borderline")
-    if p == 0:
-        return -a_value(j - 1, N)
-    total = -float((N + 1) ** p) * a_value(j - 1, N)
+    total = -float((N + 1) ** p) * float(a_float(j - 1, N)[N])
     for q in range(p):
         total -= math.comb(p, q) * weighted_tail_sum(q, N, j - 1)
     return total
@@ -113,10 +85,10 @@ def tail_sums(
     r_(lo+i) of a remainder, n = lo..N.
 
     Fits the window on {a_n^(j0), a_n^(j0+1), a_n^(j0+2)} by least squares
-    and sums the fitted tails exactly (`weighted_tail_sum`); slope is the
-    window's raw log-log decay exponent.  Fewer than 8 nonzero terms close
-    to zero tails with slope inf.  Raises TailNotDecayed when the slope is
-    below j0 - 0.8.
+    and sums the fitted tails by telescoping (`weighted_tail_sum`); slope is
+    the window's raw log-log decay exponent.  Fewer than 8 nonzero terms
+    close to zero tails with slope inf.  Raises TailNotDecayed when the
+    slope is below j0 - 0.8.
     """
     N = lo + window.size - 1
     nz = window != 0.0
@@ -139,7 +111,7 @@ def tail_sums(
 # (N_fit = 4096), rounded to float.  tests/oracle_references.py refits them
 # and checks the table bit for bit, and each residual's decay exponent >= m + 1/4.
 _CONVERSIONS = {
-    (j, m): BasisConversion(MappingProxyType(dict(enumerate(gammas, j))))
+    (j, m): MappingProxyType(dict(enumerate(gammas, j)))
     for (j, m), gammas in {
         (1, 1): (1.7721849926273656,),
         (1, 2): (1.7724536542093803, 1.3274403999304671),
@@ -155,14 +127,15 @@ _CONVERSIONS = {
 }
 
 
-def power_to_shifted_basis(j: int, m: int, N_fit: int = 1 << 12) -> BasisConversion:
-    """Coefficients gamma_k, k = j..m, with
+def power_to_shifted_basis(j: int, m: int, N_fit: int = 1 << 12) -> Mapping[int, float]:
+    """Read-only {k: gamma_k}, k = j..m, with
     n^-(j-1/2) = sum gamma_k a_{n-1}^(k) + O(n^-(m+1/2)).
 
     Local-probability expansions index the basis at n-1.  The conversion
     depends on the basis alone, not on the walk: it is read from the
     table of fits at N_fit = 4096, which holds 1 <= j <= m <= 4 (theta
-    polynomials to r = 7).  Other pairs raise ValueError.
+    polynomials to r = 7); the mapping is shared between callers.  Other
+    pairs raise ValueError.
     """
     conv = _CONVERSIONS.get((j, m)) if N_fit == 1 << 12 else None
     if conv is None:

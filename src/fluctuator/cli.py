@@ -1,7 +1,7 @@
 """Batch front door: model ingestion, pipeline orchestration, report emission.
 
 Subcommands
-    oracle        exact/float DP tables (tau tails, deltas) as CSV
+    oracle        exact/float DP tail P(tau_x > n) as oracle_tau{x}.csv
     expand tau0   nu_1..nu_3 coefficients + per-n error table
     expand local  U_j(x) ladder for the conditioned local probabilities
     expand taux   V_j(x) ladder (+ optional polyharmonic certification)

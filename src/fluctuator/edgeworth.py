@@ -6,8 +6,7 @@ local-expansion polynomials theta_j(x), and the correction coefficients
 one rounding at the end.  The theta polynomials sum a law-free table of
 exact terms in the cumulants, so their cancelling partition sums are exact,
 convert them to the a-basis exactly with the table's float coefficients,
-and divide by sqrt(2 pi v) in integer fixed point, rounding once.  No
-mpmath.
+and divide by sqrt(2 pi v) in integer fixed point, rounding once.
 """
 
 from __future__ import annotations
@@ -197,7 +196,7 @@ def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
     # n^-(i+1/2) = sum_k gamma_k a_(n-1)^(k), k = i+1 .. J+1
     thetas = [[(0, 1)] * (2 * j + 1) for j in range(J + 1)]
     for i in range(J + 1):
-        for k, gamma in basis.power_to_shifted_basis(i + 1, J + 1).coefficients.items():
+        for k, gamma in basis.power_to_shifted_basis(i + 1, J + 1).items():
             a, b = gamma.as_integer_ratio()
             row = thetas[k - 1]
             for p, (c, d) in enumerate(f[i]):

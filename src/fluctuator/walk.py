@@ -33,7 +33,7 @@ class LatticeLaw:
     Immutable after construction; support, mean, variance, span and
     left-continuity are cached lazily, raw moments and cumulants are not.
     Span != 1 is allowed at construction and only rejected by expansion
-    entry points (via require_span_one).
+    entry points (via require_expansion_ready).
     """
 
     def __init__(self, atoms: dict[int, Fraction]):
@@ -92,7 +92,7 @@ class LatticeLaw:
         return self.support[0] == -1
 
     def cumulants(self, k: int) -> list[Fraction]:
-        """gamma_1..gamma_k as exact rationals.
+        """kappa_1..kappa_k as exact rationals.
 
         Standard moments-to-cumulants recursion,
         kappa_n = m_n - sum_(i=1..n-1) C(n-1, i-1) kappa_i m_(n-i),

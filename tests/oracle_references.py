@@ -487,7 +487,7 @@ def theta_polys(law: LatticeLaw, r: int) -> list[edgeworth.Polynomial]:
         for i in range(J + 1):
             conv = basis.power_to_shifted_basis(i + 1, J + 1)
             row = [mp.mpf(c.numerator) / c.denominator / root for c in f[i]]
-            for k, gamma in conv.coefficients.items():
+            for k, gamma in conv.items():
                 for p, c in enumerate(row):
                     thetas[k - 1][p] += mp.mpf(gamma) * c
     return [edgeworth.Polynomial.from_coeffs([float(c) for c in row]) for row in thetas]

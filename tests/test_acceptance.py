@@ -152,7 +152,7 @@ def test_criterion_4_mc_uniform():
 
     for n in (10, 100):
         est = refs.mc_tau_tail(sampler, 0.0, n, paths=1_000_000, seed=20_260_827)
-        truth = basis.a_value(1, n)
+        truth = basis.a_float(1, n)[n]
         assert est.covers(truth, widths=3.0), (
             f"n={n}: estimate {est.estimate} +- {est.half_width} vs {truth}"
         )

@@ -48,21 +48,24 @@ def test_a_float_matches_exact():
         np.testing.assert_allclose(basis.a_float(j, 50), exact, rtol=1e-13)
 
 
-def test_a_value_pointwise():
-    for j in (1, 2, 4):
-        seq = refs.a_seq(j, 30)
-        for n in (0, 1, 7, 30):
-            assert basis.a_value(j, n) == pytest.approx(float(seq[n]), rel=1e-12)
-
-
-def test_a_value_matches_extended_precision():
-    # a float log-gamma difference cancels to ~1e-11 relative at these n
-    ns = [1, 2, 3, 7, 30, 100, 1000, 8191, 8192, 10_000, 16_384, 30_000, 1 << 15]
-    for j in range(1, 7):
-        for n in ns:
-            with mp.workdps(40):
-                want = refs.a_value_mp(j, n)
-            assert basis.a_value(j, n) == pytest.approx(float(want), rel=1e-14, abs=0)
+def test_a_float_endpoints_and_tail_sums_match_extended_precision():
+    """The closures' endpoints a_N^(j) and their telescoped tails
+    sum_(k>N) k^p a_k^(j) stay within 1e-13 of the 40-digit values at the
+    horizons the paper route runs (worst seen 2.9e-14, at N = 10^5)."""
+    for N in (64, 2048, 8192, 1 << 15, 100_000):
+        with mp.workdps(40):
+            a = {j: refs.a_value_mp(j, N) for j in range(1, 7)}
+            T = {}  # the telescoping of basis.weighted_tail_sum, in 40 digits
+            for j in range(2, 7):
+                for p in range(min(2, j - 2) + 1):
+                    T[p, j] = -mp.mpf(N + 1) ** p * a[j - 1] - sum(
+                        math.comb(p, q) * T[q, j - 1] for q in range(p))
+        for j in range(1, 7):
+            got = float(basis.a_float(j, N)[N])
+            assert got == pytest.approx(float(a[j]), rel=1e-13, abs=0), (j, N)
+        for (p, j), want in T.items():
+            got = basis.weighted_tail_sum(p, N, j)
+            assert got == pytest.approx(float(want), rel=1e-13, abs=0), (p, j, N)
 
 
 def test_weighted_tail_sum_against_brute_force():
@@ -107,9 +110,7 @@ def test_power_to_shifted_basis_reproduces_power(j):
     conv = basis.power_to_shifted_basis(j, m=4)
     for n in (1000, 2000, 4000):
         target = n ** (-(j - 0.5))
-        approx = sum(
-            g * basis.a_value(k, n - 1) for k, g in conv.coefficients.items()
-        )
+        approx = sum(g * basis.a_float(k, n - 1)[n - 1] for k, g in conv.items())
         assert approx == pytest.approx(target, rel=rel)
 
 
@@ -121,10 +122,10 @@ def test_conversion_table_is_the_fit_bit_for_bit():
             conv = basis.power_to_shifted_basis(j, m, N_fit=1 << 12)
             assert basis.power_to_shifted_basis(j, m) is conv
             with pytest.raises(TypeError):
-                conv.coefficients[j] = 0.0
+                conv[j] = 0.0
             # raises FitDiagnosticError below decay exponent m + 1/4
             coeffs, _ = refs.fitted_conversion(j, m, 1 << 12)
-            got = {k: g.hex() for k, g in conv.coefficients.items()}
+            got = {k: g.hex() for k, g in conv.items()}
             assert got == {k: g.hex() for k, g in coeffs.items()}, (j, m)
 
 

@@ -183,7 +183,7 @@ def _theta_polys_reference(law, r: int) -> list:
         thetas = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
         for i in range(J + 1):
             conv = basis.power_to_shifted_basis(i + 1, J + 1)
-            for k, gamma in conv.coefficients.items():
+            for k, gamma in conv.items():
                 for p, c in enumerate(f[i]):
                     thetas[k - 1][p] += mp.mpf(gamma) * c
     return [edgeworth.Polynomial.from_coeffs([float(c) for c in row]) for row in thetas]

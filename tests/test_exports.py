@@ -4,12 +4,14 @@ every public function and class the module defines.  A module without
 module of the package, the tests or the scripts imports a name it never
 uses.  The benchmark's tracer, which wraps the package from outside,
 still finds every module and argument it binds.  The package defines
-only what its CLI, scripts and benchmark reach, and only the CLI and the
-oracle start a sweep."""
+only what its CLI, scripts and benchmark reach, imports no third-party
+module it does not declare, and only the CLI and the oracle start a
+sweep."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +144,24 @@ def test_src_defines_only_what_the_cli_scripts_or_benchmark_reach():
             todo += defs[name] & defs.keys() - reached
     unreached = sorted(where[n] for n in defs.keys() - reached)
     assert not unreached, f"{len(unreached)} definitions only the tests reach: {unreached}"
+
+
+def test_declared_dependencies_are_what_src_imports():
+    # every third-party module the package imports, function-level imports
+    # included, is a declared runtime dependency, and every declared one is
+    # imported: a lazy import of a test-only library fails here
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    imported = set()
+    for p in sorted((ROOT / "src/fluctuator").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fluctuator"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", d).group() for d in project["dependencies"]}
+    assert third_party == declared
 
 
 def test_the_oracle_imports_no_asymptotics():
