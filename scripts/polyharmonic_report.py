@@ -23,34 +23,34 @@ def main() -> None:
     args = ap.parse_args()
 
     law = load_model(args.model)
-    lad = ph.v_wiener_hopf(law, ph.ladder_reach(law, args.x_max, 2), 2)
+    V = ph.v_wiener_hopf(law, ph.ladder_reach(law, args.x_max, 2), 2)
 
-    print(f"model {args.model}: nu_1 = {lad.nu[0]:.12g}, nu_2 = {lad.nu[1]:.12g}")
+    print(f"model {args.model}: nu_1 = {V[0, 0]:.12g}, nu_2 = {V[1, 0]:.12g}")
     print("x   V_1(x)              V_2(x)")
     for x in range(0, args.x_max + 1, max(args.x_max // 10, 1)):
-        print(f"{x:<3d} {lad[1][x]:<19.12g} {lad[2][x]:.12g}")
+        print(f"{x:<3d} {V[0, x]:<19.12g} {V[1, x]:.12g}")
 
-    for c in ph.certify(law, lad, args.x_max):
+    for c in ph.certify(law, V, args.x_max):
         verdict = "PASS" if c.passed else "FAIL"
         print(f"{c.name:<24} {verdict}  {c.measure} {c.value:.3e} (limit {c.limit:g})")
     # the paper route reads one free sweep: Delta_n and the points -x_max..0
     delta, points = oracle.delta_table(law, args.horizon, range(-args.x_max, 1))
     paper = ph.v_ladder(law, args.x_max, 2, tau0.tau0_coeffs(law, delta), points)
     window = ph.route_window(law, args.x_max, args.horizon)
-    gap = ph.route_gap(paper.V, lad.V, window)
+    gap = ph.route_gap(paper, V, window)
     verdict = "PASS" if gap <= ph.ROUTE_GAP_TOL else "FAIL"
     print(f"{'V paper route':<24} {verdict}  relative gap {gap:.3e} on x=0..{window} "
           f"at N={args.horizon} (limit {ph.ROUTE_GAP_TOL:g})")
 
     xs = np.arange(1, args.x_max + 1)
     for j, deg in ((1, 1), (2, 3)):
-        fit = ph.poly_tail_fit(xs, lad[j][1 : args.x_max + 1], deg)
+        fit = ph.poly_tail_fit(xs, V[j - 1, 1 : args.x_max + 1], deg)
         verdict = "PASS" if fit.passed else "FAIL"
         print(f"V_{j} degree-{deg} tail fit: {verdict}, coeffs {fit.coefficients}")
 
     if law.left_continuous:
         lc = ph.v_leftcont(law, args.x_max, 2)
-        gap = np.abs(lc[1][1:] / lad[1][1 : args.x_max + 1] - 1).max()
+        gap = np.abs(lc[0, 1:] / V[0, 1 : args.x_max + 1] - 1).max()
         print(f"left-continuous closed form vs ladder V_1: max rel gap {gap:.3e}")
 
 

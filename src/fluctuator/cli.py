@@ -100,7 +100,7 @@ def _cmd_expand_tau0(args) -> int:
     law = load_model(args.model)
     out_dir = Path(args.out_dir)
     # the paper route is gauged by the closed form, found before the sweep
-    exact = polyharmonic.v_wiener_hopf(law, 0, 3).nu
+    exact = polyharmonic.v_wiener_hopf(law, 0, 3)[:, 0]
     coeffs = tau0.tau0_coeffs(law, oracle.delta_table(law, args.horizon)[0])
     doc = {
         "model": law_to_json(law),
@@ -169,22 +169,22 @@ def _cmd_expand_taux(args) -> int:
     J = args.terms
     # the closed form sweeps nothing: --horizon is accepted and not read
     top = polyharmonic.ladder_reach(law, args.x_max, J) if args.check_polyharmonic else args.x_max
-    ladder = polyharmonic.v_wiener_hopf(law, top, J)
+    V = polyharmonic.v_wiener_hopf(law, top, J)
     doc = {
         "model": law_to_json(law),
-        "nu": {f"nu_{j}": _num(ladder.nu[j - 1], "wiener-hopf") for j in range(1, J + 1)},
+        "nu": {f"nu_{j}": _num(V[j - 1, 0], "wiener-hopf") for j in range(1, J + 1)},
         "V": {
             f"V_{j}": {str(x): _num(v, "wiener-hopf") for x, v in enumerate(row)}
-            for j, row in enumerate(ladder.V[:, : args.x_max + 1].tolist(), 1)
+            for j, row in enumerate(V[:, : args.x_max + 1].tolist(), 1)
         },
     }
     if law.left_continuous:
         lc = polyharmonic.v_leftcont(law, args.x_max, J)
         doc["V_leftcont"] = {
             f"V_{j}": {str(x): _num(v, "analytic") for x, v in enumerate(row)}
-            for j, row in enumerate(lc.V.tolist(), 1)
+            for j, row in enumerate(lc.tolist(), 1)
         }
-    checks = polyharmonic.certify(law, ladder, args.x_max) if args.check_polyharmonic else ()
+    checks = polyharmonic.certify(law, V, args.x_max) if args.check_polyharmonic else ()
     if checks:
         doc["polyharmonic_checks"] = {c.key: _num(c.value, "wiener-hopf") for c in checks}
     _write_json(out_dir / "taux_coeffs.json", doc)
@@ -259,11 +259,11 @@ def _cmd_verify(args) -> int:
             if coeffs is None:
                 raise closure
             paper = polyharmonic.v_ladder(law, args.x_max, 2, coeffs, ids.points)
-            ladder = polyharmonic.v_wiener_hopf(law, top, 2)
-            for c in polyharmonic.certify(law, ladder, args.x_max):
+            V = polyharmonic.v_wiener_hopf(law, top, 2)
+            for c in polyharmonic.certify(law, V, args.x_max):
                 check(c.name, c.passed, f"{c.measure} {c.value:.3e}")
             routes = (
-                ("V", paper.V, ladder.V),
+                ("V", paper, V),
                 ("U", conditioned.q_ladder(law, ids.points, args.x_max, 3)[1::2],
                  polyharmonic.u_wiener_hopf(law, args.x_max, 2)),
             )

@@ -21,7 +21,6 @@ from .walk import LatticeLaw
 
 __all__ = [
     "Polynomial",
-    "CdfExpansionAtZero",
     "hermite",
     "partition_tuples",
     "theta_polys",
@@ -85,15 +84,6 @@ class Polynomial:
         return Polynomial.from_coeffs((self.coefficients[0] * 0,) + self.coefficients)
 
 
-@dataclass(frozen=True)
-class CdfExpansionAtZero:
-    """Delta_n / n ~ theta1 a_(n-1)^(2) + theta2 a_(n-1)^(3), with
-    Delta_n = 1/2 - P(S_n <= 0)."""
-
-    theta1: float
-    theta2: float
-
-
 @cache
 def hermite(m: int) -> Polynomial:
     """Probabilists' Hermite polynomial, exact integer coefficients."""
@@ -131,7 +121,7 @@ def _theta_terms(J: int) -> dict[tuple[int, int], tuple[int, tuple]]:
     """The law-free integer table of theta_polys: (j, p) -> (L, ((c, ks, e),
     ...)), so that the coefficient of x^p in the n^-(j+1/2) ladder term is
     D^p sum c prod_m K_(m+2)^(k_m) K_2^e / (L K_2^(3j - p)) over sqrt(2 pi v),
-    K_m = D^m kappa_m with D the lcm of the atom denominators, ks the pairs
+    K_m = D^m kappa_m with D = `LatticeLaw.denominator`, ks the pairs
     (m + 2, k_m) with k_m > 0.
 
     It expands (1/(sigma sqrt(n))) [phi(t) + sum q_nu(t) n^(-nu/2)], t =
@@ -180,7 +170,7 @@ def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
     law.require_expansion_ready()
     J = r // 2
     kappas = law.cumulants(2 * J + 2)
-    v, D = kappas[1], math.lcm(*(p.denominator for p in law.atoms.values()))
+    v, D = kappas[1], law.denominator
     K = [k.numerator * (D**m // k.denominator) for m, k in enumerate(kappas, 1)]  # D^m kappa_m
     # f[j][p] = (numerator, denominator) of the x^p coefficient in the
     # n^-(j+1/2) ladder term, times sqrt(2 pi v)
@@ -221,10 +211,12 @@ def _times_sqrt_2_over(r: Fraction, v: Fraction) -> float:
     return math.copysign(math.ldexp(float(2 * root + inexact), -shift // 2 - 1), r)
 
 
-def delta_coeffs(law: LatticeLaw) -> CdfExpansionAtZero:
-    """First two correction coefficients of Delta_n / n in the shifted
-    a-basis, from the Edgeworth terms at zero plus the lattice (periodic
-    Bernoulli) corrections.  With v = sigma^2 and kappa_i the cumulants,
+def delta_coeffs(law: LatticeLaw) -> tuple[float, float]:
+    """(theta_1, theta_2) of Delta_n / n ~ theta_1 a_(n-1)^(2) + theta_2
+    a_(n-1)^(3), Delta_n = 1/2 - P(S_n <= 0), the first two correction
+    coefficients in the shifted a-basis, from the Edgeworth terms at zero
+    plus the lattice (periodic Bernoulli) corrections.  With v = sigma^2 and
+    kappa_i the cumulants,
 
         Delta_n ~ -R_A / sqrt(2 pi v) n^(-1/2) + R_B / sqrt(2 pi v) n^(-3/2),
         R_A = S_1 + kappa_3 / (6 v),
@@ -245,6 +237,4 @@ def delta_coeffs(law: LatticeLaw) -> CdfExpansionAtZero:
         + s1 * (5 * k3**2 / (24 * v**3) - k4 / (8 * v**2))
         + s2 * k3 / (2 * v**2)
     )
-    return CdfExpansionAtZero(
-        _times_sqrt_2_over(r_a, v), _times_sqrt_2_over(5 * r_a / 4 + 2 * r_b / 3, v)
-    )
+    return _times_sqrt_2_over(r_a, v), _times_sqrt_2_over(5 * r_a / 4 + 2 * r_b / 3, v)

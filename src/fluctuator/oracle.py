@@ -122,11 +122,6 @@ def _guard_table(rows: int, cols: int) -> None:
         )
 
 
-def _unit(law: LatticeLaw) -> int:
-    """D, the lcm of the atom denominators."""
-    return math.lcm(*(p.denominator for p in law.atoms.values()))
-
-
 def _last(law: LatticeLaw, N: int, start: int, floor: int | None) -> int:
     """The last nonempty frame of a sweep of N steps: frame n >= 1 holds a
     state when its top, start + n khi, is at or above the floor."""
@@ -212,7 +207,7 @@ def _residue_reads(law: LatticeLaw, N: int, res: _Residues):
     below (N + 1) q, which `_prime_pool` keeps below 2^63.
     """
     klo, khi = law.support[0], law.support[-1]
-    D, k, q = _unit(law), len(res.primes), res.q
+    D, k, q = law.denominator, len(res.primes), res.q
     vs = sorted(law.atoms)
     kern = np.array([[int(law.atoms[v] * D) % qi for qi in res.primes] for v in vs])
     gain, reduced = int(kern.sum(0).max()), int(q.max()) - 1
@@ -301,7 +296,7 @@ def _sweep_exact(law: LatticeLaw, N: int, start: int = 0, floor: int | None = No
     denominators.  Unguarded: `_guard_sweep` refuses an oversized sweep.
     """
     klo, khi = law.support[0], law.support[-1]
-    D = _unit(law)
+    D = law.denominator
     kern = np.zeros(khi - klo + 1, dtype=object)
     for v, p in law.atoms.items():
         kern[v - klo] = int(p * D)
@@ -745,7 +740,7 @@ def identity_suite(law: LatticeLaw, N: int, xs: Sequence[int] = ()) -> IdentityS
     of the free walk (also read at the states xs) and of T_0 give the float
     Spitzer gap, Delta_n and P(tau_0 > n) up to N.
     """
-    D = _unit(law)
+    D = law.denominator
     below_f, points = _free_float(law, N, xs)
     T0_f = _killed_float(law, N, 0, 1)[0]
     primes, pool = _draw_primes(law, N, D)
@@ -778,9 +773,10 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q = z^d (1 - phi(z)) / (z - 1)^2 for jumps in [-d, h] and the monic
     factors of its d - 1 roots inside and h - 1 outside the unit circle, as
     floats, highest power first: the Wiener-Hopf factors at s = 1 (Feller,
-    Vol. II, Ch. XII).  Q is divided exactly, in integers times D = `_unit`, as
-    floats split the double root at 1 and misclassify its halves.  Raises LawError
-    when the roots split otherwise; refuses degree d + h - 2 > ROOT_DEGREE_CAP first."""
+    Vol. II, Ch. XII).  Q is divided exactly, in integers times D =
+    `law.denominator`, as floats split the double root at 1 and misclassify its
+    halves.  Raises LawError when the roots split otherwise; refuses degree
+    d + h - 2 > ROOT_DEGREE_CAP first."""
     law.require_expansion_ready()
     d, h = -law.support[0], law.support[-1]
     if d + h - 2 > ROOT_DEGREE_CAP:
@@ -788,7 +784,7 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"ladder root-finding degree {d + h - 2} exceeds cap {ROOT_DEGREE_CAP}"
         )
     # D z^d (1 - phi(z)), highest power first: z^(v + d) sits at index h - v
-    c, D = [0] * (d + h + 1), _unit(law)
+    c, D = [0] * (d + h + 1), law.denominator
     c[h] += D
     for v, p in law.atoms.items():
         c[h - v] -= p.numerator * (D // p.denominator)

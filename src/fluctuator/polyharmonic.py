@@ -1,7 +1,8 @@
 """The coefficient functions V_j(x) of the tau_x tail expansion (closed form
 and the paper's duality assembly) and U_j(x) of the conditioned local
-probabilities (closed form), the killed step (P - I), their polyharmonic
-certification, and polynomial-tail fits.
+probabilities (closed form), each a float array F[j - 1, x] = F_j(x), the
+killed step (P - I), the polyharmonic certification of a V ladder, and
+polynomial-tail fits.
 
 Assembly (duality route, the paper's): with T_x(s) = sum_n P(tau_x > n) s^n
 and the strict-ladder generating functions B-tilde(s, y) of the reversed walk,
@@ -31,8 +32,6 @@ from .oracle import NotLeftContinuous, ResourceCapExceeded
 from .walk import LatticeLaw
 
 __all__ = [
-    "VLadder",
-    "DomainGap",
     "GridTooShort",
     "PolyTailFit",
     "PolyCheck",
@@ -43,8 +42,6 @@ __all__ = [
     "route_window",
     "v_leftcont",
     "killed_step",
-    "polyharm_defect",
-    "v2_identity_residual",
     "ladder_reach",
     "certify",
     "poly_tail_fit",
@@ -64,21 +61,8 @@ CERTIFY_TOL = 1e-9
 LADDER_STATE_CAP = 1 << 16
 
 
-class DomainGap(ValueError):
-    """Operator application needs function values outside the given window."""
-
-
 class GridTooShort(ValueError):
     """Polynomial tail fit needs a longer x-grid."""
-
-
-@dataclass(frozen=True)
-class VLadder:
-    V: np.ndarray  # V[j-1, x] for j = 1..J, x = 0..x_max
-    nu: tuple[float, ...] | None = None  # nu_1..nu_J
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.V[j - 1]
 
 
 @dataclass(frozen=True)
@@ -89,12 +73,13 @@ class PolyTailFit:
 
 def v_ladder(
     law: LatticeLaw, x_max: int, J: int, coeffs: tau0.Tau0Coefficients, points: dict
-) -> VLadder:
-    """V_1..V_J on x = 0..x_max via the duality assembly, from one free
-    sweep of the law: coeffs = tau0.tau0_coeffs(law, delta) for T_0 and
-    points[x][n] = P(S_n = x) at x = -x_max..0 for B-tilde, mirrored as
-    the reversed walk's point masses P(S~_n = x) = P(S_n = -x), with
-    (delta, points) = `oracle.delta_table(law, N, xs)`."""
+) -> np.ndarray:
+    """V[j - 1, x] = V_j(x) for j = 1..J on x = 0..x_max via the duality
+    assembly, from one free sweep of the law: coeffs = tau0.tau0_coeffs(law,
+    delta) for T_0 and points[x][n] = P(S_n = x) at x = -x_max..0 for
+    B-tilde, mirrored as the reversed walk's point masses P(S~_n = x) =
+    P(S_n = -x), with (delta, points) = `oracle.delta_table(law, N, xs)`.
+    V_j(0) = mu'_(2j-2) = nu_j, as Qt_l(0) = 0."""
     if J < 1:
         raise ValueError("J must be >= 1")
     mup = [coeffs.nu[0] * m for m in coeffs.mu]  # mu'_i = exp(psi_0) mu_i, i = 0..4
@@ -111,7 +96,7 @@ def v_ladder(
         for k in range(-1, m + 1):
             acc += mup[k + 1] * Qt[m - k]
         V[j - 1] = acc
-    return VLadder(V=V, nu=tuple(coeffs.nu[:J]))
+    return V
 
 
 @cache
@@ -203,13 +188,13 @@ def _side_factor(
     return R, p
 
 
-def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> VLadder:
-    """V_1..V_J on x = 0..x_max and nu_j = V_j(0), with no horizon.  Put
-    s = 1 - t^2.  Over the d small roots z_i(t) of z^d (1 - s phi(z)) for
-    jumps in [-d, h], E_x s^tau_x = sum_i c_i z_i^x for x >= 1, with the c_i
-    that make it 1 at x = 1 - d..0 (Feller, Vol. II, Ch. XII).  It is
-    1 - t^2 sum_n P(tau_x > n) s^n, so V_j(x) is its t^(2j-1) coefficient
-    negated."""
+def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
+    """V[j - 1, x] = V_j(x) for j = 1..J on x = 0..x_max, and nu_j = V_j(0),
+    with no horizon.  Put s = 1 - t^2.  Over the d small roots z_i(t) of
+    z^d (1 - s phi(z)) for jumps in [-d, h], E_x s^tau_x = sum_i c_i z_i^x
+    for x >= 1, with the c_i that make it 1 at x = 1 - d..0 (Feller, Vol.
+    II, Ch. XII).  It is 1 - t^2 sum_n P(tau_x > n) s^n, so V_j(x) is its
+    t^(2j-1) coefficient negated."""
     d, h, M = -law.support[0], law.support[-1], 2 * J
     states = max(x_max, h) + d
     if states > LADDER_STATE_CAP:
@@ -225,8 +210,7 @@ def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> VLadder:
     E[0] = (p[h - 1 :: -1, None] * E[1 : h + 1]).sum(0)  # E_0 = s (P(X <= 0) + sum_v p_v E_v)
     E[0, 0] += p[h:].sum()
     E[0, 2:] = E[0, 2:] - E[0, :-2]
-    V = 0.0 - E[: x_max + 1, 1::2].T  # no -0.0
-    return VLadder(V=V, nu=tuple(V[:, 0]))
+    return 0.0 - E[: x_max + 1, 1::2].T  # no -0.0
 
 
 def u_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
@@ -264,8 +248,9 @@ def route_window(law: LatticeLaw, x_max: int, N: int) -> int:
     return max(1, min(x_max, math.isqrt(math.floor(4 * law.variance * N))))
 
 
-def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> VLadder:
-    """Closed form for left-continuous walks, a polynomial of degree 2j - 1:
+def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
+    """V[j - 1, x] on x = 0..x_max in closed form for left-continuous walks,
+    a polynomial of degree 2j - 1:
 
         V_j(x) = (2 / (2j - 1)) * x * theta_(j-1)(-x).
 
@@ -276,8 +261,7 @@ def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> VLadder:
         raise NotLeftContinuous("law has downward jumps larger than 1")
     thetas = edgeworth.theta_polys(law, 2 * J)
     xs = np.arange(x_max + 1, dtype=float)
-    V = np.array([(2.0 / (2 * j - 1)) * xs * thetas[j - 1](-xs) for j in range(1, J + 1)])
-    return VLadder(V=V)
+    return np.array([(2.0 / (2 * j - 1)) * xs * thetas[j - 1](-xs) for j in range(1, J + 1)])
 
 
 def killed_step(law: LatticeLaw, f: np.ndarray) -> np.ndarray:
@@ -292,31 +276,6 @@ def killed_step(law: LatticeLaw, f: np.ndarray) -> np.ndarray:
             out[lo:] += float(p) * f[lo + v : out.size + v]
     out[1:] -= float(1 - law.atoms.get(0, 0)) * f[1 : out.size]
     return out
-
-
-def polyharm_defect(law: LatticeLaw, f_values: np.ndarray, x_window: tuple[int, int]) -> float:
-    """sup_{x in window} |(P - I)f(x)|.
-
-    f_values[x] must cover the window inflated by the largest upward jump.
-    """
-    lo, hi = x_window
-    if lo < 1:
-        raise ValueError("window must sit in x >= 1")
-    need = hi + max(law.support)
-    if need >= len(f_values):
-        raise DomainGap(f"need f up to x = {need}, given {len(f_values) - 1}")
-    return float(np.max(np.abs(killed_step(law, f_values)[lo : hi + 1])))
-
-
-def v2_identity_residual(
-    step_v2: np.ndarray, v1: np.ndarray, x_window: tuple[int, int]
-) -> float:
-    """Sup-norm residual of (P - I)V_2 = V_1 over the window, from
-    step_v2 = killed_step(law, V_2) and V_1."""
-    lo, hi = x_window
-    if hi >= step_v2.size:
-        raise DomainGap("ladder window too small for the operator step")
-    return float(np.max(np.abs(step_v2[lo : hi + 1] - v1[lo : hi + 1])))
 
 
 @dataclass(frozen=True)
@@ -340,25 +299,30 @@ def ladder_reach(law: LatticeLaw, x_max: int, J: int) -> int:
     return x_max + J * max(law.support) + 2
 
 
-def certify(law: LatticeLaw, ladder: VLadder, x_max: int) -> tuple[PolyCheck, ...]:
-    """The polyharmonic checks of a ladder of V_1..V_J on the window
-    x = 1..x_max, each relative to the window's sup of the V_j checked:
+def certify(law: LatticeLaw, V: np.ndarray, x_max: int) -> tuple[PolyCheck, ...]:
+    """The polyharmonic checks of a ladder V[j - 1, x] = V_j(x), j = 1..J, on
+    the window x = 1..x_max, each relative to the window's sup of the V_j
+    checked:
 
       polyharmonic V1           sup |(P - I)V_1| / sup |V_1|          <= CERTIFY_TOL
       polyharmonic V2 identity  sup |(P - I)V_2 - V_1| / sup |V_2|    <= CERTIFY_TOL
       polyharmonic V2 (P-I)^2   sup |(P - I)^2 V_2| / sup |V_2|       <= CERTIFY_TOL
 
-    (the V_2 checks for J >= 2).  The ladder must reach
-    `ladder_reach(law, x_max, J)`.
+    (the V_2 checks for J >= 2).  The steps read V up to x_max + min(J, 2) h,
+    h the largest upward jump: `ladder_reach(law, x_max, J)` reaches it.
     """
-    window, sups = (1, x_max), np.abs(ladder.V[:, 1 : x_max + 1]).max(1).tolist()
-    d1 = polyharm_defect(law, ladder[1], window) / sups[0]
+    need = x_max + min(len(V), 2) * max(law.support)
+    if V.shape[1] <= need:
+        raise ValueError(f"certify needs V up to x = {need}, given {V.shape[1] - 1}")
+    w = slice(1, x_max + 1)
+    sups = np.abs(V[:, w]).max(1).tolist()
+    d1 = float(np.abs(killed_step(law, V[0])[w]).max()) / sups[0]
     checks = [PolyCheck("polyharmonic V1", "harmonic_defect_V1", "relative defect", d1,
                         CERTIFY_TOL)]
-    if len(ladder.V) >= 2:
-        step_v2 = killed_step(law, ladder[2])  # (P - I)V_2, read by both V_2 checks
-        resid = v2_identity_residual(step_v2, ladder[1], window) / sups[1]
-        d2 = polyharm_defect(law, step_v2, window) / sups[1]
+    if len(V) >= 2:
+        step_v2 = killed_step(law, V[1])  # (P - I)V_2, read by both V_2 checks
+        resid = float(np.abs(step_v2[w] - V[0, w]).max()) / sups[1]
+        d2 = float(np.abs(killed_step(law, step_v2)[w]).max()) / sups[1]
         checks += [
             PolyCheck("polyharmonic V2 identity", "v2_identity_residual", "relative residual",
                       resid, CERTIFY_TOL),

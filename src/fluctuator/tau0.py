@@ -108,8 +108,7 @@ def tau0_coeffs(law: LatticeLaw, deltas: np.ndarray) -> Tau0Coefficients:
     theta_1, theta_2 come from the Edgeworth polynomials at zero
     (edgeworth.delta_coeffs).
     """
-    cdf = edgeworth.delta_coeffs(law)
-    psi = psi_scalars(deltas, (cdf.theta1, cdf.theta2))
+    psi = psi_scalars(deltas, edgeworth.delta_coeffs(law))
     mu = mu_coeffs(psi)
     e0 = math.exp(psi.psi0)
     return Tau0Coefficients(nu=(e0, e0 * mu[2], e0 * mu[4]), mu=mu, psi=psi)

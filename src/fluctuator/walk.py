@@ -30,8 +30,9 @@ MAX_CUMULANT_ORDER = 8
 class LatticeLaw:
     """Finite-support integer law with exact rational probabilities.
 
-    Immutable after construction; support, mean, variance, span and
-    left-continuity are cached lazily, raw moments and cumulants are not.
+    Immutable after construction; support, mean, variance, span,
+    left-continuity and the denominator D are cached lazily, raw moments and
+    cumulants are not.
     Span != 1 is allowed at construction and only rejected by expansion
     entry points (via require_expansion_ready).
     """
@@ -87,6 +88,11 @@ class LatticeLaw:
         return g if g > 0 else 1
 
     @cached_property
+    def denominator(self) -> int:
+        """D, the lcm of the atom denominators."""
+        return math.lcm(*(p.denominator for p in self.atoms.values()))
+
+    @cached_property
     def left_continuous(self) -> bool:
         """Downward jumps of size one: -1 is the smallest atom."""
         return self.support[0] == -1
@@ -96,12 +102,11 @@ class LatticeLaw:
 
         Standard moments-to-cumulants recursion,
         kappa_n = m_n - sum_(i=1..n-1) C(n-1, i-1) kappa_i m_(n-i),
-        run in integers on D^n m_n and K_n = D^n kappa_n, D the lcm of the
-        masses' denominators.
+        run in integers on D^n m_n and K_n = D^n kappa_n, D = `denominator`.
         """
         if k > MAX_CUMULANT_ORDER:
             raise ValueError(f"cumulant order capped at {MAX_CUMULANT_ORDER}")
-        D = math.lcm(*(p.denominator for p in self.atoms.values()))
+        D = self.denominator
         w = {v: p.numerator * (D // p.denominator) for v, p in self.atoms.items()}
         mu = [D ** (n - 1) * sum(c * v**n for v, c in w.items()) for n in range(1, k + 1)]
         K: list[int] = []

@@ -154,7 +154,7 @@ def spitzer_check(law: LatticeLaw, N: int) -> Fraction:
     The factorization is exact, so the defect is identically zero."""
     below, den = _reduce(law, N, oracle._upto_zero)
     T, _ = _reduce(law, N, _total, floor=1)
-    return oracle._spitzer_gap(below, T, den, oracle._unit(law), oracle._PLAIN)
+    return oracle._spitzer_gap(below, T, den, law.denominator, oracle._PLAIN)
 
 
 def leftcont_check(law: LatticeLaw, x_max: int, N: int):
@@ -166,7 +166,7 @@ def leftcont_check(law: LatticeLaw, x_max: int, N: int):
         raise oracle.NotLeftContinuous("law has downward jumps larger than 1")
     xs = range(1, x_max + 1)
     p, den = _reduce(law, N, partial(_points, [-x for x in xs]))
-    D = oracle._unit(law)
+    D = law.denominator
     worst = Fraction(0)
     for x in xs:
         T, _ = _reduce(law, N, _total, x, 1)
@@ -399,7 +399,7 @@ def tau0_coeffs_at(law: LatticeLaw, N: int) -> tau0.Tau0Coefficients:
     return tau0.tau0_coeffs(law, oracle.delta_table(law, N)[0])
 
 
-def v_ladder_at(law: LatticeLaw, x_max: int, J: int, N: int) -> polyharmonic.VLadder:
+def v_ladder_at(law: LatticeLaw, x_max: int, J: int, N: int) -> np.ndarray:
     """`polyharmonic.v_ladder` from one free sweep of N steps, read at
     -x_max..0 as `verify` reads it."""
     delta, points = oracle.delta_table(law, N, range(-x_max, 1))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fluctuator import cli, conditioned, oracle, polyharmonic, tau0, walk
 
+from test_conditioned import DOUBLE
 from test_polyharmonic import up_law
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -303,7 +304,7 @@ def test_ladder_state_cap_admits_its_last_state(skewed):
     # for U; 40000 states fit well inside
     cap = polyharmonic.LADDER_STATE_CAP
     assert cap > polyharmonic.ladder_reach(skewed, 40000, 2) + 1
-    assert polyharmonic.v_wiener_hopf(skewed, cap - 1, 1).V.shape == (1, cap)
+    assert polyharmonic.v_wiener_hopf(skewed, cap - 1, 1).shape == (1, cap)
     assert polyharmonic.u_wiener_hopf(skewed, cap - 2, 1).shape == (1, cap - 1)
     for ladder, x_max in ((polyharmonic.v_wiener_hopf, cap), (polyharmonic.u_wiener_hopf, cap - 1)):
         with pytest.raises(oracle.ResourceCapExceeded, match=f"{cap + 1} states exceeds cap"):
@@ -775,6 +776,23 @@ def test_taux_and_verify_certify_alike(tmp_path, capsys):
     ):
         line = next(ln for ln in lines if ln.startswith(name + " "))
         assert line.endswith(f"PASS  {measure} {checks[key]['value']:.3e}")
+
+
+@pytest.mark.parametrize("model", ["lazy", "skewed", "double"])
+def test_taux_nu_is_v_at_zero(tmp_path, model):
+    # nu_j is read off the ladder: each nu_j written is V_j(0), the same
+    # float, sign of zero included
+    if model == "double":
+        model = tmp_path / "double.json"
+        model.write_text(json.dumps(walk.law_to_json(DOUBLE)))
+    argv = ["expand", "taux", "--model", str(model), "--x-max", "12", "--check-polyharmonic",
+            "--out-dir", str(tmp_path)]
+    assert _run(argv) == cli.EXIT_PASS
+    doc = json.loads((tmp_path / "taux_coeffs.json").read_text())
+    assert len(doc["nu"]) == 2
+    for j in (1, 2):
+        nu, v0 = doc["nu"][f"nu_{j}"]["value"], doc["V"][f"V_{j}"]["0"]["value"]
+        assert float(nu).hex() == float(v0).hex(), (j, nu, v0)
 
 
 def test_verify_reports_the_exact_checks_when_certification_fails(tmp_path, capsys):

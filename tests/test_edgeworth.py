@@ -73,9 +73,7 @@ def test_theta0_normalization(lazy):
 def test_delta_coeffs_lazy_symmetry(lazy):
     # symmetric walk: R_A = S_1 = 1/2, R_B = -S_1 kappa_4 / (8 v^2) = 1/16
     # with v = 1/2, kappa_4 = -1/4; both thetas come out correctly rounded
-    ana = edgeworth.delta_coeffs(lazy)
-    assert ana.theta1 == 1.0
-    assert ana.theta2 == 4 / 3
+    assert edgeworth.delta_coeffs(lazy) == (1.0, 4 / 3)
 
 
 # S_r(0) of the periodic Bernoulli factors: S_0 = 1, the S_1 jump
@@ -117,9 +115,9 @@ def _check_closed_form(law) -> None:
     v = law.variance
     r_a = _lattice_cdf_at_zero(law, 1)
     r_b = -_lattice_cdf_at_zero(law, 3)
-    got = edgeworth.delta_coeffs(law)
-    _assert_correctly_rounded(got.theta1, r_a, v)
-    _assert_correctly_rounded(got.theta2, 5 * r_a / 4 + 2 * r_b / 3, v)
+    theta1, theta2 = edgeworth.delta_coeffs(law)
+    _assert_correctly_rounded(theta1, r_a, v)
+    _assert_correctly_rounded(theta2, 5 * r_a / 4 + 2 * r_b / 3, v)
 
 
 def test_delta_coeffs_closed_form_hand_picked(lazy, skewed):

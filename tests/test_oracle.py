@@ -223,7 +223,7 @@ def test_residue_primes_skip_the_law_denominator(monkeypatch):
     # unit is still caught
     D = 8388617
     law = walk.LatticeLaw({-1: Fraction(3, D), 0: Fraction(D - 6, D), 1: Fraction(3, D)})
-    assert oracle._unit(law) == D
+    assert law.denominator == D
     monkeypatch.setattr(oracle, "_prime_pool", lambda N, D: (8388638, 3))
     ids = oracle.identity_suite(law, 40)
     assert sorted(ids.primes) == [8388619, 8388623, 8388637]
@@ -292,7 +292,7 @@ def test_residue_reads_are_the_exact_sweeps_reduced(law, N):
     # the residue pass copies a window near 0 a step and unrolls the totals
     # by D**-n: its reads equal, residue for residue, those of the
     # object-int sweeps at every n
-    primes, _ = oracle._draw_primes(law, N, oracle._unit(law))
+    primes, _ = oracle._draw_primes(law, N, law.denominator)
     got = oracle._residue_reads(law, N, oracle._Residues(primes))
     for g, w in zip(got, _exact_reads(law, N, primes), strict=True):
         assert g.shape == w.shape and np.array_equal(g, w)
@@ -309,7 +309,7 @@ def test_residue_primes_are_pinned(lazy, skewed, N):
     for law, primes in ((lazy, (13528813, 15530323, 10472237)),
                         (skewed, (9431479, 9026639, 13644329)),
                         (p03v2, (13106857, 15197263, 16313971))):
-        assert oracle._draw_primes(law, N, oracle._unit(law)) == (primes, 504756)
+        assert oracle._draw_primes(law, N, law.denominator) == (primes, 504756)
 
 
 def test_residue_primes_are_deterministic_and_refused_past_int64(lazy, skewed):
