@@ -124,7 +124,9 @@ def _cmd_expand_tau0(args) -> int:
     approx = {t: tau0.evaluate_tau0(coeffs, args.horizon, t) for t in range(1, args.terms + 1)}
     header = ["n", "dp"] + [f"approx_{t}" for t in approx] + [f"err_{t}" for t in approx]
     cols = [truth, *approx.values(), *(np.abs(truth - a) for a in approx.values())]
-    rows = ((n, *row) for n, row in enumerate(np.column_stack(cols)[1:].tolist(), 1))
+    table = np.column_stack(cols)
+    rows = ((n, *row) for lo in range(1, len(table), 256)  # 256 rows of Python floats at a time
+            for n, row in enumerate(table[lo : lo + 256].tolist(), lo))
     _write_rows(out_dir / "errors.csv", header, "%d" + ",%.17g" * len(cols) + "\r\n", rows)
     print(f"wrote {out_dir / 'coeffs.json'} and {out_dir / 'errors.csv'}")
     return EXIT_PASS
@@ -135,9 +137,10 @@ def _cmd_expand_local(args) -> int:
     out_dir = Path(args.out_dir)
     # refuse an unfit law, then each oversized table, before the DP check of the closed form
     law.require_expansion_ready()
-    n_grid = np.unique(np.geomspace(32, args.horizon, 60).astype(int))
-    if args.x_max * n_grid.size > LOCAL_ROW_CAP:
-        raise ResourceCapExceeded(f"{args.x_max * n_grid.size} error rows exceed {LOCAL_ROW_CAP}")
+    # the n grid, sorted without np.unique, which would load numpy.ma
+    ns = sorted(set(np.geomspace(32, args.horizon, 60).astype(int).tolist()))
+    if args.x_max * len(ns) > LOCAL_ROW_CAP:
+        raise ResourceCapExceeded(f"{args.x_max * len(ns)} error rows exceed {LOCAL_ROW_CAP}")
     U = polyharmonic.u_wiener_hopf(law, args.x_max, args.terms)
     table = oracle.conditioned_table(law, args.horizon, args.x_max, strict=False)
     V = conditioned.weak_renewal(oracle.ladder_renewal(law, args.x_max))
@@ -154,8 +157,9 @@ def _cmd_expand_local(args) -> int:
 
     def rows():  # one x at a time: the file is never held as one list
         for x in range(1, args.x_max + 1):
-            res = conditioned.u_expansion_eval(table, U, x, n_grid, J=args.terms)
-            yield from zip(n_grid, [x] * n_grid.size, res["truth"], res["approx"], res["error"])
+            res = conditioned.u_expansion_eval(table, U, x, ns, J=args.terms)
+            res = {k: v.tolist() for k, v in res.items()}  # Python floats format faster
+            yield from zip(ns, [x] * len(ns), res["truth"], res["approx"], res["error"])
 
     _write_rows(out_dir / "local_errors.csv", ["n", "x", "dp", "approx", "err"],
                 "%d,%d,%.17g,%.17g,%.17g\r\n", rows())

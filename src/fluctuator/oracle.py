@@ -209,7 +209,7 @@ def _residue_reads(law: LatticeLaw, N: int, res: _Residues):
     klo, khi = law.support[0], law.support[-1]
     D, k, q = law.denominator, len(res.primes), res.q
     vs = sorted(law.atoms)
-    kern = np.array([[int(law.atoms[v] * D) % qi for qi in res.primes] for v in vs])
+    kern = np.array([[law.weights[v] % qi for qi in res.primes] for v in vs])
     gain, reduced = int(kern.sum(0).max()), int(q.max()) - 1
     if gain * reduced > _I64:
         raise ResourceCapExceeded(f"kernel row sum {gain} overflows int64 residues")
@@ -298,8 +298,8 @@ def _sweep_exact(law: LatticeLaw, N: int, start: int = 0, floor: int | None = No
     klo, khi = law.support[0], law.support[-1]
     D = law.denominator
     kern = np.zeros(khi - klo + 1, dtype=object)
-    for v, p in law.atoms.items():
-        kern[v - klo] = int(p * D)
+    for v, w in law.weights.items():
+        kern[v - klo] = w
     alive = np.array([1], dtype=object)
     lo, den, dead = start, 1, alive[:0]
     yield 0, lo, alive, dead, den
@@ -523,8 +523,8 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
                   totals: bool = True):
     """(tail, table) of the float walk start + S_n killed on first entry
     below floor >= 0: tail[n] = P(tau > n) and table[n, x] = P(start + S_n
-    = x, tau > n) for x = 0..cols - 1, n = 0..N.  totals=False leaves tail
-    at 0 where single steps would sum every frame for it.
+    = x, tau > n) for x = 0..cols - 1, n = 0..N.  totals=False sums no
+    totals and leaves tail[1:] at 0.
 
     The walk moves k steps a block (`_block_length`).  In u = x - floor + 1
     a state is alive when u >= 1, and the read columns x >= floor are
@@ -579,7 +579,8 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
             j = min(k, N + 1 - n)  # frames n .. n + j - 1 are read off this state
             r = buf[:R] @ M
             read = r[: j * (W + 1)].reshape(j, W + 1)
-            tail[n : n + j] = read[:, 0] + np.add.reduce(buf[R:hi])
+            if totals:
+                tail[n : n + j] = read[:, 0] + np.add.reduce(buf[R:hi])
             rows[n : n + j] = read[:, 1:]
             near = r[k * (W + 1) :]
         else:
@@ -597,9 +598,9 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
         if ns:
             buf[:ns] += near
         n += k
-        end = hi = max(top, ns, 0)
-        while hi and buf[hi - 1] < _TINY:  # drop the top cells below _TINY
-            hi -= 1
+        end = max(top, ns, 0)
+        kept = buf[:end][::-1] >= _TINY  # top down: drop the cells above the last one >= _TINY
+        hi = end - int(kept.argmax()) if kept.any() else 0
         if hi < end:
             buf[hi:end] = 0.0
     return tail, table
@@ -786,8 +787,8 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # D z^d (1 - phi(z)), highest power first: z^(v + d) sits at index h - v
     c, D = [0] * (d + h + 1), law.denominator
     c[h] += D
-    for v, p in law.atoms.items():
-        c[h - v] -= p.numerator * (D // p.denominator)
+    for v, w in law.weights.items():
+        c[h - v] -= w
     for _ in range(2):  # synthetic division by z - 1; the remainder is 0
         for i in range(1, len(c)):
             c[i] += c[i - 1]

@@ -31,8 +31,8 @@ class LatticeLaw:
     """Finite-support integer law with exact rational probabilities.
 
     Immutable after construction; support, mean, variance, span,
-    left-continuity and the denominator D are cached lazily, raw moments and
-    cumulants are not.
+    left-continuity, the denominator D and the integer weights D p_v are
+    cached lazily, raw moments and cumulants are not.
     Span != 1 is allowed at construction and only rejected by expansion
     entry points (via require_expansion_ready).
     """
@@ -69,7 +69,7 @@ class LatticeLaw:
         return tuple(self.atoms)
 
     def raw_moment(self, k: int) -> Fraction:
-        return sum((p * Fraction(v) ** k for v, p in self.atoms.items()), Fraction(0))
+        return Fraction(sum(c * v**k for v, c in self.weights.items()), self.denominator)
 
     @cached_property
     def mean(self) -> Fraction:
@@ -93,6 +93,11 @@ class LatticeLaw:
         return math.lcm(*(p.denominator for p in self.atoms.values()))
 
     @cached_property
+    def weights(self) -> dict[int, int]:
+        """D p_v, the atoms as integers over the denominator D."""
+        return {v: int(p * self.denominator) for v, p in self.atoms.items()}
+
+    @cached_property
     def left_continuous(self) -> bool:
         """Downward jumps of size one: -1 is the smallest atom."""
         return self.support[0] == -1
@@ -107,7 +112,7 @@ class LatticeLaw:
         if k > MAX_CUMULANT_ORDER:
             raise ValueError(f"cumulant order capped at {MAX_CUMULANT_ORDER}")
         D = self.denominator
-        w = {v: p.numerator * (D // p.denominator) for v, p in self.atoms.items()}
+        w = self.weights
         mu = [D ** (n - 1) * sum(c * v**n for v, c in w.items()) for n in range(1, k + 1)]
         K: list[int] = []
         for n in range(1, k + 1):

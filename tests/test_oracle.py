@@ -441,6 +441,42 @@ def test_propagator_reductions_random_laws(law, N, x, strict):
         assert refs.leftcont_check(law, 3, N) == 0
 
 
+def _totals_never_touch_the_table(law, N, x_max, x):
+    """The totals of the killed walk that starts at x, with the columns
+    0..x_max read, after checking that the table never depends on them."""
+    # conditioned_table skips the totals; its table is the one the walk with
+    # totals reads, bit for bit, from below the floor (start 0) and above it
+    table = oracle._killed_float(law, N, 0, 1, x_max + 1)[1]
+    assert np.array_equal(oracle.conditioned_table(law, N, x_max), table)
+    tail, table = oracle._killed_float(law, N, x, 1, x_max + 1)
+    skip = oracle._killed_float(law, N, x, 1, x_max + 1, totals=False)
+    assert np.array_equal(skip[1], table) and not skip[0][1:].any()
+    # read columns reshape the block operator, so the totals differ from
+    # tau_tail's column-free ones by rounding and by the mass each window
+    # drops, under _TINY a cell
+    klo, khi = law.support[0], law.support[-1]
+    atol = (N + 1) * (khi - klo + 1) * oracle._TINY
+    np.testing.assert_allclose(tail, oracle.tau_tail(law, x, N, "float"), rtol=1e-13, atol=atol)
+    return tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_small_laws(), N=st.integers(0, 1200), x_max=st.integers(0, 12), x=st.integers(2, 6))
+def test_killed_walk_totals_never_touch_its_table(law, N, x_max, x):
+    _totals_never_touch_the_table(law, N, x_max, x)
+
+
+@pytest.mark.parametrize("atoms, N", [
+    ({-2: Fraction(1, 2), -1: Fraction(1, 2)}, 64),  # all mass dies by step 3: exact zeros
+    # a downward drift: every cell falls below _TINY near n = 780
+    ({-3: Fraction(2, 15), -2: Fraction(4, 15), -1: Fraction(4, 15), 1: Fraction(1, 5),
+      2: Fraction(2, 15)}, 1024),
+], ids=["dead", "drift"])
+def test_killed_walk_totals_never_touch_the_table_of_an_emptied_window(atoms, N):
+    # the window empties (hi = 0) before N, and the walk stops there
+    assert _totals_never_touch_the_table(walk.LatticeLaw(atoms), N, 4, 3)[-1] == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(law=_small_laws(), N=st.integers(0, 32))
 def test_delta_table_point_masses_random_laws(law, N):

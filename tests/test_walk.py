@@ -63,6 +63,16 @@ def _recursion_cumulants(law, k: int) -> list[Fraction]:
 
 @given(_laws())
 @example(walk.skewed_walk().atoms)
+@example({-4: Fraction(1, 3), 3: Fraction(2, 7), 4: Fraction(8, 21)})  # denominators 3, 7, 21
+def test_raw_moments_are_the_rational_sums(atoms):
+    # the reference of the cumulant recursion below, summed in Fractions
+    law = walk.make_law(atoms)
+    for k in range(walk.MAX_CUMULANT_ORDER + 1):
+        assert law.raw_moment(k) == sum(p * Fraction(v) ** k for v, p in atoms.items())
+
+
+@given(_laws())
+@example(walk.skewed_walk().atoms)
 def test_cumulants_match_the_raw_moment_recursion(atoms):
     law = walk.make_law(atoms)
     for k in range(1, walk.MAX_CUMULANT_ORDER + 1):
