@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "TailNotDecayed",
     "a_float",
+    "expansion",
     "weighted_tail_sum",
     "tail_sums",
     "power_to_shifted_basis",
@@ -53,6 +54,17 @@ def a_float(j: int, N: int) -> np.ndarray:
     n = np.arange(1, N + 1)
     np.cumprod((n - j + 0.5) / n, out=out[1:])
     out.setflags(write=False)
+    return out
+
+
+def expansion(coefs, j0: int, ns) -> np.ndarray:
+    """sum_j coefs[j] a_n^(j0+j) at each n of ns, added in the order of j:
+    one sum for scalar coefs[j], one per entry for arrays, n on the last axis."""
+    ns = np.asarray(ns)
+    N = int(ns.max())
+    out = 0.0
+    for j, c in enumerate(coefs, j0):
+        out = out + np.multiply.outer(c, a_float(j, N)[ns])
     return out
 
 

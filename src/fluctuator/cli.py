@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conditioned, oracle, polyharmonic, tau0
-from .basis import TailNotDecayed
+from .basis import TailNotDecayed, expansion
 from .oracle import ResourceCapExceeded
 from .walk import LatticeLaw, LawError, law_from_json, law_to_json, lazy_walk, skewed_walk
 
@@ -121,7 +121,8 @@ def _cmd_expand_tau0(args) -> int:
     _write_json(out_dir / "coeffs.json", doc)
 
     truth = oracle.tau_tail(law, 0, args.horizon, mode="float")
-    approx = {t: tau0.evaluate_tau0(coeffs, args.horizon, t) for t in range(1, args.terms + 1)}
+    n = np.arange(args.horizon + 1)
+    approx = {t: expansion(coeffs.nu[:t], 1, n) for t in range(1, args.terms + 1)}
     header = ["n", "dp"] + [f"approx_{t}" for t in approx] + [f"err_{t}" for t in approx]
     cols = [truth, *approx.values(), *(np.abs(truth - a) for a in approx.values())]
     table = np.column_stack(cols)
@@ -155,11 +156,13 @@ def _cmd_expand_local(args) -> int:
     }
     _write_json(out_dir / "local_coeffs.json", doc)
 
-    def rows():  # one x at a time: the file is never held as one list
+    dp = table[ns, 1:].T  # dp[x - 1] = b_n(x) on the n grid
+    approx = expansion(U[:, 1:], 2, ns)
+    err = np.abs(dp - approx)
+
+    def rows():  # one x at a time, as Python floats: the file is never held as one list
         for x in range(1, args.x_max + 1):
-            res = conditioned.u_expansion_eval(table, U, x, ns, J=args.terms)
-            res = {k: v.tolist() for k, v in res.items()}  # Python floats format faster
-            yield from zip(ns, [x] * len(ns), res["truth"], res["approx"], res["error"])
+            yield from zip(ns, [x] * len(ns), *(c[x - 1].tolist() for c in (dp, approx, err)))
 
     _write_rows(out_dir / "local_errors.csv", ["n", "x", "dp", "approx", "err"],
                 "%d,%d,%.17g,%.17g,%.17g\r\n", rows())
@@ -244,7 +247,7 @@ def _cmd_verify(args) -> int:
         ns = np.arange(max(N // 16, 64), N + 1)
         fit_ns = np.arange(min(ns[0], N - 31), N + 1)  # >= 32 points at any horizon
         for t in (1, 2, 3):
-            approx = tau0.evaluate_tau0(coeffs, N, t)
+            approx = expansion(coeffs.nu[:t], 1, np.arange(N + 1))
             if (np.abs(truth[ns] - approx[ns]) / truth[ns]).max() <= 1e-9:  # terminates
                 check(f"tau0 ladder terms={t}", True, f"terminates (float noise) on n={ns[0]}..{N}")
                 continue

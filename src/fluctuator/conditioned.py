@@ -1,17 +1,18 @@
 """Coefficient functions for the local probabilities of
 the walk conditioned to stay positive,
 
-    b_n(x) = P(S_n = x, tau_0 > n) ~ sum_j U_j(x) a_n^(j+1),
+    b_n(x) = P(S_n = x, tau_0 > n) ~ sum_j U_j(x) a_n^(j+1)
 
-with U_j(x) = q_(2j-1)(x) read off the generating function
-B(x, s) = sum_l q_l(x) (1-s)^(l/2).  This is the paper's route, the
-cross-check of the closed form `polyharmonic.u_wiener_hopf`.  The even-index
-scalars come from the psi_j(x) family (truncated weighted sums of local DP
-data with fitted a-basis tails), the ladder from the generating-function
-convolution recursion, and q_0, V from the closed-form ladder renewal (no
-horizon).  Nothing here sweeps: the local probabilities p_n(x) are the
-point masses of a free sweep (`oracle.delta_table`) the caller hands down,
-and their length fixes the horizon.
+(summed by `basis.expansion(U, 2, ns)`), with U_j(x) = q_(2j-1)(x) read
+off the generating function B(x, s) = sum_l q_l(x) (1-s)^(l/2).  This is
+the paper's route, the cross-check of the closed form
+`polyharmonic.u_wiener_hopf`.  The even-index scalars come from the
+psi_j(x) family (truncated weighted sums of local DP data with fitted
+a-basis tails), the ladder from the generating-function convolution
+recursion, and q_0, V from the closed-form ladder renewal (no horizon).
+Nothing here sweeps: the local probabilities p_n(x) are the point masses
+of a free sweep (`oracle.delta_table`) the caller hands down, and their
+length fixes the horizon.
 
 One recursion serves both killings: weak (tau_0, death at states <= 0),
 read by `verify`, and strict (tau-bar_0, state 0 alive), whose
@@ -40,7 +41,6 @@ __all__ = [
     "psi_x",
     "q_ladder",
     "weak_renewal",
-    "u_expansion_eval",
 ]
 
 
@@ -61,19 +61,19 @@ def psi_x(thetas: list, x: int, p: np.ndarray, j_max: int) -> dict[int, float]:
     N = p.size - 1
     p = p[1:]  # p_n(x), n = 1..N
     lo = 1 + (3 * N) // 4  # the tail fit's first n
-    vals: dict[int, float] = {-1: thetas[0].coefficients[0]}
+    vals: dict[int, float] = {-1: thetas[0][0]}
     n = np.arange(1, N + 1, dtype=float)
     for j in range(0, j_max + 1):
         if j % 2:  # odd: theta polynomial
             i = (j + 1) // 2
-            vals[j] = float(thetas[i](x))
+            vals[j] = float(np.polyval(thetas[i][::-1], x))
             continue
         i = j // 2
         if i + 1 >= len(thetas):
             raise TailNotDecayed(f"psi_{j} needs theta_{i + 1}, beyond the thetas given")
         resid = p.copy()
         for k in range(i + 2):
-            resid -= float(thetas[k](x)) * basis.a_float(k + 1, N - 1)
+            resid -= float(np.polyval(thetas[k][::-1], x)) * basis.a_float(k + 1, N - 1)
         weight = np.ones(N)
         for d in range(i):
             weight *= n - 1 - d
@@ -119,7 +119,7 @@ def q_ladder(
     q[0] = u if strict else u / u[0]
     V = np.cumsum(u) if strict else weak_renewal(u)
     if L >= 1:
-        q[1, y0:] = -2.0 * thetas[0].coefficients[0] * V[y0:]
+        q[1, y0:] = -2.0 * thetas[0][0] * V[y0:]
     for ell in range(2, L + 1):  # weak: psi[:, 0] = 0 starts the sums at y = 1
         acc = sum(np.convolve(psi[j + 1], q[ell - 2 - j])[: x_max + 1] for j in range(-1, ell - 1))
         q[ell, y0:] = -2.0 / ell * acc[y0:]
@@ -132,16 +132,3 @@ def weak_renewal(u: np.ndarray) -> np.ndarray:
     `oracle.ladder_renewal`, on the same states."""
     return np.concatenate(([1.0], np.cumsum(u / u[0])[:-1]))
 
-
-def u_expansion_eval(table: np.ndarray, U: np.ndarray, x: int, n_grid, J: int) -> dict:
-    """Approximations sum_(j<=J) U_j(x) a_n^(j+1), U_j = U[j - 1], against
-    the DP b_n(x) = table[n, x] of `oracle.conditioned_table` (weak)."""
-    if J > len(U):
-        raise ValueError("U too short for requested J")
-    n_grid = np.asarray(n_grid)
-    N = int(n_grid.max())
-    truth = table[n_grid, x]
-    approx = np.zeros(n_grid.size)
-    for j in range(1, J + 1):
-        approx += U[j - 1, x] * basis.a_float(j + 1, N)[n_grid]
-    return {"truth": truth, "approx": approx, "error": np.abs(truth - approx)}

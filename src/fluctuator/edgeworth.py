@@ -1,6 +1,7 @@
 """Edgeworth machinery: Hermite polynomials, cumulant-partition sums, the
 local-expansion polynomials theta_j(x), and the correction coefficients
-(theta_1, theta_2) of Delta_n / n.
+(theta_1, theta_2) of Delta_n / n.  A polynomial is a plain tuple of its
+ascending coefficients; callers read p(x) as `np.polyval(p[::-1], x)`.
 
 (theta_1, theta_2) are a closed form in the cumulants: exact rationals, with
 one rounding at the end.  The theta polynomials sum a law-free table of
@@ -12,7 +13,6 @@ and divide by sqrt(2 pi v) in integer fixed point, rounding once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -20,7 +20,6 @@ from . import basis
 from .walk import LatticeLaw
 
 __all__ = [
-    "Polynomial",
     "hermite",
     "partition_tuples",
     "theta_polys",
@@ -48,52 +47,16 @@ _PI_E100 = int(
 _B = 256
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial in x, ascending coefficients, trailing zeros trimmed."""
-
-    coefficients: tuple
-
-    @staticmethod
-    def from_coeffs(cs) -> "Polynomial":
-        cs = list(cs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(coefficients=tuple(cs))
-
-    def __call__(self, x):
-        acc = self.coefficients[-1] * 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        n = max(len(a), len(b))
-        return Polynomial.from_coeffs(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def __mul__(self, scalar) -> "Polynomial":
-        return Polynomial.from_coeffs([c * scalar for c in self.coefficients])
-
-    __rmul__ = __mul__
-
-    def shift_x(self) -> "Polynomial":
-        """Multiply by x."""
-        return Polynomial.from_coeffs((self.coefficients[0] * 0,) + self.coefficients)
-
-
 @cache
-def hermite(m: int) -> Polynomial:
-    """Probabilists' Hermite polynomial, exact integer coefficients."""
+def hermite(m: int) -> tuple[int, ...]:
+    """Probabilists' Hermite polynomial He_m: its exact integer coefficients,
+    ascending, from He_m = x He_(m-1) - (m-1) He_(m-2)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return Polynomial.from_coeffs([1])
-    if m == 1:
-        return Polynomial.from_coeffs([0, 1])
-    return hermite(m - 1).shift_x() + (-(m - 1)) * hermite(m - 2)
+    if m < 2:
+        return (0,) * m + (1,)
+    h1, h2 = hermite(m - 1), hermite(m - 2) + (0, 0)
+    return tuple(a - (m - 1) * b for a, b in zip((0,) + h1, h2))
 
 
 def partition_tuples(nu: int) -> list[tuple[int, ...]]:
@@ -142,7 +105,7 @@ def _theta_terms(J: int) -> dict[tuple[int, int], tuple[int, tuple]]:
             for m, km in enumerate(ks, start=1):
                 w /= math.factorial(m + 2) ** km * math.factorial(km)
             key = tuple((m + 2, km) for m, km in enumerate(ks, start=1) if km)
-            for q, hq in enumerate(hermite(nu + 2 * s).coefficients):
+            for q, hq in enumerate(hermite(nu + 2 * s)):
                 if hq == 0:
                     continue
                 for k in range(J - (q + nu) // 2 + 1):
@@ -157,7 +120,7 @@ def _theta_terms(J: int) -> dict[tuple[int, int], tuple[int, tuple]]:
     return table
 
 
-def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
+def theta_polys(law: LatticeLaw, r: int) -> list[tuple[float, ...]]:
     """Polynomials theta_0..theta_J, J = floor(r/2), such that
     p_n(x) ~ sum_j theta_j(x) a_(n-1)^(j+1); theta_j has degree exactly 2j.
 
@@ -194,9 +157,7 @@ def theta_polys(law: LatticeLaw, r: int) -> list[Polynomial]:
                 row[p] = s * b * d + a * c * t, t * b * d
     # 2^_B / sqrt(2 pi v) to within one unit: relative error sqrt(2 pi v) 2^-_B
     root = math.isqrt((v.denominator * 10**100 << 2 * _B) // (2 * _PI_E100 * v.numerator))
-    return [
-        Polynomial.from_coeffs([s * root / (t << _B) for s, t in row]) for row in thetas
-    ]
+    return [tuple(s * root / (t << _B) for s, t in row) for row in thetas]
 
 
 def _times_sqrt_2_over(r: Fraction, v: Fraction) -> float:

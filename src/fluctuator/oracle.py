@@ -626,15 +626,18 @@ def tau_tail(
     """P(tau_x > n) for n = 0..N.
 
     Rational mode returns a list of exact Fractions; float mode a numpy
-    array.  tau_x = inf{n >= 1: x + S_n <= 0} (weak killing).
+    array, exact ones with no sweep when 0 is out of reach by step N
+    (x + N klo >= 1).  tau_x = inf{n >= 1: x + S_n <= 0} (weak killing).
     """
     if x < 0:
         raise ValueError("start must be >= 0")
     if mode not in ("rational", "float"):
         raise ValueError(f"mode must be 'rational' or 'float', got {mode!r}")
-    if mode == "float":
+    if mode == "float" and x + N * law.support[0] < 1:
         return _killed_float(law, N, x, 1)[0]
     _guard_sweep(law, N, x, 1)
+    if mode == "float":
+        return np.ones(N + 1)
     return [Fraction(int(alive.sum()), den) for _, _, alive, _, den in _sweep_exact(law, N, x, 1)]
 
 

@@ -261,7 +261,8 @@ def v_leftcont(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
         raise NotLeftContinuous("law has downward jumps larger than 1")
     thetas = edgeworth.theta_polys(law, 2 * J)
     xs = np.arange(x_max + 1, dtype=float)
-    return np.array([(2.0 / (2 * j - 1)) * xs * thetas[j - 1](-xs) for j in range(1, J + 1)])
+    return np.array([(2.0 / (2 * j - 1)) * xs * np.polyval(thetas[j - 1][::-1], -xs)
+                     for j in range(1, J + 1)])
 
 
 def killed_step(law: LatticeLaw, f: np.ndarray) -> np.ndarray:

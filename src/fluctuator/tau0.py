@@ -7,13 +7,13 @@ carries theta_1, theta_2 from the Edgeworth module.
 Exponentiating the local expansion of the exponent and dividing by
 sqrt(1-s) yields
 
-    P(tau_0 > n) ~ nu_1 a_n^(1) + nu_2 a_n^(2) + nu_3 a_n^(3),
+    P(tau_0 > n) ~ nu_1 a_n^(1) + nu_2 a_n^(2) + nu_3 a_n^(3)
 
-with nu_l = exp(psi_0) mu_(2l-2) and mu_k the (1-s)^(k/2) Taylor
-coefficients of the exponentiated singular part, computed by the
-exponential's recurrence (`mu_coeffs`).  Their closed forms in the
-reparametrized scalars, which the tests check the recurrence against, are
-test references (tests/oracle_references.py).
+(summed by `basis.expansion(nu[:t], 1, ns)`), with nu_l = exp(psi_0) mu_(2l-2)
+and mu_k the (1-s)^(k/2) Taylor coefficients of the exponentiated singular
+part, computed by the exponential's recurrence (`mu_coeffs`).  Their closed
+forms in the reparametrized scalars, which the tests check the recurrence
+against, are test references (tests/oracle_references.py).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "psi_scalars",
     "mu_coeffs",
     "tau0_coeffs",
-    "evaluate_tau0",
 ]
 
 
@@ -113,12 +112,3 @@ def tau0_coeffs(law: LatticeLaw, deltas: np.ndarray) -> Tau0Coefficients:
     e0 = math.exp(psi.psi0)
     return Tau0Coefficients(nu=(e0, e0 * mu[2], e0 * mu[4]), mu=mu, psi=psi)
 
-
-def evaluate_tau0(coeffs: Tau0Coefficients, N: int, terms: int) -> np.ndarray:
-    """Approximation of P(tau_0 > n), n = 0..N, using 1..3 terms."""
-    if not 1 <= terms <= 3:
-        raise ValueError("terms must be 1, 2, or 3")
-    out = np.zeros(N + 1)
-    for ell in range(1, terms + 1):
-        out += coeffs.nu[ell - 1] * basis.a_float(ell, N)
-    return out

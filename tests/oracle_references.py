@@ -468,7 +468,7 @@ def ladder_q(law: LatticeLaw) -> np.ndarray:
     return np.array([float(a) for a in c])
 
 
-def theta_polys(law: LatticeLaw, r: int) -> list[edgeworth.Polynomial]:
+def theta_polys(law: LatticeLaw, r: int) -> list[tuple[float, ...]]:
     """`edgeworth.theta_polys` with every term of `edgeworth._theta_terms`
     summed in Fractions of the cumulants, c / L prod kappa^k / v^(j + s)."""
     J = r // 2
@@ -490,7 +490,7 @@ def theta_polys(law: LatticeLaw, r: int) -> list[edgeworth.Polynomial]:
             for k, gamma in conv.items():
                 for p, c in enumerate(row):
                     thetas[k - 1][p] += mp.mpf(gamma) * c
-    return [edgeworth.Polynomial.from_coeffs([float(c) for c in row]) for row in thetas]
+    return [tuple(float(c) for c in row) for row in thetas]
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +574,19 @@ def psi_x(thetas: list, x: int, p: np.ndarray, j_max: int) -> dict[int, float]:
     """`conditioned.psi_x` with each even psi_j closed by `series_tail_sum`."""
     N = p.size - 1
     p = p[1:]  # p_n(x), n = 1..N
-    vals: dict[int, float] = {-1: thetas[0].coefficients[0]}
+    vals: dict[int, float] = {-1: thetas[0][0]}
     n = np.arange(1, N + 1, dtype=float)
     for j in range(0, j_max + 1):
         if j % 2:  # odd: theta polynomial
             i = (j + 1) // 2
-            vals[j] = float(thetas[i](x))
+            vals[j] = float(np.polyval(thetas[i][::-1], x))
             continue
         i = j // 2
         if i + 1 >= len(thetas):
             raise basis.TailNotDecayed(f"psi_{j} needs theta_{i + 1}, beyond the thetas given")
         resid = p.copy()
         for k in range(i + 2):
-            resid -= float(thetas[k](x)) * basis.a_float(k + 1, N - 1)
+            resid -= float(np.polyval(thetas[k][::-1], x)) * basis.a_float(k + 1, N - 1)
         weight = np.ones(N)
         for d in range(i):
             weight *= n - 1 - d

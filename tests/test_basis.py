@@ -142,3 +142,33 @@ def test_a_float_is_shared_and_read_only():
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 2.0
+
+
+def _per_term(coefs, j0: int, ns) -> list:
+    """0.0 + c_1 a_n^(j0) + c_2 a_n^(j0+1) + .. at each n, term by term in Python floats."""
+    a = [basis.a_float(j, int(max(ns))) for j in range(j0, j0 + len(coefs))]
+    out = []
+    for n in ns:
+        acc = 0.0
+        for c, a_j in zip(coefs, a):
+            acc = acc + float(c) * float(a_j[n])
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_expansion_is_the_per_term_sum_scalar_coefficients(terms):
+    nu, N = (0.577350269189625765, -0.0748417015616181547, 0.00148495439606385227), 2048
+    got = basis.expansion(nu[:terms], 1, np.arange(N + 1))
+    assert got.shape == (N + 1,)
+    assert got.tolist() == _per_term(nu[:terms], 1, range(N + 1))
+
+
+@pytest.mark.parametrize("x_max", [0, 1, 7])
+def test_expansion_is_the_per_term_sum_coefficient_array(x_max):
+    ns = sorted(set(np.geomspace(32, 2048, 60).astype(int).tolist()))
+    U = np.random.default_rng(x_max).normal(size=(2, x_max))
+    got = basis.expansion(U, 2, ns)
+    assert got.shape == (x_max, len(ns))
+    for x in range(x_max):
+        assert got[x].tolist() == _per_term(U[:, x], 2, ns)

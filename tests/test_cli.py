@@ -172,6 +172,14 @@ def test_low_horizon_exits_2():
     assert _run(["expand", "tau0", "--model", "lazy", "--horizon", "32"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("target, terms", [("tau0", "4"), ("tau0", "0"), ("local", "3")])
+def test_terms_beyond_the_ladder_exit_2(tmp_path, target, terms):
+    # nu_1..nu_3 and U_1, U_2 are all the ladders hold: argparse refuses more
+    rc = _run(["expand", target, "--model", "lazy", "--horizon", "64", "--terms", terms,
+               "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG and not any(tmp_path.iterdir())
+
+
 def test_taux_takes_a_low_horizon(tmp_path):
     # expand taux sweeps nothing, so it does not bound the --horizon it never reads
     rc = _run(["expand", "taux", "--model", "lazy", "--horizon", "32", "--out-dir", str(tmp_path)])
@@ -679,7 +687,7 @@ def _csv_writer_bytes(header, rows) -> bytes:
 def test_errors_csv_is_the_csv_writer_file(tmp_path):
     # every CSV artifact is written with one printf format per row; its
     # bytes are those of csv.writer on the 17-digit fields
-    from fluctuator import conditioned, polyharmonic
+    from fluctuator import basis
 
     N, x_max = 256, 3
     law = walk.skewed_walk()
@@ -687,9 +695,14 @@ def test_errors_csv_is_the_csv_writer_file(tmp_path):
                  "--out-dir", str(tmp_path)]) == cli.EXIT_PASS
     coeffs = tau0.tau0_coeffs(law, oracle.delta_table(law, N)[0])
     truth = oracle.tau_tail(law, 0, N, mode="float")
-    approx = [tau0.evaluate_tau0(coeffs, N, t) for t in (1, 2, 3)]
-    rows = [[n, truth[n], *(a[n] for a in approx), *(abs(truth[n] - a[n]) for a in approx)]
-            for n in range(1, N + 1)]
+    a = [basis.a_float(ell, N) for ell in (1, 2, 3)]
+    rows = []
+    for n in range(1, N + 1):
+        approx, acc = [], 0.0  # the per-term sums 0.0 + nu_1 a_n^(1) + ..
+        for nu, a_ell in zip(coeffs.nu, a):
+            acc += nu * float(a_ell[n])
+            approx.append(acc)
+        rows.append([n, truth[n], *approx, *(abs(truth[n] - v) for v in approx)])
     header = ["n", "dp", "approx_1", "approx_2", "approx_3", "err_1", "err_2", "err_3"]
     assert (tmp_path / "errors.csv").read_bytes() == _csv_writer_bytes(header, rows)
 
@@ -711,10 +724,12 @@ def test_errors_csv_is_the_csv_writer_file(tmp_path):
     table = oracle.conditioned_table(law, N, x_max, strict=False)
     U = polyharmonic.u_wiener_hopf(law, x_max, 2)
     n_grid = np.unique(np.geomspace(32, N, 60).astype(int))
+    a2, a3 = basis.a_float(2, N), basis.a_float(3, N)
     rows = []
     for x in range(1, x_max + 1):
-        res = conditioned.u_expansion_eval(table, U, x, n_grid, J=2)
-        rows += zip(n_grid, [x] * n_grid.size, res["truth"], res["approx"], res["error"])
+        for n in n_grid:
+            approx = 0.0 + U[0, x] * a2[n] + U[1, x] * a3[n]
+            rows.append([n, x, table[n, x], approx, abs(table[n, x] - approx)])
     want = _csv_writer_bytes(["n", "x", "dp", "approx", "err"], rows)
     assert (out / "local_errors.csv").read_bytes() == want
 

@@ -18,8 +18,7 @@ from fluctuator import basis, edgeworth, oracle
 
 @given(st.integers(0, 10))
 def test_hermite_parity_and_degree(m):
-    H = edgeworth.hermite(m)
-    coeffs = H.coefficients
+    coeffs = edgeworth.hermite(m)
     assert len(coeffs) == m + 1
     # probabilists' Hermite: parity alternates, leading coefficient 1
     assert coeffs[-1] == 1
@@ -30,8 +29,18 @@ def test_hermite_parity_and_degree(m):
 
 def test_hermite_recurrence_samples():
     # He_3 = x^3 - 3x, He_4 = x^4 - 6x^2 + 3
-    assert edgeworth.hermite(3).coefficients == (0, -3, 0, 1)
-    assert edgeworth.hermite(4).coefficients == (3, 0, -6, 0, 1)
+    assert edgeworth.hermite(3) == (0, -3, 0, 1)
+    assert edgeworth.hermite(4) == (3, 0, -6, 0, 1)
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_hermite_is_the_explicit_sum(m):
+    # He_m(x) = m! sum_k (-1)^k x^(m-2k) / (k! (m-2k)! 2^k)
+    want = [0] * (m + 1)
+    for k in range(m // 2 + 1):
+        want[m - 2 * k] = Fraction((-1) ** k * math.factorial(m),
+                                   math.factorial(k) * math.factorial(m - 2 * k) * 2**k)
+    assert edgeworth.hermite(m) == tuple(want)
 
 
 @given(st.integers(1, 7))
@@ -55,7 +64,7 @@ def test_theta_polys_expand_local_probabilities(skewed):
     for x in (0, 1, 3):
         resid = traces[x].copy()
         for j, th in enumerate(thetas[:4]):
-            resid -= float(th(x)) * np.concatenate(
+            resid -= float(np.polyval(th[::-1], x)) * np.concatenate(
                 [[0.0], basis.a_float(j + 1, N - 1)]
             )
         err = np.abs(resid[N // 2 :])
@@ -65,7 +74,7 @@ def test_theta_polys_expand_local_probabilities(skewed):
 def test_theta0_normalization(lazy):
     sigma = math.sqrt(float(lazy.variance))
     thetas = edgeworth.theta_polys(lazy, r=2)
-    assert float(thetas[0](0)) == pytest.approx(
+    assert thetas[0][0] == pytest.approx(
         1.0 / (sigma * math.sqrt(2)), rel=1e-5
     )
 
@@ -90,7 +99,7 @@ def _lattice_cdf_at_zero(law, k: int) -> Fraction:
     sigma^(m+2)))^(k_m) / k_m!.  Each term is rational times sigma^-(k+2s-1)."""
     kappas = law.cumulants(k + 2)
     v = kappas[1]
-    acc = _S_AT_ZERO[k] * (-1) ** (k - 1) * edgeworth.hermite(k - 1)(0) / v ** ((k - 1) // 2)
+    acc = _S_AT_ZERO[k] * (-1) ** (k - 1) * edgeworth.hermite(k - 1)[0] / v ** ((k - 1) // 2)
     for nu in range(1, k + 1):
         r = k - nu
         for ks in edgeworth.partition_tuples(nu):
@@ -98,7 +107,7 @@ def _lattice_cdf_at_zero(law, k: int) -> Fraction:
             w = Fraction(1)
             for m, km in enumerate(ks, start=1):
                 w *= (kappas[m + 1] / math.factorial(m + 2)) ** km / math.factorial(km)
-            he = edgeworth.hermite(nu + 2 * s - 1 + r)(0)
+            he = edgeworth.hermite(nu + 2 * s - 1 + r)[0]
             acc -= _S_AT_ZERO[r] * (-1) ** r * he * w / v ** ((k - 1) // 2 + s)
     return acc
 
@@ -153,7 +162,7 @@ def _theta_polys_reference(law, r: int) -> list:
         f = [[mp.mpf(0)] * (2 * j + 1) for j in range(J + 1)]
 
         def add_gauss_term(nu, herm, weight):
-            for m, hm in enumerate(herm.coefficients):
+            for m, hm in enumerate(herm):
                 if hm == 0:
                     continue
                 for k in range(J + 1):
@@ -184,7 +193,7 @@ def _theta_polys_reference(law, r: int) -> list:
             for k, gamma in conv.items():
                 for p, c in enumerate(f[i]):
                     thetas[k - 1][p] += mp.mpf(gamma) * c
-    return [edgeworth.Polynomial.from_coeffs([float(c) for c in row]) for row in thetas]
+    return [tuple(float(c) for c in row) for row in thetas]
 
 
 def _check_theta_polys(law) -> None:

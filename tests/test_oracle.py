@@ -4,6 +4,7 @@ closure and ladder renewal, checked against the references of
 checks, the closed-form ladder heights and the MC estimator)."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,30 @@ def test_tau_tail_monotone_and_exact_mode(lazy):
     assert all(tail[n + 1] <= tail[n] for n in range(50))
     flt = oracle.tau_tail(lazy, 2, 50, mode="float")
     np.testing.assert_allclose(flt, [float(v) for v in tail], rtol=1e-14)
+
+
+def test_float_tail_of_an_out_of_reach_start_allocates_no_sweep(lazy):
+    # from x = 10^9 the walk cannot reach 0 in 2048 steps: the tail is 1
+    # exactly, and no buffer as long as the start level is allocated
+    tracemalloc.start()
+    try:
+        tail = oracle.tau_tail(lazy, 10**9, 2048, mode="float")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(tail, np.ones(2049)) and peak < 1 << 16
+
+
+@pytest.mark.parametrize("law", [walk.lazy_walk(), walk.skewed_walk()], ids=["lazy", "skewed"])
+def test_float_tail_at_the_first_out_of_reach_start_is_the_rational_tail(law):
+    N = 64
+    x = 1 - N * law.support[0]  # the first start that 0 is out of reach from
+    want = [float(v) for v in oracle.tau_tail(law, x, N, mode="rational")]
+    assert np.array_equal(oracle.tau_tail(law, x, N, mode="float"), want)
+    # one level lower the walk can reach 0 at step N: the killed walk is swept
+    assert oracle.tau_tail(law, x - 1, N, mode="rational")[N] < 1
+    below = oracle.tau_tail(law, x - 1, N, mode="float")
+    assert np.array_equal(below, oracle._killed_float(law, N, x - 1, 1)[0])
 
 
 @pytest.mark.parametrize("mode", ["Float", "exact", ""])
@@ -149,8 +174,11 @@ def test_tau_tail_sums_the_exact_frames_and_reads_the_float_killed_walk(law, x, 
     T, den = refs._reduce(law, N, refs._total, x, 1)
     want = [Fraction(int(t), int(d)) for t, d in zip(T, den)]
     assert oracle.tau_tail(law, x, N, mode="rational") == want
-    killed = oracle._killed_float(law, N, x, 1)[0]
-    assert np.array_equal(oracle.tau_tail(law, x, N, mode="float"), killed)
+    flt = oracle.tau_tail(law, x, N, mode="float")
+    if x + N * law.support[0] < 1:
+        assert np.array_equal(flt, oracle._killed_float(law, N, x, 1)[0])
+    else:  # 0 is out of reach by step N: the exact tail, all ones
+        assert np.array_equal(flt, [float(v) for v in want])
     tau0_tail = oracle.identity_suite(law, N).tau0_tail
     assert np.array_equal(tau0_tail, oracle._killed_float(law, N, 0, 1)[0])
 

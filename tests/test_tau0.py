@@ -71,7 +71,7 @@ def test_decay_ladder_skewed(skewed, skewed_coeffs):
     ns = np.arange(N // 8, N + 1)
     slopes = []
     for terms in (1, 2, 3):
-        approx = tau0.evaluate_tau0(skewed_coeffs, N, terms)
+        approx = basis.expansion(skewed_coeffs.nu[:terms], 1, np.arange(N + 1))
         err = np.abs(truth[ns] - approx[ns])
         slopes.append(-np.polyfit(np.log(ns), np.log(err), 1)[0])
     assert slopes[0] > 1.4 and slopes[1] > 2.4 and slopes[2] > 3.2
@@ -111,8 +111,3 @@ def test_psi_scalars_match_the_first_form(law, n):
 @given(law=_mean_zero_laws(), n=st.sampled_from([256, 2048]))
 def test_psi_scalars_match_the_first_form_random_laws(law, n):
     _check_psi_scalars_first_form(law, n)
-
-
-def test_evaluate_tau0_term_bounds(lazy_coeffs):
-    with pytest.raises(ValueError):
-        tau0.evaluate_tau0(lazy_coeffs, 64, terms=4)
