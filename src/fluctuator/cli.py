@@ -142,9 +142,10 @@ def _cmd_expand_local(args) -> int:
     ns = sorted(set(np.geomspace(32, args.horizon, 60).astype(int).tolist()))
     if args.x_max * len(ns) > LOCAL_ROW_CAP:
         raise ResourceCapExceeded(f"{args.x_max * len(ns)} error rows exceed {LOCAL_ROW_CAP}")
-    U = polyharmonic.u_wiener_hopf(law, args.x_max, args.terms)
+    roots = oracle.ladder_roots(law)  # found once: U and the ladder renewal share them
+    U = polyharmonic.u_wiener_hopf(law, args.x_max, args.terms, roots)
     table = oracle.conditioned_table(law, args.horizon, args.x_max, strict=False)
-    V = conditioned.weak_renewal(oracle.ladder_renewal(law, args.x_max))
+    V = conditioned.weak_renewal(oracle.ladder_renewal(law, args.x_max, roots))
     doc = {
         "model": law_to_json(law),
         "horizon": args.horizon,

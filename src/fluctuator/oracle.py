@@ -7,12 +7,12 @@ sums the exact frames of the killed walk (`_sweep_exact`, also the tests'
 exact reference).  Two loops read only what they need: k-step blocks give
 the float killed walk's totals and table (`_killed_float`), and one residue
 pass gives `identity_suite`'s exact checks (`_residue_reads`): six walks
-step as the columns of one int64 buffer, which keeps live only the states
-that can still reach the window near 0 it reads.  Each loop refuses its
-sweep before it allocates anything.  Everything here is exact (rational
-mode, or int64 residues modulo primes) or plain float arithmetic on exact
-recursions (float mode); no asymptotics enter, so this module is what the
-expansion modules are tested against.
+step as the columns of one int64 buffer.  Each keeps live only the states
+that can still reach a read (for the killed walk: when it sums no totals).
+Each loop refuses its sweep before it allocates anything.  Everything here
+is exact (rational mode, or int64 residues modulo primes) or plain float
+arithmetic on exact recursions (float mode); no asymptotics enter, so this
+module is what the expansion modules are tested against.
 """
 
 from __future__ import annotations
@@ -483,16 +483,16 @@ def _block_length(N: int, klo: int, khi: int, W: int) -> int:
     return k_best
 
 
-def _block_operator(kern: np.ndarray, klo: int, khi: int, k: int, W: int):
+def _block_operator(kern: np.ndarray, klo: int, khi: int, k: int, W: int, totals: bool):
     """(M, P): the near-floor operator of `_killed_float`'s k-step blocks.
 
     Its rows are the unit sources u = 1..R, R = W + P, P = (k - 1) dn with
     dn = max(-klo, 0), each moved by k plain killed steps.  Row u of M holds,
-    for j = 0..k - 1, the mass S_j(u) alive after j steps and the masses
-    G_j(u, 1..W) at the read columns, k (W + 1) entries, then, for u <= P
-    only, the masses A_k(u, 1..P + k up) after k steps, up = max(khi, 0).
-    A source above P cannot die within k - 1 steps, and one above R can
-    neither die within k - 1 steps nor reach a read column.
+    for j = 0..k - 1, the mass S_j(u) alive after j steps (with totals only)
+    and the masses G_j(u, 1..W) at the read columns, k (W + 1) entries, then
+    only for u <= P the masses A_k(u, 1..P + k up) after k steps, up =
+    max(khi, 0).  A source above P cannot die within k - 1 steps, and one
+    above R can neither die within k - 1 steps nor reach a read column.
 
     A step is one convolution of all R rows laid end to end, each row
     followed by dn cells that catch what the next row's sources lose below
@@ -513,7 +513,8 @@ def _block_operator(kern: np.ndarray, klo: int, khi: int, k: int, W: int):
             A[:, width:] = 0.0
         if j < k:
             c = j * (W + 1)
-            M[:, c] = A.sum(1)
+            if totals:
+                M[:, c] = A.sum(1)
             M[:, c + 1 : c + W + 1] = A[:, :W]
     M[:P, k * (W + 1) :] = A[:P, : P + k * up]
     return M, P
@@ -537,6 +538,14 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
     above W + P add their sum to the totals.  A start below the floor takes
     one plain step first.  After each block the window drops its top cells
     below _TINY = 2^-120; each feeds every later cell by less than _TINY.
+    With no totals read the operator sums no S_j, and once frame n is next
+    the window drops the cells above u = W + (N - n) dn + m, m the taps of
+    kern^(*k): the cells kept hold every state that can reach a read column
+    by frame N and are fed only by cells kept at the last cut, through the
+    same dot products (np.correlate sums an input shorter than m in another
+    order).  If the top kept cell is below _TINY, the full window may end
+    below the cut: the walk is swept again with totals.  So the table is
+    the same bit for bit.  Every cell past buf[:hi] is 0.
 
     Every cell is a sum of products of positive floats, so its rounding
     stays relative: the reads are within 1e-13 relative of the exact
@@ -545,7 +554,7 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
     """
     _guard_sweep(law, N, start, floor)
     klo, khi = law.support[0], law.support[-1]
-    kern = _kernel(law)
+    kern, dn = _kernel(law), max(-klo, 0)
     W = max(cols - floor, 0)
     k = _block_length(N, klo, khi, W)
     tail, table = np.zeros(N + 1), np.zeros((N + 1, cols))
@@ -553,7 +562,7 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
     P = R = 0
     kern_k = kern
     if k > 1:
-        M, P = _block_operator(kern, klo, khi, k, W)
+        M, P = _block_operator(kern, klo, khi, k, W, totals)
         R = W + P
         for _ in range(k - 1):
             kern_k = np.convolve(kern_k, kern)
@@ -561,6 +570,7 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
     u0 = start - floor + 1
     buf = np.zeros(max(u0, 0) + N * max(khi, 0) + R + 1)  # buf[i] holds u = i + 1
     n, hi = 0, 0  # the window is buf[:hi]; every cell past it is 0
+    cut = False  # whether the reach rule has dropped a cell
     if u0 >= 1:
         buf[u0 - 1], hi = 1.0, u0
     else:  # frame 0 lies below the floor: read it, then take one plain step
@@ -598,9 +608,13 @@ def _killed_float(law: LatticeLaw, N: int, start: int, floor: int, cols: int = 0
         if ns:
             buf[:ns] += near
         n += k
-        end = max(top, ns, 0)
+        end, reach = max(top, ns, 0), W + (N - n) * dn + rkern_k.size
+        if cut and buf[reach - 1] < _TINY:  # the full window may end below the cut
+            return tail, _killed_float(law, N, start, floor, cols)[1]
         kept = buf[:end][::-1] >= _TINY  # top down: drop the cells above the last one >= _TINY
         hi = end - int(kept.argmax()) if kept.any() else 0
+        if not totals and hi > reach:  # and the states that cannot reach a read column by N
+            hi, cut = reach, True
         if hi < end:
             buf[hi:end] = 0.0
     return tail, table
@@ -816,7 +830,7 @@ def ladder_roots(law: LatticeLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, coef[0, d - 1 :: -1], coef[1, h - 1 :: -1]
 
 
-def _ladder_escape(law: LatticeLaw) -> tuple[float, np.ndarray]:
+def _ladder_escape(law: LatticeLaw, roots: tuple | None = None) -> tuple[float, np.ndarray]:
     """(1 - F[0], F[1..h]) for the first weak ascending ladder height,
     F[k] = P(S_sigma = k), sigma = inf{n >= 1 : S_n >= 0}, from
     F(z) - 1 = p_h (z - 1) A(z), A the outside factor of `ladder_roots`: the
@@ -824,19 +838,19 @@ def _ladder_escape(law: LatticeLaw) -> tuple[float, np.ndarray]:
     Not p_h / A~(0) by the reversed law's inside factor A~: when a root of A
     lies far out, A~(0) is tiny and carries the rounding of A~'s larger terms."""
     p_h = float(law.atoms[law.support[-1]])
-    A = ladder_roots(law)[2]
+    A = (ladder_roots(law) if roots is None else roots)[2]
     return p_h * A[-1], p_h * (np.append(A, 0.0) - np.append(0.0, A))[-2::-1]
 
 
-def ladder_renewal(law: LatticeLaw, y_max: int) -> np.ndarray:
+def ladder_renewal(law: LatticeLaw, y_max: int, roots: tuple | None = None) -> np.ndarray:
     """Renewal mass u(y) = sum_j P(j-th weak ascending ladder point = y),
     y = 0..y_max, from the exact renewal recursion over the (bounded)
-    ladder height distribution.
+    ladder height distribution (of `roots` = `ladder_roots(law)` if given).
 
     By time reversal, u equals the Green function of the walk killed
     strictly below zero: u(y) = sum_(n>=0) P(S_n = y, tau-bar > n).
     """
-    escape, F = _ladder_escape(law)  # F[k - 1] = P(height k), k >= 1
+    escape, F = _ladder_escape(law, roots)  # F[k - 1] = P(height k), k >= 1
     u = np.zeros(y_max + 1)
     u[0] = 1.0 / escape
     for y in range(1, y_max + 1):

@@ -213,7 +213,7 @@ def v_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
     return 0.0 - E[: x_max + 1, 1::2].T  # no -0.0
 
 
-def u_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
+def u_wiener_hopf(law: LatticeLaw, x_max: int, J: int, roots: tuple | None = None) -> np.ndarray:
     """U[j - 1, x] = U_j(x) for j = 1..J on x = 0..x_max, with no horizon.
     By time reversal, sum_n P(S_n = x, tau_0 > n) s^n is the mass at x of
     the strict ascending ladder renewal measure, [z^x] B(0) / B(z) with B
@@ -224,8 +224,8 @@ def u_wiener_hopf(law: LatticeLaw, x_max: int, J: int) -> np.ndarray:
     if h + x_max > LADDER_STATE_CAP:
         raise ResourceCapExceeded(f"ladder of {h + x_max} states exceeds cap {LADDER_STATE_CAP}")
     # the reversed law's Q is q reversed, exactly, and its inside factor is
-    # the outside factor A reversed, made monic by |A(0)| > 1
-    q, _, A = oracle.ladder_roots(law)
+    # the outside factor A reversed, made monic by |A(0)| > 1 (roots: `oracle.ladder_roots`)
+    q, _, A = oracle.ladder_roots(law) if roots is None else roots
     R, _ = _side_factor(law.reverse(), q[::-1], A[::-1] / A[-1], M)
     # F_x = [z^x] B(0) / B(z): F_0 = 1, 0 below, sum_i r~_i F_(x-i) = 0 above
     F = np.zeros((h + x_max, M))  # x = 1 - h..x_max

@@ -519,6 +519,25 @@ def test_expand_tau0_sweeps_the_free_and_the_killed_walk_once(tmp_path, monkeypa
     assert sorted(calls) == ["_killed_float", "_sweep_float"]
 
 
+@pytest.mark.parametrize("law", [walk.lazy_walk(), walk.skewed_walk(), DOUBLE, up_law(40)],
+                         ids=["lazy", "skewed", "double", "up40"])
+def test_expand_local_finds_the_roots_once(tmp_path, monkeypatch, law):
+    # U and the ladder renewal share one root finding: handed the roots,
+    # each gives bit for bit what it gives when it finds them itself
+    roots = oracle.ladder_roots(law)
+    assert np.array_equal(polyharmonic.u_wiener_hopf(law, 12, 3, roots),
+                          polyharmonic.u_wiener_hopf(law, 12, 3))
+    assert np.array_equal(oracle.ladder_renewal(law, 12, roots), oracle.ladder_renewal(law, 12))
+    found, np_roots = [], np.roots
+    monkeypatch.setattr(np, "roots", lambda c: found.append(c) or np_roots(c))
+    model = tmp_path / "law.json"
+    model.write_text(json.dumps(walk.law_to_json(law)))
+    argv = ["expand", "local", "--model", str(model), "--x-max", "12", "--horizon", "128",
+            "--out-dir", str(tmp_path)]
+    assert _run(argv) == cli.EXIT_PASS
+    assert len(found) == 1
+
+
 @pytest.mark.parametrize("extra", [[], ["--check-polyharmonic"]], ids=["plain", "certified"])
 def test_expand_taux_sweeps_nothing(tmp_path, monkeypatch, extra):
     # V and nu come from the Wiener-Hopf roots, certified or not

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fluctuator import oracle, walk
 
 import oracle_references as refs
+from test_polyharmonic import up_law
 
 
 def test_pmf_mass_conservation(lazy, skewed):
@@ -696,6 +697,63 @@ def test_block_sweep_matches_the_exact_killed_sweep(law, N, start, strict, k):
     np.testing.assert_allclose(table, want_table, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("law, N, x_max, start", [
+    (walk.lazy_walk(), 1024, 0, 0),
+    (walk.skewed_walk(), 2048, 10, 0),
+    (walk.skewed_walk(), 1536, 25, 40),  # from above the floor
+    (walk.LatticeLaw({-2: Fraction(1, 4), 0: Fraction(1, 4), 1: Fraction(1, 2)}), 2048, 25, 0),
+    (walk.LatticeLaw({-2: Fraction(1, 4), 0: Fraction(1, 4), 1: Fraction(1, 2)}), 1024, 10, 7),
+    (up_law(40), 1024, 10, 0),
+], ids=["lazy", "skewed", "skewed-above", "down2", "down2-above", "up40"])
+def test_reach_rule_keeps_the_table_bit_for_bit(monkeypatch, law, N, x_max, start):
+    # with no totals, the killed walk drops after each block the states that
+    # cannot reach a read column u <= W by frame N, those above u = W + (N - n)
+    # dn with n the next frame, past a margin of one kernel; near N that cut
+    # falls inside the live window, so the long convolutions get fewer cells,
+    # and the table is the one the walk with totals reads, bit for bit,
+    # weakly and strictly killed
+    cells, correlate = [], np.correlate
+
+    def counted(a, v, *args, **kwargs):
+        cells.append(len(a))
+        return correlate(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "correlate", counted)
+    for floor in (0, 1):
+        cells.clear()
+        table = oracle._killed_float(law, N, start, floor, x_max + 1)[1]
+        full = sum(cells)
+        cells.clear()
+        skip = oracle._killed_float(law, N, start, floor, x_max + 1, totals=False)[1]
+        assert np.array_equal(skip, table)
+        assert sum(cells) < full
+        if start == 0:
+            assert np.array_equal(oracle.conditioned_table(law, N, x_max, floor == 0), table)
+
+
+@pytest.mark.parametrize("atoms, N, x_max, strict, sweeps", [
+    # an upward drift carries every cell at or above _TINY past the cut, so
+    # the full window may end below it: the walk is swept again with totals
+    ({-1: Fraction(1, 4), 3: Fraction(3, 4)}, 193, 3, False, [False, True]),
+    # a pool law: a cut at W + (N - n) dn would leave fewer cells above P
+    # than kern^(*8) has taps, which np.correlate sums in another order
+    ({-1: Fraction(8, 15), 0: Fraction(1, 5), 2: Fraction(4, 15)}, 64, 3, True, [False]),
+], ids=["drift", "margin"])
+def test_reach_rule_keeps_the_table_where_a_plain_cut_would_not(monkeypatch, atoms, N, x_max,
+                                                               strict, sweeps):
+    law = walk.LatticeLaw(atoms)
+    table = oracle._killed_float(law, N, 0, 0 if strict else 1, x_max + 1)[1]
+    calls, killed = [], oracle._killed_float
+
+    def counted(*args, totals=True):
+        calls.append(totals)
+        return killed(*args, totals=totals)
+
+    monkeypatch.setattr(oracle, "_killed_float", counted)
+    assert np.array_equal(oracle.conditioned_table(law, N, x_max, strict), table)
+    assert calls == sweeps
+
+
 def test_block_length_grows_with_the_horizon_within_the_budget():
     # small at N = 64 and at a wide read, 16 to 32 at N >= 2048, and every
     # operator it admits fits _BLOCK_CELLS
@@ -709,7 +767,7 @@ def test_block_length_grows_with_the_horizon_within_the_budget():
     for W in (0, 10, 30, 100, 400):
         k = oracle._block_length(1 << 15, -3, 3, W)
         if k > 1:
-            M, P = oracle._block_operator(kern, -3, 3, k, W)
+            M, P = oracle._block_operator(kern, -3, 3, k, W, True)
             assert M.size <= oracle._BLOCK_CELLS and P == 3 * (k - 1)
 
 
